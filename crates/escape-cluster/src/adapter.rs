@@ -4,6 +4,12 @@
 //! The engine cancels timers by bumping an epoch; the simulator never
 //! cancels anything. Encoding `(kind, epoch)` into the opaque token lets the
 //! engine's epoch check silently discard superseded expirations.
+//!
+//! The fourth kind encoding is not an engine timer at all: it marks the
+//! instant a storage harness's deferred barrier reaches the disk (see
+//! [`StorageHarness::take_deferred`](crate::cluster::StorageHarness::take_deferred)).
+//! Riding the node's timer queue gives it the right lifetime for free —
+//! a crash cancels the flush along with the node's timers.
 
 use escape_core::engine::{TimerKind, TimerToken};
 
@@ -17,11 +23,22 @@ pub fn encode_timer(token: TimerToken) -> u64 {
     (token.epoch << 2) | kind_bits
 }
 
+/// Packs a deferred-barrier ticket into the simulator's opaque `u64`.
+pub fn encode_barrier(ticket: u64) -> u64 {
+    (ticket << 2) | 0b11
+}
+
+/// The deferred-barrier ticket `raw` carries, if it is one.
+pub fn decode_barrier(raw: u64) -> Option<u64> {
+    (raw & 0b11 == 0b11).then_some(raw >> 2)
+}
+
 /// Unpacks a simulator token back into a [`TimerToken`].
 ///
 /// # Panics
 ///
-/// Panics on an unknown kind encoding (a harness bug, not an input error).
+/// Panics on a token that is not an engine timer (a harness bug, not an
+/// input error): check [`decode_barrier`] first.
 pub fn decode_timer(raw: u64) -> TimerToken {
     let kind = match raw & 0b11 {
         0 => TimerKind::Election,
@@ -51,6 +68,18 @@ mod tests {
                 assert_eq!(decode_timer(encode_timer(t)), t);
             }
         }
+    }
+
+    #[test]
+    fn barrier_tickets_round_trip_and_are_not_timers() {
+        for ticket in [0u64, 1, 77, u64::MAX >> 2] {
+            assert_eq!(decode_barrier(encode_barrier(ticket)), Some(ticket));
+        }
+        let timer = encode_timer(TimerToken {
+            kind: TimerKind::VoteRetry,
+            epoch: 9,
+        });
+        assert_eq!(decode_barrier(timer), None);
     }
 
     #[test]

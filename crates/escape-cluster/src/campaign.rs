@@ -24,14 +24,16 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::Bytes;
 
+use escape_core::config::Configuration;
+use escape_core::log::{Entry, Payload};
 use escape_core::rand::{Rng64, Xoshiro256};
-use escape_core::storage::{RecoveredState, Storage};
+use escape_core::storage::{Barrier, RecoveredState, Storage};
 use escape_core::time::Duration;
-use escape_core::types::{ServerId, Term};
+use escape_core::types::{LogIndex, ServerId, Term};
 use escape_obs::{Observer, PhaseBounds};
 use escape_simnet::latency::LatencyModel;
 use escape_simnet::loss::{ChaosModel, LossModel};
@@ -83,6 +85,12 @@ pub enum FaultAtom {
     /// Crashes tear a seeded number of bytes off the victim's newest WAL
     /// segment, so restarts exercise torn-tail recovery.
     TornTail,
+    /// Every node's storage defers the leader's log barrier
+    /// ([`Storage::sync_deferred`]): the flush reaches the disk this long
+    /// after it was requested, and a crash in between loses what it
+    /// covered. With [`FaultAtom::KillLeader`], the kill lands inside that
+    /// window, on a write the followers have already acknowledged.
+    DeferredBarrier(Duration),
 }
 
 impl fmt::Display for FaultAtom {
@@ -113,6 +121,9 @@ impl fmt::Display for FaultAtom {
             FaultAtom::TransientIo(p) => write!(f, "transient-io({p:.2})"),
             FaultAtom::DiskFull(after) => write!(f, "disk-full({after})"),
             FaultAtom::TornTail => write!(f, "torn-tail"),
+            FaultAtom::DeferredBarrier(flush) => {
+                write!(f, "deferred-barrier({}ms)", flush.as_millis())
+            }
         }
     }
 }
@@ -140,6 +151,7 @@ impl FaultPlan {
                     | FaultAtom::TransientIo(_)
                     | FaultAtom::DiskFull(_)
                     | FaultAtom::TornTail
+                    | FaultAtom::DeferredBarrier(_)
             )
         })
     }
@@ -177,6 +189,7 @@ pub const SCENARIO_NAMES: &[&str] = &[
     "flaky-disk",
     "disk-full",
     "disk-full-failover",
+    "crash-before-own-sync",
     "kitchen-sink",
 ];
 
@@ -211,6 +224,16 @@ pub fn scenario_plan(name: &str) -> Option<FaultPlan> {
         // timeline is keyed by the killed leader's own crash event, so
         // the victim's extra crash cannot garble the phase measurements.
         "disk-full-failover" => vec![FaultAtom::KillLeader, FaultAtom::DiskFull(4)],
+        // The window the deferred leader barrier opens: the leader has
+        // sent a write, the followers have acknowledged it, and the
+        // leader dies — tail torn — before its own flush. The write was
+        // acknowledged without the leader's copy, so it must survive.
+        "crash-before-own-sync" => vec![
+            FaultAtom::KillLeader,
+            FaultAtom::DeferredBarrier(Duration::from_millis(30)),
+            FaultAtom::TornTail,
+            FaultAtom::RestartKilled,
+        ],
         "kitchen-sink" => vec![
             FaultAtom::KillLeader,
             chaos,
@@ -334,6 +357,84 @@ pub struct CampaignStorage {
     rng: Xoshiro256,
     stats: BTreeMap<ServerId, Arc<FaultStats>>,
     clock: Arc<AtomicU64>,
+    /// How long a deferred barrier takes; `None` keeps every barrier
+    /// blocking (the storages then never see `sync_deferred`).
+    deferred_flush: Option<Duration>,
+    /// Each node's storage, shared with the engine, when barriers defer.
+    deferring: BTreeMap<ServerId, Arc<Mutex<Deferring>>>,
+}
+
+/// A node's storage plus the deferred barriers it has issued and the
+/// cluster has not yet collected. Shared between the engine (through
+/// [`DeferringStorage`]) and the harness, which runs the real flush when
+/// the simulated disk gets to it.
+#[derive(Debug)]
+struct Deferring {
+    storage: FaultyStorage,
+    tickets: u64,
+    issued: Vec<u64>,
+}
+
+/// The engine's end of a [`Deferring`]: every call goes straight through,
+/// except that `sync_deferred` only takes a ticket.
+#[derive(Debug)]
+struct DeferringStorage(Arc<Mutex<Deferring>>);
+
+fn lock(deferring: &Mutex<Deferring>) -> MutexGuard<'_, Deferring> {
+    deferring.lock().expect("the simulator is single-threaded")
+}
+
+impl Storage for DeferringStorage {
+    fn persist_hard_state(&mut self, term: Term, voted_for: Option<ServerId>) -> io::Result<()> {
+        lock(&self.0).storage.persist_hard_state(term, voted_for)
+    }
+
+    fn persist_entry(&mut self, entry: &Entry) -> io::Result<()> {
+        lock(&self.0).storage.persist_entry(entry)
+    }
+
+    fn persist_entries(&mut self, entries: &[Entry]) -> io::Result<()> {
+        lock(&self.0).storage.persist_entries(entries)
+    }
+
+    fn persist_appended(
+        &mut self,
+        prev_index: LogIndex,
+        prev_term: Term,
+        entries: &[Entry],
+    ) -> io::Result<()> {
+        lock(&self.0)
+            .storage
+            .persist_appended(prev_index, prev_term, entries)
+    }
+
+    fn persist_config(&mut self, config: Configuration) -> io::Result<()> {
+        lock(&self.0).storage.persist_config(config)
+    }
+
+    fn persist_snapshot(
+        &mut self,
+        index: LogIndex,
+        term: Term,
+        data: &Bytes,
+        tail: &[Entry],
+    ) -> io::Result<()> {
+        lock(&self.0)
+            .storage
+            .persist_snapshot(index, term, data, tail)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        lock(&self.0).storage.sync()
+    }
+
+    fn sync_deferred(&mut self) -> io::Result<Barrier> {
+        let mut shared = lock(&self.0);
+        shared.tickets += 1;
+        let ticket = shared.tickets;
+        shared.issued.push(ticket);
+        Ok(Barrier::Pending(ticket))
+    }
 }
 
 impl CampaignStorage {
@@ -349,7 +450,16 @@ impl CampaignStorage {
             rng: Xoshiro256::seed_from(seed),
             stats: BTreeMap::new(),
             clock: Arc::new(AtomicU64::new(0)),
+            deferred_flush: None,
+            deferring: BTreeMap::new(),
         }
+    }
+
+    /// Makes every node's storage defer the leader's log barrier, each
+    /// flush reaching the disk `flush` after it was requested. Call
+    /// before the cluster opens its nodes.
+    pub fn defer_barriers(&mut self, flush: Duration) {
+        self.deferred_flush = Some(flush);
     }
 
     /// Overrides the fault spec for one node (e.g. a single disk-full
@@ -391,7 +501,16 @@ impl StorageHarness for CampaignStorage {
         let fault_rng = self.rng.fork(id.get() as u64);
         let storage = FaultyStorage::new(inner, spec, fault_rng, observer, Arc::clone(&self.clock));
         self.stats.insert(id, storage.stats());
-        Ok((Box::new(storage), state))
+        if self.deferred_flush.is_none() {
+            return Ok((Box::new(storage), state));
+        }
+        let shared = Arc::new(Mutex::new(Deferring {
+            storage,
+            tickets: 0,
+            issued: Vec::new(),
+        }));
+        self.deferring.insert(id, Arc::clone(&shared));
+        Ok((Box::new(DeferringStorage(shared)), state))
     }
 
     fn on_crash(&mut self, id: ServerId) {
@@ -412,6 +531,23 @@ impl StorageHarness for CampaignStorage {
 
     fn tick(&mut self, at_micros: u64) {
         self.clock.store(at_micros, Ordering::Relaxed);
+    }
+
+    fn take_deferred(&mut self, id: ServerId) -> Vec<(u64, Duration)> {
+        let (Some(flush), Some(shared)) = (self.deferred_flush, self.deferring.get(&id)) else {
+            return Vec::new();
+        };
+        let issued = std::mem::take(&mut lock(shared).issued);
+        issued.into_iter().map(|ticket| (ticket, flush)).collect()
+    }
+
+    fn complete_deferred(&mut self, id: ServerId, _ticket: u64) {
+        if let Some(shared) = self.deferring.get(&id) {
+            // `FaultyStorage` never fails a sync (it may lie, which is
+            // the fault it models); a real error here would surface as
+            // the trial's lost write.
+            let _ = lock(shared).storage.sync();
+        }
     }
 }
 
@@ -482,6 +618,7 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     let mut spec = FaultSpec::none();
     let mut torn_tail = false;
     let mut disk_full_after: Option<u64> = None;
+    let mut deferred_flush: Option<Duration> = None;
     let kill_leader = plan.has(|a| matches!(a, FaultAtom::KillLeader));
     let restart_killed = plan.has(|a| matches!(a, FaultAtom::RestartKilled));
     let one_way_cut = plan.has(|a| matches!(a, FaultAtom::OneWayCut));
@@ -503,6 +640,7 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
             FaultAtom::TransientIo(p) => spec.transient_io_p = *p,
             FaultAtom::DiskFull(after) => disk_full_after = Some(*after),
             FaultAtom::TornTail => torn_tail = true,
+            FaultAtom::DeferredBarrier(flush) => deferred_flush = Some(*flush),
             FaultAtom::KillLeader | FaultAtom::RestartKilled | FaultAtom::OneWayCut => {}
             FaultAtom::Skew { .. } => {}
         }
@@ -548,6 +686,9 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
             victim_spec.disk_full_after = Some(after);
             harness.set_spec_for(victim, victim_spec);
         }
+        if let Some(flush) = deferred_flush {
+            harness.defer_barriers(flush);
+        }
         match SimCluster::with_storage(config, Box::new(harness)) {
             Ok(cluster) => cluster,
             Err(error) => {
@@ -592,6 +733,7 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     }
 
     let mut killed: Option<ServerId> = None;
+    let mut acknowledged: Option<(LogIndex, Bytes)> = None;
     if kill_leader {
         // Under loss the leadership can be mid-handover at this exact
         // instant; give the cluster (bounded) time to show a live leader
@@ -604,6 +746,12 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
         match cluster.current_leader() {
             Some(leader) => {
                 let old_term = cluster.node(leader).current_term();
+                if let Some(flush) = deferred_flush {
+                    match acknowledge_before_own_sync(&mut cluster, leader, flush, seed) {
+                        Ok(write) => acknowledged = Some(write),
+                        Err(missed) => failures.push(missed),
+                    }
+                }
                 cluster.crash(leader);
                 killed = Some(leader);
                 let horizon = cluster.now() + Duration::from_secs(10);
@@ -667,6 +815,31 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
         ));
     }
 
+    // Phase 5b: the write acknowledged just before the kill is still
+    // there — recommitted by the successor, identical, on every node that
+    // has committed that far.
+    if let Some((index, command)) = &acknowledged {
+        let committed: Vec<ServerId> = ids
+            .iter()
+            .copied()
+            .filter(|id| cluster.is_alive(*id) && cluster.node(*id).commit_index() >= *index)
+            .collect();
+        if committed.is_empty() {
+            failures.push(format!(
+                "acknowledged: nobody has committed through {index} again"
+            ));
+        }
+        for id in committed {
+            let held = cluster.node(id).log().entry(*index).map(|e| &e.payload);
+            if held != Some(&Payload::Command(command.clone())) {
+                failures.push(format!(
+                    "acknowledged: write at {index} lost on node {}",
+                    id.get()
+                ));
+            }
+        }
+    }
+
     // Phase 6: fail-stop semantics — a full disk must actually have
     // stopped its victim.
     if let Some((victim, _)) = disk_full_victim {
@@ -684,6 +857,36 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     }
 
     finish_trial(seed, failures, &cluster, auto_root, &root)
+}
+
+/// Proposes one command on `leader` and runs the cluster just long enough
+/// for the followers to acknowledge it — half the flush time, several
+/// network round trips — so the caller's kill lands after the commit and
+/// before the leader's own deferred barrier. Returns the acknowledged
+/// write, or what kept the trial out of the window.
+fn acknowledge_before_own_sync(
+    cluster: &mut SimCluster,
+    leader: ServerId,
+    flush: Duration,
+    seed: u64,
+) -> Result<(LogIndex, Bytes), String> {
+    let command = Bytes::from(format!("campaign-{seed}-before-own-sync"));
+    let index = cluster
+        .propose(command.clone())
+        .map_err(|e| format!("window: the leader refused the write: {e}"))?;
+    cluster.run_for(Duration::from_micros(flush.as_micros() / 2));
+    let node = cluster.node(leader);
+    if node.commit_index() < index {
+        return Err(format!(
+            "window: followers had not acknowledged {index} half a flush later"
+        ));
+    }
+    if node.durable_index() >= index {
+        return Err(format!(
+            "window: the leader's own barrier had already covered {index}"
+        ));
+    }
+    Ok((index, command))
 }
 
 /// The highest commit index any node has reported so far.
@@ -950,6 +1153,30 @@ mod tests {
         );
         let outcome = run_trial(&plan, 7, &TrialOptions::default());
         assert!(outcome.passed(), "failures: {:?}", outcome.failures);
+    }
+
+    /// The deferred-barrier window, end to end: the trial itself fails
+    /// unless the kill lands after the followers' acknowledgement and
+    /// before the leader's own barrier, so passing means a write committed
+    /// without the leader's copy survived the leader's torn-tail crash.
+    #[test]
+    fn write_acknowledged_before_the_leaders_own_sync_survives_its_crash() {
+        let plan = plan("crash-before-own-sync");
+        assert!(plan.needs_storage());
+        for seed in [11, 12, 13] {
+            let outcome = run_trial(&plan, seed, &TrialOptions::default());
+            assert!(outcome.passed(), "seed {seed}: {:?}", outcome.failures);
+            assert!(
+                outcome.digest.contains("wal_sync_barrier"),
+                "barriers must show on the event stream"
+            );
+        }
+        let first = run_trial(&plan, 11, &TrialOptions::default());
+        let again = run_trial(&plan, 11, &TrialOptions::default());
+        assert_eq!(
+            first.digest, again.digest,
+            "deferred flushes replay exactly"
+        );
     }
 
     /// A quiet plan exercises the same pipeline with no faults — the

@@ -27,7 +27,7 @@ use escape_simnet::loss::LossModel;
 use escape_simnet::sim::{Ready, Sim};
 use escape_simnet::skew::ClockSkew;
 
-use crate::adapter::{decode_timer, encode_timer};
+use crate::adapter::{decode_barrier, decode_timer, encode_barrier, encode_timer};
 use crate::invariants::SafetyChecker;
 
 /// Durable-storage hookup for fault campaigns.
@@ -66,6 +66,21 @@ pub trait StorageHarness: std::fmt::Debug {
     /// Advances the harness's virtual clock so injected-fault events carry
     /// the simulation's timestamps.
     fn tick(&mut self, at_micros: u64);
+
+    /// The deferred barriers `id`'s storage has issued since the last
+    /// call ([`Storage::sync_deferred`] returning a ticket), each with
+    /// how long its flush takes to reach the disk. The cluster schedules
+    /// [`StorageHarness::complete_deferred`] that far ahead on the node's
+    /// own timer queue, so a crash in between cancels it and the records
+    /// behind the barrier die un-synced. The default storage never
+    /// defers.
+    fn take_deferred(&mut self, _id: ServerId) -> Vec<(u64, Duration)> {
+        Vec::new()
+    }
+
+    /// The flush behind `ticket` reaches the disk now; the cluster then
+    /// reports the ticket to the engine.
+    fn complete_deferred(&mut self, _id: ServerId, _ticket: u64) {}
 }
 
 /// Constructs one node's election policy. `(id, cluster_size, seed)` →
@@ -700,7 +715,15 @@ impl SimCluster {
                     return;
                 }
                 let now = self.node_now(node);
-                let actions = self.nodes[node.index()].handle_timer(decode_timer(token), now);
+                let actions = match decode_barrier(token) {
+                    Some(ticket) => {
+                        if let Some(harness) = self.storage.as_mut() {
+                            harness.complete_deferred(node, ticket);
+                        }
+                        self.nodes[node.index()].barrier_done(ticket, now)
+                    }
+                    None => self.nodes[node.index()].handle_timer(decode_timer(token), now),
+                };
                 self.finish(node, actions);
             }
             Ready::Control { .. } => {
@@ -732,6 +755,12 @@ impl SimCluster {
             return;
         }
         self.absorb(id, actions);
+        if let Some(harness) = self.storage.as_mut() {
+            for (ticket, flush) in harness.take_deferred(id) {
+                let done = self.sim.now() + flush;
+                self.sim.set_timer(id, encode_barrier(ticket), done);
+            }
+        }
     }
 
     /// Routes a node's actions into the simulator and the observation log.

@@ -60,7 +60,7 @@ use crate::message::Message;
 use crate::metrics::NodeMetrics;
 use crate::policy::ElectionPolicy;
 use crate::statemachine::{NullStateMachine, StateMachine};
-use crate::storage::{NullStorage, RecoveredState, Storage};
+use crate::storage::{Barrier, NullStorage, RecoveredState, Storage};
 use crate::time::{Duration, Time};
 use crate::types::{quorum, LogIndex, Role, ServerId, Term};
 
@@ -358,6 +358,9 @@ impl NodeBuilder {
             state_machine,
             storage: self.storage,
             storage_dirty: false,
+            // Whatever was recovered came off the disk.
+            durable_index: log.last_index(),
+            pending_barriers: VecDeque::new(),
             options: self.options,
             current_term,
             voted_for,
@@ -437,6 +440,13 @@ pub struct Node {
     /// `true` when persisted-but-unsynced records exist; cleared by the
     /// pre-return [`Node::sync_storage`].
     storage_dirty: bool,
+    /// Highest log index a completed barrier covers. Below the log tail
+    /// only on a leader whose own appends are still being flushed; it is
+    /// what [`Node::advance_commit`] lets the leader count itself up to.
+    durable_index: LogIndex,
+    /// Deferred barriers not yet reported done, oldest first: the
+    /// storage's ticket and the log tail it was requested at.
+    pending_barriers: VecDeque<(u64, LogIndex)>,
     options: Options,
 
     // ---- Raft persistent state ----
@@ -596,6 +606,12 @@ impl Node {
         self.last_applied
     }
 
+    /// Highest log index known durable on this node: the log tail, except
+    /// on a leader whose storage is still flushing its latest appends.
+    pub fn durable_index(&self) -> LogIndex {
+        self.durable_index
+    }
+
     /// Protocol counters.
     pub fn metrics(&self) -> &NodeMetrics {
         &self.metrics
@@ -728,9 +744,7 @@ impl Node {
     }
 
     /// Proposes a command for replication. Only the leader accepts
-    /// proposals. Equivalent to a [`Node::propose_batch`] of one: the
-    /// entry is appended, persisted, and flushed to every follower before
-    /// the call returns.
+    /// proposals. Equivalent to a [`Node::propose_batch`] of one.
     ///
     /// # Errors
     ///
@@ -747,11 +761,19 @@ impl Node {
     }
 
     /// Proposes a batch of commands for replication: all entries are
-    /// appended locally, persisted with **one** storage flush (group
+    /// appended locally, persisted under **one** storage barrier (group
     /// commit), and fanned out in **one** coalesced `AppendEntries` round
     /// per follower — the batched fast path the per-command
     /// [`Node::propose`] cannot amortize. Returns the assigned indexes
     /// (always consecutive) alongside the actions.
+    ///
+    /// The barrier is the one place the engine does not write before it
+    /// sends: it is requested with [`Storage::sync_deferred`], and the
+    /// `AppendEntries` are returned whether or not it has completed. That
+    /// is safe because they promise nothing about this node's disk — the
+    /// leader counts itself towards the commit quorum only up to
+    /// [`Node::durable_index`], which a pending barrier advances through
+    /// [`Node::barrier_done`].
     ///
     /// # Errors
     ///
@@ -783,10 +805,39 @@ impl Node {
         self.persist_tail_entries(indexes.len());
         let mut out = Vec::new();
         self.flush_replication(now, &mut out);
-        // A single-node cluster commits immediately.
+        self.defer_tail_barrier(now);
+        // A single-node cluster commits as soon as its barrier is done.
         self.advance_commit(now, &mut out);
+        // Committing may have compacted the log: snapshots block.
         self.sync_storage(now);
         Ok((indexes, out))
+    }
+
+    /// The storage finished the deferred barrier it issued `ticket` for
+    /// (and, barriers being FIFO, every earlier one): the leader now
+    /// counts itself as a replica of everything appended before that
+    /// request, which may be what a commit was waiting for. Tickets that
+    /// are unknown, already reported, or were overtaken by a blocking
+    /// barrier claim nothing — but the commit index is looked at again
+    /// either way: the blocking barrier that overtook a ticket ran in a
+    /// step that may not have been in a position to commit.
+    pub fn barrier_done(&mut self, ticket: u64, now: Time) -> Vec<Action> {
+        let mut covered = None;
+        while let Some(&(pending, tail)) = self.pending_barriers.front() {
+            if pending > ticket {
+                break;
+            }
+            self.pending_barriers.pop_front();
+            covered = Some(tail);
+        }
+        if let Some(tail) = covered {
+            self.durable_index = self.durable_index.max(tail);
+            self.emit(now, Event::WalSyncBarrier);
+        }
+        let mut out = Vec::new();
+        self.advance_commit(now, &mut out);
+        self.sync_storage(now);
+        out
     }
 
     /// Accepts a batch of linearizable queries that never touch the log.
@@ -1111,9 +1162,11 @@ impl Node {
     //
     // Each helper records one already-applied mutation in the storage sink
     // and marks it dirty; `sync_storage` runs before any public entry
-    // point returns its actions, so nothing the runtime transmits can
-    // outrun the WAL. Storage failures are fatal: a node that cannot
-    // persist its vote must stop rather than risk double-voting later.
+    // point returns its actions, so no promise the runtime transmits can
+    // outrun the WAL. (A leader's own tail appends promise nothing and
+    // take the deferred barrier instead.) Storage failures are fatal: a
+    // node that cannot persist its vote must stop rather than risk
+    // double-voting later.
 
     /// Records the current term and vote.
     pub(super) fn persist_hard_state(&mut self) {
@@ -1139,10 +1192,11 @@ impl Node {
         self.storage_dirty = true;
     }
 
-    /// Records the last `count` entries appended at the log tail as one
-    /// storage batch — the group-commit write path: every record lands in
-    /// the WAL's buffer, and the single pre-return
-    /// [`Node::sync_storage`] flush covers them all.
+    /// Records the last `count` entries a leader appended at its log tail
+    /// as one storage batch — the group-commit write path. These are the
+    /// only records that may ride a deferred barrier, so they do not mark
+    /// the storage dirty: the caller follows up with
+    /// [`Node::defer_tail_barrier`].
     pub(super) fn persist_tail_entries(&mut self, count: usize) {
         let last = self.log.last_index();
         let from = LogIndex::new(last.get() - count as u64);
@@ -1151,7 +1205,38 @@ impl Node {
             .persist_entries(&entries)
             // lint:allow(panic): fail-stop by design — see the module note above
             .expect("storage failed to persist log entries");
-        self.storage_dirty = true;
+    }
+
+    /// Requests the barrier for leader tail appends without waiting for
+    /// it. A storage that cannot defer has synced by the time this
+    /// returns, and the leader is durable through its tail as before.
+    /// Should the step have persisted a promise record as well, nothing is
+    /// deferred: the storage stays dirty and the blocking pre-return
+    /// [`Node::sync_storage`] covers the tail appends too.
+    fn defer_tail_barrier(&mut self, now: Time) {
+        if self.storage_dirty {
+            return;
+        }
+        let barrier = self
+            .storage
+            .sync_deferred()
+            // lint:allow(panic): fail-stop by design — see the module note above
+            .expect("storage failed to sync");
+        match barrier {
+            Barrier::Durable => self.note_durable_through_tail(now),
+            Barrier::Pending(ticket) => {
+                self.pending_barriers
+                    .push_back((ticket, self.log.last_index()));
+            }
+        }
+    }
+
+    /// A barrier that covers every record persisted so far has completed:
+    /// the whole log is durable and no earlier ticket has news left.
+    fn note_durable_through_tail(&mut self, now: Time) {
+        self.durable_index = self.log.last_index();
+        self.pending_barriers.clear();
+        self.emit(now, Event::WalSyncBarrier);
     }
 
     /// Records an accepted follower-side `AppendEntries` mutation.
@@ -1195,13 +1280,13 @@ impl Node {
     /// Flushes buffered storage records; called before every public entry
     /// point returns, so returned actions imply durable state. Each actual
     /// flush is one WAL sync barrier on the event stream: everything
-    /// recorded earlier this entry point is durable past it.
+    /// recorded earlier — deferred barriers included — is durable past it.
     fn sync_storage(&mut self, now: Time) {
         if self.storage_dirty {
             // lint:allow(panic): fail-stop by design — see the module note above
             self.storage.sync().expect("storage failed to sync");
             self.storage_dirty = false;
-            self.emit(now, Event::WalSyncBarrier);
+            self.note_durable_through_tail(now);
         }
     }
 

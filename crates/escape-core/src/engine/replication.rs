@@ -543,14 +543,24 @@ impl Node {
         if self.role != Role::Leader {
             return;
         }
+        // The leader is a replica only of what its own storage has made
+        // durable (followers ack only what theirs has) — or is about to:
+        // a dirty storage takes the blocking barrier before any action of
+        // this step leaves, and that covers the whole log.
+        let self_match = if self.storage_dirty {
+            self.log.last_index()
+        } else {
+            self.durable_index
+        };
         let mut candidate = self.log.last_index();
         while candidate > self.commit_index {
             if self.log.term_at(candidate) == Some(self.current_term) {
-                let replicas = 1 + self
-                    .match_index
-                    .values()
-                    .filter(|m| **m >= candidate)
-                    .count();
+                let replicas = usize::from(candidate <= self_match)
+                    + self
+                        .match_index
+                        .values()
+                        .filter(|m| **m >= candidate)
+                        .count();
                 if replicas >= self.quorum() {
                     break;
                 }

@@ -988,12 +988,17 @@ fn follower_appends_persist_only_real_changes() {
 /// without delivering anything to peers (their acks are hand-fed), so the
 /// pipeline window is observable.
 fn undelivered_leader(options: Options) -> (Node, Vec<ServerId>) {
+    undelivered_leader_on(options, Box::new(NullStorage))
+}
+
+fn undelivered_leader_on(options: Options, storage: Box<dyn Storage>) -> (Node, Vec<ServerId>) {
     let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
     let mut node = Node::builder(ids[0], ids.clone())
         .policy(Box::new(RaftPolicy::with_source(Box::new(
             ScriptedTimeouts::new(vec![Duration::from_millis(1000)]),
         ))))
         .options(options)
+        .storage(storage)
         .build();
     node.start(Time::ZERO);
     let token = TimerToken {
@@ -1680,4 +1685,218 @@ fn clock_drift_within_the_fence_margin_cannot_revive_a_lease() {
         !pump.node(5).lease_valid(t_confirm + local_elapsed),
         "a 25 % slow clock must still see its lease expire before any vote"
     );
+}
+
+// ---- the deferred leader barrier ----
+
+/// A storage whose deferred barrier never completes by itself: it hands
+/// out tickets, and the test decides when (and whether) to report them.
+#[derive(Debug, Default)]
+struct DeferringStorage {
+    tickets: u64,
+}
+
+impl Storage for DeferringStorage {
+    fn persist_hard_state(&mut self, _: Term, _: Option<ServerId>) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_entry(&mut self, _: &crate::log::Entry) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_appended(
+        &mut self,
+        _: LogIndex,
+        _: Term,
+        _: &[crate::log::Entry],
+    ) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_config(&mut self, _: crate::config::Configuration) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_snapshot(
+        &mut self,
+        _: LogIndex,
+        _: Term,
+        _: &Bytes,
+        _: &[crate::log::Entry],
+    ) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn sync_deferred(&mut self) -> std::io::Result<crate::storage::Barrier> {
+        self.tickets += 1;
+        Ok(crate::storage::Barrier::Pending(self.tickets))
+    }
+}
+
+/// A leader of three on a deferring storage, its no-op already committed
+/// by both followers, plus one proposal whose barrier (ticket 1) is
+/// still pending. Returns the proposal's index and actions.
+fn leader_with_pending_barrier() -> (Node, Vec<ServerId>, LogIndex, Vec<Action>) {
+    let (mut node, ids) = undelivered_leader_on(
+        Options {
+            vote_retry_interval: None,
+            ..Options::default()
+        },
+        Box::new(DeferringStorage::default()),
+    );
+    let noop = node.log().last_index();
+    assert_eq!(node.durable_index(), noop, "the no-op takes the blocking barrier");
+    for peer in [ids[1], ids[2]] {
+        node.handle_message(peer, ack(&node, noop), Time::from_millis(1001));
+    }
+    assert_eq!(node.commit_index(), noop);
+    let (index, actions) = node
+        .propose(Bytes::from_static(b"deferred"), Time::from_millis(1002))
+        .unwrap();
+    (node, ids, index, actions)
+}
+
+fn ack(node: &Node, through: LogIndex) -> Message {
+    Message::AppendEntriesReply(crate::message::AppendEntriesReply {
+        term: node.current_term(),
+        success: true,
+        match_hint: through,
+        status: None,
+        seq: 0,
+    })
+}
+
+fn committed(actions: &[Action]) -> Vec<LogIndex> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Committed { index } => Some(*index),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The proposal's `AppendEntries` leave before the leader's barrier, and
+/// the leader is a replica of the entry only once `barrier_done` says so:
+/// one follower ack is not a quorum until then.
+#[test]
+fn leader_counts_itself_only_after_its_barrier_completes() {
+    let (mut node, ids, index, actions) = leader_with_pending_barrier();
+    for peer in [ids[1], ids[2]] {
+        assert_eq!(appends_to(&actions, peer).len(), 1, "sent before the barrier");
+    }
+    assert!(node.durable_index() < index);
+
+    let actions = node.handle_message(ids[1], ack(&node, index), Time::from_millis(1003));
+    assert!(committed(&actions).is_empty(), "one follower is not a quorum of three");
+    assert!(node.commit_index() < index);
+
+    let actions = node.barrier_done(1, Time::from_millis(1004));
+    assert_eq!(committed(&actions), vec![index]);
+    assert!(actions.iter().any(|a| matches!(a, Action::Applied { .. })));
+    assert_eq!(node.durable_index(), index);
+}
+
+/// Two follower acks are a quorum without the leader: a slow leader disk
+/// does not set commit latency. The late completion then changes nothing
+/// but the durable index, and reporting it twice changes nothing at all.
+#[test]
+fn both_followers_commit_without_the_leader_and_stale_tickets_are_ignored() {
+    let (mut node, ids, index, _) = leader_with_pending_barrier();
+    node.handle_message(ids[1], ack(&node, index), Time::from_millis(1003));
+    let actions = node.handle_message(ids[2], ack(&node, index), Time::from_millis(1003));
+    assert_eq!(committed(&actions), vec![index]);
+    assert!(node.durable_index() < index, "committed while the leader's flush runs");
+
+    assert!(node.barrier_done(0, Time::from_millis(1004)).is_empty());
+    assert!(node.durable_index() < index, "ticket 0 was never issued");
+    assert!(node.barrier_done(1, Time::from_millis(1004)).is_empty());
+    assert_eq!(node.durable_index(), index);
+    assert!(node.barrier_done(1, Time::from_millis(1005)).is_empty());
+    assert_eq!(node.durable_index(), index);
+}
+
+/// A deposed leader's un-synced tail is truncated by its successor while
+/// the barrier that covered it is still pending. The blocking barrier the
+/// follower-side append takes retires that ticket, so its late completion
+/// cannot claim the old tail's indexes for entries that now sit there.
+#[test]
+fn late_completion_after_step_down_and_truncation_claims_nothing() {
+    let (mut node, ids, index, _) = leader_with_pending_barrier();
+    let (second, _) = node
+        .propose(Bytes::from_static(b"also-lost"), Time::from_millis(1003))
+        .unwrap();
+    let noop = index.prev();
+    let successor_term = Term::new(node.current_term().get() + 1);
+    let replacement = crate::log::Entry {
+        term: successor_term,
+        index,
+        payload: crate::log::Payload::Noop,
+    };
+    node.handle_message(
+        ids[1],
+        Message::AppendEntries(crate::message::AppendEntriesArgs {
+            term: successor_term,
+            leader_id: ids[1],
+            prev_log_index: noop,
+            prev_log_term: node.log().term_at(noop).unwrap(),
+            entries: vec![replacement],
+            leader_commit: noop,
+            new_config: None,
+            seq: 1,
+        }),
+        Time::from_millis(1004),
+    );
+    assert_eq!(node.role(), Role::Follower);
+    assert_eq!(node.log().last_index(), index, "{second} was truncated away");
+    assert_eq!(node.durable_index(), index);
+
+    // Tickets 1 and 2 covered the old entries at `index` and `second`.
+    assert!(node.barrier_done(2, Time::from_millis(1005)).is_empty());
+    assert_eq!(node.durable_index(), index, "must not claim {second}");
+}
+
+/// A single-node cluster has no follower to commit through: the proposal
+/// commits when — and only when — its own barrier completes.
+#[test]
+fn single_node_cluster_commits_only_on_barrier_completion() {
+    let ids = vec![ServerId::new(1)];
+    let mut node = Node::builder(ids[0], ids.clone())
+        .policy(Box::new(RaftPolicy::randomized(
+            Duration::from_millis(10),
+            Duration::from_millis(20),
+            1,
+        )))
+        .storage(Box::new(DeferringStorage::default()))
+        .build();
+    node.start(Time::ZERO);
+    node.handle_timer(
+        TimerToken {
+            kind: TimerKind::Election,
+            epoch: 1,
+        },
+        Time::from_millis(20),
+    );
+    assert!(node.is_leader());
+    let (index, actions) = node
+        .propose(Bytes::from_static(b"solo"), Time::from_millis(21))
+        .unwrap();
+    assert!(committed(&actions).is_empty());
+    assert!(node.commit_index() < index);
+    let actions = node.barrier_done(1, Time::from_millis(22));
+    assert_eq!(committed(&actions), vec![index]);
+}
+
+/// The deferred barrier is for steps whose only un-synced records are the
+/// leader's tail appends. Should a promise record ever share the step,
+/// nothing is deferred: the blocking barrier covers the lot.
+#[test]
+fn a_step_that_also_persisted_a_promise_takes_the_blocking_barrier() {
+    let (mut node, _, first, _) = leader_with_pending_barrier();
+    node.storage_dirty = true; // as a `persist_*` promise helper leaves it
+    let (index, _) = node
+        .propose(Bytes::from_static(b"blocking"), Time::from_millis(1003))
+        .unwrap();
+    assert!(node.pending_barriers.is_empty(), "no new ticket, and ticket 1 is covered");
+    assert_eq!(node.durable_index(), index);
+    assert!(first < index);
 }

@@ -14,6 +14,14 @@
 //! point — which is what guarantees "durable before the corresponding
 //! message is sent", since the runtime only transmits returned actions.
 //!
+//! One kind of record is exempt: a **leader's own tail appends**. Nothing
+//! a leader sends promises that *it* holds an entry — followers ack what
+//! *they* synced — so `propose_batch` asks for [`Storage::sync_deferred`]
+//! instead, ships its `AppendEntries` at once, and counts itself into the
+//! commit quorum only when the barrier reports back (Raft thesis
+//! §10.2.1). Storages that cannot defer keep the default, which *is*
+//! `sync`.
+//!
 //! [`NullStorage`] keeps the simulator and benches allocation-free; the
 //! `escape-storage` crate provides the real write-ahead-log + snapshot
 //! implementation and produces the [`RecoveredState`] that
@@ -93,6 +101,34 @@ pub trait Storage: std::fmt::Debug + Send {
 
     /// Makes every record persisted since the previous `sync` durable.
     fn sync(&mut self) -> io::Result<()>;
+
+    /// Starts making every record persisted so far durable without
+    /// waiting for it. A storage that flushes on another thread returns
+    /// [`Barrier::Pending`] with a ticket and later has its runtime hand
+    /// that ticket to [`Node::barrier_done`](crate::engine::Node::barrier_done);
+    /// tickets grow, barriers complete in the order they were requested,
+    /// and a later [`Storage::sync`] covers every ticket issued before it.
+    /// The default cannot defer: it syncs and reports
+    /// [`Barrier::Durable`], which is exactly the blocking behaviour.
+    ///
+    /// # Errors
+    ///
+    /// As [`Storage::sync`].
+    fn sync_deferred(&mut self) -> io::Result<Barrier> {
+        self.sync()?;
+        Ok(Barrier::Durable)
+    }
+}
+
+/// What [`Storage::sync_deferred`] achieved by the time it returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Barrier {
+    /// Everything persisted so far is already durable.
+    Durable,
+    /// The flush is under way; this ticket comes back through
+    /// [`Node::barrier_done`](crate::engine::Node::barrier_done) when it
+    /// has completed.
+    Pending(u64),
 }
 
 /// A storage that forgets everything: the simulator/bench default. Every

@@ -53,12 +53,14 @@ pub fn parse_lock_manifest(text: &str) -> Vec<String> {
 }
 
 /// Runs every single-file rule over `file` and applies its waivers.
-/// (The cross-file wire rule is separate: [`rules::wire::check`].)
+/// (The cross-file wire rule is separate: [`rules::wire::check`]; the
+/// deferred-barrier rule sees only this file's functions here.)
 pub fn check_file(file: &SourceFile, manifest: &[String]) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(rules::panic::check(file));
     findings.extend(rules::time::check(file));
     findings.extend(rules::wbs::check(file));
+    findings.extend(rules::wbs::check_deferred(std::slice::from_ref(file)));
     findings.extend(rules::locks::check(file, manifest));
     findings.extend(rules::unsafety::check(file));
     if file.path.ends_with("escape-obs/src/event.rs") {
@@ -135,6 +137,13 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
         )],
     };
 
+    // Likewise the deferred-barrier rule, which follows calls across the
+    // engine's files.
+    let cross_file_findings: Vec<Finding> = wire_findings
+        .into_iter()
+        .chain(rules::wbs::check_deferred(&files))
+        .collect();
+
     for file in &files {
         let mut findings: Vec<Finding> = Vec::new();
         findings.extend(rules::panic::check(file));
@@ -149,7 +158,7 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
             findings.extend(rules::wire::check_events(file));
         }
         findings.extend(
-            wire_findings
+            cross_file_findings
                 .iter()
                 .filter(|f| f.path == file.path)
                 .cloned(),

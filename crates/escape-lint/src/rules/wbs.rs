@@ -13,10 +13,24 @@
 //! assignment to `current_term` or `voted_for` must be followed (same
 //! function) by a `persist_hard_state` call — double-voting after a
 //! restart is the one mistake Raft never forgives.
+//!
+//! A third ([`check_deferred`]) keeps the one exception honest. A leader's
+//! own tail appends promise nothing to anybody, so `propose_batch` may
+//! stage its `AppendEntries` under a *deferred* barrier that has not
+//! completed when they leave. That is sound only while nothing else is
+//! un-synced at the request: a function that asks for the deferred barrier
+//! must not have reached a **promise** helper (term/vote, configuration
+//! clock, follower-side append, snapshot, the new leader's no-op) before
+//! it — directly or through any chain of engine functions, whichever
+//! engine file defines them. A promise it reaches *afterwards* (a commit
+//! compacting the log) is the blocking barrier's business again, so the
+//! function must still call `sync_storage` behind it.
 
-use crate::lexer::SourceFile;
+use std::collections::BTreeMap;
+
+use crate::lexer::{Function, SourceFile};
 use crate::report::{Finding, Rule};
-use crate::rules::{is_punct, text};
+use crate::rules::{is_ident, is_punct, text};
 
 /// Durability helpers — reaching storage through anything else is new
 /// code the lint should be taught about.
@@ -29,6 +43,19 @@ const PERSIST: [&str; 7] = [
     "persist_snapshot",
     "sync_storage",
 ];
+
+/// The helpers whose records back a promise made to a peer: they may
+/// only ever be covered by the blocking barrier.
+const PROMISE: [&str; 5] = [
+    "persist_hard_state",
+    "persist_last_entry",
+    "persist_appended",
+    "persist_current_config",
+    "persist_snapshot",
+];
+
+/// Calls that request the deferred barrier.
+const DEFERRED: [&str; 2] = ["defer_tail_barrier", "sync_deferred"];
 
 /// Calls that stage outbound messages onto the action list.
 const STAGE: [&str; 6] = [
@@ -55,6 +82,7 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         if file.is_test_code(func.start) {
             continue;
         }
+
         let mut persists: Vec<usize> = Vec::new(); // byte offsets
         let mut stages: Vec<(usize, usize)> = Vec::new(); // (offset, line)
         let mut hard_state_writes: Vec<(usize, usize, String)> = Vec::new();
@@ -135,4 +163,113 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// Rule (c), over all of `files` that are engine sources at once, so a
+/// promise reached through a function of another engine file counts.
+pub fn check_deferred(files: &[SourceFile]) -> Vec<Finding> {
+    // Who calls whom, by name, across every engine file. (A name defined
+    // twice has its callees merged, which can only over-report.)
+    let mut graph: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    let mut functions = Vec::new();
+    for file in files.iter().filter(|f| in_scope(f)) {
+        for func in &file.functions {
+            if func.body.is_none() || file.is_test_code(func.start) {
+                continue;
+            }
+            let sites = call_sites(file, func);
+            graph
+                .entry(func.name.as_str())
+                .or_default()
+                .extend(sites.iter().map(|site| site.callee));
+            functions.push((file, func, sites));
+        }
+    }
+
+    let mut findings = Vec::new();
+    for (file, func, sites) in &functions {
+        let Some(request) = sites
+            .iter()
+            .find(|site| DEFERRED.contains(&site.callee))
+            .map(|site| site.offset)
+        else {
+            continue;
+        };
+        let synced_after = |offset: usize| {
+            sites
+                .iter()
+                .any(|site| site.callee == "sync_storage" && site.offset > offset)
+        };
+        for site in sites {
+            if !reaches_promise(site.callee, &graph, &mut Vec::new()) {
+                continue;
+            }
+            let problem = if site.offset < request {
+                "before it requests the deferred barrier — only a leader's own tail \
+                 appends may ride it; promises need the blocking barrier"
+            } else if !synced_after(site.offset) {
+                "after requesting the deferred barrier, with no `sync_storage` behind \
+                 it — that record needs the blocking barrier"
+            } else {
+                continue;
+            };
+            findings.push(Finding::new(
+                Rule::WriteBeforeSend,
+                &file.path,
+                site.line,
+                format!(
+                    "`{}` reaches a promise record through `{}` {problem}",
+                    func.name, site.callee
+                ),
+            ));
+        }
+    }
+    findings
+}
+
+/// One call inside a function body.
+struct CallSite<'a> {
+    callee: &'a str,
+    offset: usize,
+    line: usize,
+}
+
+/// `func`'s call sites in source order.
+fn call_sites<'a>(file: &'a SourceFile, func: &Function) -> Vec<CallSite<'a>> {
+    let Some((open, close)) = func.body else {
+        return Vec::new();
+    };
+    file.tokens
+        .iter()
+        .enumerate()
+        .filter(|(i, t)| {
+            t.start > open && t.end < close && is_ident(file, *i) && is_punct(file, i + 1, b'(')
+        })
+        .map(|(_, t)| CallSite {
+            callee: file.tok_str(t),
+            offset: t.start,
+            line: t.line,
+        })
+        .collect()
+}
+
+/// `true` when `name` is a promise helper or calls one, through any
+/// chain of engine functions.
+fn reaches_promise<'a>(
+    name: &'a str,
+    graph: &BTreeMap<&'a str, Vec<&'a str>>,
+    visiting: &mut Vec<&'a str>,
+) -> bool {
+    if PROMISE.contains(&name) {
+        return true;
+    }
+    if visiting.contains(&name) {
+        return false;
+    }
+    visiting.push(name);
+    graph.get(name).is_some_and(|callees| {
+        callees
+            .iter()
+            .any(|callee| reaches_promise(callee, graph, visiting))
+    })
 }

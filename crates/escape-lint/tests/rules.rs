@@ -115,6 +115,55 @@ fn wbs_rule_passes_persist_first_ordering() {
     assert!(rules::wbs::check(&file).is_empty());
 }
 
+#[test]
+fn wbs_rule_trips_on_a_promise_riding_the_deferred_barrier() {
+    let file = parse(
+        "crates/escape-core/src/engine/fixture.rs",
+        "escape-core",
+        include_str!("fixtures/wbs_deferred_bad.rs"),
+    );
+    let findings = rules::wbs::check_deferred(std::slice::from_ref(&file));
+    assert_eq!(findings.len(), 3, "{findings:?}");
+    assert!(findings.iter().all(|f| f.message.contains("deferred barrier")));
+    assert!(findings.iter().any(|f| f.message.contains("`persist_hard_state` before")));
+    assert!(findings.iter().any(|f| f.message.contains("`restamp` before")));
+    assert!(findings.iter().any(|f| f.message.contains("`persist_snapshot` after")));
+}
+
+#[test]
+fn wbs_rule_passes_tail_appends_under_the_deferred_barrier() {
+    let file = parse(
+        "crates/escape-core/src/engine/fixture.rs",
+        "escape-core",
+        include_str!("fixtures/wbs_deferred_good.rs"),
+    );
+    assert!(rules::wbs::check_deferred(std::slice::from_ref(&file)).is_empty());
+}
+
+#[test]
+fn wbs_rule_follows_a_promise_into_another_engine_file() {
+    let files = [
+        parse(
+            "crates/escape-core/src/engine/mod.rs",
+            "escape-core",
+            include_str!("fixtures/wbs_deferred_cross_a.rs"),
+        ),
+        parse(
+            "crates/escape-core/src/engine/replication.rs",
+            "escape-core",
+            include_str!("fixtures/wbs_deferred_cross_b.rs"),
+        ),
+    ];
+    assert!(
+        rules::wbs::check_deferred(&files[..1]).is_empty(),
+        "invisible from the requesting file alone"
+    );
+    let findings = rules::wbs::check_deferred(&files);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].path.ends_with("engine/mod.rs"));
+    assert!(findings[0].message.contains("`flush_replication` before"));
+}
+
 // ---- lock-discipline ---------------------------------------------------
 
 #[test]

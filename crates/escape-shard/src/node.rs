@@ -22,14 +22,13 @@ use crossbeam::channel::{bounded, Sender};
 
 use escape_core::engine::{Node, ProposeError};
 use escape_core::statemachine::StateMachine;
-use escape_core::storage::Storage;
 use escape_core::types::{GroupId, LogIndex, ServerId};
-use escape_storage::WalStorage;
-use escape_transport::runtime::{node_loop, NodeInput, NodeStatus};
+use escape_transport::runtime::{NodeInput, NodeStatus};
 use escape_transport::service::{ClientRouter, ClientService, RouteVerdict};
 use escape_transport::spec::ProtocolSpec;
-use escape_transport::tcp::{spawn_acceptor, GroupOutbound, GroupRoutes, StorageHook, TcpMesh};
-use escape_transport::RuntimeClock;
+use escape_transport::tcp::{
+    spawn_acceptor, GroupOutbound, GroupRoutes, GroupSpawn, StorageHook, TcpMesh,
+};
 use escape_wire::WireShardMap;
 
 use crate::map::ShardMap;
@@ -247,8 +246,8 @@ impl ShardedNode {
         for group in map.groups() {
             let (tx, rx) = crossbeam::channel::unbounded::<NodeInput>();
             routes.register(group, tx.clone());
-            inboxes.push(tx);
-            receivers.push((group, rx));
+            inboxes.push(tx.clone());
+            receivers.push((group, tx, rx));
         }
         let service = options.serve_clients.then(|| {
             ClientService::new(Arc::new(ShardClientRouter {
@@ -264,30 +263,30 @@ impl ShardedNode {
             service,
         ));
 
-        for (group, rx) in receivers {
-            let mut builder = Node::builder(id, ids.clone())
-                .policy(spec.build_group_policy(id, n, seed.wrapping_add(id.get() as u64), group))
-                .state_machine(state_machine_for(group))
-                .options(ProtocolSpec::local_options());
-            if let Some(root) = data_dir {
-                let dir = group_data_dir(root, group);
-                let (storage, recovered) =
-                    WalStorage::open(&dir).expect("open/recover group data directory");
-                let boxed: Box<dyn Storage> = match &options.storage_hook {
-                    Some(hook) => hook(id, group, storage),
-                    None => Box::new(storage),
-                };
-                builder = builder.storage(boxed).recover(recovered);
-            }
-            let node = builder.build();
-            let outbound: Arc<dyn escape_transport::Outbound + Sync> =
-                Arc::new(GroupOutbound::new(Arc::clone(&mesh), group));
-            let clock = RuntimeClock::start();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("escape-shard-{}-g{}", id.get(), group.get()))
-                    .spawn(move || node_loop(node, rx, outbound, clock))
-                    .expect("spawn group node loop"),
+        for (group, inbox, rx) in receivers {
+            let dir = data_dir.map(|root| group_data_dir(root, group));
+            threads.extend(
+                GroupSpawn {
+                    thread_name: format!("escape-shard-{}-g{}", id.get(), group.get()),
+                    builder: Node::builder(id, ids.clone())
+                        .policy(spec.build_group_policy(
+                            id,
+                            n,
+                            seed.wrapping_add(id.get() as u64),
+                            group,
+                        ))
+                        .state_machine(state_machine_for(group))
+                        .options(ProtocolSpec::local_options()),
+                    server: id,
+                    group,
+                    data_dir: dir.as_deref(),
+                    obs: None,
+                    storage_hook: options.storage_hook.as_ref(),
+                    inbox,
+                    rx,
+                    outbound: Arc::new(GroupOutbound::new(Arc::clone(&mesh), group)),
+                }
+                .spawn(),
             );
         }
 
@@ -533,10 +532,12 @@ impl ShardedNode {
         let _ = TcpStream::connect_timeout(&self.my_addr, Duration::from_millis(250));
     }
 
-    /// Stops every group and joins all threads. Like the single-group
-    /// node there is no flush-on-exit: each group's durability happened
-    /// record-by-record, so shutdown and [`ShardedNode::kill`] leave
-    /// identical per-group data directories.
+    /// Stops every group and joins all threads, each group's WAL thread
+    /// after its node thread, so every data directory is closed on
+    /// return. Like the single-group node there is no flush-on-exit:
+    /// whatever a group acknowledged was durable before the message left,
+    /// so shutdown and [`ShardedNode::kill`] leave equivalent per-group
+    /// data directories.
     pub fn shutdown(self) {
         for inbox in &self.inboxes {
             let _ = inbox.send(NodeInput::Shutdown);

@@ -381,3 +381,93 @@ fn published_group_histograms_merge_across_groups() {
         node.shutdown();
     }
 }
+
+/// `kill` joins every group's WAL thread after its node thread, so the
+/// very next spawn on the same data root finds no live writer in either
+/// shard's directory; and what a killed leader's WAL thread still had
+/// queued was never part of an acknowledgement — every acked write reads
+/// back, linearizably, after each of three kill-and-respawn cycles.
+#[test]
+fn kill_then_immediate_respawn_keeps_every_acked_write_in_both_shards() {
+    let shards = 2;
+    let (addrs, listeners) = loopback_listeners(3);
+    let roots: Vec<std::path::PathBuf> = (1..=3)
+        .map(|i| {
+            std::env::temp_dir().join(format!("escape-shard-respawn-{}-{i}", std::process::id()))
+        })
+        .collect();
+    let spawn = |i: usize| {
+        let id = ServerId::new(i as u32 + 1);
+        ShardedNode::spawn(
+            id,
+            listeners[&id].try_clone().expect("clone listener"),
+            addrs.clone(),
+            ProtocolSpec::escape_local(),
+            0x5AD,
+            ShardMap::uniform(shards),
+            |_group| Box::new(KvStateMachine::new()) as Box<dyn StateMachine>,
+            Some(&roots[i]),
+        )
+    };
+    let mut nodes: Vec<Option<ShardedNode>> = (0..3).map(|i| Some(spawn(i))).collect();
+    let map = ShardMap::uniform(shards);
+    let groups: Vec<GroupId> = map.groups().collect();
+    let keys: HashMap<GroupId, Vec<String>> = groups
+        .iter()
+        .map(|g| (*g, keys_for(&map, *g, 20)))
+        .collect();
+
+    for cycle in 0..3u8 {
+        // Leadership may still be settling after the previous respawn: a
+        // refused or abandoned put is retried (puts are idempotent) until
+        // one is acknowledged.
+        for group in &groups {
+            for key in &keys[group] {
+                let deadline = Instant::now() + Duration::from_secs(15);
+                while !leader_of(&nodes, *group)
+                    .and_then(|i| nodes[i].as_ref())
+                    .is_some_and(|node| put(node, *group, key, &[cycle]).is_ok())
+                {
+                    assert!(Instant::now() < deadline, "no leader acknowledged {key}");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        }
+        let leaders = wait_for_all_leaders(&nodes, &groups, Duration::from_secs(15));
+
+        // Killed the instant the last write is acknowledged; respawned
+        // on the same directories at once.
+        let victim = leaders[&groups[0]];
+        nodes[victim].take().unwrap().kill();
+        nodes[victim] = Some(spawn(victim));
+
+        for group in &groups {
+            for key in &keys[group] {
+                let query = KvCommand::Get { key: key.clone() }.encode();
+                // Whoever leads now answers once its no-op has committed.
+                let deadline = Instant::now() + Duration::from_secs(15);
+                let raw = loop {
+                    let answer = leader_of(&nodes, *group)
+                        .and_then(|i| nodes[i].as_ref())
+                        .and_then(|node| node.read(key.as_bytes(), query.clone()).ok());
+                    if let Some((_, raw)) = answer {
+                        break raw;
+                    }
+                    assert!(Instant::now() < deadline, "no leader answered a read of {key}");
+                    std::thread::sleep(Duration::from_millis(10));
+                };
+                assert_eq!(
+                    KvResponse::decode(&raw).unwrap(),
+                    KvResponse::Value(Some(Bytes::copy_from_slice(&[cycle]))),
+                    "cycle {cycle}: acked write to {key} lost"
+                );
+            }
+        }
+    }
+    for node in nodes.into_iter().flatten() {
+        node.shutdown();
+    }
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}

@@ -14,6 +14,8 @@
 //!   `escape-wire` framing, plus the group-multiplexed
 //!   [`TcpMesh`](tcp::TcpMesh)/[`GroupRoutes`](tcp::GroupRoutes) pieces
 //!   `escape-shard` builds its multi-group nodes from.
+//! * [`wal`] — the per-group WAL thread that takes a leader's log barrier
+//!   off the thread that sends its heartbeats.
 //! * [`spec`] — protocol/timing presets scaled for loopback latencies.
 //!
 //! ```no_run
@@ -36,6 +38,7 @@ pub mod runtime;
 pub mod service;
 pub mod spec;
 pub mod tcp;
+pub mod wal;
 
 pub use clock::RuntimeClock;
 pub use inproc::{ClientError, InprocCluster};
@@ -43,5 +46,6 @@ pub use runtime::{NodeInput, NodeStatus, Outbound};
 pub use service::{ClientRouter, ClientService, RouteVerdict};
 pub use spec::ProtocolSpec;
 pub use tcp::{
-    loopback_listeners, GroupOutbound, GroupRoutes, SpawnOptions, StorageHook, TcpMesh, TcpNode,
+    loopback_listeners, GroupOutbound, GroupRoutes, GroupSpawn, SpawnOptions, StorageHook,
+    TcpMesh, TcpNode,
 };

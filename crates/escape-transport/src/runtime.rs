@@ -99,6 +99,12 @@ pub enum NodeInput {
         /// Where to send the apply result.
         reply: Sender<Bytes>,
     },
+    /// The group's WAL thread finished a flush: the ticket of the newest
+    /// deferred barrier it covers (see
+    /// [`Node::barrier_done`](escape_core::engine::Node::barrier_done)),
+    /// or the storage error that ended it — on which the node fail-stops,
+    /// as it does for an error met on its own thread.
+    BarrierDone(std::io::Result<u64>),
     /// Simulated crash: drop all input and timers until `Resume`.
     Pause,
     /// Recover from `Pause` (the engine's volatile state resets, persistent
@@ -128,6 +134,10 @@ pub fn node_loop(
     // Per-peer dropped-frame counters as of the last backpressure poll.
     let peers: Vec<ServerId> = node.peers().to_vec();
     let mut drops_seen: BTreeMap<ServerId, u64> = BTreeMap::new();
+    // While an election deadline is due but held back (see below): how
+    // many of the inputs that were queued when it came due are still to
+    // be handled.
+    let mut election_backlog: Option<usize> = None;
 
     let actions = node.start(clock.now());
     absorb(
@@ -144,6 +154,14 @@ pub fn node_loop(
         // inbox never drains (a busy leader, a follower being streamed a
         // log) must still heartbeat and notice election deadlines —
         // firing only when `recv_timeout` times out would starve them.
+        //
+        // A due election deadline is the one exception, and only for the
+        // input already queued when it came due (bounded by the length
+        // seen then, so a streaming inbox cannot postpone it for ever): it
+        // claims the leader has been silent, and a follower that comes
+        // back from a long flush or a descheduling must first read what
+        // arrived meanwhile — it then re-arms off the leader's waiting
+        // heartbeat instead of campaigning against a healthy leader.
         if !paused {
             // Backpressure hookup: a peer whose outbound queue shed
             // frames since the last poll gets its pipelining window
@@ -158,9 +176,18 @@ pub fn node_loop(
             }
 
             let now = clock.now();
+            let election_due = timers
+                .get(&TimerKind::Election)
+                .is_some_and(|(_, d)| *d <= now);
+            let hold_election = if election_due {
+                *election_backlog.get_or_insert_with(|| inbox.len()) > 0
+            } else {
+                election_backlog = None;
+                false
+            };
             let due: Vec<(TimerKind, TimerToken)> = timers
                 .iter()
-                .filter(|(_, (_, d))| *d <= now)
+                .filter(|(k, (_, d))| *d <= now && !(hold_election && **k == TimerKind::Election))
                 .map(|(k, (t, _))| (*k, *t))
                 .collect();
             for (kind, token) in due {
@@ -195,10 +222,15 @@ pub fn node_loop(
 
         let first = match inbox.recv_timeout(wait) {
             Ok(input) => input,
-            // Due timers fire at the top of the next iteration.
-            Err(RecvTimeoutError::Timeout) => continue,
+            // Due timers fire at the top of the next iteration; a held
+            // election deadline has nothing left to wait for.
+            Err(RecvTimeoutError::Timeout) => {
+                election_backlog = election_backlog.map(|_| 0);
+                continue;
+            }
             Err(RecvTimeoutError::Disconnected) => return,
         };
+        election_backlog = election_backlog.map(|left| left.saturating_sub(1));
         // `carry` holds the non-proposal input a proposal drain pulled off
         // the inbox; it is processed in the same pass, in arrival order.
         let mut carry = Some(first);
@@ -242,10 +274,27 @@ pub fn node_loop(
                         );
                     }
                 }
+                NodeInput::BarrierDone(Ok(ticket)) => {
+                    if !paused {
+                        let actions = node.barrier_done(ticket, clock.now());
+                        absorb(
+                            actions,
+                            &mut timers,
+                            &mut apply_waiters,
+                            &mut read_waiters,
+                            &mut recent_results,
+                            &outbound,
+                        );
+                    }
+                }
+                NodeInput::BarrierDone(Err(error)) => {
+                    // lint:allow(panic): fail-stop by design — a node that cannot persist must not serve
+                    panic!("storage failed to sync: {error}");
+                }
                 NodeInput::Propose { command, reply } => {
                     // Proposal-queue drain: grab every proposal already
                     // waiting in the inbox (bounded) so one engine batch —
-                    // one WAL flush, one fan-out — covers them all. A
+                    // one WAL barrier, one fan-out — covers them all. A
                     // non-proposal input ends the drain and is carried
                     // into the next pass, preserving arrival order.
                     let mut commands = vec![command];
@@ -492,6 +541,91 @@ mod tests {
         clone.register(ServerId::new(7), tx);
         assert!(board.lookup(ServerId::new(7)).is_some());
         assert!(format!("{board:?}").contains("nodes"));
+    }
+
+    /// An outbound whose next send, once armed, holds the node thread for
+    /// `stall` — what a storage barrier on a stalled disk does to a
+    /// follower's ack.
+    struct StallingOutbound {
+        armed: std::sync::atomic::AtomicBool,
+        stall: std::time::Duration,
+    }
+
+    impl Outbound for StallingOutbound {
+        fn send(&self, _to: ServerId, _msg: Message) {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                std::thread::sleep(self.stall);
+            }
+        }
+    }
+
+    /// A follower that spent more than its election period inside one
+    /// step comes back to an overdue deadline — and to the heartbeat that
+    /// arrived meanwhile. It must read the heartbeat first and re-arm, not
+    /// campaign; silence with nothing queued is still believed.
+    #[test]
+    fn a_due_election_deadline_yields_to_input_already_queued() {
+        use escape_core::message::AppendEntriesArgs;
+        use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
+        use escape_core::time::Duration;
+        use std::thread::sleep;
+        use std::time::Duration as Wall;
+
+        let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+        let node = Node::builder(ids[1], ids.clone())
+            .policy(Box::new(RaftPolicy::with_source(Box::new(
+                ScriptedTimeouts::new(vec![Duration::from_millis(100)]),
+            ))))
+            .build();
+        let outbound = Arc::new(StallingOutbound {
+            armed: std::sync::atomic::AtomicBool::new(true),
+            stall: Wall::from_millis(150),
+        });
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let thread =
+            std::thread::spawn(move || node_loop(node, rx, outbound, RuntimeClock::start()));
+        let heartbeat = |seq| {
+            NodeInput::Peer(
+                ids[0],
+                Message::AppendEntries(AppendEntriesArgs {
+                    term: Term::new(1),
+                    leader_id: ids[0],
+                    prev_log_index: LogIndex::ZERO,
+                    prev_log_term: Term::ZERO,
+                    entries: Vec::new(),
+                    leader_commit: LogIndex::ZERO,
+                    new_config: None,
+                    seq,
+                }),
+            )
+        };
+        let elections_started = || {
+            let (reply, status) = crossbeam::channel::bounded(1);
+            tx.send(NodeInput::Query { reply }).unwrap();
+            status
+                .recv_timeout(Wall::from_secs(5))
+                .unwrap()
+                .metrics
+                .elections_started
+        };
+
+        tx.send(heartbeat(1)).unwrap(); // re-arms (+100 ms), then stalls 150 ms in the ack
+        sleep(Wall::from_millis(30));
+        tx.send(heartbeat(2)).unwrap(); // waits in the inbox while the thread is away
+        sleep(Wall::from_millis(150));
+        assert_eq!(
+            elections_started(),
+            0,
+            "the overdue deadline yields to the queued heartbeat"
+        );
+        sleep(Wall::from_millis(150));
+        assert_eq!(
+            elections_started(),
+            1,
+            "silence while listening is believed"
+        );
+        tx.send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //!
 //! With a `data_dir`, the node persists term/vote/log/configuration
 //! through `escape-storage` and recovers them on the next spawn from the
-//! same directory; the engine syncs the WAL before any message it
-//! produced is handed to this transport, so a vote a peer has seen is
-//! always on disk.
+//! same directory; the engine syncs the WAL before any promise it made
+//! (a vote, an ack, a configuration clock) is handed to this transport,
+//! so a vote a peer has seen is always on disk. A leader's own log
+//! appends are the one exception — see [`crate::wal`] — and
+//! [`GroupSpawn`] is the one place that wires a group's storage up.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -43,10 +45,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use escape_core::engine::Node;
+use escape_core::engine::{Node, NodeBuilder};
 use escape_core::message::Message;
 use escape_core::statemachine::StateMachine;
 use escape_core::storage::Storage;
@@ -59,6 +61,7 @@ use crate::clock::RuntimeClock;
 use crate::runtime::{node_loop, NodeInput, Outbound};
 use crate::service::{ClientRouter, ClientService, RouteVerdict};
 use crate::spec::ProtocolSpec;
+use crate::wal::spawn_wal_thread;
 
 /// How long one connect attempt may block.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
@@ -671,6 +674,82 @@ impl std::fmt::Debug for SpawnOptions {
     }
 }
 
+/// One hosted consensus group, ready to boot: the single place a group's
+/// storage is opened, instrumented, wrapped by the [`StorageHook`], put
+/// behind its WAL thread and handed to the engine, and its node thread
+/// started. [`TcpNode`] hosts one group this way, `escape-shard`'s
+/// `ShardedNode` one per shard.
+pub struct GroupSpawn<'a> {
+    /// Name of the node thread; the WAL thread appends `-wal`.
+    pub thread_name: String,
+    /// The engine, built up to (not including) storage, recovery and
+    /// observer.
+    pub builder: NodeBuilder,
+    /// The hosting server.
+    pub server: ServerId,
+    /// The group being hosted.
+    pub group: GroupId,
+    /// This group's own data directory; `None` runs memory-only, with no
+    /// WAL thread.
+    pub data_dir: Option<&'a Path>,
+    /// Engine events, plus the WAL's instruments when durable.
+    pub obs: Option<&'a NodeObs>,
+    /// Wraps the opened WAL before anything else sees it.
+    pub storage_hook: Option<&'a StorageHook>,
+    /// The group's inbox: the WAL thread posts finished barriers into it.
+    pub inbox: Sender<NodeInput>,
+    /// The receiving end, for the node thread.
+    pub rx: Receiver<NodeInput>,
+    /// Where the group's messages leave.
+    pub outbound: Arc<dyn Outbound + Sync>,
+}
+
+impl GroupSpawn<'_> {
+    /// Recovers the group (when durable) and starts its threads. The
+    /// handles come back in the order they must be joined: the node
+    /// thread, then its WAL thread — which ends once the node thread has
+    /// dropped the engine, and closes the data directory as it goes, so a
+    /// respawn on the same directory after both joins finds no live
+    /// writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data directory cannot be opened/recovered (a node
+    /// that cannot persist must not serve).
+    pub fn spawn(self) -> Vec<JoinHandle<()>> {
+        let mut builder = self.builder;
+        if let Some(obs) = self.obs {
+            builder = builder.observer(Arc::clone(&obs.observer));
+        }
+        let mut wal_thread = None;
+        if let Some(dir) = self.data_dir {
+            let (mut storage, recovered) =
+                // lint:allow(panic): fail-stop — a node that cannot recover its WAL must not serve
+                WalStorage::open(dir).expect("open/recover group data directory");
+            if let Some(obs) = self.obs {
+                storage.instrument(WalInstruments::register(&obs.registry, &obs.labels));
+            }
+            let wrapped: Box<dyn Storage> = match self.storage_hook {
+                Some(hook) => hook(self.server, self.group, storage),
+                None => Box::new(storage),
+            };
+            let (queued, handle) =
+                spawn_wal_thread(format!("{}-wal", self.thread_name), wrapped, self.inbox);
+            builder = builder.storage(Box::new(queued)).recover(recovered);
+            wal_thread = Some(handle);
+        }
+        let node = builder.build();
+        let (rx, outbound) = (self.rx, self.outbound);
+        let clock = RuntimeClock::start();
+        let node_thread = std::thread::Builder::new()
+            .name(self.thread_name)
+            .spawn(move || node_loop(node, rx, outbound, clock))
+            // lint:allow(panic): thread-spawn failure at startup is fatal by design
+            .expect("spawn node loop");
+        std::iter::once(node_thread).chain(wal_thread).collect()
+    }
+}
+
 /// The trivial router of a single-group node: everything lives in group
 /// zero, so any other group id just redirects there.
 #[derive(Debug)]
@@ -827,40 +906,27 @@ impl TcpNode {
             service,
         ));
 
-        let mut builder = Node::builder(id, ids)
-            .policy(spec.build_policy(id, n, seed.wrapping_add(id.get() as u64)))
-            .state_machine(state_machine)
-            .options(ProtocolSpec::local_options());
-        if let Some(obs) = &obs {
-            builder = builder.observer(Arc::clone(&obs.observer));
-        }
-        if let Some(dir) = data_dir {
-            let (mut storage, recovered) =
-                // lint:allow(panic): fail-stop — a node that cannot recover its WAL must not serve
-                WalStorage::open(dir).expect("open/recover node data directory");
-            if let Some(obs) = &obs {
-                storage.instrument(WalInstruments::register(&obs.registry, &obs.labels));
-            }
-            let boxed: Box<dyn Storage> = match &storage_hook {
-                Some(hook) => hook(id, GroupId::ZERO, storage),
-                None => Box::new(storage),
-            };
-            builder = builder.storage(boxed).recover(recovered);
-        }
-        let node = builder.build();
-        let mesh = match obs {
-            Some(obs) => TcpMesh::start_observed(id, &addrs, obs),
+        let mesh = match &obs {
+            Some(obs) => TcpMesh::start_observed(id, &addrs, obs.clone()),
             None => TcpMesh::start(id, &addrs),
         };
-        let outbound: Arc<dyn Outbound + Sync> =
-            Arc::new(GroupOutbound::new(Arc::clone(&mesh), GroupId::ZERO));
-        let clock = RuntimeClock::start();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("escape-tcp-node-{}", id.get()))
-                .spawn(move || node_loop(node, rx, outbound, clock))
-                // lint:allow(panic): thread-spawn failure at startup is fatal by design
-                .expect("spawn node loop"),
+        threads.extend(
+            GroupSpawn {
+                thread_name: format!("escape-tcp-node-{}", id.get()),
+                builder: Node::builder(id, ids)
+                    .policy(spec.build_policy(id, n, seed.wrapping_add(id.get() as u64)))
+                    .state_machine(state_machine)
+                    .options(ProtocolSpec::local_options()),
+                server: id,
+                group: GroupId::ZERO,
+                data_dir,
+                obs: obs.as_ref(),
+                storage_hook: storage_hook.as_ref(),
+                inbox: tx.clone(),
+                rx,
+                outbound: Arc::new(GroupOutbound::new(Arc::clone(&mesh), GroupId::ZERO)),
+            }
+            .spawn(),
         );
 
         TcpNode {
@@ -951,13 +1017,15 @@ impl TcpNode {
         let _ = TcpStream::connect_timeout(&self.my_addr, CONNECT_TIMEOUT);
     }
 
-    /// Stops the node and joins its threads.
+    /// Stops the node and joins its threads (the WAL thread after the
+    /// node thread, so the data directory is closed on return).
     ///
-    /// There is deliberately no flush-on-exit here: all durability
-    /// happened record-by-record before each message was sent, so a
-    /// "graceful" shutdown and a SIGKILL leave identical data directories
-    /// — which is what [`TcpNode::kill`] (and the kill-and-restart test)
-    /// rely on.
+    /// There is deliberately no flush-on-exit here: every promise was
+    /// durable before the message that made it was sent, and what a
+    /// leader's WAL thread still has queued was never counted towards a
+    /// commit, so it is dropped. A "graceful" shutdown and a SIGKILL
+    /// therefore leave equivalent data directories — which is what
+    /// [`TcpNode::kill`] (and the kill-and-restart tests) rely on.
     pub fn shutdown(self) {
         let _ = self.inbox.send(NodeInput::Shutdown);
         self.stop_acceptor();
@@ -968,10 +1036,10 @@ impl TcpNode {
     }
 
     /// Crash the node: stop its threads with no goodbye to peers and no
-    /// final flush — durability-wise identical to a SIGKILL, because
-    /// every persistent mutation was already fsync'd before the message
-    /// it produced left the node. Spawn a new node on the same listener
-    /// (clone) and data directory to model a process restart.
+    /// final flush — durability-wise a SIGKILL, because everything the
+    /// node ever acknowledged was already fsync'd before the message left.
+    /// Spawn a new node on the same listener (clone) and data directory,
+    /// as soon as this returns, to model a process restart.
     pub fn kill(self) {
         self.shutdown();
     }
