@@ -91,7 +91,18 @@ pub enum FaultAtom {
     /// covered. With [`FaultAtom::KillLeader`], the kill lands inside that
     /// window, on a write the followers have already acknowledged.
     DeferredBarrier(Duration),
+    /// This many failovers in a row, each killing the leader the previous
+    /// one elected: kill the leader, restart it once its successor leads,
+    /// kill the successor [`REJOIN_TO_KILL`] after the rejoin. Runs on the
+    /// shape the TCP runtime has (3 servers, leased reads, 50 ms vote
+    /// retry), where the prepared candidate needs the vote of the server
+    /// that has only just come back, and holds every failover to one
+    /// campaign inside [`PhaseBounds::reflex_200ms`].
+    RepeatedKill(u32),
 }
+
+/// How long after a killed leader's rejoin its successor is killed.
+const REJOIN_TO_KILL: Duration = Duration::from_millis(200);
 
 impl fmt::Display for FaultAtom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -124,6 +135,7 @@ impl fmt::Display for FaultAtom {
             FaultAtom::DeferredBarrier(flush) => {
                 write!(f, "deferred-barrier({}ms)", flush.as_millis())
             }
+            FaultAtom::RepeatedKill(rounds) => write!(f, "repeated-kill({rounds})"),
         }
     }
 }
@@ -190,6 +202,7 @@ pub const SCENARIO_NAMES: &[&str] = &[
     "disk-full",
     "disk-full-failover",
     "crash-before-own-sync",
+    "repeated-kill",
     "kitchen-sink",
 ];
 
@@ -234,6 +247,11 @@ pub fn scenario_plan(name: &str) -> Option<FaultPlan> {
             FaultAtom::TornTail,
             FaultAtom::RestartKilled,
         ],
+        // The benchmark's `leader-kill` schedule with the network taken
+        // out: whatever costs a second campaign here is election policy
+        // (a rejoiner's stale configuration clock, a late PPF re-issue,
+        // the vote fence), not a lost frame.
+        "repeated-kill" => vec![FaultAtom::RepeatedKill(3)],
         "kitchen-sink" => vec![
             FaultAtom::KillLeader,
             chaos,
@@ -557,9 +575,15 @@ impl StorageHarness for CampaignStorage {
 /// parameters small enough that clean failovers fit the paper's 200 ms
 /// reflex bound, so the campaign bounds measure fault impact, not WAN
 /// latency.
-fn trial_config(seed: u64, loss: LossModel) -> ClusterConfig {
+///
+/// `tcp_shape` swaps in what a TCP deployment of this workspace runs: three
+/// servers, and `ProtocolSpec::local_options`' leased reads (which arm the
+/// vote fence) and heartbeat-paced vote retry.
+fn trial_config(seed: u64, loss: LossModel, tcp_shape: bool) -> ClusterConfig {
+    let heartbeat_interval = Duration::from_millis(50);
+    let defaults = escape_core::engine::Options::default();
     ClusterConfig {
-        n: 5,
+        n: if tcp_shape { 3 } else { 5 },
         protocol: Protocol::Escape {
             base_time: Duration::from_millis(150),
             spacing: Duration::from_millis(50),
@@ -571,8 +595,14 @@ fn trial_config(seed: u64, loss: LossModel) -> ClusterConfig {
         loss,
         seed,
         options: escape_core::engine::Options {
-            heartbeat_interval: Duration::from_millis(50),
-            ..escape_core::engine::Options::default()
+            heartbeat_interval,
+            lease_duration: tcp_shape.then(|| Duration::from_millis(100)),
+            vote_retry_interval: if tcp_shape {
+                Some(heartbeat_interval)
+            } else {
+                defaults.vote_retry_interval
+            },
+            ..defaults
         },
         check_safety: false,
     }
@@ -619,7 +649,12 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     let mut torn_tail = false;
     let mut disk_full_after: Option<u64> = None;
     let mut deferred_flush: Option<Duration> = None;
-    let kill_leader = plan.has(|a| matches!(a, FaultAtom::KillLeader));
+    let repeated_kills = plan.atoms.iter().find_map(|a| match a {
+        FaultAtom::RepeatedKill(rounds) => Some(*rounds),
+        _ => None,
+    });
+    let kills = repeated_kills
+        .unwrap_or_else(|| u32::from(plan.has(|a| matches!(a, FaultAtom::KillLeader))));
     let restart_killed = plan.has(|a| matches!(a, FaultAtom::RestartKilled));
     let one_way_cut = plan.has(|a| matches!(a, FaultAtom::OneWayCut));
     for atom in &plan.atoms {
@@ -642,11 +677,11 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
             FaultAtom::TornTail => torn_tail = true,
             FaultAtom::DeferredBarrier(flush) => deferred_flush = Some(*flush),
             FaultAtom::KillLeader | FaultAtom::RestartKilled | FaultAtom::OneWayCut => {}
-            FaultAtom::Skew { .. } => {}
+            FaultAtom::Skew { .. } | FaultAtom::RepeatedKill(_) => {}
         }
     }
 
-    let config = trial_config(seed, loss);
+    let config = trial_config(seed, loss, repeated_kills.is_some());
     let n = config.n;
     let ids: Vec<ServerId> = (1..=n as u32).map(ServerId::new).collect();
 
@@ -734,7 +769,13 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
 
     let mut killed: Option<ServerId> = None;
     let mut acknowledged: Option<(LogIndex, Bytes)> = None;
-    if kill_leader {
+    for round in 1..=kills {
+        if let Some(previous) = killed {
+            // A further round: the last victim rejoins under its
+            // successor, and the successor is the next to die.
+            cluster.restart(previous);
+            cluster.run_for(REJOIN_TO_KILL);
+        }
         // Under loss the leadership can be mid-handover at this exact
         // instant; give the cluster (bounded) time to show a live leader
         // before declaring the kill impossible.
@@ -743,42 +784,54 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
             cluster.run_for(Duration::from_millis(100));
             patience += 1;
         }
-        match cluster.current_leader() {
-            Some(leader) => {
-                let old_term = cluster.node(leader).current_term();
-                if let Some(flush) = deferred_flush {
-                    match acknowledge_before_own_sync(&mut cluster, leader, flush, seed) {
-                        Ok(write) => acknowledged = Some(write),
-                        Err(missed) => failures.push(missed),
-                    }
-                }
-                cluster.crash(leader);
-                killed = Some(leader);
-                let horizon = cluster.now() + Duration::from_secs(10);
-                if cluster.run_until_new_leader(old_term, horizon).is_none() {
-                    failures.push("liveness: no successor within 10 virtual seconds".into());
-                }
-                cluster.run_for(Duration::from_millis(500));
+        let Some(leader) = cluster.current_leader() else {
+            failures.push("liveness: leader vanished before the kill".into());
+            break;
+        };
+        let old_term = cluster.node(leader).current_term();
+        if let Some(flush) = deferred_flush {
+            match acknowledge_before_own_sync(&mut cluster, leader, flush, seed) {
+                Ok(write) => acknowledged = Some(write),
+                Err(missed) => failures.push(missed),
             }
-            None => failures.push("liveness: leader vanished before the kill".into()),
         }
-    }
+        cluster.crash(leader);
+        killed = Some(leader);
+        let horizon = cluster.now() + Duration::from_secs(10);
+        if cluster.run_until_new_leader(old_term, horizon).is_none() {
+            failures.push("liveness: no successor within 10 virtual seconds".into());
+        }
+        cluster.run_for(Duration::from_millis(500));
 
-    // Phase 3: failover timeline bounds, keyed on the killed leader's
-    // own crash event — so a disk-full victim fail-stopping before or
-    // after the kill cannot shift the anchor. (This check used to be
-    // skipped outright for any plan carrying a disk-full atom, because
-    // the reconstructor keyed off the most recent crash of *anyone*.)
-    if failures.is_empty() {
-        if let Some(victim) = killed {
-            match cluster.failover_timeline_for(victim) {
-                Ok(timeline) => {
-                    if let Err(violations) = timeline.check_bounds(&opts.bounds) {
-                        failures.push(format!("bounds: {violations}"));
-                    }
+        // Phase 3: failover timeline bounds, keyed on the killed leader's
+        // own crash event — so a disk-full victim fail-stopping before or
+        // after the kill cannot shift the anchor. (This check used to be
+        // skipped outright for any plan carrying a disk-full atom, because
+        // the reconstructor keyed off the most recent crash of *anyone*.)
+        if !failures.is_empty() {
+            break;
+        }
+        match cluster.failover_timeline_for(leader) {
+            Ok(timeline) => {
+                // A repeated-kill trial has a clean network: the reflex
+                // bound and the one-campaign property apply in full.
+                let reflex = repeated_kills.is_some();
+                let bounds = if reflex {
+                    PhaseBounds::reflex_200ms()
+                } else {
+                    opts.bounds
+                };
+                if let Err(violations) = timeline.check_bounds(&bounds) {
+                    failures.push(format!("bounds: kill #{round}: {violations}"));
                 }
-                Err(error) => failures.push(format!("timeline: {error:?}")),
+                if reflex && timeline.campaigns != 1 {
+                    failures.push(format!(
+                        "campaigns: kill #{round} took {} campaigns, not one",
+                        timeline.campaigns
+                    ));
+                }
             }
+            Err(error) => failures.push(format!("timeline: {error:?}")),
         }
     }
 
@@ -1177,6 +1230,20 @@ mod tests {
             first.digest, again.digest,
             "deferred flushes replay exactly"
         );
+    }
+
+    /// The repeated-kill schedule really is one: three kills with a rejoin
+    /// before the second and the third, and one campaign per kill — four
+    /// elections, four campaigns, counting the bootstrap.
+    #[test]
+    fn repeated_kill_kills_each_successor_and_counts_one_campaign_per_kill() {
+        let outcome = run_trial(&plan("repeated-kill"), 1, &TrialOptions::default());
+        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
+        let count = |name: &str| outcome.digest.matches(name).count();
+        assert_eq!(count("node_killed"), 3);
+        assert_eq!(count("node_restarted"), 2);
+        assert_eq!(count("leader_elected"), 4);
+        assert_eq!(count("campaign_started"), 4);
     }
 
     /// A quiet plan exercises the same pipeline with no faults — the

@@ -10,9 +10,8 @@
 //! [`Router`] that turns client keys into group addresses.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -27,7 +26,7 @@ use escape_transport::runtime::{NodeInput, NodeStatus};
 use escape_transport::service::{ClientRouter, ClientService, RouteVerdict};
 use escape_transport::spec::ProtocolSpec;
 use escape_transport::tcp::{
-    spawn_acceptor, GroupOutbound, GroupRoutes, GroupSpawn, StorageHook, TcpMesh,
+    Acceptor, GroupOutbound, GroupRoutes, GroupSpawn, StorageHook, TcpMesh,
 };
 use escape_wire::WireShardMap;
 
@@ -157,11 +156,10 @@ impl ClientRouter for ShardClientRouter {
 #[derive(Debug)]
 pub struct ShardedNode {
     id: ServerId,
-    my_addr: SocketAddr,
     router: Router,
     inboxes: Vec<Sender<NodeInput>>,
     mesh: Arc<TcpMesh>,
-    stop_accepting: Arc<AtomicBool>,
+    acceptor: Acceptor,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -233,14 +231,13 @@ impl ShardedNode {
         let n = ids.len();
 
         let routes = GroupRoutes::new();
-        let stop_accepting = Arc::new(AtomicBool::new(false));
         let mesh = TcpMesh::start(id, &addrs);
         let mut threads = Vec::new();
 
-        // Register every group's inbox *before* the acceptor starts: the
-        // reader drops any connection it serves while the routing table
-        // is empty (that is the restart-detection rule), so accepting
-        // with a half-filled table would bounce early peer connections.
+        // Register every group's inbox *before* the acceptor starts: an
+        // envelope for a group not yet in the table is dropped, and what
+        // sits in a restarted server's backlog is exactly the traffic its
+        // peers queued for it.
         let mut inboxes = Vec::with_capacity(map.len());
         let mut receivers = Vec::with_capacity(map.len());
         for group in map.groups() {
@@ -255,13 +252,7 @@ impl ShardedNode {
                 inboxes: inboxes.clone(),
             }))
         });
-        threads.push(spawn_acceptor(
-            id,
-            listener,
-            routes.clone(),
-            stop_accepting.clone(),
-            service,
-        ));
+        let acceptor = Acceptor::spawn(id, my_addr, listener, routes, Arc::clone(&mesh), service);
 
         for (group, inbox, rx) in receivers {
             let dir = data_dir.map(|root| group_data_dir(root, group));
@@ -292,11 +283,10 @@ impl ShardedNode {
 
         ShardedNode {
             id,
-            my_addr,
             router: Router::new(map),
             inboxes,
             mesh,
-            stop_accepting,
+            acceptor,
             threads,
         }
     }
@@ -527,22 +517,19 @@ impl ShardedNode {
             .map_err(|_| ShardError::Unavailable)
     }
 
-    fn stop_acceptor(&self) {
-        self.stop_accepting.store(true, Ordering::Release);
-        let _ = TcpStream::connect_timeout(&self.my_addr, Duration::from_millis(250));
-    }
-
     /// Stops every group and joins all threads, each group's WAL thread
     /// after its node thread, so every data directory is closed on
     /// return. Like the single-group node there is no flush-on-exit:
     /// whatever a group acknowledged was durable before the message left,
     /// so shutdown and [`ShardedNode::kill`] leave equivalent per-group
-    /// data directories.
+    /// data directories. Every peer connection this incarnation accepted
+    /// is closed and its reader joined, so the other servers see EOF and
+    /// re-dial whatever owns the listener next.
     pub fn shutdown(self) {
         for inbox in &self.inboxes {
             let _ = inbox.send(NodeInput::Shutdown);
         }
-        self.stop_acceptor();
+        self.acceptor.close();
         self.mesh.stop();
         for handle in self.threads {
             let _ = handle.join();

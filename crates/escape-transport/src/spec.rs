@@ -115,10 +115,18 @@ impl ProtocolSpec {
     /// spec gives its shortest election timeout, so a legitimate failover
     /// (a voter whose timer actually expired) is never delayed. The
     /// engine additionally caps the lease at the policy's own bound.
+    ///
+    /// A candidate re-solicits the voters that have not answered once per
+    /// heartbeat interval: the engine's default retry (500 ms, sized for
+    /// the paper's WAN timeouts) is longer than every local election
+    /// timeout, so a lost `RequestVote` would always cost a whole new
+    /// campaign before the retry could fire.
     pub fn local_options() -> Options {
+        let heartbeat_interval = Duration::from_millis(50);
         Options {
-            heartbeat_interval: Duration::from_millis(50),
+            heartbeat_interval,
             lease_duration: Some(Duration::from_millis(100)),
+            vote_retry_interval: Some(heartbeat_interval),
             ..Options::default()
         }
     }
@@ -133,14 +141,18 @@ mod tests {
         // Heartbeat must sit well below the shortest election timeout,
         // and the lease fence (lease × 5/4) strictly below it too, so
         // the fence never outlives a legitimately expired election timer.
+        // The in-campaign vote retry must fire before the campaign's own
+        // timeout does, or it can never rescue a lost solicitation.
         let opts = ProtocolSpec::local_options();
         let hb = opts.heartbeat_interval;
         let lease = opts.lease_duration.expect("local options enable leases");
         let fence = Duration::from_micros(lease.as_micros() * 5 / 4);
+        let retry = opts.vote_retry_interval.expect("local options retry votes");
         match ProtocolSpec::escape_local() {
             ProtocolSpec::Escape { base_time, .. } => {
                 assert!(hb * 3 <= base_time);
                 assert!(fence < base_time);
+                assert!(retry < base_time);
             }
             _ => unreachable!(),
         }
@@ -148,6 +160,7 @@ mod tests {
             ProtocolSpec::Raft { timeout_min, .. } => {
                 assert!(hb * 3 <= timeout_min);
                 assert!(fence < timeout_min);
+                assert!(retry < timeout_min);
             }
             _ => unreachable!(),
         }

@@ -4,21 +4,48 @@
 //!
 //! The mesh splits into three reusable pieces:
 //!
-//! * [`TcpMesh`] — the outbound side: one lazily connected socket per
-//!   peer, shared by every group hosted in the process. A dropped or
-//!   unreachable connection no longer loses sends silently: frames are
-//!   buffered (bounded) per peer and a background flusher reconnects
-//!   with exponential backoff, so a peer restart costs at most the
-//!   backoff window, not every message until the next send.
+//! * [`TcpMesh`] — the outbound side: one socket per peer, shared by
+//!   every group hosted in the process. Frames are buffered (bounded)
+//!   per peer while its socket is down, and a background flusher keeps
+//!   every link connected, with exponential backoff between failed
+//!   dials.
 //! * [`GroupOutbound`] — a per-group handle that stamps its [`GroupId`]
 //!   into each [`Envelope`], which is how receivers demultiplex.
-//! * [`spawn_acceptor`] + [`GroupRoutes`] — the inbound side: one
-//!   acceptor per process, reader threads that parse frames and route
-//!   each envelope to the inbox of the group it names.
+//! * [`Acceptor`] + [`GroupRoutes`] — the inbound side: one acceptor per
+//!   process, reader threads that parse frames and route each envelope
+//!   to the inbox of the group it names.
 //!
 //! [`TcpNode`] wires the three together for the classic single-group
 //! node (everything rides [`GroupId::ZERO`]); `escape-shard`'s
 //! `ShardedNode` does the same for N groups on one mesh.
+//!
+//! **A link lives exactly as long as its peer's incarnation.** A frame
+//! written into a socket whose far end belongs to a dead incarnation is
+//! lost without an error, and a follower sends a fellow follower nothing
+//! until the `RequestVote` of a failover — the one frame the protocol
+//! cannot afford to lose. So:
+//!
+//! * closing an [`Acceptor`] (`kill`/`shutdown`) closes every peer
+//!   connection it accepted and joins their readers; the far end sees
+//!   EOF at once instead of a socket that swallows its next frame;
+//! * an outbound socket carries no inbound traffic, so anything readable
+//!   on it is the peer's FIN or RST: the flusher's scan peeks every
+//!   connected link and marks a dead one broken within one
+//!   [`FLUSH_INTERVAL`], without spending a frame to find out;
+//! * the flusher dials every link that is down and past its backoff,
+//!   frames pending or not, so the first frame to a peer never waits for
+//!   a connect. The price: a peer that stays dead is dialled once per
+//!   backoff step (capped at [`BACKOFF_MAX`]) by every server, not only
+//!   by a leader whose heartbeats kept its queue non-empty;
+//! * the first envelope on a new inbound connection from a peer clears
+//!   the backoff of the outbound link to it ([`TcpMesh::peer_seen`]): a
+//!   restarted process is re-dialled when it shows up, not a backoff cap
+//!   later.
+//!
+//! Client connections are not part of this: the dead incarnation's
+//! `ClientService` threads keep answering `Unavailable`, which (while
+//! the caller holds the listener open, so that re-dials land in a
+//! backlog nobody reads) is what tells a client to move on.
 //!
 //! Listeners are **bound by the caller and passed in** (see
 //! [`loopback_listeners`]): binding inside `spawn` from a probed address
@@ -37,7 +64,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -72,7 +99,8 @@ const BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Per-peer cap on buffered outbound bytes while disconnected; beyond it
 /// the oldest frames are dropped (loss the protocol already tolerates).
 const PENDING_MAX_BYTES: usize = 1 << 20;
-/// How often the background flusher scans for reconnect work.
+/// How often the background flusher scans every link: probes the
+/// connected ones for a departed peer, drains leftovers, dials the rest.
 const FLUSH_INTERVAL: Duration = Duration::from_millis(20);
 /// How many queued frames one `write_vectored` gathers per attempt.
 const WRITEV_MAX_FRAMES: usize = 64;
@@ -308,6 +336,23 @@ impl PeerLink {
     fn may_attempt(&self, now: Instant) -> bool {
         self.next_attempt.map_or(true, |at| now >= at)
     }
+
+    /// `true` when the connected socket's far end has gone away. The peer
+    /// never writes on this socket (its traffic arrives on the connection
+    /// *it* dialled), so readable means FIN, RST or a stranger — and the
+    /// socket is non-blocking, so asking costs one syscall.
+    fn peer_gone(&self) -> bool {
+        let Some(stream) = &self.stream else {
+            return false;
+        };
+        match stream.peek(&mut [0u8; 1]) {
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+            ),
+            Ok(_) => true,
+        }
+    }
 }
 
 /// The outbound half of a TCP mesh: one connection per peer, shared by
@@ -416,16 +461,20 @@ impl TcpMesh {
 
     fn flush_loop(&self) {
         while !self.stop.load(Ordering::Acquire) {
-            // Phase 1: peek each link under its lock and collect the
-            // peers that need a (re)connect attempt this scan.
+            // Phase 1, under each link's lock in turn: a connected link is
+            // probed for a departed peer and drained of leftovers; a link
+            // that is down and past its backoff — frames pending or not —
+            // is collected for a dial.
             let candidates: Vec<ServerId> = self
                 .peers
                 .iter()
                 .filter(|(_, (_, link))| {
-                    let link = link.lock();
-                    !link.pending.is_empty()
-                        && link.stream.is_none()
-                        && link.may_attempt(crate::clock::monotonic_now())
+                    let mut link = link.lock();
+                    let now = crate::clock::monotonic_now();
+                    if link.stream.is_some() && (link.peer_gone() || link.try_flush().is_err()) {
+                        link.mark_broken(now);
+                    }
+                    link.stream.is_none() && link.may_attempt(now)
                 })
                 .map(|(id, _)| *id)
                 .collect();
@@ -444,18 +493,8 @@ impl TcpMesh {
                 })
                 .collect();
 
-            // Phase 3: drain already-connected peers *before* joining the
-            // connect attempts, so a slow connect never delays flushing a
-            // healthy peer's leftovers.
-            for (_, link) in self.peers.values() {
-                let mut link = link.lock();
-                if !link.pending.is_empty() && link.stream.is_some() && link.try_flush().is_err() {
-                    link.mark_broken(crate::clock::monotonic_now());
-                }
-            }
-
-            // Phase 4: install the connect results; the freshly connected
-            // peers' queues drain on the next send or the next scan.
+            // Phase 3: install the connect results; whatever was queued
+            // while the link was down leaves now, in order.
             for (id, attempt) in attempts {
                 let fresh = attempt.join().unwrap_or(None);
                 let Some((_, link)) = self.peers.get(&id) else {
@@ -478,6 +517,30 @@ impl TcpMesh {
             }
             std::thread::sleep(FLUSH_INTERVAL);
         }
+    }
+
+    /// A peer has just spoken on a connection *it* dialled, so it is up:
+    /// if the outbound link to it is down, forget the backoff its dead
+    /// predecessor earned and let the next scan dial. (A refusing port
+    /// walks the backoff to its cap while a process is away; without this
+    /// the restarted process would wait that long for its first
+    /// heartbeat.)
+    pub fn peer_seen(&self, peer: ServerId) {
+        let Some((_, link)) = self.peers.get(&peer) else {
+            return;
+        };
+        let mut link = link.lock();
+        if link.stream.is_none() {
+            link.next_attempt = None;
+            link.backoff = None;
+        }
+    }
+
+    /// Test/diagnostic hook: whether the link to `to` has a live socket.
+    pub fn is_connected(&self, to: ServerId) -> bool {
+        self.peers
+            .get(&to)
+            .is_some_and(|(_, link)| link.lock().stream.is_some())
     }
 
     /// Stops the background flusher and drops every connection. Buffered
@@ -593,45 +656,131 @@ impl GroupRoutes {
     pub fn lookup(&self, group: GroupId) -> Option<Sender<NodeInput>> {
         self.inner.lock().get(&group).cloned()
     }
+}
 
-    /// `true` when no group is registered any more.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+/// The connections an [`Acceptor`] has accepted and not (yet) recognised
+/// as a client's, each with its reader thread. A reader takes its own
+/// entry out when it ends or turns client dispatcher; whatever is left
+/// when the acceptor closes is closed with it.
+#[derive(Debug, Default)]
+struct Inbound {
+    next_id: u64,
+    open: HashMap<u64, (TcpStream, JoinHandle<()>)>,
+}
+
+/// What the reader threads of one [`Acceptor`] share.
+#[derive(Clone, Debug)]
+struct Readers {
+    routes: GroupRoutes,
+    mesh: Arc<TcpMesh>,
+    service: Option<ClientService>,
+    conns: Arc<Mutex<Inbound>>,
+}
+
+impl Readers {
+    /// Registers a freshly accepted connection and starts its reader.
+    fn adopt(&self, stream: TcpStream) {
+        let Ok(closer) = stream.try_clone() else {
+            return;
+        };
+        let readers = self.clone();
+        // Held across the spawn, so the reader's removal of its own entry
+        // cannot run before the entry exists.
+        let mut inbound = self.conns.lock();
+        let conn = inbound.next_id;
+        inbound.next_id += 1;
+        let reader = std::thread::spawn(move || readers.read(conn, stream));
+        inbound.open.insert(conn, (closer, reader));
+    }
+
+    /// One connection's reader thread.
+    fn read(self, conn: u64, mut stream: TcpStream) {
+        let hello = read_loop(&mut stream, &self.routes, &self.mesh);
+        // An entry already gone means the acceptor closed and shut this
+        // socket down: there is nobody left to serve.
+        let ours = self.conns.lock().open.remove(&conn).is_some();
+        if let (true, Some(buffered), Some(service)) = (ours, hello, self.service) {
+            service.serve(stream, buffered);
+        }
     }
 }
 
-/// Spawns the accept loop for `listener`: every inbound connection gets a
-/// reader thread that parses envelopes and routes them through `routes`.
-/// When `service` is set, a connection whose **first** frame is the
-/// client hello is handed to it instead (see
-/// [`ClientService`]); without a service, hello'd connections are
-/// dropped. The loop checks `stop` after each accept; wake it with a
-/// throwaway connection (see [`TcpNode::shutdown`]) to make it exit.
-pub fn spawn_acceptor(
-    id: ServerId,
-    listener: TcpListener,
-    routes: GroupRoutes,
+/// One incarnation's inbound side: the accept loop on its listener plus
+/// the peer connections that loop accepted. Owned by the node that
+/// spawned it; [`Acceptor::close`] is the only way it ends.
+#[derive(Debug)]
+pub struct Acceptor {
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    service: Option<ClientService>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("escape-tcp-accept-{}", id.get()))
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::Acquire) {
-                    break;
+    conns: Arc<Mutex<Inbound>>,
+    thread: JoinHandle<()>,
+}
+
+impl Acceptor {
+    /// Spawns the accept loop for `listener` (reachable at `addr`): every
+    /// inbound connection gets a reader thread that parses envelopes and
+    /// routes them through `routes`, telling `mesh` when a peer first
+    /// speaks (see [`TcpMesh::peer_seen`]). When `service` is set, a
+    /// connection whose **first** frame is the client hello is handed to
+    /// it instead (see [`ClientService`]); without a service, hello'd
+    /// connections are dropped.
+    pub fn spawn(
+        id: ServerId,
+        addr: SocketAddr,
+        listener: TcpListener,
+        routes: GroupRoutes,
+        mesh: Arc<TcpMesh>,
+        service: Option<ClientService>,
+    ) -> Acceptor {
+        let stop = Arc::new(AtomicBool::new(false));
+        let conns = Arc::new(Mutex::new(Inbound::default()));
+        let stopped = Arc::clone(&stop);
+        let readers = Readers {
+            routes,
+            mesh,
+            service,
+            conns: Arc::clone(&conns),
+        };
+        let thread = std::thread::Builder::new()
+            .name(format!("escape-tcp-accept-{}", id.get()))
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if stopped.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { break };
+                    stream.set_nodelay(true).ok();
+                    readers.adopt(stream);
                 }
-                let Ok(stream) = stream else { break };
-                stream.set_nodelay(true).ok();
-                let routes = routes.clone();
-                let service = service.clone();
-                // Reader threads exit when the peer disconnects or every
-                // routed inbox closes.
-                std::thread::spawn(move || read_loop(stream, routes, service));
-            }
-        })
-        // lint:allow(panic): thread-spawn failure at startup is fatal by design
-        .expect("spawn acceptor")
+            })
+            // lint:allow(panic): thread-spawn failure at startup is fatal by design
+            .expect("spawn acceptor");
+        Acceptor {
+            addr,
+            stop,
+            conns,
+            thread,
+        }
+    }
+
+    /// Ends the incarnation's inbound side: stops accepting, then closes
+    /// every connection still registered — the peers', and any that never
+    /// sent a first frame — and joins their readers, so each remote end
+    /// observes EOF before this returns. Connections a [`ClientService`]
+    /// has taken over are not touched (see the module docs).
+    pub fn close(self) {
+        self.stop.store(true, Ordering::Release);
+        // Wake the blocking accept; the flag makes it exit.
+        let _ = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT);
+        let _ = self.thread.join();
+        let open = std::mem::take(&mut self.conns.lock().open);
+        for (stream, _) in open.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (_, reader) in open.into_values() {
+            let _ = reader.join();
+        }
+    }
 }
 
 /// Wraps a group's freshly opened WAL in a different [`Storage`] before
@@ -783,10 +932,9 @@ impl ClientRouter for SingleGroupRouter {
 #[derive(Debug)]
 pub struct TcpNode {
     id: ServerId,
-    my_addr: SocketAddr,
     inbox: Sender<NodeInput>,
     mesh: Arc<TcpMesh>,
-    stop_accepting: Arc<AtomicBool>,
+    acceptor: Acceptor,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -894,47 +1042,36 @@ impl TcpNode {
         let (tx, rx) = unbounded::<NodeInput>();
         let routes = GroupRoutes::new();
         routes.register(GroupId::ZERO, tx.clone());
-        let stop_accepting = Arc::new(AtomicBool::new(false));
         let service = serve_clients
             .then(|| ClientService::new(Arc::new(SingleGroupRouter { inbox: tx.clone() })));
-        let mut threads = Vec::new();
-        threads.push(spawn_acceptor(
-            id,
-            listener,
-            routes,
-            stop_accepting.clone(),
-            service,
-        ));
-
         let mesh = match &obs {
             Some(obs) => TcpMesh::start_observed(id, &addrs, obs.clone()),
             None => TcpMesh::start(id, &addrs),
         };
-        threads.extend(
-            GroupSpawn {
-                thread_name: format!("escape-tcp-node-{}", id.get()),
-                builder: Node::builder(id, ids)
-                    .policy(spec.build_policy(id, n, seed.wrapping_add(id.get() as u64)))
-                    .state_machine(state_machine)
-                    .options(ProtocolSpec::local_options()),
-                server: id,
-                group: GroupId::ZERO,
-                data_dir,
-                obs: obs.as_ref(),
-                storage_hook: storage_hook.as_ref(),
-                inbox: tx.clone(),
-                rx,
-                outbound: Arc::new(GroupOutbound::new(Arc::clone(&mesh), GroupId::ZERO)),
-            }
-            .spawn(),
-        );
+        let acceptor = Acceptor::spawn(id, my_addr, listener, routes, Arc::clone(&mesh), service);
+
+        let threads = GroupSpawn {
+            thread_name: format!("escape-tcp-node-{}", id.get()),
+            builder: Node::builder(id, ids)
+                .policy(spec.build_policy(id, n, seed.wrapping_add(id.get() as u64)))
+                .state_machine(state_machine)
+                .options(ProtocolSpec::local_options()),
+            server: id,
+            group: GroupId::ZERO,
+            data_dir,
+            obs: obs.as_ref(),
+            storage_hook: storage_hook.as_ref(),
+            inbox: tx.clone(),
+            rx,
+            outbound: Arc::new(GroupOutbound::new(Arc::clone(&mesh), GroupId::ZERO)),
+        }
+        .spawn();
 
         TcpNode {
             id,
-            my_addr,
             inbox: tx,
             mesh,
-            stop_accepting,
+            acceptor,
             threads,
         }
     }
@@ -1011,14 +1148,11 @@ impl TcpNode {
         }
     }
 
-    fn stop_acceptor(&self) {
-        self.stop_accepting.store(true, Ordering::Release);
-        // Wake the blocking accept; the flag makes it exit.
-        let _ = TcpStream::connect_timeout(&self.my_addr, CONNECT_TIMEOUT);
-    }
-
     /// Stops the node and joins its threads (the WAL thread after the
-    /// node thread, so the data directory is closed on return).
+    /// node thread, so the data directory is closed on return). Every peer
+    /// connection this incarnation accepted is closed and its reader
+    /// joined ([`Acceptor::close`]), so peers learn of the death from an
+    /// EOF, not from a frame that vanished.
     ///
     /// There is deliberately no flush-on-exit here: every promise was
     /// durable before the message that made it was sent, and what a
@@ -1028,7 +1162,7 @@ impl TcpNode {
     /// [`TcpNode::kill`] (and the kill-and-restart tests) rely on.
     pub fn shutdown(self) {
         let _ = self.inbox.send(NodeInput::Shutdown);
-        self.stop_acceptor();
+        self.acceptor.close();
         self.mesh.stop();
         for handle in self.threads {
             let _ = handle.join();
@@ -1045,62 +1179,50 @@ impl TcpNode {
     }
 }
 
-fn read_loop(mut stream: TcpStream, routes: GroupRoutes, service: Option<ClientService>) {
+/// Reads one inbound connection until it ends. A peer's envelopes are
+/// routed to their groups' inboxes and `None` comes back when the
+/// connection is over; a connection whose first frame is the client hello
+/// comes back at once as `Some` of the reader holding whatever bytes
+/// followed the hello, for the [`ClientService`] to continue from.
+fn read_loop(stream: &mut TcpStream, routes: &GroupRoutes, mesh: &TcpMesh) -> Option<FrameReader> {
     let mut reader = FrameReader::new();
     let mut chunk = [0u8; 16 * 1024];
     let mut first_frame = true;
     loop {
         let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
+            Ok(0) | Err(_) => return None,
             Ok(n) => n,
         };
         // lint:allow(panic): n is the byte count just read into chunk, so n <= chunk.len()
         reader.extend(&chunk[..n]);
         loop {
-            match reader.next_frame() {
-                Ok(Some(mut frame)) => {
-                    if std::mem::take(&mut first_frame) && frame.as_ref() == CLIENT_HELLO {
-                        // A client, not a peer: hand the connection (and
-                        // any bytes already buffered behind the hello)
-                        // to the service. Without one, drop it.
-                        if let Some(service) = service {
-                            service.serve(stream, reader);
-                        }
-                        return;
-                    }
-                    match Envelope::decode(&mut frame) {
-                        Ok(envelope) => {
-                            // A group nobody registered is a misrouted or
-                            // early message: network loss to the protocol.
-                            if let Some(inbox) = routes.lookup(envelope.group) {
-                                if inbox
-                                    .send(NodeInput::Peer(envelope.from, envelope.message))
-                                    .is_err()
-                                {
-                                    // That group's engine is gone. Unregister
-                                    // it so the connection (which carries the
-                                    // *other* groups' traffic too) survives.
-                                    routes.unregister(envelope.group);
-                                }
-                            }
-                            // Once no group is registered at all, the whole
-                            // node is gone: drop the connection so the peer's
-                            // writes fail and it reconnects to whatever
-                            // process owns the listener now. Checked on every
-                            // envelope (not just the send-error path), so
-                            // *every* reader connection sharing these routes
-                            // notices the shutdown — a socket kept alive here
-                            // would silently eat a restarted node's traffic
-                            // forever.
-                            if routes.is_empty() {
-                                return;
-                            }
-                        }
-                        Err(_) => return, // corrupt stream: drop the connection
-                    }
-                }
+            let mut frame = match reader.next_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => break,
-                Err(_) => return,
+                Err(_) => return None,
+            };
+            let first = std::mem::take(&mut first_frame);
+            if first && frame.as_ref() == CLIENT_HELLO {
+                return Some(reader);
+            }
+            let Ok(envelope) = Envelope::decode(&mut frame) else {
+                return None; // corrupt stream: drop the connection
+            };
+            if first {
+                mesh.peer_seen(envelope.from);
+            }
+            // A group nobody registered is a misrouted or early message:
+            // network loss to the protocol.
+            if let Some(inbox) = routes.lookup(envelope.group) {
+                if inbox
+                    .send(NodeInput::Peer(envelope.from, envelope.message))
+                    .is_err()
+                {
+                    // That group's engine is gone. Unregister it so the
+                    // connection (which carries the *other* groups'
+                    // traffic too) survives.
+                    routes.unregister(envelope.group);
+                }
             }
         }
     }
@@ -1284,52 +1406,52 @@ mod tests {
         }
     }
 
+    /// Starts server 1's mesh against a `peer` that is down, runs
+    /// `while_down` on it, then brings the peer's port back: returns the
+    /// mesh and the listener now bound where it has been dialling.
+    ///
+    /// Modeling a *down* peer needs a connectable-later-but-not-now
+    /// address, which means parking a port and rebinding it — an
+    /// unavoidable reuse race (the class `loopback_listeners` exists to
+    /// prevent elsewhere). The race is detectable: the rebind fails. So
+    /// the whole scenario is retried on a fresh port when it does,
+    /// instead of flaking.
+    fn mesh_outliving_a_down_peer(
+        peer: ServerId,
+        while_down: impl Fn(&Arc<TcpMesh>),
+    ) -> (Arc<TcpMesh>, TcpListener) {
+        for _ in 0..5 {
+            let parked = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let peer_addr = parked.local_addr().unwrap();
+            drop(parked);
+            let mesh = TcpMesh::start(ServerId::new(1), &HashMap::from([(peer, peer_addr)]));
+            while_down(&mesh);
+            match TcpListener::bind(peer_addr) {
+                Ok(listener) => return (mesh, listener),
+                Err(_) => mesh.stop(), // port stolen: retry fresh
+            }
+        }
+        panic!("could not rebind a parked port in 5 attempts");
+    }
+
     /// The reconnect-with-backoff satellite: frames sent while the peer
     /// is down are buffered and delivered once it comes up — under the
     /// old lazy-per-send scheme every one of them was silently lost.
     #[test]
     fn mesh_buffers_and_flushes_while_peer_is_down() {
         let peer = ServerId::new(2);
-        let msg = |term: u64| {
-            Message::RequestVoteReply(escape_core::message::RequestVoteReply {
-                term: Term::new(term),
-                vote_granted: false,
-            })
-        };
-
-        // Modeling a *down* peer needs a connectable-later-but-not-now
-        // address, which means parking a port and rebinding it — an
-        // unavoidable reuse race (the class `loopback_listeners` exists
-        // to prevent elsewhere). The race is detectable: the rebind
-        // fails. So retry the whole scenario on a fresh port when it
-        // does, instead of flaking.
-        let (mesh, listener) = 'scenario: {
-            for _ in 0..5 {
-                let parked = TcpListener::bind("127.0.0.1:0").expect("bind");
-                let peer_addr = parked.local_addr().unwrap();
-                drop(parked);
-
-                let mut addrs = HashMap::new();
-                addrs.insert(peer, peer_addr);
-                let mesh = TcpMesh::start(ServerId::new(1), &addrs);
-                let outbound = GroupOutbound::new(Arc::clone(&mesh), GroupId::new(7));
-                for term in 1..=5 {
-                    outbound.send(peer, msg(term));
-                }
-                assert!(
-                    mesh.pending_bytes(peer) > 0,
-                    "sends to a down peer must be buffered, not dropped"
-                );
-
-                // Peer comes back on the same port; the flusher
-                // reconnects and drains the queue in order.
-                match TcpListener::bind(peer_addr) {
-                    Ok(listener) => break 'scenario (mesh, listener),
-                    Err(_) => mesh.stop(), // port stolen: retry fresh
-                }
+        let (mesh, listener) = mesh_outliving_a_down_peer(peer, |mesh| {
+            let outbound = GroupOutbound::new(Arc::clone(mesh), GroupId::new(7));
+            for term in 1..=5 {
+                outbound.send(peer, vote_reply(term));
             }
-            panic!("could not rebind a parked port in 5 attempts");
-        };
+            assert!(
+                mesh.pending_bytes(peer) > 0,
+                "sends to a down peer must be buffered, not dropped"
+            );
+        });
+        // The peer is back on the same port; the flusher reconnects and
+        // drains the queue in order.
         let (stream, _) = listener.accept().expect("flusher reconnects");
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1351,12 +1473,179 @@ mod tests {
             assert_eq!(envelope.group, GroupId::new(7));
             assert_eq!(
                 envelope.message,
-                msg(i as u64 + 1),
+                vote_reply(i as u64 + 1),
                 "frames must flush in order"
             );
         }
         assert_eq!(mesh.pending_bytes(peer), 0);
         mesh.stop();
+    }
+
+    /// What a scheduler may add on top of a stated number of flusher
+    /// scans before a test calls the mesh late.
+    const SCHED_SLACK: Duration = Duration::from_millis(250);
+
+    fn vote_reply(term: u64) -> Message {
+        Message::RequestVoteReply(escape_core::message::RequestVoteReply {
+            term: Term::new(term),
+            vote_granted: false,
+        })
+    }
+
+    /// The next connection to arrive on `listener` within `within`.
+    fn accept_within(listener: &TcpListener, within: Duration) -> Option<TcpStream> {
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let deadline = crate::clock::monotonic_now() + within;
+        while crate::clock::monotonic_now() < deadline {
+            if let Ok((stream, _)) = listener.accept() {
+                stream.set_nonblocking(false).expect("blocking stream");
+                return Some(stream);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        None
+    }
+
+    /// The next envelope to arrive on `stream` within five seconds.
+    fn read_envelope(stream: &mut TcpStream) -> Envelope {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(mut frame) = reader.next_frame().expect("framing") {
+                return Envelope::decode(&mut frame).expect("decode");
+            }
+            let n = stream.read(&mut chunk).expect("read a frame");
+            assert!(n > 0, "connection closed before a frame arrived");
+            reader.extend(&chunk[..n]);
+        }
+    }
+
+    /// A freshly started mesh dials a listening peer with nothing to send
+    /// — the first frame to a fellow follower (a `RequestVote`) must not
+    /// wait for a connect.
+    #[test]
+    fn mesh_dials_a_listening_peer_with_nothing_to_send() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = ServerId::new(2);
+        let addrs = HashMap::from([(peer, listener.local_addr().unwrap())]);
+        let mesh = TcpMesh::start(ServerId::new(1), &addrs);
+        let dialled = accept_within(&listener, FLUSH_INTERVAL * 2 + SCHED_SLACK);
+        assert!(dialled.is_some(), "no dial without a pending frame");
+        mesh.stop();
+    }
+
+    /// The lost-solicitation bug, at the link: the peer goes away while
+    /// the link is idle. Nothing was sent, so only the flusher's probe can
+    /// notice; the link must be marked broken and re-dialled, and the
+    /// *first* frame sent afterwards must arrive on the new connection —
+    /// written into the dead socket it would vanish without an error.
+    #[test]
+    fn idle_link_notices_a_departed_peer_and_delivers_the_next_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = ServerId::new(2);
+        let addrs = HashMap::from([(peer, listener.local_addr().unwrap())]);
+        let (log, ring) = escape_obs::RingObserver::with_default_capacity();
+        let mesh = TcpMesh::start_observed(
+            ServerId::new(1),
+            &addrs,
+            NodeObs {
+                observer: Arc::new(ring) as Arc<dyn Observer>,
+                registry: Arc::new(Registry::new()),
+                labels: Labels::new().with("node", 1u32),
+            },
+        );
+        let first = accept_within(&listener, Duration::from_secs(5)).expect("eager dial");
+        while !mesh.is_connected(peer) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The peer's incarnation ends: its side of the connection closes.
+        drop(first);
+        let noticed_by = crate::clock::monotonic_now() + FLUSH_INTERVAL * 3 + SCHED_SLACK;
+        let disconnected = || {
+            log.snapshot()
+                .iter()
+                .any(|t| matches!(t.event, Event::PeerDisconnected { peer: 2 }))
+        };
+        while !disconnected() {
+            assert!(
+                crate::clock::monotonic_now() < noticed_by,
+                "an idle link must notice its peer's FIN within three scans"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let mut second = accept_within(&listener, Duration::from_secs(5)).expect("re-dial");
+        while !mesh.is_connected(peer) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        GroupOutbound::new(Arc::clone(&mesh), GroupId::ZERO).send(peer, vote_reply(7));
+        assert_eq!(read_envelope(&mut second).message, vote_reply(7));
+        assert_eq!(mesh.frames_dropped(), 0);
+        mesh.stop();
+    }
+
+    /// A process that was away long enough for its port to refuse dials
+    /// walks the survivors' backoff towards the cap; when it speaks on a
+    /// connection of its own, `peer_seen` must get it re-dialled on the
+    /// next scan rather than when the backoff runs out.
+    #[test]
+    fn peer_seen_redials_a_backed_off_link_at_once() {
+        let peer = ServerId::new(2);
+        let (mesh, listener) = mesh_outliving_a_down_peer(peer, |mesh| {
+            // Refused dials double the wait: 25, 50, 100, 200, 400 ms. A
+            // stored backoff of 800 ms means the 400 ms wait is on.
+            while mesh.peers[&peer].1.lock().backoff < Some(Duration::from_millis(800)) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        assert!(!mesh.is_connected(peer));
+        mesh.peer_seen(peer);
+        let dialled = accept_within(&listener, FLUSH_INTERVAL * 2 + SCHED_SLACK);
+        assert!(
+            dialled.is_some(),
+            "a peer that has been seen must be dialled within two scans, \
+             not after the 400 ms its dead predecessor earned"
+        );
+        mesh.stop();
+    }
+
+    /// `kill` ends the incarnation's peer connections: a peer that had
+    /// been talking to the node reads EOF as soon as `kill` has returned —
+    /// not a socket held open by a reader thread that outlived its node
+    /// and would swallow the next frame.
+    #[test]
+    fn killed_node_closes_the_peer_connections_it_accepted() {
+        let (addrs, listeners) = loopback_listeners(3);
+        let node = spawn_node(1, &addrs, &listeners, None);
+        let mut raw = TcpStream::connect(addrs[&ServerId::new(1)]).expect("connect");
+        let mut frame = BytesMut::new();
+        let envelope = Envelope {
+            from: ServerId::new(2),
+            group: GroupId::ZERO,
+            message: vote_reply(1000),
+        };
+        write_frame(&mut frame, &envelope.to_bytes());
+        raw.write_all(&frame).expect("send one peer envelope");
+        // The node adopting the reply's term shows the envelope was read
+        // off this connection — it is a peer's, and it is drained.
+        while status_of(&node).expect("status").term < Term::new(1000) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        node.kill();
+        raw.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        assert_eq!(
+            raw.read(&mut [0u8; 16]).ok(),
+            Some(0),
+            "the peer must read EOF within 100 ms of kill returning"
+        );
     }
 
     /// Backoff bookkeeping: repeated failures double the delay up to the
