@@ -13,8 +13,9 @@ use crate::report::{Finding, Rule};
 use crate::rules::{is_punct, text};
 
 /// Crates whose non-test code must be panic-free.
-pub const SCOPE: [&str; 4] = [
+pub const SCOPE: [&str; 5] = [
     "escape-core",
+    "escape-shard",
     "escape-storage",
     "escape-transport",
     "escape-wire",

@@ -15,7 +15,9 @@
 //!   misrouted commands.
 //! * [`node`] — [`ShardedNode`]: one process hosting every group's
 //!   engine over a shared mesh, with per-group `group-<g>/` data
-//!   subdirectories and recovery that iterates the groups.
+//!   subdirectories and recovery that iterates the groups. The
+//!   workspace's one real-time node type: a single consensus group is
+//!   `ShardMap::uniform(1)`.
 //!
 //! ```no_run
 //! use std::collections::HashMap;

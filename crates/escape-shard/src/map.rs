@@ -105,7 +105,7 @@ impl ShardMap {
         if version == 0 || ranges.first().map(|(start, _)| *start) != Some(0) {
             return None;
         }
-        if !ranges.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+        if !ranges.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0)) {
             return None;
         }
         let mut seen = vec![false; ranges.len()];
@@ -124,6 +124,7 @@ impl ShardMap {
         // partition_point: first range starting strictly above `hash`;
         // its predecessor's range contains `hash`.
         let idx = self.ranges.partition_point(|(start, _)| *start <= hash) - 1;
+        // lint:allow(panic): the first range starts at 0 (`uniform`, `split`, `from_wire` all keep it), so 1 <= partition_point <= len
         self.ranges[idx].1
     }
 
@@ -138,7 +139,7 @@ impl ShardMap {
     /// for a group not in the map.
     pub fn range(&self, group: GroupId) -> Option<(u64, Option<u64>)> {
         let idx = self.ranges.iter().position(|(_, g)| *g == group)?;
-        let start = self.ranges[idx].0;
+        let (start, _) = *self.ranges.get(idx)?;
         Some((start, self.ranges.get(idx + 1).map(|(s, _)| *s)))
     }
 
@@ -149,7 +150,7 @@ impl ShardMap {
     /// if `group` is unknown or its range is too narrow to split.
     pub fn split(&self, group: GroupId) -> Option<ShardMap> {
         let idx = self.ranges.iter().position(|(_, g)| *g == group)?;
-        let start = self.ranges[idx].0;
+        let (start, _) = *self.ranges.get(idx)?;
         let end = self
             .ranges
             .get(idx + 1)

@@ -1,6 +1,8 @@
 //! [`ShardedNode`]: one process hosting every consensus group of a
 //! sharded deployment — N independent `escape-core` engines multiplexed
 //! over a single TCP mesh and persisted under per-group subdirectories.
+//! It is the only way a node runs in real time: the classic single-group
+//! node is a `ShardedNode` over `ShardMap::uniform(1)`.
 //!
 //! Each group is a full ESCAPE instance: its own log, its own leader, its
 //! own prepared-leader pool, its own election timers. The node supplies
@@ -26,7 +28,7 @@ use escape_transport::runtime::{NodeInput, NodeStatus};
 use escape_transport::service::{ClientRouter, ClientService, RouteVerdict};
 use escape_transport::spec::ProtocolSpec;
 use escape_transport::tcp::{
-    Acceptor, GroupOutbound, GroupRoutes, GroupSpawn, StorageHook, TcpMesh,
+    recover_group, start_group, Acceptor, GroupOutbound, GroupRoutes, NodeObs, StorageHook, TcpMesh,
 };
 use escape_wire::WireShardMap;
 
@@ -178,8 +180,9 @@ impl ShardedNode {
     ///
     /// Panics if `addrs` lacks `id` or any group's data subdirectory
     /// cannot be opened/recovered (a node that cannot persist must not
-    /// serve).
-    #[allow(clippy::too_many_arguments)] // mirrors TcpNode::spawn + map/factory
+    /// serve) — before anything has been started: no thread runs and the
+    /// listener has not been answered.
+    #[allow(clippy::too_many_arguments)] // a server's identity, cluster, protocol and storage
     pub fn spawn(
         id: ServerId,
         listener: TcpListener,
@@ -203,15 +206,77 @@ impl ShardedNode {
         )
     }
 
-    /// The fully general spawn: [`ShardedNode::spawn`] plus whatever
-    /// [`ShardSpawnOptions`] enables — per-group storage fault injection
-    /// and/or client serving on the peer listener.
+    /// [`ShardedNode::spawn`] plus whatever [`ShardSpawnOptions`] enables
+    /// — per-group storage fault injection and/or client serving on the
+    /// peer listener.
     ///
     /// # Panics
     ///
     /// Same contract as [`ShardedNode::spawn`].
-    #[allow(clippy::too_many_arguments)] // mirrors spawn + the options bundle
+    #[allow(clippy::too_many_arguments)] // spawn's arguments + the options bundle
     pub fn spawn_with(
+        id: ServerId,
+        listener: TcpListener,
+        addrs: HashMap<ServerId, SocketAddr>,
+        spec: ProtocolSpec,
+        seed: u64,
+        map: ShardMap,
+        state_machine_for: impl FnMut(GroupId) -> Box<dyn StateMachine>,
+        data_dir: Option<&Path>,
+        options: ShardSpawnOptions,
+    ) -> Self {
+        Self::boot(
+            id,
+            listener,
+            addrs,
+            spec,
+            seed,
+            map,
+            state_machine_for,
+            data_dir,
+            options,
+            None,
+        )
+    }
+
+    /// [`ShardedNode::spawn`] with observability wired through every
+    /// layer: each group's engine records typed
+    /// [`Event`](escape_obs::Event)s into `obs.observer`, each group's WAL
+    /// (when `data_dir` is set) registers fsync-latency and segment-count
+    /// instruments under `obs.labels` plus a `group` label, and the mesh
+    /// registers per-peer drop/queue/reconnect series under `obs.labels`.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`ShardedNode::spawn`].
+    #[allow(clippy::too_many_arguments)] // spawn's arguments + the obs bundle
+    pub fn spawn_observed(
+        id: ServerId,
+        listener: TcpListener,
+        addrs: HashMap<ServerId, SocketAddr>,
+        spec: ProtocolSpec,
+        seed: u64,
+        map: ShardMap,
+        state_machine_for: impl FnMut(GroupId) -> Box<dyn StateMachine>,
+        data_dir: Option<&Path>,
+        obs: NodeObs,
+    ) -> Self {
+        Self::boot(
+            id,
+            listener,
+            addrs,
+            spec,
+            seed,
+            map,
+            state_machine_for,
+            data_dir,
+            ShardSpawnOptions::default(),
+            Some(obs),
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)] // the union of the three public spawns
+    fn boot(
         id: ServerId,
         listener: TcpListener,
         addrs: HashMap<ServerId, SocketAddr>,
@@ -221,7 +286,9 @@ impl ShardedNode {
         mut state_machine_for: impl FnMut(GroupId) -> Box<dyn StateMachine>,
         data_dir: Option<&Path>,
         options: ShardSpawnOptions,
+        obs: Option<NodeObs>,
     ) -> Self {
+        // lint:allow(panic): documented `# Panics` contract — the map must contain `id`
         let my_addr = *addrs.get(&id).expect("own address present");
         let ids: Vec<ServerId> = {
             let mut v: Vec<ServerId> = addrs.keys().copied().collect();
@@ -230,9 +297,31 @@ impl ShardedNode {
         };
         let n = ids.len();
 
+        // Recover every group before anything runs: a directory that
+        // cannot be recovered must leave no acceptor answering and no
+        // other group's engine voting behind a handle nobody holds.
+        let durable: Vec<_> = map
+            .groups()
+            .map(|group| {
+                data_dir.map(|root| {
+                    recover_group(
+                        id,
+                        group,
+                        &group_data_dir(root, group),
+                        obs.as_ref(),
+                        options.storage_hook.as_ref(),
+                    )
+                    // lint:allow(panic): fail-stop — a node that cannot recover its WAL must not serve
+                    .expect("open/recover group data directory")
+                })
+            })
+            .collect();
+
         let routes = GroupRoutes::new();
-        let mesh = TcpMesh::start(id, &addrs);
-        let mut threads = Vec::new();
+        let mesh = match &obs {
+            Some(obs) => TcpMesh::start_observed(id, &addrs, obs.clone()),
+            None => TcpMesh::start(id, &addrs),
+        };
 
         // Register every group's inbox *before* the acceptor starts: an
         // envelope for a group not yet in the table is dropped, and what
@@ -254,31 +343,23 @@ impl ShardedNode {
         });
         let acceptor = Acceptor::spawn(id, my_addr, listener, routes, Arc::clone(&mesh), service);
 
-        for (group, inbox, rx) in receivers {
-            let dir = data_dir.map(|root| group_data_dir(root, group));
-            threads.extend(
-                GroupSpawn {
-                    thread_name: format!("escape-shard-{}-g{}", id.get(), group.get()),
-                    builder: Node::builder(id, ids.clone())
-                        .policy(spec.build_group_policy(
-                            id,
-                            n,
-                            seed.wrapping_add(id.get() as u64),
-                            group,
-                        ))
-                        .state_machine(state_machine_for(group))
-                        .options(ProtocolSpec::local_options()),
-                    server: id,
-                    group,
-                    data_dir: dir.as_deref(),
-                    obs: None,
-                    storage_hook: options.storage_hook.as_ref(),
-                    inbox,
-                    rx,
-                    outbound: Arc::new(GroupOutbound::new(Arc::clone(&mesh), group)),
-                }
-                .spawn(),
-            );
+        let mut threads = Vec::new();
+        for ((group, inbox, rx), durable) in receivers.into_iter().zip(durable) {
+            let mut builder = Node::builder(id, ids.clone())
+                .policy(spec.build_group_policy(id, n, seed.wrapping_add(id.get() as u64), group))
+                .state_machine(state_machine_for(group))
+                .options(ProtocolSpec::local_options());
+            if let Some(obs) = &obs {
+                builder = builder.observer(Arc::clone(&obs.observer));
+            }
+            threads.extend(start_group(
+                format!("escape-shard-{}-g{}", id.get(), group.get()),
+                builder,
+                durable,
+                inbox,
+                rx,
+                Arc::new(GroupOutbound::new(Arc::clone(&mesh), group)),
+            ));
         }
 
         ShardedNode {
@@ -519,12 +600,14 @@ impl ShardedNode {
 
     /// Stops every group and joins all threads, each group's WAL thread
     /// after its node thread, so every data directory is closed on
-    /// return. Like the single-group node there is no flush-on-exit:
-    /// whatever a group acknowledged was durable before the message left,
-    /// so shutdown and [`ShardedNode::kill`] leave equivalent per-group
-    /// data directories. Every peer connection this incarnation accepted
-    /// is closed and its reader joined, so the other servers see EOF and
-    /// re-dial whatever owns the listener next.
+    /// return. There is deliberately no flush-on-exit: every promise was
+    /// durable before the message that made it was sent, and what a
+    /// leader's WAL thread still has queued was never counted towards a
+    /// commit, so it is dropped. Shutdown and [`ShardedNode::kill`]
+    /// therefore leave equivalent per-group data directories. Every peer
+    /// connection this incarnation accepted is closed and its reader
+    /// joined, so the other servers see EOF and re-dial whatever owns the
+    /// listener next.
     pub fn shutdown(self) {
         for inbox in &self.inboxes {
             let _ = inbox.send(NodeInput::Shutdown);

@@ -4,17 +4,22 @@
 //! fails over.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use escape_core::statemachine::StateMachine;
-use escape_core::types::{GroupId, Role, ServerId};
+use escape_core::storage::Storage;
+use escape_core::types::{GroupId, Role, ServerId, Term};
 use escape_kv::{KvCommand, KvResponse, KvStateMachine};
-use escape_shard::{ShardError, ShardMap, ShardedNode};
+use escape_shard::{group_data_dir, ShardError, ShardMap, ShardSpawnOptions, ShardedNode};
+use escape_storage::wal::list_segments;
+use escape_storage::{WalOptions, WalStorage};
 use escape_transport::spec::ProtocolSpec;
 use escape_transport::tcp::loopback_listeners;
+use escape_wire::{write_frame, ClientRequest, Encode, RequestBody, CLIENT_HELLO};
 
 fn spawn_cluster(
     servers: usize,
@@ -470,4 +475,78 @@ fn kill_then_immediate_respawn_keeps_every_acked_write_in_both_shards() {
     for root in roots {
         let _ = std::fs::remove_dir_all(root);
     }
+}
+
+/// Spawn is all-or-nothing. A two-group data root whose second group
+/// cannot be recovered (bit rot in a segment that is not the newest is no
+/// crash artefact, so the open refuses) makes the spawn panic — and the
+/// caller, who got no handle, must not be left with an acceptor answering
+/// clients and the first group's engine voting, which nobody could ever
+/// shut down.
+#[test]
+fn a_group_that_cannot_recover_leaves_nothing_running() {
+    let (addrs, listeners) = loopback_listeners(3);
+    let root =
+        std::env::temp_dir().join(format!("escape-shard-half-spawn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = group_data_dir(&root, GroupId::new(1));
+    {
+        // A tiny rotation cap spreads the records over several segments.
+        let options = WalOptions {
+            segment_max_bytes: 64,
+            fsync: false,
+        };
+        let (mut storage, _) = WalStorage::open_with(&dir, options).expect("fresh directory");
+        for term in 1..=10 {
+            storage
+                .persist_hard_state(Term::new(term), None)
+                .expect("persist");
+        }
+        storage.sync().expect("sync");
+    }
+    let (_, oldest) = list_segments(&dir).expect("list segments").remove(0);
+    let mut raw = std::fs::read(&oldest).expect("read segment");
+    let rotten = raw.len() - 2;
+    raw[rotten] ^= 0xFF;
+    std::fs::write(&oldest, raw).expect("write segment");
+
+    let id = ServerId::new(1);
+    let spawned = std::panic::catch_unwind(|| {
+        ShardedNode::spawn_with(
+            id,
+            listeners[&id].try_clone().expect("clone listener"),
+            addrs.clone(),
+            ProtocolSpec::escape_local(),
+            0x5AD,
+            ShardMap::uniform(2),
+            |_group| Box::new(KvStateMachine::new()) as Box<dyn StateMachine>,
+            Some(&root),
+            ShardSpawnOptions {
+                serve_clients: true,
+                ..ShardSpawnOptions::default()
+            },
+        )
+    });
+    assert!(spawned.is_err(), "an unrecoverable group must fail the spawn");
+
+    // The test still holds the listener, so the connection lands in its
+    // backlog; only a leaked acceptor could pick it up and answer.
+    let mut client = TcpStream::connect(addrs[&id]).expect("connect");
+    let mut frames = BytesMut::new();
+    write_frame(&mut frames, CLIENT_HELLO);
+    let fetch = ClientRequest {
+        id: 1,
+        body: RequestBody::FetchMap,
+    };
+    write_frame(&mut frames, &fetch.to_bytes());
+    client.write_all(&frames).expect("send hello + FetchMap");
+    client
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .expect("read timeout");
+    let answer = client.read(&mut [0u8; 64]);
+    assert!(
+        answer.is_err(),
+        "a failed spawn left something answering clients: read {answer:?}"
+    );
+    let _ = std::fs::remove_dir_all(root);
 }

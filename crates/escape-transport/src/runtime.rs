@@ -1,16 +1,17 @@
-//! The real-time node loop shared by every transport.
+//! The real-time node loop every hosted group runs.
 //!
 //! One OS thread per consensus node: it multiplexes an inbox channel
 //! (peer messages + client commands + control) with the engine's armed
 //! timers via `recv_timeout`, and pushes outbound messages through an
-//! [`Outbound`] implementation (channel mesh, TCP mesh, …).
+//! [`Outbound`] implementation (the TCP mesh's
+//! [`GroupOutbound`](crate::tcp::GroupOutbound); tests substitute their
+//! own).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use escape_core::engine::{Action, Node, ProposeError, TimerKind, TimerToken};
 use escape_core::message::Message;
@@ -105,311 +106,82 @@ pub enum NodeInput {
     /// or the storage error that ended it — on which the node fail-stops,
     /// as it does for an error met on its own thread.
     BarrierDone(std::io::Result<u64>),
-    /// Simulated crash: drop all input and timers until `Resume`.
-    Pause,
-    /// Recover from `Pause` (the engine's volatile state resets, persistent
-    /// state survives — same semantics as the simulator's restart).
-    Resume,
     /// Stop the thread.
     Shutdown,
 }
 
-/// Runs a node until shutdown. This is the body of every transport's
-/// per-node thread.
+/// Runs a node until shutdown. This is the body of every group's node
+/// thread.
 pub fn node_loop(
-    mut node: Node,
+    node: Node,
     inbox: Receiver<NodeInput>,
     outbound: Arc<dyn Outbound + Sync>,
     clock: RuntimeClock,
 ) {
-    let mut timers: BTreeMap<TimerKind, (TimerToken, Time)> = BTreeMap::new();
-    let mut apply_waiters: HashMap<LogIndex, Vec<Sender<Bytes>>> = HashMap::new();
-    // Pending read batches, keyed by the engine's batch id; each client's
-    // reply channel remembers how many of the batch's queries are its own.
-    let mut read_waiters: ReadWaiters = HashMap::new();
-    // Recent apply results, so a client that registers interest just after
-    // the apply still gets its response (bounded window).
-    let mut recent_results: BTreeMap<LogIndex, Bytes> = BTreeMap::new();
-    let mut paused = false;
-    // Per-peer dropped-frame counters as of the last backpressure poll.
-    let peers: Vec<ServerId> = node.peers().to_vec();
-    let mut drops_seen: BTreeMap<ServerId, u64> = BTreeMap::new();
-    // While an election deadline is due but held back (see below): how
-    // many of the inputs that were queued when it came due are still to
-    // be handled.
-    let mut election_backlog: Option<usize> = None;
-
-    let actions = node.start(clock.now());
-    absorb(
-        actions,
-        &mut timers,
-        &mut apply_waiters,
-        &mut read_waiters,
-        &mut recent_results,
-        &outbound,
-    );
+    let mut thread = NodeThread {
+        peers: node.peers().to_vec(),
+        node,
+        outbound,
+        clock,
+        timers: BTreeMap::new(),
+        apply_waiters: HashMap::new(),
+        read_waiters: HashMap::new(),
+        recent_results: BTreeMap::new(),
+        drops_seen: BTreeMap::new(),
+        election_backlog: None,
+    };
+    let actions = thread.node.start(clock.now());
+    thread.absorb(actions);
 
     loop {
-        // Fire every due timer before touching the inbox: a node whose
-        // inbox never drains (a busy leader, a follower being streamed a
-        // log) must still heartbeat and notice election deadlines —
-        // firing only when `recv_timeout` times out would starve them.
-        //
-        // A due election deadline is the one exception, and only for the
-        // input already queued when it came due (bounded by the length
-        // seen then, so a streaming inbox cannot postpone it for ever): it
-        // claims the leader has been silent, and a follower that comes
-        // back from a long flush or a descheduling must first read what
-        // arrived meanwhile — it then re-arms off the leader's waiting
-        // heartbeat instead of campaigning against a healthy leader.
-        if !paused {
-            // Backpressure hookup: a peer whose outbound queue shed
-            // frames since the last poll gets its pipelining window
-            // clamped — blindly topping up credit would feed the drop.
-            for &peer in &peers {
-                let dropped = outbound.frames_dropped_to(peer);
-                let seen = drops_seen.entry(peer).or_insert(0);
-                if dropped > *seen {
-                    *seen = dropped;
-                    node.note_backpressure(peer);
-                }
-            }
+        thread.poll_backpressure();
+        thread.fire_due_timers(&inbox);
 
-            let now = clock.now();
-            let election_due = timers
-                .get(&TimerKind::Election)
-                .is_some_and(|(_, d)| *d <= now);
-            let hold_election = if election_due {
-                *election_backlog.get_or_insert_with(|| inbox.len()) > 0
-            } else {
-                election_backlog = None;
-                false
-            };
-            let due: Vec<(TimerKind, TimerToken)> = timers
-                .iter()
-                .filter(|(k, (_, d))| *d <= now && !(hold_election && **k == TimerKind::Election))
-                .map(|(k, (t, _))| (*k, *t))
-                .collect();
-            for (kind, token) in due {
-                // An earlier handler in this batch may have re-armed this
-                // kind with a fresh token; firing the snapshotted one would
-                // delete the new timer and no-op in the engine.
-                if timers.get(&kind).map(|(t, _)| *t) != Some(token) {
-                    continue;
-                }
-                timers.remove(&kind);
-                let actions = node.handle_timer(token, clock.now());
-                absorb(
-                    actions,
-                    &mut timers,
-                    &mut apply_waiters,
-                    &mut read_waiters,
-                    &mut recent_results,
-                    &outbound,
-                );
-            }
-        }
-
-        // Wait for the earliest timer or the next input, whichever first.
-        let next_deadline = timers.values().map(|(_, d)| *d).min();
-        let wait = match next_deadline {
-            Some(deadline) if !paused => clock
-                .until(deadline)
-                .unwrap_or(std::time::Duration::ZERO),
-            // Paused nodes and idle nodes just park on the inbox.
-            _ => std::time::Duration::from_millis(50),
+        // Wait for the earliest timer or the next input, whichever first;
+        // an idle node just parks on the inbox.
+        let wait = match thread.timers.values().map(|(_, d)| *d).min() {
+            Some(deadline) => clock.until(deadline).unwrap_or(std::time::Duration::ZERO),
+            None => std::time::Duration::from_millis(50),
         };
-
         let first = match inbox.recv_timeout(wait) {
             Ok(input) => input,
             // Due timers fire at the top of the next iteration; a held
             // election deadline has nothing left to wait for.
             Err(RecvTimeoutError::Timeout) => {
-                election_backlog = election_backlog.map(|_| 0);
+                thread.election_backlog = thread.election_backlog.map(|_| 0);
                 continue;
             }
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        election_backlog = election_backlog.map(|left| left.saturating_sub(1));
+        thread.election_backlog = thread.election_backlog.map(|left| left.saturating_sub(1));
         // `carry` holds the non-proposal input a proposal drain pulled off
         // the inbox; it is processed in the same pass, in arrival order.
         let mut carry = Some(first);
         while let Some(input) = carry.take() {
             match input {
                 NodeInput::Shutdown => return,
-                NodeInput::Pause => {
-                    paused = true;
-                    timers.clear();
-                    apply_waiters.clear();
-                    for (_, splits) in read_waiters.drain() {
-                        for (reply, _) in splits {
-                            let _ = reply.send(Err(ProposeError::NotLeader { hint: None }));
-                        }
-                    }
-                }
-                NodeInput::Resume => {
-                    if paused {
-                        paused = false;
-                        let actions = node.restart(clock.now());
-                        absorb(
-                            actions,
-                            &mut timers,
-                            &mut apply_waiters,
-                            &mut read_waiters,
-                            &mut recent_results,
-                            &outbound,
-                        );
-                    }
-                }
                 NodeInput::Peer(from, msg) => {
-                    if !paused {
-                        let actions = node.handle_message(from, msg, clock.now());
-                        absorb(
-                            actions,
-                            &mut timers,
-                            &mut apply_waiters,
-                            &mut read_waiters,
-                            &mut recent_results,
-                            &outbound,
-                        );
-                    }
+                    let actions = thread.node.handle_message(from, msg, clock.now());
+                    thread.absorb(actions);
                 }
                 NodeInput::BarrierDone(Ok(ticket)) => {
-                    if !paused {
-                        let actions = node.barrier_done(ticket, clock.now());
-                        absorb(
-                            actions,
-                            &mut timers,
-                            &mut apply_waiters,
-                            &mut read_waiters,
-                            &mut recent_results,
-                            &outbound,
-                        );
-                    }
+                    let actions = thread.node.barrier_done(ticket, clock.now());
+                    thread.absorb(actions);
                 }
                 NodeInput::BarrierDone(Err(error)) => {
                     // lint:allow(panic): fail-stop by design — a node that cannot persist must not serve
                     panic!("storage failed to sync: {error}");
                 }
                 NodeInput::Propose { command, reply } => {
-                    // Proposal-queue drain: grab every proposal already
-                    // waiting in the inbox (bounded) so one engine batch —
-                    // one WAL barrier, one fan-out — covers them all. A
-                    // non-proposal input ends the drain and is carried
-                    // into the next pass, preserving arrival order.
-                    let mut commands = vec![command];
-                    let mut replies = vec![reply];
-                    while commands.len() < PROPOSE_BATCH_MAX {
-                        match inbox.try_recv() {
-                            Ok(NodeInput::Propose { command, reply }) => {
-                                commands.push(command);
-                                replies.push(reply);
-                            }
-                            Ok(other) => {
-                                carry = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if paused {
-                        for reply in replies {
-                            let _ = reply.send(Err(ProposeError::NotLeader { hint: None }));
-                        }
-                    } else {
-                        match node.propose_batch(commands, clock.now()) {
-                            Ok((indexes, actions)) => {
-                                for (reply, index) in replies.into_iter().zip(indexes) {
-                                    let _ = reply.send(Ok(index));
-                                }
-                                absorb(
-                                    actions,
-                                    &mut timers,
-                                    &mut apply_waiters,
-                                    &mut read_waiters,
-                                    &mut recent_results,
-                                    &outbound,
-                                );
-                            }
-                            Err(e) => {
-                                for reply in replies {
-                                    let _ = reply.send(Err(e));
-                                }
-                            }
-                        }
-                    }
+                    carry = thread.propose(command, reply, &inbox);
                 }
                 NodeInput::Read { queries, reply } => {
-                    // Read-queue drain, mirroring the proposal drain: every
-                    // read batch already waiting in the inbox shares one
-                    // engine confirmation round. A non-read input ends the
-                    // drain and is carried into the next pass.
-                    let mut queries = queries;
-                    let mut splits = vec![(reply, queries.len())];
-                    while queries.len() < PROPOSE_BATCH_MAX {
-                        match inbox.try_recv() {
-                            Ok(NodeInput::Read { queries: more, reply }) => {
-                                splits.push((reply, more.len()));
-                                queries.extend(more);
-                            }
-                            Ok(other) => {
-                                carry = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if paused {
-                        for (reply, _) in splits {
-                            let _ = reply.send(Err(ProposeError::NotLeader { hint: None }));
-                        }
-                    } else {
-                        match node.read_batch(queries, clock.now()) {
-                            Ok((batch, actions)) => {
-                                // Register before absorbing: a lease-path
-                                // batch is already ReadReady in `actions`.
-                                read_waiters.insert(batch, splits);
-                                absorb(
-                                    actions,
-                                    &mut timers,
-                                    &mut apply_waiters,
-                                    &mut read_waiters,
-                                    &mut recent_results,
-                                    &outbound,
-                                );
-                            }
-                            Err(e) => {
-                                for (reply, _) in splits {
-                                    let _ = reply.send(Err(e));
-                                }
-                            }
-                        }
-                    }
+                    carry = thread.read(queries, reply, &inbox);
                 }
                 NodeInput::Query { reply } => {
-                    let _ = reply.send(NodeStatus {
-                        id: node.id(),
-                        role: if paused { Role::Follower } else { node.role() },
-                        term: node.current_term(),
-                        leader_hint: node.leader_hint(),
-                        commit_index: node.commit_index(),
-                        last_applied: node.last_applied(),
-                        log_len: node.log().len(),
-                        metrics: *node.metrics(),
-                        frames_dropped: outbound.frames_dropped(),
-                    });
+                    let _ = reply.send(thread.status());
                 }
-                NodeInput::AwaitApplied { index, reply } => {
-                    if node.last_applied() >= index {
-                        // Already applied: serve from the recent-results
-                        // window (empty payload if it aged out or was a
-                        // no-op slot).
-                        let result = recent_results.get(&index).cloned().unwrap_or_default();
-                        let _ = reply.send(result);
-                    } else {
-                        apply_waiters.entry(index).or_default().push(reply);
-                    }
-                }
+                NodeInput::AwaitApplied { index, reply } => thread.await_applied(index, reply),
             }
         }
     }
@@ -424,124 +196,253 @@ pub const PROPOSE_BATCH_MAX: usize = 256;
 /// registrations.
 const RESULT_WINDOW: usize = 1024;
 
+/// Where a read batch's outcome goes.
+type ReadReply = Sender<Result<Vec<Bytes>, ProposeError>>;
+
 /// Pending linearizable read batches: engine batch id → the client reply
 /// channels, each with its share of the batch's queries (in order).
-type ReadWaiters = HashMap<u64, Vec<(Sender<Result<Vec<Bytes>, ProposeError>>, usize)>>;
+type ReadWaiters = HashMap<u64, Vec<(ReadReply, usize)>>;
 
-fn absorb(
-    actions: Vec<Action>,
-    timers: &mut BTreeMap<TimerKind, (TimerToken, Time)>,
-    apply_waiters: &mut HashMap<LogIndex, Vec<Sender<Bytes>>>,
-    read_waiters: &mut ReadWaiters,
-    recent_results: &mut BTreeMap<LogIndex, Bytes>,
-    outbound: &Arc<dyn Outbound + Sync>,
-) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg, .. } => outbound.send(to, msg),
-            Action::SetTimer { token, deadline } => {
-                timers.insert(token.kind, (token, deadline));
+/// What one node thread keeps between inputs: the engine, where its
+/// messages leave, and who is waiting on it.
+struct NodeThread {
+    node: Node,
+    outbound: Arc<dyn Outbound + Sync>,
+    clock: RuntimeClock,
+    timers: BTreeMap<TimerKind, (TimerToken, Time)>,
+    apply_waiters: HashMap<LogIndex, Vec<Sender<Bytes>>>,
+    /// Each client's reply channel remembers how many of the batch's
+    /// queries are its own.
+    read_waiters: ReadWaiters,
+    /// Recent apply results, so a client that registers interest just after
+    /// the apply still gets its response (bounded window).
+    recent_results: BTreeMap<LogIndex, Bytes>,
+    peers: Vec<ServerId>,
+    /// Per-peer dropped-frame counters as of the last backpressure poll.
+    drops_seen: BTreeMap<ServerId, u64>,
+    /// While an election deadline is due but held back (see
+    /// [`NodeThread::fire_due_timers`]): how many of the inputs that were
+    /// queued when it came due are still to be handled.
+    election_backlog: Option<usize>,
+}
+
+impl NodeThread {
+    /// Backpressure hookup: a peer whose outbound queue shed frames since
+    /// the last poll gets its pipelining window clamped — blindly topping
+    /// up credit would feed the drop.
+    fn poll_backpressure(&mut self) {
+        for &peer in &self.peers {
+            let dropped = self.outbound.frames_dropped_to(peer);
+            let seen = self.drops_seen.entry(peer).or_insert(0);
+            if dropped > *seen {
+                *seen = dropped;
+                self.node.note_backpressure(peer);
             }
-            Action::Applied { index, result } => {
-                if let Some(waiters) = apply_waiters.remove(&index) {
-                    for w in waiters {
-                        let _ = w.send(result.clone());
-                    }
-                }
-                recent_results.insert(index, result);
-                while recent_results.len() > RESULT_WINDOW {
-                    let Some(oldest) = recent_results.keys().next().copied() else {
-                        break;
-                    };
-                    recent_results.remove(&oldest);
-                }
-            }
-            Action::ReadReady { batch, results } => {
-                if let Some(splits) = read_waiters.remove(&batch) {
-                    let mut results = results.into_iter();
-                    for (reply, count) in splits {
-                        let chunk: Vec<Bytes> = results.by_ref().take(count).collect();
-                        let _ = reply.send(Ok(chunk));
-                    }
-                }
-            }
-            Action::ReadFailed { batch, error } => {
-                if let Some(splits) = read_waiters.remove(&batch) {
-                    for (reply, _) in splits {
-                        let _ = reply.send(Err(error));
-                    }
-                }
-            }
-            Action::BecameCandidate { .. }
-            | Action::BecameLeader { .. }
-            | Action::BecameFollower { .. }
-            | Action::Committed { .. } => {}
         }
     }
-}
 
-/// A thread-safe registry of node inboxes — the "switchboard" transports
-/// route through.
-#[derive(Clone, Default)]
-pub struct Switchboard {
-    inner: Arc<Mutex<HashMap<ServerId, Sender<NodeInput>>>>,
-}
-
-impl Switchboard {
-    /// An empty switchboard.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fires every due timer before the inbox is touched: a node whose
+    /// inbox never drains (a busy leader, a follower being streamed a
+    /// log) must still heartbeat and notice election deadlines — firing
+    /// only when `recv_timeout` times out would starve them.
+    ///
+    /// A due election deadline is the one exception, and only for the
+    /// input already queued when it came due (bounded by the length seen
+    /// then, so a streaming inbox cannot postpone it for ever): it claims
+    /// the leader has been silent, and a follower that comes back from a
+    /// long flush or a descheduling must first read what arrived
+    /// meanwhile — it then re-arms off the leader's waiting heartbeat
+    /// instead of campaigning against a healthy leader.
+    fn fire_due_timers(&mut self, inbox: &Receiver<NodeInput>) {
+        let now = self.clock.now();
+        let election_due = self
+            .timers
+            .get(&TimerKind::Election)
+            .is_some_and(|(_, d)| *d <= now);
+        let hold_election = if election_due {
+            *self.election_backlog.get_or_insert_with(|| inbox.len()) > 0
+        } else {
+            self.election_backlog = None;
+            false
+        };
+        let due: Vec<(TimerKind, TimerToken)> = self
+            .timers
+            .iter()
+            .filter(|(k, (_, d))| *d <= now && !(hold_election && **k == TimerKind::Election))
+            .map(|(k, (t, _))| (*k, *t))
+            .collect();
+        for (kind, token) in due {
+            // An earlier handler in this batch may have re-armed this
+            // kind with a fresh token; firing the snapshotted one would
+            // delete the new timer and no-op in the engine.
+            if self.timers.get(&kind).map(|(t, _)| *t) != Some(token) {
+                continue;
+            }
+            self.timers.remove(&kind);
+            let actions = self.node.handle_timer(token, self.clock.now());
+            self.absorb(actions);
+        }
     }
 
-    /// Registers `id`'s inbox.
-    pub fn register(&self, id: ServerId, sender: Sender<NodeInput>) {
-        self.inner.lock().insert(id, sender);
+    /// Proposal-queue drain: grabs every proposal already waiting in the
+    /// inbox (bounded) so one engine batch — one WAL barrier, one fan-out
+    /// — covers them all. A non-proposal input ends the drain and comes
+    /// back to be handled next, preserving arrival order.
+    fn propose(
+        &mut self,
+        command: Bytes,
+        reply: Sender<Result<LogIndex, ProposeError>>,
+        inbox: &Receiver<NodeInput>,
+    ) -> Option<NodeInput> {
+        let mut carry = None;
+        let mut commands = vec![command];
+        let mut replies = vec![reply];
+        while commands.len() < PROPOSE_BATCH_MAX {
+            match inbox.try_recv() {
+                Ok(NodeInput::Propose { command, reply }) => {
+                    commands.push(command);
+                    replies.push(reply);
+                }
+                Ok(other) => {
+                    carry = Some(other);
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        match self.node.propose_batch(commands, self.clock.now()) {
+            Ok((indexes, actions)) => {
+                for (reply, index) in replies.into_iter().zip(indexes) {
+                    let _ = reply.send(Ok(index));
+                }
+                self.absorb(actions);
+            }
+            Err(e) => {
+                for reply in replies {
+                    let _ = reply.send(Err(e));
+                }
+            }
+        }
+        carry
     }
 
-    /// The inbox for `id`, if registered.
-    pub fn lookup(&self, id: ServerId) -> Option<Sender<NodeInput>> {
-        self.inner.lock().get(&id).cloned()
+    /// Read-queue drain, mirroring the proposal drain: every read batch
+    /// already waiting in the inbox shares one engine confirmation round.
+    /// A non-read input ends the drain and comes back to be handled next.
+    fn read(
+        &mut self,
+        mut queries: Vec<Bytes>,
+        reply: ReadReply,
+        inbox: &Receiver<NodeInput>,
+    ) -> Option<NodeInput> {
+        let mut carry = None;
+        let mut splits = vec![(reply, queries.len())];
+        while queries.len() < PROPOSE_BATCH_MAX {
+            match inbox.try_recv() {
+                Ok(NodeInput::Read {
+                    queries: more,
+                    reply,
+                }) => {
+                    splits.push((reply, more.len()));
+                    queries.extend(more);
+                }
+                Ok(other) => {
+                    carry = Some(other);
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        match self.node.read_batch(queries, self.clock.now()) {
+            Ok((batch, actions)) => {
+                // Register before absorbing: a lease-path batch is
+                // already ReadReady in `actions`.
+                self.read_waiters.insert(batch, splits);
+                self.absorb(actions);
+            }
+            Err(e) => {
+                for (reply, _) in splits {
+                    let _ = reply.send(Err(e));
+                }
+            }
+        }
+        carry
     }
 
-    /// All registered ids.
-    pub fn ids(&self) -> Vec<ServerId> {
-        self.inner.lock().keys().copied().collect()
+    fn status(&self) -> NodeStatus {
+        NodeStatus {
+            id: self.node.id(),
+            role: self.node.role(),
+            term: self.node.current_term(),
+            leader_hint: self.node.leader_hint(),
+            commit_index: self.node.commit_index(),
+            last_applied: self.node.last_applied(),
+            log_len: self.node.log().len(),
+            metrics: *self.node.metrics(),
+            frames_dropped: self.outbound.frames_dropped(),
+        }
     }
-}
 
-impl std::fmt::Debug for Switchboard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Switchboard")
-            .field("nodes", &self.inner.lock().len())
-            .finish()
+    fn await_applied(&mut self, index: LogIndex, reply: Sender<Bytes>) {
+        if self.node.last_applied() >= index {
+            // Already applied: serve from the recent-results window
+            // (empty payload if it aged out or was a no-op slot).
+            let result = self.recent_results.get(&index).cloned().unwrap_or_default();
+            let _ = reply.send(result);
+        } else {
+            self.apply_waiters.entry(index).or_default().push(reply);
+        }
+    }
+
+    fn absorb(&mut self, actions: Vec<Action>) {
+        for action in actions {
+            match action {
+                Action::Send { to, msg, .. } => self.outbound.send(to, msg),
+                Action::SetTimer { token, deadline } => {
+                    self.timers.insert(token.kind, (token, deadline));
+                }
+                Action::Applied { index, result } => {
+                    if let Some(waiters) = self.apply_waiters.remove(&index) {
+                        for w in waiters {
+                            let _ = w.send(result.clone());
+                        }
+                    }
+                    self.recent_results.insert(index, result);
+                    while self.recent_results.len() > RESULT_WINDOW {
+                        let Some(oldest) = self.recent_results.keys().next().copied() else {
+                            break;
+                        };
+                        self.recent_results.remove(&oldest);
+                    }
+                }
+                Action::ReadReady { batch, results } => {
+                    if let Some(splits) = self.read_waiters.remove(&batch) {
+                        let mut results = results.into_iter();
+                        for (reply, count) in splits {
+                            let chunk: Vec<Bytes> = results.by_ref().take(count).collect();
+                            let _ = reply.send(Ok(chunk));
+                        }
+                    }
+                }
+                Action::ReadFailed { batch, error } => {
+                    if let Some(splits) = self.read_waiters.remove(&batch) {
+                        for (reply, _) in splits {
+                            let _ = reply.send(Err(error));
+                        }
+                    }
+                }
+                Action::BecameCandidate { .. }
+                | Action::BecameLeader { .. }
+                | Action::BecameFollower { .. }
+                | Action::Committed { .. } => {}
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn switchboard_registers_and_looks_up() {
-        let board = Switchboard::new();
-        assert!(board.lookup(ServerId::new(1)).is_none());
-        let (tx, rx) = crossbeam::channel::unbounded();
-        board.register(ServerId::new(1), tx);
-        let found = board.lookup(ServerId::new(1)).expect("registered");
-        found.send(NodeInput::Pause).unwrap();
-        assert!(matches!(rx.recv().unwrap(), NodeInput::Pause));
-        assert_eq!(board.ids(), vec![ServerId::new(1)]);
-    }
-
-    #[test]
-    fn switchboard_clones_share_state() {
-        let board = Switchboard::new();
-        let clone = board.clone();
-        let (tx, _rx) = crossbeam::channel::unbounded();
-        clone.register(ServerId::new(7), tx);
-        assert!(board.lookup(ServerId::new(7)).is_some());
-        assert!(format!("{board:?}").contains("nodes"));
-    }
 
     /// An outbound whose next send, once armed, holds the node thread for
     /// `stall` — what a storage barrier on a stalled disk does to a

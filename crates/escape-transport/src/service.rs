@@ -66,8 +66,9 @@ pub enum RouteVerdict {
     Unknown,
 }
 
-/// How a serving node resolves client operations: single-group nodes route
-/// everything to their one inbox; sharded nodes consult their `ShardMap`.
+/// How a serving node resolves client operations. The node type lives
+/// above this crate (`escape-shard`), so its shard-map lookup arrives
+/// through this trait.
 pub trait ClientRouter: Send + Sync + std::fmt::Debug {
     /// Routes one operation addressed to `group` for `key`.
     fn route(&self, group: GroupId, key: &[u8]) -> RouteVerdict;

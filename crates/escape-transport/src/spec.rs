@@ -34,7 +34,7 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// ESCAPE sized for in-process / loopback latencies: `baseTime` 150 ms,
+    /// ESCAPE sized for loopback latencies: `baseTime` 150 ms,
     /// `k` 50 ms.
     pub fn escape_local() -> Self {
         ProtocolSpec::Escape {
@@ -43,7 +43,7 @@ impl ProtocolSpec {
         }
     }
 
-    /// Raft sized for in-process / loopback latencies: 150–300 ms.
+    /// Raft sized for loopback latencies: 150–300 ms.
     pub fn raft_local() -> Self {
         ProtocolSpec::Raft {
             timeout_min: Duration::from_millis(150),

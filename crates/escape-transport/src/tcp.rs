@@ -15,9 +15,9 @@
 //!   process, reader threads that parse frames and route each envelope
 //!   to the inbox of the group it names.
 //!
-//! [`TcpNode`] wires the three together for the classic single-group
-//! node (everything rides [`GroupId::ZERO`]); `escape-shard`'s
-//! `ShardedNode` does the same for N groups on one mesh.
+//! `escape-shard`'s `ShardedNode` — the one node type — wires the three
+//! together for the N groups it hosts (a single-group deployment is a
+//! shard map of one, everything riding [`GroupId::ZERO`]).
 //!
 //! **A link lives exactly as long as its peer's incarnation.** A frame
 //! written into a socket whose far end belongs to a dead incarnation is
@@ -60,7 +60,8 @@
 //! (a vote, an ack, a configuration clock) is handed to this transport,
 //! so a vote a peer has seen is always on disk. A leader's own log
 //! appends are the one exception — see [`crate::wal`] — and
-//! [`GroupSpawn`] is the one place that wires a group's storage up.
+//! [`recover_group`] + [`start_group`] are the one place that wires a
+//! group's storage up.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -72,22 +73,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use escape_core::engine::{Node, NodeBuilder};
+use escape_core::engine::NodeBuilder;
 use escape_core::message::Message;
-use escape_core::statemachine::StateMachine;
-use escape_core::storage::Storage;
+use escape_core::storage::{RecoveredState, Storage};
 use escape_core::types::{GroupId, ServerId};
 use escape_obs::{Counter, Event, Gauge, Labels, Observer, Registry};
 use escape_storage::{WalInstruments, WalStorage};
-use escape_wire::{write_frame, Decode, Encode, Envelope, FrameReader, WireShardMap, CLIENT_HELLO};
+use escape_wire::{write_frame, Decode, Encode, Envelope, FrameReader, CLIENT_HELLO};
 
 use crate::clock::RuntimeClock;
 use crate::runtime::{node_loop, NodeInput, Outbound};
-use crate::service::{ClientRouter, ClientService, RouteVerdict};
-use crate::spec::ProtocolSpec;
+use crate::service::ClientService;
 use crate::wal::spawn_wal_thread;
 
 /// How long one connect attempt may block.
@@ -795,388 +794,70 @@ impl Acceptor {
 /// writes that follow.
 pub type StorageHook = Arc<dyn Fn(ServerId, GroupId, WalStorage) -> Box<dyn Storage> + Send + Sync>;
 
-/// Optional plumbing for [`TcpNode::spawn_with`] (and `escape-shard`'s
-/// sharded equivalent): observability, storage fault injection, and
-/// client serving. `Default` is a plain node — exactly what
-/// [`TcpNode::spawn`] builds.
-#[derive(Clone, Default)]
-pub struct SpawnOptions {
-    /// Observability bundle; see [`TcpNode::spawn_observed`].
-    pub obs: Option<NodeObs>,
-    /// Wraps each hosted group's WAL before the engine takes it.
-    pub storage_hook: Option<StorageHook>,
-    /// Answer `escape-wire` client connections (hello-framed) on the same
-    /// listener the peer mesh uses.
-    pub serve_clients: bool,
-}
-
-impl std::fmt::Debug for SpawnOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpawnOptions")
-            .field("obs", &self.obs)
-            .field(
-                "storage_hook",
-                &self.storage_hook.as_ref().map(|_| "<hook>"),
-            )
-            .field("serve_clients", &self.serve_clients)
-            .finish()
+/// Opens and recovers one durable group's data directory — with nothing
+/// started on it: the WAL gets its instruments (under `obs`'s labels plus
+/// `group`) and is wrapped by the [`StorageHook`]. A node recovers every
+/// group it hosts this way *before* it starts a thread or answers a
+/// socket, so a directory that cannot be recovered leaves nothing
+/// running.
+///
+/// # Errors
+///
+/// Whatever [`WalStorage::open`] reports: I/O failure, or a log the
+/// directory can no longer reproduce (a node that cannot recover its WAL
+/// must not serve).
+pub fn recover_group(
+    server: ServerId,
+    group: GroupId,
+    dir: &Path,
+    obs: Option<&NodeObs>,
+    storage_hook: Option<&StorageHook>,
+) -> std::io::Result<(Box<dyn Storage>, RecoveredState)> {
+    let (mut storage, recovered) = WalStorage::open(dir)?;
+    if let Some(obs) = obs {
+        let labels = obs.labels.clone().with("group", group.get());
+        storage.instrument(WalInstruments::register(&obs.registry, &labels));
     }
+    let storage: Box<dyn Storage> = match storage_hook {
+        Some(hook) => hook(server, group, storage),
+        None => Box::new(storage),
+    };
+    Ok((storage, recovered))
 }
 
-/// One hosted consensus group, ready to boot: the single place a group's
-/// storage is opened, instrumented, wrapped by the [`StorageHook`], put
-/// behind its WAL thread and handed to the engine, and its node thread
-/// started. [`TcpNode`] hosts one group this way, `escape-shard`'s
-/// `ShardedNode` one per shard.
-pub struct GroupSpawn<'a> {
-    /// Name of the node thread; the WAL thread appends `-wal`.
-    pub thread_name: String,
-    /// The engine, built up to (not including) storage, recovery and
-    /// observer.
-    pub builder: NodeBuilder,
-    /// The hosting server.
-    pub server: ServerId,
-    /// The group being hosted.
-    pub group: GroupId,
-    /// This group's own data directory; `None` runs memory-only, with no
-    /// WAL thread.
-    pub data_dir: Option<&'a Path>,
-    /// Engine events, plus the WAL's instruments when durable.
-    pub obs: Option<&'a NodeObs>,
-    /// Wraps the opened WAL before anything else sees it.
-    pub storage_hook: Option<&'a StorageHook>,
-    /// The group's inbox: the WAL thread posts finished barriers into it.
-    pub inbox: Sender<NodeInput>,
-    /// The receiving end, for the node thread.
-    pub rx: Receiver<NodeInput>,
-    /// Where the group's messages leave.
-    pub outbound: Arc<dyn Outbound + Sync>,
-}
-
-impl GroupSpawn<'_> {
-    /// Recovers the group (when durable) and starts its threads. The
-    /// handles come back in the order they must be joined: the node
-    /// thread, then its WAL thread — which ends once the node thread has
-    /// dropped the engine, and closes the data directory as it goes, so a
-    /// respawn on the same directory after both joins finds no live
-    /// writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data directory cannot be opened/recovered (a node
-    /// that cannot persist must not serve).
-    pub fn spawn(self) -> Vec<JoinHandle<()>> {
-        let mut builder = self.builder;
-        if let Some(obs) = self.obs {
-            builder = builder.observer(Arc::clone(&obs.observer));
-        }
-        let mut wal_thread = None;
-        if let Some(dir) = self.data_dir {
-            let (mut storage, recovered) =
-                // lint:allow(panic): fail-stop — a node that cannot recover its WAL must not serve
-                WalStorage::open(dir).expect("open/recover group data directory");
-            if let Some(obs) = self.obs {
-                storage.instrument(WalInstruments::register(&obs.registry, &obs.labels));
-            }
-            let wrapped: Box<dyn Storage> = match self.storage_hook {
-                Some(hook) => hook(self.server, self.group, storage),
-                None => Box::new(storage),
-            };
-            let (queued, handle) =
-                spawn_wal_thread(format!("{}-wal", self.thread_name), wrapped, self.inbox);
-            builder = builder.storage(Box::new(queued)).recover(recovered);
-            wal_thread = Some(handle);
-        }
-        let node = builder.build();
-        let (rx, outbound) = (self.rx, self.outbound);
-        let clock = RuntimeClock::start();
-        let node_thread = std::thread::Builder::new()
-            .name(self.thread_name)
-            .spawn(move || node_loop(node, rx, outbound, clock))
-            // lint:allow(panic): thread-spawn failure at startup is fatal by design
-            .expect("spawn node loop");
-        std::iter::once(node_thread).chain(wal_thread).collect()
-    }
-}
-
-/// The trivial router of a single-group node: everything lives in group
-/// zero, so any other group id just redirects there.
-#[derive(Debug)]
-struct SingleGroupRouter {
+/// Starts one hosted group: puts `durable` (what [`recover_group`]
+/// returned; `None` runs memory-only) behind its WAL thread — which posts
+/// finished barriers into `inbox` — hands it to the engine, and starts the
+/// node thread on `rx`. `builder` is the engine up to (not including)
+/// storage and recovery; the WAL thread's name is `thread_name` plus
+/// `-wal`.
+///
+/// The handles come back in the order they must be joined: the node
+/// thread, then its WAL thread — which ends once the node thread has
+/// dropped the engine, and closes the data directory as it goes, so a
+/// respawn on the same directory after both joins finds no live writer.
+pub fn start_group(
+    thread_name: String,
+    mut builder: NodeBuilder,
+    durable: Option<(Box<dyn Storage>, RecoveredState)>,
     inbox: Sender<NodeInput>,
-}
-
-impl ClientRouter for SingleGroupRouter {
-    fn route(&self, group: GroupId, _key: &[u8]) -> RouteVerdict {
-        if group == GroupId::ZERO {
-            RouteVerdict::Local(self.inbox.clone())
-        } else {
-            RouteVerdict::Redirect {
-                asked: group,
-                owner: GroupId::ZERO,
-                map_version: 1,
-            }
-        }
+    rx: Receiver<NodeInput>,
+    outbound: Arc<dyn Outbound + Sync>,
+) -> Vec<JoinHandle<()>> {
+    let mut wal_thread = None;
+    if let Some((storage, recovered)) = durable {
+        let (queued, handle) = spawn_wal_thread(format!("{thread_name}-wal"), storage, inbox);
+        builder = builder.storage(Box::new(queued)).recover(recovered);
+        wal_thread = Some(handle);
     }
-
-    fn map_snapshot(&self) -> WireShardMap {
-        WireShardMap {
-            version: 1,
-            ranges: vec![(0, GroupId::ZERO)],
-        }
-    }
-}
-
-/// One TCP consensus node: its acceptor, reader threads, and node loop,
-/// all on the single implicit group [`GroupId::ZERO`].
-#[derive(Debug)]
-pub struct TcpNode {
-    id: ServerId,
-    inbox: Sender<NodeInput>,
-    mesh: Arc<TcpMesh>,
-    acceptor: Acceptor,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl TcpNode {
-    /// Boots server `id` of a cluster whose listen addresses are `addrs`
-    /// (every node must appear, including `id` itself), accepting on the
-    /// caller-bound `listener`.
-    ///
-    /// With `data_dir`, persistent state (term, vote, log, configuration,
-    /// snapshots) is recovered from and written to that directory via
-    /// `escape-storage`; `None` runs memory-only (tests, demos).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addrs` lacks `id` or the data directory cannot be
-    /// opened/recovered (a node that cannot persist must not serve).
-    pub fn spawn(
-        id: ServerId,
-        listener: TcpListener,
-        addrs: HashMap<ServerId, SocketAddr>,
-        spec: ProtocolSpec,
-        seed: u64,
-        state_machine: Box<dyn StateMachine>,
-        data_dir: Option<&Path>,
-    ) -> Self {
-        Self::spawn_with(
-            id,
-            listener,
-            addrs,
-            spec,
-            seed,
-            state_machine,
-            data_dir,
-            SpawnOptions::default(),
-        )
-    }
-
-    /// [`TcpNode::spawn`] with observability wired through every layer:
-    /// the engine records typed [`Event`]s into `obs.observer`, the WAL
-    /// (when `data_dir` is set) registers fsync-latency and segment-count
-    /// instruments, and the mesh registers per-peer drop/queue/reconnect
-    /// series — all under `obs.labels`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`TcpNode::spawn`].
-    #[allow(clippy::too_many_arguments)] // spawn's documented surface + the obs bundle
-    pub fn spawn_observed(
-        id: ServerId,
-        listener: TcpListener,
-        addrs: HashMap<ServerId, SocketAddr>,
-        spec: ProtocolSpec,
-        seed: u64,
-        state_machine: Box<dyn StateMachine>,
-        data_dir: Option<&Path>,
-        obs: NodeObs,
-    ) -> Self {
-        Self::spawn_with(
-            id,
-            listener,
-            addrs,
-            spec,
-            seed,
-            state_machine,
-            data_dir,
-            SpawnOptions {
-                obs: Some(obs),
-                ..SpawnOptions::default()
-            },
-        )
-    }
-
-    /// The fully general spawn: [`TcpNode::spawn`] plus whatever
-    /// [`SpawnOptions`] enables — observability, a [`StorageHook`] for
-    /// fault injection, and/or client serving on the peer listener.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`TcpNode::spawn`].
-    #[allow(clippy::too_many_arguments)] // spawn's documented surface + the options bundle
-    pub fn spawn_with(
-        id: ServerId,
-        listener: TcpListener,
-        addrs: HashMap<ServerId, SocketAddr>,
-        spec: ProtocolSpec,
-        seed: u64,
-        state_machine: Box<dyn StateMachine>,
-        data_dir: Option<&Path>,
-        options: SpawnOptions,
-    ) -> Self {
-        let SpawnOptions {
-            obs,
-            storage_hook,
-            serve_clients,
-        } = options;
-        // lint:allow(panic): documented `# Panics` contract — the map must contain `id`
-        let my_addr = *addrs.get(&id).expect("own address present");
-        let ids: Vec<ServerId> = {
-            let mut v: Vec<ServerId> = addrs.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let n = ids.len();
-
-        let (tx, rx) = unbounded::<NodeInput>();
-        let routes = GroupRoutes::new();
-        routes.register(GroupId::ZERO, tx.clone());
-        let service = serve_clients
-            .then(|| ClientService::new(Arc::new(SingleGroupRouter { inbox: tx.clone() })));
-        let mesh = match &obs {
-            Some(obs) => TcpMesh::start_observed(id, &addrs, obs.clone()),
-            None => TcpMesh::start(id, &addrs),
-        };
-        let acceptor = Acceptor::spawn(id, my_addr, listener, routes, Arc::clone(&mesh), service);
-
-        let threads = GroupSpawn {
-            thread_name: format!("escape-tcp-node-{}", id.get()),
-            builder: Node::builder(id, ids)
-                .policy(spec.build_policy(id, n, seed.wrapping_add(id.get() as u64)))
-                .state_machine(state_machine)
-                .options(ProtocolSpec::local_options()),
-            server: id,
-            group: GroupId::ZERO,
-            data_dir,
-            obs: obs.as_ref(),
-            storage_hook: storage_hook.as_ref(),
-            inbox: tx.clone(),
-            rx,
-            outbound: Arc::new(GroupOutbound::new(Arc::clone(&mesh), GroupId::ZERO)),
-        }
-        .spawn();
-
-        TcpNode {
-            id,
-            inbox: tx,
-            mesh,
-            acceptor,
-            threads,
-        }
-    }
-
-    /// This node's id.
-    pub fn id(&self) -> ServerId {
-        self.id
-    }
-
-    /// The node's input channel (peer messages, proposals, queries).
-    pub fn inbox(&self) -> Sender<NodeInput> {
-        self.inbox.clone()
-    }
-
-    /// Proposes a batch of commands: all of them are enqueued
-    /// back-to-back, so the node loop drains them into a single engine
-    /// batch (one WAL flush, one coalesced fan-out) instead of paying the
-    /// per-command path once each. Returns one outcome per command, in
-    /// order. `Err(None)` in a slot means the node thread went away or
-    /// did not answer within `timeout`; `Err(Some(e))` is the engine's
-    /// refusal.
-    #[allow(clippy::type_complexity)] // the per-command tri-state outcome
-    pub fn propose_batch(
-        &self,
-        commands: Vec<Bytes>,
-        timeout: Duration,
-    ) -> Vec<Result<escape_core::types::LogIndex, Option<escape_core::engine::ProposeError>>> {
-        let mut pending = Vec::with_capacity(commands.len());
-        for command in commands {
-            let (tx, rx) = crossbeam::channel::bounded(1);
-            let sent = self
-                .inbox
-                .send(NodeInput::Propose { command, reply: tx })
-                .is_ok();
-            pending.push((sent, rx));
-        }
-        pending
-            .into_iter()
-            .map(|(sent, rx)| {
-                if !sent {
-                    return Err(None);
-                }
-                match rx.recv_timeout(timeout) {
-                    Ok(Ok(index)) => Ok(index),
-                    Ok(Err(e)) => Err(Some(e)),
-                    Err(_) => Err(None),
-                }
-            })
-            .collect()
-    }
-
-    /// Linearizable reads, off the log: the whole batch rides the engine's
-    /// ReadIndex/lease path (`Node::read_batch`) and resolves at once —
-    /// one response per query, in order. `Err(None)` means the node thread
-    /// went away or did not answer within `timeout`; `Err(Some(e))` is the
-    /// engine's leadership refusal (retry at `e`'s hint).
-    pub fn read_batch(
-        &self,
-        queries: Vec<Bytes>,
-        timeout: Duration,
-    ) -> Result<Vec<Bytes>, Option<escape_core::engine::ProposeError>> {
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        if self
-            .inbox
-            .send(NodeInput::Read { queries, reply: tx })
-            .is_err()
-        {
-            return Err(None);
-        }
-        match rx.recv_timeout(timeout) {
-            Ok(Ok(results)) => Ok(results),
-            Ok(Err(e)) => Err(Some(e)),
-            Err(_) => Err(None),
-        }
-    }
-
-    /// Stops the node and joins its threads (the WAL thread after the
-    /// node thread, so the data directory is closed on return). Every peer
-    /// connection this incarnation accepted is closed and its reader
-    /// joined ([`Acceptor::close`]), so peers learn of the death from an
-    /// EOF, not from a frame that vanished.
-    ///
-    /// There is deliberately no flush-on-exit here: every promise was
-    /// durable before the message that made it was sent, and what a
-    /// leader's WAL thread still has queued was never counted towards a
-    /// commit, so it is dropped. A "graceful" shutdown and a SIGKILL
-    /// therefore leave equivalent data directories — which is what
-    /// [`TcpNode::kill`] (and the kill-and-restart tests) rely on.
-    pub fn shutdown(self) {
-        let _ = self.inbox.send(NodeInput::Shutdown);
-        self.acceptor.close();
-        self.mesh.stop();
-        for handle in self.threads {
-            let _ = handle.join();
-        }
-    }
-
-    /// Crash the node: stop its threads with no goodbye to peers and no
-    /// final flush — durability-wise a SIGKILL, because everything the
-    /// node ever acknowledged was already fsync'd before the message left.
-    /// Spawn a new node on the same listener (clone) and data directory,
-    /// as soon as this returns, to model a process restart.
-    pub fn kill(self) {
-        self.shutdown();
-    }
+    let node = builder.build();
+    let clock = RuntimeClock::start();
+    let node_thread = std::thread::Builder::new()
+        .name(thread_name)
+        .spawn(move || node_loop(node, rx, outbound, clock))
+        // lint:allow(panic): thread-spawn failure at startup is fatal by design
+        .expect("spawn node loop");
+    std::iter::once(node_thread).chain(wal_thread).collect()
 }
 
 /// Reads one inbound connection until it ends. A peer's envelopes are
@@ -1259,152 +940,9 @@ pub fn loopback_listeners(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::NodeStatus;
     use bytes::Bytes;
-    use crossbeam::channel::bounded;
-    use escape_core::types::{Role, Term};
-    use std::path::PathBuf;
-    use std::sync::atomic::AtomicU64;
+    use escape_core::types::Term;
     use std::time::Duration;
-
-    fn scratch_dir(label: &str) -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "escape-tcp-test-{}-{label}-{n}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
-    }
-
-    fn spawn_node(
-        id: u32,
-        addrs: &HashMap<ServerId, SocketAddr>,
-        listeners: &HashMap<ServerId, TcpListener>,
-        data_dir: Option<&Path>,
-    ) -> TcpNode {
-        let id = ServerId::new(id);
-        TcpNode::spawn(
-            id,
-            listeners[&id].try_clone().expect("clone listener"),
-            addrs.clone(),
-            ProtocolSpec::escape_local(),
-            99,
-            Box::new(escape_core::statemachine::NullStateMachine),
-            data_dir,
-        )
-    }
-
-    fn status_of(node: &TcpNode) -> Option<NodeStatus> {
-        let (tx, rx) = bounded(1);
-        node.inbox().send(NodeInput::Query { reply: tx }).ok()?;
-        rx.recv_timeout(Duration::from_secs(1)).ok()
-    }
-
-    fn wait_for_leader(nodes: &[TcpNode], timeout: Duration) -> usize {
-        let deadline = crate::clock::monotonic_now() + timeout;
-        loop {
-            assert!(
-                crate::clock::monotonic_now() < deadline,
-                "no TCP leader within {timeout:?}"
-            );
-            if let Some(i) = nodes
-                .iter()
-                .position(|n| status_of(n).is_some_and(|s| s.role == Role::Leader))
-            {
-                return i;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    fn propose_and_apply(node: &TcpNode, command: &'static [u8]) -> escape_core::types::LogIndex {
-        let (tx, rx) = bounded(1);
-        node.inbox()
-            .send(NodeInput::Propose {
-                command: Bytes::from_static(command),
-                reply: tx,
-            })
-            .unwrap();
-        let index = rx
-            .recv_timeout(Duration::from_secs(2))
-            .expect("reply")
-            .expect("accepted");
-        let (atx, arx) = bounded(1);
-        node.inbox()
-            .send(NodeInput::AwaitApplied { index, reply: atx })
-            .unwrap();
-        arx.recv_timeout(Duration::from_secs(5))
-            .expect("applied over TCP");
-        index
-    }
-
-    #[test]
-    fn tcp_cluster_elects_and_commits() {
-        let (addrs, listeners) = loopback_listeners(3);
-        let nodes: Vec<TcpNode> = (1..=3u32)
-            .map(|i| spawn_node(i, &addrs, &listeners, None))
-            .collect();
-
-        let leader_index = wait_for_leader(&nodes, Duration::from_secs(10));
-        propose_and_apply(&nodes[leader_index], b"over-tcp");
-
-        for node in nodes {
-            node.shutdown();
-        }
-    }
-
-    /// The batched client path end-to-end: a burst of proposals enqueued
-    /// back-to-back is accepted as consecutive indexes (the node loop
-    /// drained them into engine batches) and every command applies.
-    #[test]
-    fn tcp_propose_batch_commits_every_command() {
-        let (addrs, listeners) = loopback_listeners(3);
-        let nodes: Vec<TcpNode> = (1..=3u32)
-            .map(|i| spawn_node(i, &addrs, &listeners, None))
-            .collect();
-        let leader_index = wait_for_leader(&nodes, Duration::from_secs(10));
-        let leader = &nodes[leader_index];
-
-        let commands: Vec<Bytes> = (0..200)
-            .map(|i| Bytes::from(format!("batched-{i}")))
-            .collect();
-        let outcomes = leader.propose_batch(commands, Duration::from_secs(5));
-        assert_eq!(outcomes.len(), 200);
-        let indexes: Vec<escape_core::types::LogIndex> = outcomes
-            .into_iter()
-            .map(|o| o.expect("the leader must accept every batched command"))
-            .collect();
-        for pair in indexes.windows(2) {
-            assert_eq!(pair[1], pair[0].next(), "batch indexes must be consecutive");
-        }
-
-        // Wait for the tail command to apply, then check the node loop
-        // really did coalesce (metrics: fewer batches than commands).
-        let (atx, arx) = bounded(1);
-        leader
-            .inbox()
-            .send(NodeInput::AwaitApplied {
-                index: *indexes.last().unwrap(),
-                reply: atx,
-            })
-            .unwrap();
-        arx.recv_timeout(Duration::from_secs(10))
-            .expect("batched tail command applied");
-        let status = status_of(leader).expect("status");
-        assert_eq!(status.metrics.commands_proposed, 200);
-        assert!(
-            status.metrics.propose_batches < 200,
-            "the inbox drain must have coalesced at least some proposals \
-             ({} batches for 200 commands)",
-            status.metrics.propose_batches
-        );
-
-        for node in nodes {
-            node.shutdown();
-        }
-    }
 
     /// Starts server 1's mesh against a `peer` that is down, runs
     /// `while_down` on it, then brings the peer's port back: returns the
@@ -1615,39 +1153,6 @@ mod tests {
         mesh.stop();
     }
 
-    /// `kill` ends the incarnation's peer connections: a peer that had
-    /// been talking to the node reads EOF as soon as `kill` has returned —
-    /// not a socket held open by a reader thread that outlived its node
-    /// and would swallow the next frame.
-    #[test]
-    fn killed_node_closes_the_peer_connections_it_accepted() {
-        let (addrs, listeners) = loopback_listeners(3);
-        let node = spawn_node(1, &addrs, &listeners, None);
-        let mut raw = TcpStream::connect(addrs[&ServerId::new(1)]).expect("connect");
-        let mut frame = BytesMut::new();
-        let envelope = Envelope {
-            from: ServerId::new(2),
-            group: GroupId::ZERO,
-            message: vote_reply(1000),
-        };
-        write_frame(&mut frame, &envelope.to_bytes());
-        raw.write_all(&frame).expect("send one peer envelope");
-        // The node adopting the reply's term shows the envelope was read
-        // off this connection — it is a peer's, and it is drained.
-        while status_of(&node).expect("status").term < Term::new(1000) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        node.kill();
-        raw.set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        assert_eq!(
-            raw.read(&mut [0u8; 16]).ok(),
-            Some(0),
-            "the peer must read EOF within 100 ms of kill returning"
-        );
-    }
-
     /// Backoff bookkeeping: repeated failures double the delay up to the
     /// cap, and a success resets it.
     #[test]
@@ -1755,261 +1260,5 @@ mod tests {
             link.pending.front().map_or(true, |f| f[0] != 1),
             "a half-sent frame must not survive onto a fresh connection"
         );
-    }
-
-    /// The tentpole's acceptance test, phase 1: a node killed
-    /// mid-leadership recovers term/vote/log from its data directory,
-    /// rejoins, and the cluster recommits a new command through it.
-    #[test]
-    fn tcp_killed_leader_recovers_from_data_dir_and_cluster_recommits() {
-        let (addrs, listeners) = loopback_listeners(3);
-        let dirs: Vec<PathBuf> = (1..=3).map(|i| scratch_dir(&format!("kill-{i}"))).collect();
-        let mut nodes: Vec<Option<TcpNode>> = (1..=3u32)
-            .map(|i| {
-                Some(spawn_node(
-                    i,
-                    &addrs,
-                    &listeners,
-                    Some(&dirs[(i - 1) as usize]),
-                ))
-            })
-            .collect();
-        let all = |nodes: &Vec<Option<TcpNode>>| -> Vec<NodeStatus> {
-            nodes
-                .iter()
-                .map(|n| status_of(n.as_ref().unwrap()).expect("status"))
-                .collect()
-        };
-
-        let leader = {
-            let deadline = crate::clock::monotonic_now() + Duration::from_secs(10);
-            loop {
-                assert!(
-                    crate::clock::monotonic_now() < deadline,
-                    "no leader within 10s"
-                );
-                if let Some(i) = all(&nodes).iter().position(|s| s.role == Role::Leader) {
-                    break i;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        };
-        propose_and_apply(nodes[leader].as_ref().unwrap(), b"pre-crash");
-        let pre = status_of(nodes[leader].as_ref().unwrap()).expect("status");
-        assert!(pre.term > Term::ZERO);
-        assert!(pre.log_len >= 2, "no-op + command");
-
-        // SIGKILL-equivalent: no flush beyond the per-event fsyncs that
-        // already happened before each sent message.
-        nodes[leader].take().unwrap().kill();
-
-        // Restart from the same data directory on the same (still-bound)
-        // listener, and check the recovered persistent state.
-        let restarted_id = (leader + 1) as u32;
-        nodes[leader] = Some(spawn_node(
-            restarted_id,
-            &addrs,
-            &listeners,
-            Some(&dirs[leader]),
-        ));
-        let recovered = status_of(nodes[leader].as_ref().unwrap()).expect("status");
-        assert!(
-            recovered.term >= pre.term,
-            "recovered term {} must not regress below pre-crash {}",
-            recovered.term,
-            pre.term
-        );
-        assert!(
-            recovered.log_len >= pre.log_len,
-            "recovered log ({} entries) lost entries vs pre-crash ({})",
-            recovered.log_len,
-            pre.log_len
-        );
-
-        // The cluster (restarted node included) elects and recommits.
-        let deadline = crate::clock::monotonic_now() + Duration::from_secs(15);
-        let new_leader = loop {
-            assert!(
-                crate::clock::monotonic_now() < deadline,
-                "no post-restart leader"
-            );
-            if let Some(i) = all(&nodes).iter().position(|s| s.role == Role::Leader) {
-                break i;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        };
-        let index = propose_and_apply(nodes[new_leader].as_ref().unwrap(), b"post-crash");
-
-        // The restarted node must apply the new command too (proof it
-        // rejoined replication, not just that a quorum exists without it).
-        let (atx, arx) = bounded(1);
-        nodes[leader]
-            .as_ref()
-            .unwrap()
-            .inbox()
-            .send(NodeInput::AwaitApplied { index, reply: atx })
-            .unwrap();
-        arx.recv_timeout(Duration::from_secs(10))
-            .expect("restarted node applied the post-crash command");
-
-        for node in nodes.into_iter().flatten() {
-            node.shutdown();
-        }
-    }
-
-    /// Phase 2: a node restarted with a **wiped** data directory is back
-    /// on the boot configuration (confClock 0, empty log) and must not
-    /// win the ensuing election — the intact follower's durable clock
-    /// (plus log up-to-dateness) fences it, per §IV-B / Fig. 5b.
-    #[test]
-    fn tcp_wiped_node_is_fenced_not_elected() {
-        let (addrs, listeners) = loopback_listeners(3);
-        let dirs: Vec<PathBuf> = (1..=3).map(|i| scratch_dir(&format!("wipe-{i}"))).collect();
-        let mut nodes: Vec<Option<TcpNode>> = (1..=3u32)
-            .map(|i| {
-                Some(spawn_node(
-                    i,
-                    &addrs,
-                    &listeners,
-                    Some(&dirs[(i - 1) as usize]),
-                ))
-            })
-            .collect();
-
-        let leader = {
-            let deadline = crate::clock::monotonic_now() + Duration::from_secs(10);
-            loop {
-                assert!(
-                    crate::clock::monotonic_now() < deadline,
-                    "no leader within 10s"
-                );
-                let statuses: Vec<NodeStatus> = nodes
-                    .iter()
-                    .map(|n| status_of(n.as_ref().unwrap()).expect("status"))
-                    .collect();
-                if let Some(i) = statuses.iter().position(|s| s.role == Role::Leader) {
-                    break i;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        };
-        propose_and_apply(nodes[leader].as_ref().unwrap(), b"seed-entry");
-        // Let a few heartbeat rounds run so the PPF assignment (clock ≥ 1)
-        // reaches the followers and lands in their WALs.
-        std::thread::sleep(Duration::from_millis(500));
-
-        // Kill the leader for good, and wipe + restart one follower.
-        let wiped = (0..3).find(|i| *i != leader).unwrap();
-        let intact = (0..3).find(|i| *i != leader && *i != wiped).unwrap();
-        nodes[leader].take().unwrap().kill();
-        nodes[wiped].take().unwrap().kill();
-        std::fs::remove_dir_all(&dirs[wiped]).unwrap();
-        nodes[wiped] = Some(spawn_node(
-            (wiped + 1) as u32,
-            &addrs,
-            &listeners,
-            Some(&dirs[wiped]),
-        ));
-
-        // The two live nodes (wiped + intact) are a quorum; only the
-        // intact one may win. Poll the whole window: the wiped node must
-        // never report leadership.
-        let deadline = crate::clock::monotonic_now() + Duration::from_secs(20);
-        let mut intact_led = false;
-        while crate::clock::monotonic_now() < deadline {
-            let wiped_status = status_of(nodes[wiped].as_ref().unwrap()).expect("status");
-            assert_ne!(
-                wiped_status.role,
-                Role::Leader,
-                "a wiped node must be fenced by the conf-clock rule, not elected"
-            );
-            let intact_status = status_of(nodes[intact].as_ref().unwrap()).expect("status");
-            if intact_status.role == Role::Leader {
-                intact_led = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        assert!(intact_led, "the intact follower must win the election");
-
-        for node in nodes.into_iter().flatten() {
-            node.shutdown();
-        }
-    }
-
-    /// The storage-hook satellite: `FaultyStorage` (previously confined
-    /// to the in-process campaign harness) now wraps the WAL on the real
-    /// TCP stack. A cluster whose every persist op has a transient-IO
-    /// fault rate must still elect and commit — and the per-node
-    /// [`escape_storage::FaultStats`] prove the faults actually fired in
-    /// the TCP path rather than being bypassed.
-    #[test]
-    fn tcp_cluster_commits_through_transient_storage_faults() {
-        use escape_storage::{FaultSpec, FaultStats, FaultyStorage};
-
-        let (addrs, listeners) = loopback_listeners(3);
-        let dirs: Vec<PathBuf> = (1..=3u32)
-            .map(|i| scratch_dir(&format!("faulty-{i}")))
-            .collect();
-        let stats: Arc<Mutex<HashMap<ServerId, Arc<FaultStats>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let hook_stats = Arc::clone(&stats);
-        let hook: StorageHook = Arc::new(move |server, _group, inner| {
-            let faulty = FaultyStorage::new(
-                inner,
-                FaultSpec {
-                    transient_io_p: 0.2,
-                    ..FaultSpec::none()
-                },
-                escape_core::rand::Xoshiro256::seed_from(0xFA17 + server.get() as u64),
-                Arc::new(escape_obs::NullObserver),
-                Arc::new(AtomicU64::new(0)),
-            );
-            hook_stats.lock().insert(server, faulty.stats());
-            Box::new(faulty)
-        });
-
-        let nodes: Vec<TcpNode> = (1..=3u32)
-            .map(|i| {
-                let id = ServerId::new(i);
-                TcpNode::spawn_with(
-                    id,
-                    listeners[&id].try_clone().expect("clone listener"),
-                    addrs.clone(),
-                    ProtocolSpec::escape_local(),
-                    99,
-                    Box::new(escape_core::statemachine::NullStateMachine),
-                    Some(&dirs[(i - 1) as usize]),
-                    SpawnOptions {
-                        storage_hook: Some(Arc::clone(&hook)),
-                        ..SpawnOptions::default()
-                    },
-                )
-            })
-            .collect();
-
-        let leader_index = wait_for_leader(&nodes, Duration::from_secs(15));
-        for i in 0..10u32 {
-            let command: &'static [u8] =
-                Box::leak(format!("faulty-{i}").into_bytes().into_boxed_slice());
-            propose_and_apply(&nodes[leader_index], command);
-        }
-
-        let stats = stats.lock();
-        assert_eq!(stats.len(), 3, "the hook must wrap every node's WAL");
-        let injected: u64 = stats.values().map(|s| s.transient_errors()).sum();
-        assert!(
-            injected > 0,
-            "with p=0.2 across 3 nodes and 10 commits, at least one \
-             transient fault must have hit the TCP persist path"
-        );
-
-        drop(stats);
-        for node in nodes {
-            node.shutdown();
-        }
-        for dir in dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 }

@@ -32,52 +32,59 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
 
-use escape::core::types::{LogIndex, Role, ServerId};
+use escape::core::statemachine::StateMachine;
+use escape::core::types::{GroupId, LogIndex, Role, ServerId};
 use escape::kv::{KvCommand, KvResponse, KvStateMachine};
 use escape::obs::{Labels, NullObserver, Registry, ScrapeServer};
-use escape::transport::runtime::{NodeInput, NodeStatus};
+use escape::shard::{ShardError, ShardMap, ShardedNode};
+use escape::transport::runtime::NodeStatus;
 use escape::transport::spec::ProtocolSpec;
-use escape::transport::tcp::{loopback_listeners, NodeObs, TcpNode};
+use escape::transport::tcp::{loopback_listeners, NodeObs};
 
-fn status_of(node: &TcpNode) -> Option<NodeStatus> {
-    let (tx, rx) = bounded(1);
-    node.inbox().send(NodeInput::Query { reply: tx }).ok()?;
-    rx.recv_timeout(Duration::from_secs(1)).ok()
+/// The index (into `nodes`) of `group`'s current leader, if any.
+fn group_leader(nodes: &[Option<ShardedNode>], group: GroupId) -> Option<usize> {
+    nodes.iter().position(|n| {
+        n.as_ref()
+            .and_then(|n| n.status(group))
+            .is_some_and(|s| s.role == Role::Leader)
+    })
 }
 
-fn wait_for_leader(nodes: &[TcpNode], timeout: Duration) -> Option<usize> {
+fn wait_for_group_leader(
+    nodes: &[Option<ShardedNode>],
+    group: GroupId,
+    timeout: Duration,
+) -> usize {
     // lint:allow(time): demo measures real wall-clock elapsed time on purpose
     let deadline = Instant::now() + timeout;
-    // lint:allow(time): demo measures real wall-clock elapsed time on purpose
-    while Instant::now() < deadline {
-        if let Some(i) = nodes
-            .iter()
-            .position(|n| status_of(n).is_some_and(|s| s.role == Role::Leader))
-        {
-            return Some(i);
+    loop {
+        if let Some(i) = group_leader(nodes, group) {
+            return i;
         }
+        // lint:allow(time): demo measures real wall-clock elapsed time on purpose
+        assert!(Instant::now() < deadline, "no leader for {group}");
         std::thread::sleep(Duration::from_millis(20));
     }
-    None
 }
 
-fn propose(node: &TcpNode, command: Bytes) -> Option<(LogIndex, Bytes)> {
-    let (tx, rx) = bounded(1);
-    node.inbox()
-        .send(NodeInput::Propose {
-            command,
-            reply: tx,
-        })
-        .ok()?;
-    let index = rx.recv_timeout(Duration::from_secs(2)).ok()?.ok()?;
-    let (atx, arx) = bounded(1);
-    node.inbox()
-        .send(NodeInput::AwaitApplied { index, reply: atx })
-        .ok()?;
-    let result = arx.recv_timeout(Duration::from_secs(5)).ok()?;
-    Some((index, result))
+/// Routes `cmd` by its key, proposes it through `node` and waits for it
+/// to apply there: the owning group and the state machine's response.
+fn shard_put(node: &ShardedNode, cmd: &KvCommand) -> Result<(GroupId, Bytes), ShardError> {
+    let (group, index) = node.propose(cmd.key().as_bytes(), cmd.encode())?;
+    Ok((group, node.await_applied(group, index)?))
+}
+
+/// Refreshes every live node's engine counters in the scraped registry
+/// (one label set per `node` + `group`). The demo publishes at its
+/// checkpoints rather than from a background thread, so a scrape between
+/// checkpoints sees the last published state.
+fn publish(metrics: &Option<(Arc<Registry>, ScrapeServer)>, nodes: &[Option<ShardedNode>]) {
+    if let Some((registry, _)) = metrics {
+        for node in nodes.iter().flatten() {
+            node.publish_metrics(registry);
+        }
+    }
 }
 
 /// Prints the replication-pipeline counters a leader accumulated: how
@@ -222,37 +229,6 @@ fn chaos_demo(seed: u64, scenario: &str) -> ! {
     std::process::exit(1)
 }
 
-/// Starts the scrape listener and a background publisher that refreshes
-/// each node's engine counters in the registry twice a second. The
-/// publisher queries through the same inbox as any client and exits when
-/// every node is gone.
-fn start_publisher(
-    registry: Arc<Registry>,
-    inboxes: Vec<(Labels, crossbeam::channel::Sender<NodeInput>)>,
-) {
-    std::thread::Builder::new()
-        .name("escape-demo-metrics".to_string())
-        .spawn(move || loop {
-            let mut reachable = 0usize;
-            for (labels, inbox) in &inboxes {
-                let (tx, rx) = bounded(1);
-                if inbox.send(NodeInput::Query { reply: tx }).is_err() {
-                    continue;
-                }
-                let Ok(status) = rx.recv_timeout(Duration::from_secs(1)) else {
-                    continue;
-                };
-                reachable += 1;
-                status.metrics.publish(&registry, labels);
-            }
-            if reachable == 0 {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(500));
-        })
-        .expect("spawn metrics publisher");
-}
-
 /// A scratch data directory for one demo node (instrumented runs persist
 /// for real so the WAL fsync series has samples).
 fn scratch_data_dir(node: u32) -> PathBuf {
@@ -330,27 +306,28 @@ fn main() {
     }
 
     println!("starting {n}-node {protocol} cluster on loopback TCP…");
-    let (addrs, listeners): (
-        HashMap<ServerId, std::net::SocketAddr>,
-        HashMap<ServerId, std::net::TcpListener>,
-    ) = loopback_listeners(n);
+    let (addrs, listeners) = loopback_listeners(n);
     for (id, addr) in &addrs {
         println!("  {id} @ {addr}");
     }
-    let nodes: Vec<TcpNode> = (1..=n as u32)
+    // One consensus group: a shard map of one, every key in group zero.
+    let group = GroupId::ZERO;
+    let kv = |_group| Box::new(KvStateMachine::new()) as Box<dyn StateMachine>;
+    let mut nodes: Vec<Option<ShardedNode>> = (1..=n as u32)
         .map(|i| {
             let id = ServerId::new(i);
             let listener = listeners[&id].try_clone().expect("clone listener");
-            match &metrics {
+            Some(match &metrics {
                 // Instrumented: real WAL (fsync series needs real
                 // fsyncs), per-peer transport series, engine observer.
-                Some((registry, _)) => TcpNode::spawn_observed(
+                Some((registry, _)) => ShardedNode::spawn_observed(
                     id,
                     listener,
                     addrs.clone(),
                     spec,
                     0xDE30,
-                    Box::new(KvStateMachine::new()),
+                    ShardMap::uniform(1),
+                    kv,
                     Some(&scratch_data_dir(i)),
                     NodeObs {
                         observer: Arc::new(NullObserver),
@@ -358,42 +335,35 @@ fn main() {
                         labels: Labels::new().with("node", i),
                     },
                 ),
-                None => TcpNode::spawn(
+                None => ShardedNode::spawn(
                     id,
                     listener,
                     addrs.clone(),
                     spec,
                     0xDE30,
-                    Box::new(KvStateMachine::new()),
+                    ShardMap::uniform(1),
+                    kv,
                     None, // memory-only; pass a dir for durability
                 ),
-            }
+            })
         })
         .collect();
-    if let Some((registry, _)) = &metrics {
-        start_publisher(
-            Arc::clone(registry),
-            nodes
-                .iter()
-                .map(|n| (Labels::new().with("node", n.id().get()), n.inbox()))
-                .collect(),
-        );
-    }
 
-    let leader = wait_for_leader(&nodes, Duration::from_secs(10)).expect("no leader");
-    let leader_id = nodes[leader].id();
+    let leader = wait_for_group_leader(&nodes, group, Duration::from_secs(10));
+    let node = nodes[leader].as_ref().expect("live leader");
+    let leader_id = node.id();
     println!("\nleader elected: {leader_id}");
 
     // A small write workload through the leader: one-at-a-time first,
     // then the same volume as a single batched burst.
+    let put = |i: u32| KvCommand::Put {
+        key: format!("account-{}", i % 4),
+        value: Bytes::from(format!("balance={i}")),
+    };
     // lint:allow(time): demo measures real wall-clock elapsed time on purpose
     let t0 = Instant::now();
     for i in 0..20 {
-        let cmd = KvCommand::Put {
-            key: format!("account-{}", i % 4),
-            value: Bytes::from(format!("balance={i}")),
-        };
-        propose(&nodes[leader], cmd.encode()).expect("write committed");
+        shard_put(node, &put(i)).expect("write committed");
     }
     println!(
         "20 writes committed over TCP in {:.0} ms (one at a time)",
@@ -402,109 +372,81 @@ fn main() {
 
     // lint:allow(time): demo measures real wall-clock elapsed time on purpose
     let t0 = Instant::now();
-    let batch: Vec<Bytes> = (20..40)
+    let batch: Vec<(Bytes, Bytes)> = (20..40)
         .map(|i| {
-            KvCommand::Put {
-                key: format!("account-{}", i % 4),
-                value: Bytes::from(format!("balance={i}")),
-            }
-            .encode()
+            let cmd = put(i);
+            (Bytes::from(cmd.key().to_string()), cmd.encode())
         })
         .collect();
-    let indexes: Vec<LogIndex> = nodes[leader]
-        .propose_batch(batch, Duration::from_secs(5))
+    let indexes: Vec<LogIndex> = node
+        .propose_batch(batch)
         .into_iter()
-        .map(|o| o.expect("batched write accepted"))
+        .map(|o| o.expect("batched write accepted").1)
         .collect();
     let last = *indexes.last().expect("non-empty batch");
-    let (atx, arx) = bounded(1);
-    nodes[leader]
-        .inbox()
-        .send(NodeInput::AwaitApplied { index: last, reply: atx })
-        .unwrap();
-    arx.recv_timeout(Duration::from_secs(5)).expect("batch applied");
+    node.await_applied(group, last).expect("batch applied");
     println!(
         "20 writes committed over TCP in {:.0} ms (one pipelined batch)",
         t0.elapsed().as_secs_f64() * 1000.0
     );
-    if let Some(status) = status_of(&nodes[leader]) {
+    if let Some(status) = node.status(group) {
         print_replication_metrics(&status);
     }
 
     // Linearizable read — off the log, via the leader's ReadIndex/lease
     // path (zero replication rounds while the lease holds).
+    let query = KvCommand::Get {
+        key: "account-3".into(),
+    };
     // lint:allow(time): demo measures real wall-clock elapsed time on purpose
     let t0 = Instant::now();
-    let results = nodes[leader]
-        .read_batch(
-            vec![KvCommand::Get {
-                key: "account-3".into(),
-            }
-            .encode()],
-            Duration::from_secs(2),
-        )
-        .expect("read");
+    let (_, raw) = node.read(b"account-3", query.encode()).expect("read");
     println!(
         "account-3 = {:?} (linearizable read in {:.2} ms, no log entry)",
-        KvResponse::decode(&results[0]).expect("decode"),
+        KvResponse::decode(&raw).expect("decode"),
         t0.elapsed().as_secs_f64() * 1000.0
     );
-    if let Some(status) = status_of(&nodes[leader]) {
+    if let Some(status) = node.status(group) {
         print_read_metrics(&status);
     }
+    publish(&metrics, &nodes);
 
-    // Kill the leader (hard shutdown of its threads).
+    // Kill the leader (hard stop of its threads, no goodbye to peers).
     println!("\n*** killing leader {leader_id} ***");
     // lint:allow(time): demo measures real wall-clock elapsed time on purpose
     let t1 = Instant::now();
-    let mut survivors = Vec::new();
-    for (i, node) in nodes.into_iter().enumerate() {
-        if i == leader {
-            node.shutdown();
-        } else {
-            survivors.push(node);
-        }
-    }
+    nodes[leader].take().expect("live leader").kill();
 
-    let new_leader = wait_for_leader(&survivors, Duration::from_secs(10))
-        .expect("survivors must re-elect");
+    let new_leader = wait_for_group_leader(&nodes, group, Duration::from_secs(10));
+    let node = nodes[new_leader].as_ref().expect("live leader");
     println!(
         "new leader {} after {:.0} ms",
-        survivors[new_leader].id(),
+        node.id(),
         t1.elapsed().as_secs_f64() * 1000.0
     );
 
     // The store still works and remembers everything: the new leader
     // serves the read (its first may need a ReadIndex confirm round —
     // leases never survive a handoff).
-    let results = survivors[new_leader]
-        .read_batch(
-            vec![KvCommand::Get {
-                key: "account-3".into(),
-            }
-            .encode()],
-            Duration::from_secs(2),
-        )
+    let (_, raw) = node
+        .read(b"account-3", query.encode())
         .expect("post-failover read");
     println!(
         "account-3 after failover = {:?}",
-        KvResponse::decode(&results[0]).expect("decode")
+        KvResponse::decode(&raw).expect("decode")
     );
-    let (_, raw) = propose(
-        &survivors[new_leader],
-        KvCommand::Put {
-            key: "epilogue".into(),
-            value: Bytes::from_static(b"the cluster survived"),
-        }
-        .encode(),
-    )
-    .expect("post-failover write");
+    let epilogue = KvCommand::Put {
+        key: "epilogue".into(),
+        value: Bytes::from_static(b"the cluster survived"),
+    };
+    let (_, raw) = shard_put(node, &epilogue).expect("post-failover write");
     println!("epilogue write committed: {:?}", KvResponse::decode(&raw));
-    if let Some(status) = status_of(&survivors[new_leader]) {
+    if let Some(status) = node.status(group) {
         print_read_metrics(&status);
     }
+    publish(&metrics, &nodes);
 
-    for node in survivors {
+    for node in nodes.into_iter().flatten() {
         node.shutdown();
     }
     if metrics.is_some() {
@@ -517,41 +459,6 @@ fn main() {
 
 // ---- multi-shard mode ----
 
-use escape::core::statemachine::StateMachine;
-use escape::core::types::GroupId;
-use escape::shard::{ShardError, ShardMap, ShardedNode};
-
-fn group_leader(nodes: &[Option<ShardedNode>], group: GroupId) -> Option<usize> {
-    nodes.iter().position(|n| {
-        n.as_ref()
-            .and_then(|n| n.status(group))
-            .is_some_and(|s| s.role == Role::Leader)
-    })
-}
-
-fn wait_for_group_leader(
-    nodes: &[Option<ShardedNode>],
-    group: GroupId,
-    timeout: Duration,
-) -> usize {
-    // lint:allow(time): demo measures real wall-clock elapsed time on purpose
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(i) = group_leader(nodes, group) {
-            return i;
-        }
-        // lint:allow(time): demo measures real wall-clock elapsed time on purpose
-        assert!(Instant::now() < deadline, "no leader for {group}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn shard_put(node: &ShardedNode, cmd: &KvCommand) -> Result<GroupId, ShardError> {
-    let (group, index) = node.propose(cmd.key().as_bytes(), cmd.encode())?;
-    node.await_applied(group, index)?;
-    Ok(group)
-}
-
 fn sharded_demo(
     n: usize,
     protocol: String,
@@ -562,17 +469,6 @@ fn sharded_demo(
     println!(
         "starting {n}-server {protocol} cluster hosting {shards} shards on loopback TCP…"
     );
-    // Sharded nodes publish at the demo's checkpoints rather than from a
-    // background thread: every group's counters land in the registry with
-    // `node` + `group` labels, so a scrape between checkpoints sees the
-    // last published state.
-    let publish = |nodes: &[Option<ShardedNode>]| {
-        if let Some((registry, _)) = &metrics {
-            for node in nodes.iter().flatten() {
-                node.publish_metrics(registry);
-            }
-        }
-    };
     let (addrs, listeners) = loopback_listeners(n);
     let mut nodes: Vec<Option<ShardedNode>> = (1..=n as u32)
         .map(|i| {
@@ -643,7 +539,7 @@ fn sharded_demo(
             }
         }
     }
-    publish(&nodes);
+    publish(&metrics, &nodes);
 
     // A deliberately misrouted command comes back with a redirect.
     let any = nodes[0].as_ref().unwrap();
@@ -719,7 +615,7 @@ fn sharded_demo(
         "{probe} after failover = {:?} (linearizable read, no log entry)",
         KvResponse::decode(&raw).expect("decode")
     );
-    publish(&nodes);
+    publish(&metrics, &nodes);
 
     for node in nodes.into_iter().flatten() {
         node.shutdown();

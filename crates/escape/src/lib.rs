@@ -15,8 +15,8 @@
 //! | [`wire`] | `escape-wire` | the binary wire codec |
 //! | [`kv`] | `escape-kv` | a replicated key-value store over the engine |
 //! | [`obs`] | `escape-obs` | observability: typed events, metrics registry + scrape endpoint, failover-timeline reconstructor |
-//! | [`shard`] | `escape-shard` | multi-group sharding: shard map, router with redirects, `ShardedNode` |
-//! | [`transport`] | `escape-transport` | real-time runtimes (in-process mesh, group-multiplexed TCP) |
+//! | [`shard`] | `escape-shard` | the real-time node (`ShardedNode`: N groups per process, a single group is a map of one), shard map, router with redirects |
+//! | [`transport`] | `escape-transport` | the real-time runtime's parts (node loop, group-multiplexed TCP mesh, client service, WAL thread) |
 //!
 //! ## Quick start
 //!
