@@ -47,7 +47,7 @@
 //!   `loadgen` zipfian read/write sweep's top rate: end-to-end tail
 //!   amplification through the shard-aware client. Limit 50× — the p99
 //!   must stay within 50× of the median (a retry storm, head-of-line
-//!   blocking in the pipelined connection, or a stalled shard completer
+//!   blocking in the pipelined connection, or a stalled shard
 //!   all blow this up by orders of magnitude); baseline drift 8×
 //!   (percentile ratios are noisier than criterion medians).
 //!

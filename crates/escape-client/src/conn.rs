@@ -1,8 +1,11 @@
-//! One pipelined client connection per server: a writer thread that owns
-//! the socket's send side (hello first, then request frames from every
-//! caller), a reader thread that demultiplexes responses back to waiting
-//! callers by request id, and a connect cooldown so a dead server costs
-//! a cheap check — not a connect timeout — per request.
+//! One pipelined client connection per server, and one thread per
+//! connection. The hello is written at connect; after that every caller
+//! writes its own request frame, one whole frame at a time under the
+//! connection's send lock, and waits. The **reader** thread demultiplexes
+//! responses back to the waiting callers by request id. A write that
+//! fails or outlasts its timeout poisons the connection — part of a frame
+//! may be on the wire, so the framing is lost. A connect cooldown makes a
+//! dead server cost a cheap check — not a connect timeout — per request.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -11,8 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Sender};
+use bytes::BytesMut;
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
 use escape_transport::clock::monotonic_now;
@@ -21,19 +24,22 @@ use escape_wire::{
     CLIENT_HELLO,
 };
 
-/// How long one connect attempt may block.
+/// How long one connect attempt may block, and after it each write of a
+/// request frame (a peer that stopped reading must not hold callers).
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 /// First cooldown after a failed connect; doubles per failure.
 const COOLDOWN_INITIAL: Duration = Duration::from_millis(50);
 /// Cooldown cap: a dead server is probed at least this often.
 const COOLDOWN_MAX: Duration = Duration::from_secs(1);
 
-/// A live connection's shared state: the writer's frame channel, the
+/// A live connection's shared state: the socket's send side, the
 /// response registry the reader answers into, and the poison flag either
 /// side sets when the socket dies.
 #[derive(Debug)]
 struct Live {
-    frames: Sender<Bytes>,
+    /// Held for one whole frame, so concurrent callers' frames never
+    /// interleave.
+    send: Mutex<TcpStream>,
     pending: Mutex<HashMap<u64, Sender<ClientResponse>>>,
     dead: AtomicBool,
     /// Reader-side handle kept so [`Conn::disconnect`] can force the
@@ -91,7 +97,9 @@ impl Conn {
 
         let mut frame = BytesMut::new();
         write_frame(&mut frame, &ClientRequest { id, body }.to_bytes());
-        if live.frames.send(frame.freeze()).is_err() {
+        // lint:allow(lock): this guard is the serialisation of whole frames that the writer thread used to provide, and the write timeout bounds the hold
+        let sent = live.send.lock().write_all(&frame);
+        if sent.is_err() {
             live.pending.lock().remove(&id);
             live.poison();
             return None;
@@ -159,29 +167,20 @@ impl Conn {
         }
     }
 
-    /// Dials the server, says hello, and starts the writer and reader
-    /// threads.
+    /// Dials the server, says hello, and starts the reader thread.
     fn connect(addr: SocketAddr) -> Option<Arc<Live>> {
         let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok()?;
         stream.set_nodelay(true).ok();
+        // Set before the clones: they share the one socket.
+        stream.set_write_timeout(Some(CONNECT_TIMEOUT)).ok()?;
 
-        let (frames_tx, frames_rx) = unbounded::<Bytes>();
         let mut write_half = stream.try_clone().ok()?;
-        std::thread::spawn(move || {
-            let mut hello = BytesMut::new();
-            write_frame(&mut hello, CLIENT_HELLO);
-            if write_half.write_all(&hello).is_err() {
-                return;
-            }
-            for frame in frames_rx.iter() {
-                if write_half.write_all(&frame).is_err() {
-                    return; // reader sees the close and poisons
-                }
-            }
-        });
+        let mut hello = BytesMut::new();
+        write_frame(&mut hello, CLIENT_HELLO);
+        write_half.write_all(&hello).ok()?;
 
         let live = Arc::new(Live {
-            frames: frames_tx,
+            send: Mutex::new(write_half),
             pending: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
             stream: stream.try_clone().ok()?,
@@ -222,5 +221,52 @@ impl Conn {
             reader_live.poison();
         });
         Some(live)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    use bytes::Bytes;
+    use escape_core::types::GroupId;
+
+    /// A server that accepts and then never reads fills the socket buffer.
+    /// The caller that runs into it must come back once a write has sat
+    /// out its timeout, and so must a caller queued behind it on the send
+    /// lock — long before either's response timeout.
+    #[test]
+    fn a_peer_that_never_reads_holds_no_caller_past_the_write_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = Arc::new(Conn::new(listener.local_addr().unwrap()));
+        // Connect first, so neither caller below is turned away by the
+        // cooldown of the other's connect.
+        assert_eq!(
+            conn.request(RequestBody::FetchMap, Duration::from_millis(1)),
+            None
+        );
+        let (_peer, _) = listener.accept().unwrap();
+
+        // More than loopback socket buffers hold.
+        let body = RequestBody::Write {
+            group: GroupId::ZERO,
+            key: Bytes::from_static(b"k"),
+            command: Bytes::from(vec![0u8; 8 << 20]),
+        };
+        let started = Instant::now();
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                let (conn, body) = (Arc::clone(&conn), body.clone());
+                std::thread::spawn(move || conn.request(body, Duration::from_secs(30)))
+            })
+            .collect();
+        for caller in callers {
+            assert_eq!(caller.join().unwrap(), None);
+        }
+        // The timeout is per blocked `write`, and a frame larger than the
+        // buffer spends it more than once: while the kernel still takes
+        // another part of the frame each time, then once with none taken.
+        assert!(started.elapsed() < CONNECT_TIMEOUT * 8);
     }
 }

@@ -19,12 +19,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::Sender;
 
 use escape_core::engine::{Node, ProposeError};
 use escape_core::statemachine::StateMachine;
 use escape_core::types::{GroupId, LogIndex, ServerId};
-use escape_transport::runtime::{NodeInput, NodeStatus};
+use escape_transport::runtime::{NodeInput, NodeStatus, ProposeReply, Reply};
 use escape_transport::service::{ClientRouter, ClientService, RouteVerdict};
 use escape_transport::spec::ProtocolSpec;
 use escape_transport::tcp::{
@@ -400,8 +400,8 @@ impl ShardedNode {
     /// A status snapshot of `group`'s engine on this server.
     pub fn status(&self, group: GroupId) -> Option<NodeStatus> {
         let inbox = self.inbox(group)?;
-        let (tx, rx) = bounded(1);
-        inbox.send(NodeInput::Query { reply: tx }).ok()?;
+        let (reply, rx) = Reply::channel();
+        inbox.send(NodeInput::Query { reply }).ok()?;
         rx.recv_timeout(REPLY_TIMEOUT).ok()
     }
 
@@ -450,9 +450,12 @@ impl ShardedNode {
             .check(group, key)
             .map_err(ShardError::Redirect)?;
         let inbox = self.inbox(group).ok_or(ShardError::UnknownGroup(group))?;
-        let (tx, rx) = bounded(1);
+        let (reply, rx) = Reply::channel();
         inbox
-            .send(NodeInput::Propose { command, reply: tx })
+            .send(NodeInput::Propose {
+                command,
+                reply: ProposeReply::Accepted(reply),
+            })
             .map_err(|_| ShardError::Unavailable)?;
         match rx.recv_timeout(REPLY_TIMEOUT) {
             Ok(Ok(index)) => Ok(index),
@@ -493,8 +496,11 @@ impl ShardedNode {
                 pending.push((group, Err(ShardError::UnknownGroup(group))));
                 continue;
             };
-            let (tx, rx) = bounded(1);
-            match inbox.send(NodeInput::Propose { command, reply: tx }) {
+            let (reply, rx) = Reply::channel();
+            match inbox.send(NodeInput::Propose {
+                command,
+                reply: ProposeReply::Accepted(reply),
+            }) {
                 Ok(()) => pending.push((group, Ok(rx))),
                 Err(_) => pending.push((group, Err(ShardError::Unavailable))),
             }
@@ -531,10 +537,10 @@ impl ShardedNode {
                 pending.push(Err(ShardError::UnknownGroup(group)));
                 continue;
             };
-            let (tx, rx) = bounded(1);
+            let (reply, rx) = Reply::channel();
             match inbox.send(NodeInput::Read {
                 queries: vec![query],
-                reply: tx,
+                reply,
             }) {
                 Ok(()) => pending.push(Ok(rx)),
                 Err(_) => pending.push(Err(ShardError::Unavailable)),
@@ -568,11 +574,11 @@ impl ShardedNode {
     pub fn read(&self, key: &[u8], query: Bytes) -> Result<(GroupId, Bytes), ShardError> {
         let group = self.route(key);
         let inbox = self.inbox(group).ok_or(ShardError::UnknownGroup(group))?;
-        let (tx, rx) = bounded(1);
+        let (reply, rx) = Reply::channel();
         inbox
             .send(NodeInput::Read {
                 queries: vec![query],
-                reply: tx,
+                reply,
             })
             .map_err(|_| ShardError::Unavailable)?;
         match rx.recv_timeout(REPLY_TIMEOUT) {
@@ -587,12 +593,15 @@ impl ShardedNode {
     ///
     /// # Errors
     ///
-    /// [`ShardError::UnknownGroup`] / [`ShardError::Unavailable`].
+    /// [`ShardError::UnknownGroup`]; [`ShardError::Unavailable`] when the
+    /// index does not apply in time, the group thread is gone, or this
+    /// server's engine steps down while the wait is parked — what then
+    /// applies at `index` may be another leader's command.
     pub fn await_applied(&self, group: GroupId, index: LogIndex) -> Result<Bytes, ShardError> {
         let inbox = self.inbox(group).ok_or(ShardError::UnknownGroup(group))?;
-        let (tx, rx) = bounded(1);
+        let (reply, rx) = Reply::channel();
         inbox
-            .send(NodeInput::AwaitApplied { index, reply: tx })
+            .send(NodeInput::AwaitApplied { index, reply })
             .map_err(|_| ShardError::Unavailable)?;
         rx.recv_timeout(APPLY_TIMEOUT)
             .map_err(|_| ShardError::Unavailable)

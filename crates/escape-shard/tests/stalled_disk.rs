@@ -26,7 +26,7 @@ use escape_core::types::{LogIndex, Role, ServerId, Term};
 use escape_shard::{ShardSpawnOptions, ShardedNode};
 use escape_storage::WalStorage;
 use escape_transport::tcp::StorageHook;
-use escape_transport::{NodeInput, NodeStatus};
+use escape_transport::{NodeInput, NodeStatus, Reply};
 
 use common::{Cluster, G};
 
@@ -238,12 +238,12 @@ fn stalled_follower_disk_delays_its_ack_and_starts_no_election() {
     std::thread::sleep(STALL);
     // Asked through the inbox, because the node's own `await_applied`
     // would sit out its five seconds: no answer at once means not applied.
-    let (tx, applied) = crossbeam::channel::bounded(1);
+    let (reply, applied) = Reply::channel();
     cluster
         .node(follower)
         .inbox(G)
         .expect("hosted group")
-        .send(NodeInput::AwaitApplied { index, reply: tx })
+        .send(NodeInput::AwaitApplied { index, reply })
         .expect("node thread alive");
     assert!(
         applied.recv_timeout(Duration::from_millis(1)).is_err(),

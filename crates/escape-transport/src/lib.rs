@@ -8,7 +8,8 @@
 //! a node runs in real time (a single consensus group is a shard map of
 //! one).
 //!
-//! * [`runtime`] — the per-group thread loop (inbox + timers → actions).
+//! * [`runtime`] — the per-group thread loop (inbox + timers → actions),
+//!   which also answers every request through its [`Reply`].
 //! * [`tcp`] — the group-multiplexed full mesh with `escape-wire`
 //!   framing: [`TcpMesh`] and [`GroupOutbound`] outbound,
 //!   [`Acceptor`](tcp::Acceptor) and [`GroupRoutes`] inbound, and
@@ -54,7 +55,7 @@ pub mod tcp;
 pub mod wal;
 
 pub use clock::RuntimeClock;
-pub use runtime::{NodeInput, NodeStatus, Outbound};
+pub use runtime::{NodeInput, NodeStatus, Outbound, ProposeReply, Reply};
 pub use service::{ClientRouter, ClientService, RouteVerdict};
 pub use spec::ProtocolSpec;
 pub use tcp::{loopback_listeners, GroupOutbound, GroupRoutes, StorageHook, TcpMesh};

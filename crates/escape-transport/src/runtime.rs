@@ -6,12 +6,17 @@
 //! [`Outbound`] implementation (the TCP mesh's
 //! [`GroupOutbound`](crate::tcp::GroupOutbound); tests substitute their
 //! own).
+//!
+//! The node thread is also the one that answers: every input that wants
+//! an outcome carries a [`Reply`], and the thread invokes it where the
+//! outcome becomes known — no other thread waits on the engine on a
+//! caller's behalf.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 
 use escape_core::engine::{Action, Node, ProposeError, TimerKind, TimerToken};
 use escape_core::message::Message;
@@ -66,17 +71,76 @@ pub struct NodeStatus {
     pub frames_dropped: u64,
 }
 
+/// The one answer an input is owed. The node thread invokes it, on its
+/// own thread, so the closure inside must not block and must carry
+/// whatever it needs to deliver the answer (a channel to send on, a
+/// request id and a connection's response queue, …).
+///
+/// Exactly one call is made: with `Some(outcome)` when the node answers,
+/// or with `None` when the reply is dropped unanswered — the node thread
+/// ended with the input parked or still queued, or its inbox refused the
+/// input. Nobody needs a timeout to learn that a group is gone.
+pub struct Reply<T>(Option<Box<dyn FnOnce(Option<T>) + Send>>);
+
+impl<T: Send + 'static> Reply<T> {
+    /// A reply that hands its one outcome to `deliver`.
+    pub fn new(deliver: impl FnOnce(Option<T>) + Send + 'static) -> Self {
+        Reply(Some(Box::new(deliver)))
+    }
+
+    /// A reply that sends the node's answer on a channel, for a caller
+    /// that waits on this process's own thread. An unanswered reply
+    /// disconnects the channel, so the receiver errs at once.
+    pub fn channel() -> (Self, Receiver<T>) {
+        let (tx, rx) = bounded(1);
+        let reply = Reply::new(move |outcome| {
+            if let Some(value) = outcome {
+                let _ = tx.send(value);
+            }
+        });
+        (reply, rx)
+    }
+}
+
+impl<T> Reply<T> {
+    /// Delivers the answer.
+    pub fn answer(mut self, value: T) {
+        if let Some(deliver) = self.0.take() {
+            deliver(Some(value));
+        }
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        if let Some(deliver) = self.0.take() {
+            deliver(None);
+        }
+    }
+}
+
+/// When a proposal is answered, and with what.
+pub enum ProposeReply {
+    /// At acceptance, with the assigned index; the caller follows up with
+    /// [`NodeInput::AwaitApplied`] if it wants the result.
+    Accepted(Reply<Result<LogIndex, ProposeError>>),
+    /// Once: with the index and the state machine's result when the
+    /// command applies, or with the refusal — also when this node loses
+    /// its leadership first, because the entry may then be overwritten and
+    /// what applies at its index is somebody else's command.
+    Applied(Reply<Result<(LogIndex, Bytes), ProposeError>>),
+}
+
 /// Everything a node thread can receive.
 pub enum NodeInput {
     /// A protocol message from a peer.
     Peer(ServerId, Message),
-    /// A client command; the reply carries the assigned index or the
-    /// refusal.
+    /// A client command.
     Propose {
         /// Encoded state-machine command.
         command: Bytes,
-        /// Where to send the outcome.
-        reply: Sender<Result<LogIndex, ProposeError>>,
+        /// Who gets the outcome, and when.
+        reply: ProposeReply,
     },
     /// A batch of linearizable read-only queries, answered off the log via
     /// the engine's ReadIndex/lease path; the reply carries one response
@@ -84,21 +148,22 @@ pub enum NodeInput {
     Read {
         /// Encoded state-machine queries.
         queries: Vec<Bytes>,
-        /// Where to send the outcome.
-        reply: Sender<Result<Vec<Bytes>, ProposeError>>,
+        /// Who gets the outcome.
+        reply: ReadReply,
     },
     /// Ask for a status snapshot.
     Query {
-        /// Where to send the snapshot.
-        reply: Sender<NodeStatus>,
+        /// Who gets the snapshot.
+        reply: Reply<NodeStatus>,
     },
-    /// Register interest in the application of `index`; the reply fires
-    /// with the state machine's response once applied.
+    /// Register interest in the application of `index`, whoever wrote
+    /// it; the reply fires with the state machine's response once
+    /// applied, and is dropped unanswered if this node steps down first.
     AwaitApplied {
         /// The awaited log index.
         index: LogIndex,
-        /// Where to send the apply result.
-        reply: Sender<Bytes>,
+        /// Who gets the apply result.
+        reply: Reply<Bytes>,
     },
     /// The group's WAL thread finished a flush: the ticket of the newest
     /// deferred barrier it covers (see
@@ -178,9 +243,7 @@ pub fn node_loop(
                 NodeInput::Read { queries, reply } => {
                     carry = thread.read(queries, reply, &inbox);
                 }
-                NodeInput::Query { reply } => {
-                    let _ = reply.send(thread.status());
-                }
+                NodeInput::Query { reply } => reply.answer(thread.status()),
                 NodeInput::AwaitApplied { index, reply } => thread.await_applied(index, reply),
             }
         }
@@ -197,11 +260,20 @@ pub const PROPOSE_BATCH_MAX: usize = 256;
 const RESULT_WINDOW: usize = 1024;
 
 /// Where a read batch's outcome goes.
-type ReadReply = Sender<Result<Vec<Bytes>, ProposeError>>;
+pub type ReadReply = Reply<Result<Vec<Bytes>, ProposeError>>;
 
-/// Pending linearizable read batches: engine batch id → the client reply
-/// channels, each with its share of the batch's queries (in order).
+/// Pending linearizable read batches: engine batch id → the callers'
+/// replies, each with its share of the batch's queries (in order).
 type ReadWaiters = HashMap<u64, Vec<(ReadReply, usize)>>;
+
+/// Who is waiting for a log index to apply.
+enum ApplyWaiter {
+    /// The proposal this node accepted at that index as leader: owed the
+    /// result of *its* command, so it is refused when leadership ends.
+    Proposed(Reply<Result<(LogIndex, Bytes), ProposeError>>),
+    /// Parked through [`NodeInput::AwaitApplied`].
+    Awaited(Reply<Bytes>),
+}
 
 /// What one node thread keeps between inputs: the engine, where its
 /// messages leave, and who is waiting on it.
@@ -210,9 +282,9 @@ struct NodeThread {
     outbound: Arc<dyn Outbound + Sync>,
     clock: RuntimeClock,
     timers: BTreeMap<TimerKind, (TimerToken, Time)>,
-    apply_waiters: HashMap<LogIndex, Vec<Sender<Bytes>>>,
-    /// Each client's reply channel remembers how many of the batch's
-    /// queries are its own.
+    apply_waiters: HashMap<LogIndex, Vec<ApplyWaiter>>,
+    /// Each caller's reply remembers how many of the batch's queries are
+    /// its own.
     read_waiters: ReadWaiters,
     /// Recent apply results, so a client that registers interest just after
     /// the apply still gets its response (bounded window).
@@ -291,7 +363,7 @@ impl NodeThread {
     fn propose(
         &mut self,
         command: Bytes,
-        reply: Sender<Result<LogIndex, ProposeError>>,
+        reply: ProposeReply,
         inbox: &Receiver<NodeInput>,
     ) -> Option<NodeInput> {
         let mut carry = None;
@@ -312,14 +384,26 @@ impl NodeThread {
         }
         match self.node.propose_batch(commands, self.clock.now()) {
             Ok((indexes, actions)) => {
+                // Register before absorbing: a single-server group applies
+                // the batch in these very actions.
                 for (reply, index) in replies.into_iter().zip(indexes) {
-                    let _ = reply.send(Ok(index));
+                    match reply {
+                        ProposeReply::Accepted(reply) => reply.answer(Ok(index)),
+                        ProposeReply::Applied(reply) => self
+                            .apply_waiters
+                            .entry(index)
+                            .or_default()
+                            .push(ApplyWaiter::Proposed(reply)),
+                    }
                 }
                 self.absorb(actions);
             }
             Err(e) => {
                 for reply in replies {
-                    let _ = reply.send(Err(e));
+                    match reply {
+                        ProposeReply::Accepted(reply) => reply.answer(Err(e)),
+                        ProposeReply::Applied(reply) => reply.answer(Err(e)),
+                    }
                 }
             }
         }
@@ -362,7 +446,7 @@ impl NodeThread {
             }
             Err(e) => {
                 for (reply, _) in splits {
-                    let _ = reply.send(Err(e));
+                    reply.answer(Err(e));
                 }
             }
         }
@@ -383,14 +467,16 @@ impl NodeThread {
         }
     }
 
-    fn await_applied(&mut self, index: LogIndex, reply: Sender<Bytes>) {
+    fn await_applied(&mut self, index: LogIndex, reply: Reply<Bytes>) {
         if self.node.last_applied() >= index {
             // Already applied: serve from the recent-results window
             // (empty payload if it aged out or was a no-op slot).
-            let result = self.recent_results.get(&index).cloned().unwrap_or_default();
-            let _ = reply.send(result);
+            reply.answer(self.recent_results.get(&index).cloned().unwrap_or_default());
         } else {
-            self.apply_waiters.entry(index).or_default().push(reply);
+            self.apply_waiters
+                .entry(index)
+                .or_default()
+                .push(ApplyWaiter::Awaited(reply));
         }
     }
 
@@ -402,9 +488,12 @@ impl NodeThread {
                     self.timers.insert(token.kind, (token, deadline));
                 }
                 Action::Applied { index, result } => {
-                    if let Some(waiters) = self.apply_waiters.remove(&index) {
-                        for w in waiters {
-                            let _ = w.send(result.clone());
+                    for waiter in self.apply_waiters.remove(&index).into_iter().flatten() {
+                        match waiter {
+                            ApplyWaiter::Proposed(reply) => {
+                                reply.answer(Ok((index, result.clone())));
+                            }
+                            ApplyWaiter::Awaited(reply) => reply.answer(result.clone()),
                         }
                     }
                     self.recent_results.insert(index, result);
@@ -419,21 +508,33 @@ impl NodeThread {
                     if let Some(splits) = self.read_waiters.remove(&batch) {
                         let mut results = results.into_iter();
                         for (reply, count) in splits {
-                            let chunk: Vec<Bytes> = results.by_ref().take(count).collect();
-                            let _ = reply.send(Ok(chunk));
+                            reply.answer(Ok(results.by_ref().take(count).collect()));
                         }
                     }
                 }
                 Action::ReadFailed { batch, error } => {
                     if let Some(splits) = self.read_waiters.remove(&batch) {
                         for (reply, _) in splits {
-                            let _ = reply.send(Err(error));
+                            reply.answer(Err(error));
+                        }
+                    }
+                }
+                Action::BecameFollower { .. } => {
+                    // What this node accepted as leader may now be
+                    // overwritten, and waiters are keyed by index alone:
+                    // answering them at apply would acknowledge a write
+                    // with another command's result. Proposals get the
+                    // refusal (the client retries: at-least-once);
+                    // `AwaitApplied` waiters are dropped unanswered.
+                    let hint = self.node.leader_hint();
+                    for waiter in self.apply_waiters.drain().flat_map(|(_, waiters)| waiters) {
+                        if let ApplyWaiter::Proposed(reply) = waiter {
+                            reply.answer(Err(ProposeError::NotLeader { hint }));
                         }
                     }
                 }
                 Action::BecameCandidate { .. }
                 | Action::BecameLeader { .. }
-                | Action::BecameFollower { .. }
                 | Action::Committed { .. } => {}
             }
         }
@@ -441,7 +542,7 @@ impl NodeThread {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// An outbound whose next send, once armed, holds the node thread for
@@ -501,7 +602,7 @@ mod tests {
             )
         };
         let elections_started = || {
-            let (reply, status) = crossbeam::channel::bounded(1);
+            let (reply, status) = Reply::channel();
             tx.send(NodeInput::Query { reply }).unwrap();
             status
                 .recv_timeout(Wall::from_secs(5))
@@ -527,6 +628,204 @@ mod tests {
         );
         tx.send(NodeInput::Shutdown).unwrap();
         thread.join().unwrap();
+    }
+
+    /// The state machine answers each command with the command itself, so
+    /// a result names the command it belongs to.
+    #[derive(Debug)]
+    struct Echo;
+
+    impl escape_core::statemachine::StateMachine for Echo {
+        fn apply(&mut self, _index: LogIndex, command: &Bytes) -> Bytes {
+            command.clone()
+        }
+    }
+
+    /// Hands every message the node sends to the test.
+    struct RecordingOutbound(crossbeam::channel::Sender<(ServerId, Message)>);
+
+    impl Outbound for RecordingOutbound {
+        fn send(&self, to: ServerId, msg: Message) {
+            let _ = self.0.send((to, msg));
+        }
+    }
+
+    /// Server 1 of three on a node thread, scripted into leading its first
+    /// term: it campaigns after 30 ms and the test grants server 2's vote.
+    /// Nothing it replicates is ever acknowledged.
+    pub(crate) struct ScriptedLeader {
+        pub(crate) inbox: crossbeam::channel::Sender<NodeInput>,
+        /// The term it won.
+        pub(crate) term: Term,
+        /// Every message it sends.
+        sent: Receiver<(ServerId, Message)>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl ScriptedLeader {
+        pub(crate) fn start() -> Self {
+            use escape_core::message::RequestVoteReply;
+            use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
+            use escape_core::time::Duration;
+
+            let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+            let node = Node::builder(ids[0], ids.clone())
+                .policy(Box::new(RaftPolicy::with_source(Box::new(
+                    ScriptedTimeouts::new(vec![Duration::from_millis(30)]),
+                ))))
+                .state_machine(Box::new(Echo))
+                .build();
+            let (sent_tx, sent) = crossbeam::channel::unbounded();
+            let outbound = Arc::new(RecordingOutbound(sent_tx));
+            let (inbox, rx) = crossbeam::channel::unbounded();
+            let thread =
+                std::thread::spawn(move || node_loop(node, rx, outbound, RuntimeClock::start()));
+            let mut leader = ScriptedLeader {
+                inbox,
+                term: Term::ZERO,
+                sent,
+                thread,
+            };
+            leader.term = leader.wait_for(|msg| match msg {
+                Message::RequestVote(args) => Some(args.term),
+                _ => None,
+            });
+            let granted = Message::RequestVoteReply(RequestVoteReply {
+                term: leader.term,
+                vote_granted: true,
+            });
+            leader.inbox.send(NodeInput::Peer(ids[1], granted)).unwrap();
+            // The new leader's no-op going out is the sign it leads.
+            leader.wait_for(|msg| match msg {
+                Message::AppendEntries(args) if !args.entries.is_empty() => Some(()),
+                _ => None,
+            });
+            leader
+        }
+
+        /// The first message it sends that `pick` accepts.
+        fn wait_for<T>(&self, pick: impl Fn(&Message) -> Option<T>) -> T {
+            loop {
+                let (_, msg) = self
+                    .sent
+                    .recv_timeout(std::time::Duration::from_secs(5))
+                    .expect("the node sends what the test waits for");
+                if let Some(found) = pick(&msg) {
+                    return found;
+                }
+            }
+        }
+
+        /// Waits until it sends `command` to a peer — accepted, in its
+        /// log, acknowledged by nobody — and returns the command's index.
+        pub(crate) fn replicates(&self, command: &'static [u8]) -> LogIndex {
+            use escape_core::log::Payload;
+            self.wait_for(|msg| match msg {
+                Message::AppendEntries(args) => args
+                    .entries
+                    .iter()
+                    .find(|e| e.payload == Payload::Command(Bytes::from_static(command)))
+                    .map(|e| e.index),
+                _ => None,
+            })
+        }
+
+        /// Stops the node thread and waits for it.
+        pub(crate) fn stop(self) {
+            self.inbox.send(NodeInput::Shutdown).unwrap();
+            self.thread.join().unwrap();
+        }
+    }
+
+    /// A leader accepts command A at index i, is deposed before anyone has
+    /// it, and the new leader's entry B lands at i and commits. The write's
+    /// one answer must be the refusal: `Written { index: i }` carrying B's
+    /// result would acknowledge a write that does not exist.
+    #[test]
+    fn a_deposed_leader_does_not_acknowledge_a_write_it_lost() {
+        use escape_core::log::{Entry, Payload};
+        use escape_core::message::AppendEntriesArgs;
+        use std::time::Duration as Wall;
+
+        let leader = ScriptedLeader::start();
+        let (tx, term) = (leader.inbox.clone(), leader.term);
+        let (answer_tx, answers) = crossbeam::channel::unbounded();
+        tx.send(NodeInput::Propose {
+            command: Bytes::from_static(b"A"),
+            reply: ProposeReply::Applied(Reply::new(move |outcome| {
+                let _ = answer_tx.send(outcome);
+            })),
+        })
+        .unwrap();
+        let lost = leader.replicates(b"A");
+        let (parked_reply, parked) = Reply::channel();
+        tx.send(NodeInput::AwaitApplied {
+            index: lost,
+            reply: parked_reply,
+        })
+        .unwrap();
+
+        // Server 3 leads the next term: it has the deposed leader's no-op
+        // and puts its own command where A was.
+        let next = Term::new(term.get() + 1);
+        tx.send(NodeInput::Peer(
+            ServerId::new(3),
+            Message::AppendEntries(AppendEntriesArgs {
+                term: next,
+                leader_id: ServerId::new(3),
+                prev_log_index: LogIndex::new(lost.get() - 1),
+                prev_log_term: term,
+                entries: vec![Entry {
+                    term: next,
+                    index: lost,
+                    payload: Payload::Command(Bytes::from_static(b"B")),
+                }],
+                leader_commit: lost,
+                new_config: None,
+                seq: 1,
+            }),
+        ))
+        .unwrap();
+
+        assert_eq!(
+            answers.recv_timeout(Wall::from_secs(5)).unwrap(),
+            Some(Err(ProposeError::NotLeader {
+                hint: Some(ServerId::new(3))
+            })),
+            "the write is refused, not acknowledged with B's result"
+        );
+        assert!(
+            parked.recv_timeout(Wall::from_secs(5)).is_err(),
+            "a waiter parked on the index before the step-down is dropped"
+        );
+        // B did apply at the index — what a waiter keyed by index alone
+        // would have been handed.
+        let (reply, applied) = Reply::channel();
+        tx.send(NodeInput::AwaitApplied { index: lost, reply })
+            .unwrap();
+        assert_eq!(
+            applied.recv_timeout(Wall::from_secs(5)).unwrap(),
+            Bytes::from_static(b"B")
+        );
+        assert!(answers.try_recv().is_err(), "one answer only");
+        leader.stop();
+    }
+
+    /// A reply is invoked exactly once: with the answer, or with `None`
+    /// when it is dropped unanswered.
+    #[test]
+    fn a_reply_dropped_unanswered_says_so() {
+        let (tx, outcomes) = crossbeam::channel::unbounded();
+        let deliver = |tx: crossbeam::channel::Sender<Option<u8>>| {
+            Reply::new(move |outcome| tx.send(outcome).unwrap())
+        };
+        deliver(tx.clone()).answer(7);
+        drop(deliver(tx));
+        assert_eq!(outcomes.try_iter().collect::<Vec<_>>(), [Some(7), None]);
+
+        let (reply, rx) = Reply::<u8>::channel();
+        drop(reply);
+        assert!(rx.recv().is_err(), "the waiting caller errs at once");
     }
 
     #[test]

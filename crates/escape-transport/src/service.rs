@@ -2,50 +2,44 @@
 //! the peer listener into consensus operations and streams
 //! [`ClientResponse`]s back, pipelined and out of order.
 //!
-//! Connection anatomy (all threads per connection, all exit when it drops):
+//! Connection anatomy (two threads per connection, both exit when it
+//! drops):
 //!
 //! * The acceptor's reader thread — after it sees the
 //!   [`CLIENT_HELLO`](escape_wire::CLIENT_HELLO) frame — becomes the
 //!   connection's **dispatcher**: it decodes requests, routes each through
 //!   the node's [`ClientRouter`], and either answers immediately
-//!   (`FetchMap`, redirects) or submits the operation to its group and
-//!   parks the pending reply with that group's completer.
-//! * One **completer** thread per group touched by the connection waits on
-//!   engine replies and emits the response. Completers are per group so a
-//!   wedged or leaderless shard only stalls *its own* pending replies —
-//!   operations on other shards keep completing.
-//! * One **writer** thread owns the socket's send side and serializes
-//!   responses from every completer; nothing ever blocks on the socket
-//!   while holding shared state.
+//!   (`FetchMap`, redirects) or submits the operation to its group's inbox
+//!   with a [`Reply`] built around the request id and the connection's
+//!   response queue. It never waits for an outcome, so a wedged or
+//!   leaderless shard delays only its own requests.
+//! * The **group thread** answers: it invokes the reply where the outcome
+//!   is known — a read when its batch is ready, a write when its command
+//!   applies (or is refused) — which queues the [`ClientResponse`]. A
+//!   reply the group drops unanswered (its thread ended, its inbox is
+//!   closed) queues [`ResponseBody::Unavailable`], so every admitted
+//!   request gets exactly one response and no thread keeps a timeout.
+//! * One **writer** thread owns the socket's send side and drains that
+//!   queue; the group thread never touches a socket.
 //!
 //! Responses carry the request's `id`; ordering across groups (and even
 //! within one group between reads and writes) is deliberately unspecified.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 
 use escape_core::engine::ProposeError;
-use escape_core::types::{GroupId, LogIndex};
+use escape_core::types::GroupId;
 use escape_wire::{
     write_frame, ClientRequest, ClientResponse, Encode, FrameReader, RequestBody, ResponseBody,
     WireShardMap,
 };
 
-use crate::runtime::NodeInput;
-
-/// How long a completer waits for the engine's accept/read reply before
-/// answering [`ResponseBody::Unavailable`].
-const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
-/// How long a completer waits for an accepted write to apply. Longer than
-/// [`REPLY_TIMEOUT`]: acceptance was fast, but the commit needs a quorum
-/// round trip (possibly across a failover).
-const APPLY_TIMEOUT: Duration = Duration::from_secs(5);
+use crate::runtime::{NodeInput, ProposeReply, Reply};
 
 /// Where a client operation on `(group, key)` should go, as judged by the
 /// serving node's routing state.
@@ -85,21 +79,6 @@ pub struct ClientService {
     router: Arc<dyn ClientRouter>,
 }
 
-/// A submitted operation waiting for its engine reply, parked with the
-/// group's completer thread.
-enum PendingOp {
-    Write {
-        id: u64,
-        /// The group inbox, for the follow-up `AwaitApplied`.
-        inbox: Sender<NodeInput>,
-        accept: Receiver<Result<LogIndex, ProposeError>>,
-    },
-    Read {
-        id: u64,
-        accept: Receiver<Result<Vec<Bytes>, ProposeError>>,
-    },
-}
-
 impl ClientService {
     /// A service answering through `router`.
     pub fn new(router: Arc<dyn ClientRouter>) -> Self {
@@ -117,7 +96,7 @@ impl ClientService {
         let (resp_tx, resp_rx) = unbounded::<ClientResponse>();
         let writer = std::thread::spawn(move || {
             // Sole owner of the send side: blocking writes are fine here
-            // and serialize responses from every completer.
+            // and serialize responses from every group thread.
             for response in resp_rx.iter() {
                 let mut frame = BytesMut::new();
                 write_frame(&mut frame, &response.to_bytes());
@@ -127,13 +106,11 @@ impl ClientService {
             }
         });
 
-        let mut completers: HashMap<GroupId, Sender<PendingOp>> = HashMap::new();
-        self.dispatch_loop(stream, &mut reader, &mut completers, &resp_tx);
+        self.dispatch_loop(stream, &mut reader, &resp_tx);
 
-        // Dropping the completer senders and the response sender unwinds
-        // the helper threads; join the writer so buffered responses for
-        // already-completed operations still reach the wire.
-        drop(completers);
+        // The writer ends once every sender is gone — this one and the
+        // one inside each reply still out with a group; joining it lets
+        // the responses already queued reach the wire.
         drop(resp_tx);
         let _ = writer.join();
     }
@@ -143,7 +120,6 @@ impl ClientService {
         &self,
         mut stream: TcpStream,
         reader: &mut FrameReader,
-        completers: &mut HashMap<GroupId, Sender<PendingOp>>,
         resp_tx: &Sender<ClientResponse>,
     ) {
         use std::io::Read;
@@ -159,7 +135,7 @@ impl ClientService {
                         else {
                             return; // corrupt stream: drop the connection
                         };
-                        if !self.handle(request, completers, resp_tx) {
+                        if !self.handle(request, resp_tx) {
                             return;
                         }
                     }
@@ -178,12 +154,7 @@ impl ClientService {
 
     /// Routes one request. Returns `false` when the connection should
     /// close (response channel gone = writer dead).
-    fn handle(
-        &self,
-        request: ClientRequest,
-        completers: &mut HashMap<GroupId, Sender<PendingOp>>,
-        resp_tx: &Sender<ClientResponse>,
-    ) -> bool {
+    fn handle(&self, request: ClientRequest, resp_tx: &Sender<ClientResponse>) -> bool {
         let ClientRequest { id, body } = request;
         let immediate = match body {
             RequestBody::FetchMap => Some(ResponseBody::Map(self.router.map_snapshot())),
@@ -191,134 +162,246 @@ impl ClientService {
                 group,
                 key,
                 command,
-            } => match self.router.route(group, &key) {
-                RouteVerdict::Local(inbox) => {
-                    let (tx, rx) = bounded(1);
-                    if inbox
-                        .send(NodeInput::Propose { command, reply: tx })
-                        .is_err()
-                    {
-                        Some(ResponseBody::Unavailable)
-                    } else {
-                        let op = PendingOp::Write {
-                            id,
-                            inbox,
-                            accept: rx,
-                        };
-                        if completer_for(completers, group, resp_tx).send(op).is_err() {
-                            Some(ResponseBody::Unavailable)
-                        } else {
-                            None
+            } => self.submit(group, &key, || NodeInput::Propose {
+                command,
+                reply: ProposeReply::Applied(respond(id, resp_tx, |(index, result)| {
+                    ResponseBody::Written { index, result }
+                })),
+            }),
+            RequestBody::Read { group, key, query } => {
+                self.submit(group, &key, || NodeInput::Read {
+                    queries: vec![query],
+                    reply: respond(id, resp_tx, |values: Vec<Bytes>| {
+                        match values.into_iter().next() {
+                            Some(value) => ResponseBody::Value(value),
+                            None => ResponseBody::Unavailable,
                         }
-                    }
-                }
-                RouteVerdict::Redirect {
-                    asked,
-                    owner,
-                    map_version,
-                } => Some(ResponseBody::Redirect {
-                    asked,
-                    owner,
-                    map_version,
-                }),
-                RouteVerdict::Unknown => Some(ResponseBody::Unavailable),
-            },
-            RequestBody::Read { group, key, query } => match self.router.route(group, &key) {
-                RouteVerdict::Local(inbox) => {
-                    let (tx, rx) = bounded(1);
-                    if inbox
-                        .send(NodeInput::Read {
-                            queries: vec![query],
-                            reply: tx,
-                        })
-                        .is_err()
-                    {
-                        Some(ResponseBody::Unavailable)
-                    } else {
-                        let op = PendingOp::Read { id, accept: rx };
-                        if completer_for(completers, group, resp_tx).send(op).is_err() {
-                            Some(ResponseBody::Unavailable)
-                        } else {
-                            None
-                        }
-                    }
-                }
-                RouteVerdict::Redirect {
-                    asked,
-                    owner,
-                    map_version,
-                } => Some(ResponseBody::Redirect {
-                    asked,
-                    owner,
-                    map_version,
-                }),
-                RouteVerdict::Unknown => Some(ResponseBody::Unavailable),
-            },
+                    }),
+                })
+            }
         };
         match immediate {
             Some(body) => resp_tx.send(ClientResponse { id, body }).is_ok(),
             None => true,
         }
     }
-}
 
-/// The completer channel for `group`, spawning its thread on first use.
-fn completer_for<'a>(
-    completers: &'a mut HashMap<GroupId, Sender<PendingOp>>,
-    group: GroupId,
-    resp_tx: &Sender<ClientResponse>,
-) -> &'a Sender<PendingOp> {
-    completers.entry(group).or_insert_with(|| {
-        let (ops_tx, ops_rx) = unbounded::<PendingOp>();
-        let resp = resp_tx.clone();
-        std::thread::spawn(move || complete_loop(ops_rx, resp));
-        ops_tx
-    })
-}
-
-/// One group's completer: resolves parked operations in submission order
-/// (within the group — exactly the order the engine will answer them).
-fn complete_loop(ops: Receiver<PendingOp>, resp: Sender<ClientResponse>) {
-    for op in ops.iter() {
-        let (id, body) = match op {
-            PendingOp::Write { id, inbox, accept } => {
-                let body = match accept.recv_timeout(REPLY_TIMEOUT) {
-                    Ok(Ok(index)) => await_applied(&inbox, index),
-                    Ok(Err(ProposeError::NotLeader { hint })) => ResponseBody::NotLeader { hint },
-                    Err(_) => ResponseBody::Unavailable,
-                };
-                (id, body)
+    /// Routes an operation on `(group, key)`: hosted here, `input` is built
+    /// and handed to the group, whose thread answers it; otherwise the
+    /// answer comes back to be sent at once. The input is built only for
+    /// a local group because the reply inside it answers when dropped.
+    fn submit(
+        &self,
+        group: GroupId,
+        key: &[u8],
+        input: impl FnOnce() -> NodeInput,
+    ) -> Option<ResponseBody> {
+        match self.router.route(group, key) {
+            RouteVerdict::Local(inbox) => {
+                // A refused send hands the input back, and dropping it
+                // answers `Unavailable`.
+                let _ = inbox.send(input());
+                None
             }
-            PendingOp::Read { id, accept } => {
-                let body = match accept.recv_timeout(REPLY_TIMEOUT) {
-                    Ok(Ok(values)) => match values.into_iter().next() {
-                        Some(value) => ResponseBody::Value(value),
-                        None => ResponseBody::Unavailable,
-                    },
-                    Ok(Err(ProposeError::NotLeader { hint })) => ResponseBody::NotLeader { hint },
-                    Err(_) => ResponseBody::Unavailable,
-                };
-                (id, body)
-            }
-        };
-        if resp.send(ClientResponse { id, body }).is_err() {
-            return; // connection gone; drain is pointless
+            RouteVerdict::Redirect {
+                asked,
+                owner,
+                map_version,
+            } => Some(ResponseBody::Redirect {
+                asked,
+                owner,
+                map_version,
+            }),
+            RouteVerdict::Unknown => Some(ResponseBody::Unavailable),
         }
     }
 }
 
-/// Second half of a write: the command was accepted at `index`; wait for
-/// it to apply so the response carries the state machine's result.
-fn await_applied(inbox: &Sender<NodeInput>, index: LogIndex) -> ResponseBody {
-    let (tx, rx) = bounded(1);
-    if inbox
-        .send(NodeInput::AwaitApplied { index, reply: tx })
-        .is_err()
-    {
-        return ResponseBody::Unavailable;
+/// The reply for request `id`: queues its one [`ClientResponse`] for the
+/// connection's writer, from whichever thread ends up holding it — `ok`
+/// shapes the group's answer, a refusal becomes `NotLeader`, and a reply
+/// dropped unanswered becomes `Unavailable`.
+fn respond<T: Send + 'static>(
+    id: u64,
+    resp_tx: &Sender<ClientResponse>,
+    ok: impl FnOnce(T) -> ResponseBody + Send + 'static,
+) -> Reply<Result<T, ProposeError>> {
+    let resp_tx = resp_tx.clone();
+    Reply::new(move |outcome| {
+        let body = match outcome {
+            Some(Ok(value)) => ok(value),
+            Some(Err(ProposeError::NotLeader { hint })) => ResponseBody::NotLeader { hint },
+            None => ResponseBody::Unavailable,
+        };
+        // A closed queue means the connection is gone, and nobody is left
+        // to read the answer.
+        let _ = resp_tx.send(ClientResponse { id, body });
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    use escape_wire::Decode;
+
+    use crate::runtime::tests::ScriptedLeader;
+
+    /// Routes by group id alone, to whatever inbox the test put there.
+    #[derive(Debug)]
+    struct FakeRouter(HashMap<GroupId, Sender<NodeInput>>);
+
+    impl ClientRouter for FakeRouter {
+        fn route(&self, group: GroupId, _key: &[u8]) -> RouteVerdict {
+            match self.0.get(&group) {
+                Some(inbox) => RouteVerdict::Local(inbox.clone()),
+                None => RouteVerdict::Unknown,
+            }
+        }
+
+        fn map_snapshot(&self) -> WireShardMap {
+            WireShardMap {
+                version: 0,
+                ranges: Vec::new(),
+            }
+        }
     }
-    match rx.recv_timeout(APPLY_TIMEOUT) {
-        Ok(result) => ResponseBody::Written { index, result },
-        Err(_) => ResponseBody::Unavailable,
+
+    /// The client end of a loopback connection a [`ClientService`] over
+    /// `groups` is serving (on a thread that ends with the connection).
+    struct TestClient {
+        stream: TcpStream,
+        reader: FrameReader,
+    }
+
+    impl TestClient {
+        fn connect(groups: HashMap<GroupId, Sender<NodeInput>>) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (served, _) = listener.accept().unwrap();
+            let service = ClientService::new(Arc::new(FakeRouter(groups)));
+            std::thread::spawn(move || service.serve(served, FrameReader::new()));
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            TestClient {
+                stream,
+                reader: FrameReader::new(),
+            }
+        }
+
+        fn send(&mut self, id: u64, body: RequestBody) {
+            let mut frame = BytesMut::new();
+            write_frame(&mut frame, &ClientRequest { id, body }.to_bytes());
+            self.stream.write_all(&frame).unwrap();
+        }
+
+        /// The next response, or `None` if none arrives within `wait`.
+        fn response_within(&mut self, wait: Duration) -> Option<ClientResponse> {
+            self.stream.set_read_timeout(Some(wait)).unwrap();
+            let mut chunk = [0u8; 4096];
+            loop {
+                if let Some(mut frame) = self.reader.next_frame().unwrap() {
+                    return Some(ClientResponse::decode(&mut frame).unwrap());
+                }
+                match self.stream.read(&mut chunk) {
+                    Ok(n) if n > 0 => self.reader.extend(&chunk[..n]),
+                    _ => return None,
+                }
+            }
+        }
+    }
+
+    fn write_to(group: u32, command: &'static [u8]) -> RequestBody {
+        RequestBody::Write {
+            group: GroupId::new(group),
+            key: Bytes::from_static(b"k"),
+            command: Bytes::from_static(command),
+        }
+    }
+
+    /// A write the leader accepted and nobody acknowledged is parked with
+    /// the group thread. When that thread stops, the client hears
+    /// `Unavailable` at once — not after a timeout somebody keeps — and so
+    /// does the next request, which the closed inbox refuses.
+    #[test]
+    fn a_write_parked_on_a_group_that_stops_is_answered_unavailable() {
+        let leader = ScriptedLeader::start();
+        let mut client =
+            TestClient::connect(HashMap::from([(GroupId::ZERO, leader.inbox.clone())]));
+        client.send(1, write_to(0, b"A"));
+        leader.replicates(b"A");
+        assert_eq!(client.response_within(Duration::from_millis(50)), None);
+
+        let stopped = Instant::now();
+        leader.stop();
+        let unavailable = |id| {
+            Some(ClientResponse {
+                id,
+                body: ResponseBody::Unavailable,
+            })
+        };
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            unavailable(1)
+        );
+        assert!(stopped.elapsed() < Duration::from_millis(100));
+
+        client.send(2, write_to(0, b"C"));
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            unavailable(2)
+        );
+    }
+
+    /// One connection, two groups: a write to a group whose inbox nobody
+    /// drains must not hold up a read to the other group: the dispatcher
+    /// waits for no outcome. The stuck write is answered when its group
+    /// goes away.
+    #[test]
+    fn a_stuck_group_does_not_delay_another_groups_read() {
+        let (stuck, never_drained) = unbounded();
+        let (healthy, reads) = unbounded();
+        std::thread::spawn(move || {
+            for input in reads.iter() {
+                if let NodeInput::Read { queries, reply } = input {
+                    reply.answer(Ok(queries));
+                }
+            }
+        });
+        let mut client = TestClient::connect(HashMap::from([
+            (GroupId::new(1), stuck),
+            (GroupId::new(2), healthy),
+        ]));
+        client.send(1, write_to(1, b"A"));
+        client.send(
+            2,
+            RequestBody::Read {
+                group: GroupId::new(2),
+                key: Bytes::from_static(b"k"),
+                query: Bytes::from_static(b"q"),
+            },
+        );
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            Some(ClientResponse {
+                id: 2,
+                body: ResponseBody::Value(Bytes::from_static(b"q")),
+            })
+        );
+        assert_eq!(client.response_within(Duration::from_millis(50)), None);
+
+        drop(never_drained);
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            Some(ClientResponse {
+                id: 1,
+                body: ResponseBody::Unavailable,
+            })
+        );
     }
 }
