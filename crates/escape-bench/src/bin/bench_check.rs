@@ -43,13 +43,6 @@
 //!   with an explicit no-op observer attached vs the builder default.
 //!   Limit 1.02 — the observer hooks threaded through the hot path must
 //!   cost under 2% when disabled; baseline drift 1.05.
-//! * **client** — `client/get_p99` vs `client/get_p50` from the
-//!   `loadgen` zipfian read/write sweep's top rate: end-to-end tail
-//!   amplification through the shard-aware client. Limit 50× — the p99
-//!   must stay within 50× of the median (a retry storm, head-of-line
-//!   blocking in the pipelined connection, or a stalled shard
-//!   all blow this up by orders of magnitude); baseline drift 8×
-//!   (percentile ratios are noisier than criterion medians).
 //!
 //! Absolute medians are compared against the baseline too, but only
 //! warn: wall-clock medians vary across CI machines, so absolute 2×
@@ -104,13 +97,6 @@ const SUITES: &[Suite] = &[
         ratio_denominator: "obs_overhead/baseline/b256",
         ratio_limit: 1.02,
         baseline_factor: 1.05,
-    },
-    Suite {
-        name: "client",
-        ratio_numerator: "client/get_p99",
-        ratio_denominator: "client/get_p50",
-        ratio_limit: 50.0,
-        baseline_factor: 8.0,
     },
 ];
 

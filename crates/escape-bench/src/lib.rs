@@ -1,11 +1,12 @@
 //! # escape-bench
 //!
-//! The benchmark harness: one binary per paper figure
-//! (`fig3`, `fig4`, `fig9`, `fig10`, `fig11`, plus `summary` for the
-//! headline percentages), each printing the same rows/series the paper
-//! reports, as CSV plus a human-readable table. Criterion benches
-//! (`benches/`) cover engine micro-performance and scaled-down figure
-//! runs so `cargo bench` exercises the full pipeline.
+//! The paper's figures and the micro-bench regression gate. The
+//! `figures <name>` binary regenerates one figure of the evaluation
+//! ([`figures::FIGURES`]: `fig3`, `fig4`, `fig9`, `fig10`, `fig11`,
+//! `ablations`, and `summary` for the headline percentages), printing
+//! the rows/series the paper reports as a human-readable table plus CSV.
+//! Criterion benches (`benches/`) time the engine's hot paths, and the
+//! `bench_check` binary gates their scaling ratios in CI.
 //!
 //! Shared here: a tiny argument parser (`--runs`, `--seed`, `--csv`) and
 //! text/CSV table writers.
@@ -18,7 +19,9 @@ use std::io::Write as _;
 
 use escape_core::time::Duration;
 
-/// Common knobs for every figure binary.
+pub mod figures;
+
+/// Common knobs for every figure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Trials per sweep point. The paper uses 1000; the default is chosen
@@ -31,40 +34,36 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `--runs N`, `--seed N`, `--csv PATH` from `std::env::args`,
-    /// falling back to `default_runs` and the `ESCAPE_BENCH_RUNS`
-    /// environment variable.
+    /// Parses `--runs N`, `--seed N`, `--csv PATH` from `args`, falling
+    /// back to `default_runs` and seed 42.
     ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed arguments.
-    pub fn parse(default_runs: usize) -> Self {
-        let mut args = BenchArgs {
-            runs: std::env::var("ESCAPE_BENCH_RUNS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default_runs),
+    pub fn parse(default_runs: usize, args: impl IntoIterator<Item = String>) -> Self {
+        let mut parsed = BenchArgs {
+            runs: default_runs,
             seed: 42,
             csv: None,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let mut value = |name: &str| {
                 it.next()
                     .unwrap_or_else(|| panic!("{name} requires a value"))
             };
             match flag.as_str() {
-                "--runs" => args.runs = value("--runs").parse().expect("--runs: integer"),
-                "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-                "--csv" => args.csv = Some(value("--csv").into()),
+                "--runs" => parsed.runs = value("--runs").parse().expect("--runs: integer"),
+                "--seed" => parsed.seed = value("--seed").parse().expect("--seed: integer"),
+                "--csv" => parsed.csv = Some(value("--csv").into()),
                 "--help" | "-h" => {
-                    eprintln!("usage: [--runs N] [--seed N] [--csv PATH]");
+                    eprintln!("usage: figures <name> [--runs N] [--seed N] [--csv PATH]");
                     std::process::exit(0);
                 }
                 other => panic!("unknown flag {other:?} (try --help)"),
             }
         }
-        args
+        parsed
     }
 }
 

@@ -8,10 +8,10 @@
 //! retry storm.
 //!
 //! On top sits an open-loop, YCSB-style [`workload`] driver used by the
-//! `loadgen` binary in `escape-bench` and by the failover tests: zipfian
-//! hot keys, read/write mixes, target-ops/s sweeps, and latency measured
-//! from each operation's *intended* start time so cluster stalls surface
-//! in the tail percentiles rather than being coordinated away.
+//! failover tests: zipfian hot keys, read/write mixes, target-ops/s
+//! sweeps, and latency measured from each operation's *intended* start
+//! time so cluster stalls surface in the tail percentiles rather than
+//! being coordinated away.
 //!
 //! ## Protocol
 //!

@@ -8,8 +8,9 @@
 //! | [`phases`] | Fig. 10 | forced competing-candidate phases 0–3 at five scales |
 //! | [`loss`] | Fig. 11 | message-loss rate 0–40 %, Raft vs Z-Raft vs ESCAPE |
 //!
-//! Each sweep returns plain result structs; the `escape-bench` binaries
-//! format them as the paper's rows/series (CSV + summary tables).
+//! Each sweep returns plain result structs; `escape-bench`'s
+//! `figures <name>` formats them as the paper's rows/series (CSV +
+//! summary tables).
 
 pub mod loss;
 pub mod phases;

@@ -101,13 +101,12 @@ impl WalStorage {
         }
         let state = rebuild(snapshot, records)?;
 
-        // Continue the last segment when the wal module deems it
-        // appendable (current version, under the rotation cap) —
+        // Continue the last segment while it is under the rotation cap —
         // recovery just truncated any torn tail, so it ends on a record
         // boundary and appending is safe. (Restarts used to always open
         // a fresh segment, growing the directory by one file per restart
-        // until the next snapshot.) A v1 or over-cap last segment gets a
-        // fresh one instead.
+        // until the next snapshot.) An over-cap last segment gets a fresh
+        // one instead.
         let wal = match wal::list_segments(&dir)?.last() {
             Some((seq, _)) => match Wal::open_append(&dir, *seq, options)? {
                 Some(wal) => wal,
@@ -472,45 +471,40 @@ mod tests {
         assert_eq!(state.voted_for, Some(ServerId::new(2)));
     }
 
-    /// Legacy v1 segments replay fine but are never appended to — the
-    /// reopen starts a fresh v2 segment after them.
-    #[test]
-    fn v1_segment_is_readable_but_not_continued() {
-        let dir = scratch_dir("store-v1-compat");
-        fs::create_dir_all(&dir).unwrap();
-        let mut content = Vec::from(wal::SEGMENT_MAGIC_V1.as_slice());
-        let mut buf = bytes::BytesMut::new();
-        escape_wire::record::write_record(
-            &mut buf,
-            &crate::record::WalRecord::HardState {
-                term: Term::new(7),
-                voted_for: Some(ServerId::new(3)),
-            }
-            .to_bytes(),
-        );
-        content.extend_from_slice(&buf);
-        fs::write(dir.join(format!("wal-{:016}.log", 1)), content).unwrap();
+    /// A segment written in another WAL format version is data this
+    /// build cannot read, not crash debris: the open must refuse it and
+    /// leave the file as it was, not delete it and come up empty.
+    fn assert_foreign_segment_is_refused_and_kept(magic: &[u8; 8], label: &str) {
+        let dir = scratch_dir(label);
+        // One record in the `ESCWAL01` framing: CRC over the payload only.
+        let payload = WalRecord::HardState {
+            term: Term::new(7),
+            voted_for: Some(ServerId::new(3)),
+        }
+        .to_bytes();
+        let mut content = magic.to_vec();
+        content.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        content.extend_from_slice(&escape_wire::crc32(&payload).to_le_bytes());
+        content.extend_from_slice(&payload);
+        let path = dir.join(format!("wal-{:016}.log", 1));
+        fs::write(&path, &content).unwrap();
 
-        let (mut storage, state) = WalStorage::open(&dir).unwrap();
-        assert_eq!(state.term, Term::new(7), "v1 records must replay");
-        assert_eq!(state.voted_for, Some(ServerId::new(3)));
-        assert_eq!(
-            wal::list_segments(&dir).unwrap().len(),
-            2,
-            "a fresh v2 segment follows the v1 one"
-        );
-        storage
-            .persist_hard_state(Term::new(8), Some(ServerId::new(3)))
-            .unwrap();
-        storage.sync().unwrap();
-        drop(storage);
-        let (_, state) = WalStorage::open(&dir).unwrap();
-        assert_eq!(state.term, Term::new(8), "v1 + v2 replay in sequence");
-        assert_eq!(
-            wal::list_segments(&dir).unwrap().len(),
-            2,
-            "the v2 tail segment is continued, not duplicated"
-        );
+        let err = WalStorage::open(&dir).expect_err("a foreign segment must refuse to open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let magic = String::from_utf8_lossy(magic);
+        assert!(err.to_string().contains(&*magic), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), content, "the segment must be kept");
+        assert_eq!(wal::list_segments(&dir).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn escwal01_segment_is_refused_and_kept() {
+        assert_foreign_segment_is_refused_and_kept(b"ESCWAL01", "store-escwal01");
+    }
+
+    #[test]
+    fn newer_segment_version_is_refused_and_kept() {
+        assert_foreign_segment_is_refused_and_kept(b"ESCWAL09", "store-escwal09");
     }
 
     /// The group-commit crash window: a node killed **between** the

@@ -8,11 +8,11 @@
 //! ```
 //!
 //! Each record is `[u32 LE len][u32 LE CRC-32][payload]`
-//! ([`escape_wire::record`]); payloads are [`WalRecord`] encodings. In
-//! the current `ESCWAL02` segments the CRC covers the length header as
-//! well as the payload (a header bit flip fails the checksum directly);
-//! older `ESCWAL01` segments — CRC over the payload only — remain fully
-//! readable, they just aren't appended to.
+//! ([`escape_wire::record`]), the CRC covering the length header as well
+//! as the payload; payloads are [`WalRecord`] encodings. A segment whose
+//! header names another format version (`ESCWAL` plus anything but `02`)
+//! is refused with [`io::ErrorKind::InvalidData`] and left on disk: it
+//! is data this build cannot read, not crash debris.
 //!
 //! Readers replay segments in sequence order and treat the first framing
 //! or checksum violation as the end of usable log (a torn tail write from
@@ -42,19 +42,13 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use escape_obs::{Gauge, Histogram, Labels, Registry};
-use escape_wire::record::{
-    read_record, read_record_v2, write_record_v2, DEFAULT_MAX_RECORD,
-};
+use escape_wire::record::{read_record, write_record, DEFAULT_MAX_RECORD};
 
 use crate::record::WalRecord;
 
-/// Magic bytes opening every **current** WAL segment (name + format
-/// version 2: record CRCs cover the length header too).
+/// Magic bytes opening every WAL segment (name + format version 2:
+/// record CRCs cover the length header too).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"ESCWAL02";
-
-/// The previous segment format (record CRCs over the payload only).
-/// Still readable; never appended to.
-pub const SEGMENT_MAGIC_V1: &[u8; 8] = b"ESCWAL01";
 
 /// Default segment-rotation threshold (4 MiB).
 pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
@@ -155,26 +149,41 @@ struct SegmentScan {
     headerless: bool,
 }
 
-fn scan_segment(raw: Vec<u8>) -> SegmentScan {
-    let version = match raw.get(..SEGMENT_MAGIC.len()) {
-        Some(m) if m == SEGMENT_MAGIC => 2,
-        Some(m) if m == SEGMENT_MAGIC_V1 => 1,
+/// Scans the segment at `path`, whose contents are `raw`.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the header names another WAL
+/// format version.
+fn scan_segment(path: &Path, raw: Vec<u8>) -> io::Result<SegmentScan> {
+    match raw.get(..SEGMENT_MAGIC.len()) {
+        Some(magic) if magic == SEGMENT_MAGIC => {}
+        Some(magic) if magic.starts_with(b"ESCWAL") => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "WAL segment {} has format {:?}; this build reads only {:?}",
+                    path.display(),
+                    String::from_utf8_lossy(magic),
+                    String::from_utf8_lossy(SEGMENT_MAGIC),
+                ),
+            ));
+        }
         _ => {
-            return SegmentScan {
+            return Ok(SegmentScan {
                 records: Vec::new(),
                 torn_at: None,
                 headerless: true,
-            }
+            })
         }
-    };
+    }
     let total = raw.len();
     let mut bytes = Bytes::from(raw).slice(SEGMENT_MAGIC.len()..);
     let mut records = Vec::new();
     let mut torn_at = None;
-    let read = if version == 2 { read_record_v2 } else { read_record };
     loop {
         let good = (total - bytes.len()) as u64;
-        match read(&mut bytes, DEFAULT_MAX_RECORD) {
+        match read_record(&mut bytes, DEFAULT_MAX_RECORD) {
             Ok(Some(mut payload)) => match WalRecord::decode(&mut payload) {
                 Ok(record) => records.push(record),
                 Err(_) => {
@@ -189,11 +198,11 @@ fn scan_segment(raw: Vec<u8>) -> SegmentScan {
             }
         }
     }
-    SegmentScan {
+    Ok(SegmentScan {
         records,
         torn_at,
         headerless: false,
-    }
+    })
 }
 
 /// Replays every intact record in `dir`'s segments, in write order,
@@ -204,11 +213,13 @@ fn scan_segment(raw: Vec<u8>) -> SegmentScan {
 ///
 /// # Errors
 ///
-/// Only on I/O failures reading the directory or files.
+/// I/O failures reading the directory or files, or
+/// [`io::ErrorKind::InvalidData`] for a segment of another format
+/// version.
 pub fn replay(dir: &Path) -> io::Result<Vec<WalRecord>> {
     let mut records = Vec::new();
     for (_, path) in list_segments(dir)? {
-        let scan = scan_segment(fs::read(&path)?);
+        let scan = scan_segment(&path, fs::read(&path)?)?;
         records.extend(scan.records);
         if scan.headerless || scan.torn_at.is_some() {
             break;
@@ -231,11 +242,13 @@ pub fn replay(dir: &Path) -> io::Result<Vec<WalRecord>> {
 ///   segments were written by a process that had read past this point):
 ///   it is real corruption, and recovering around it would apply newer
 ///   records over a gap. That is refused outright.
+/// * A segment of another format version (in any position) is refused
+///   too, and left as it is.
 ///
 /// # Errors
 ///
 /// I/O failures, or [`io::ErrorKind::InvalidData`] for mid-log
-/// corruption as described above.
+/// corruption or a foreign format version, as described above.
 pub fn recover(dir: &Path) -> io::Result<Vec<WalRecord>> {
     recover_reporting(dir).map(|(records, _)| records)
 }
@@ -255,7 +268,7 @@ pub fn recover_reporting(dir: &Path) -> io::Result<(Vec<WalRecord>, u64)> {
     for (i, (seq, path)) in segments.into_iter().enumerate() {
         let raw = fs::read(&path)?;
         let raw_len = raw.len() as u64;
-        let scan = scan_segment(raw);
+        let scan = scan_segment(&path, raw)?;
         let damaged = scan.headerless || scan.torn_at.is_some();
         if damaged && i != last {
             return Err(io::Error::new(
@@ -302,7 +315,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens a *fresh* v2 segment with sequence `seq` in `dir`.
+    /// Opens a *fresh* segment with sequence `seq` in `dir`.
     ///
     /// # Errors
     ///
@@ -334,15 +347,16 @@ impl Wal {
     /// growth. Callers must have run [`recover`] first (it truncates any
     /// torn tail, so the file ends on a record boundary).
     ///
-    /// Returns `Ok(None)` when the segment must not be continued — a
-    /// legacy v1 segment (read-only by policy) or one already at/over
-    /// the rotation cap; the caller falls back to [`Wal::create`]. The
-    /// whole appendability rule lives here so no caller can open a
-    /// segment the rule would rotate.
+    /// Returns `Ok(None)` when the segment is already at/over the
+    /// rotation cap; the caller falls back to [`Wal::create`]. The whole
+    /// appendability rule lives here so no caller can open a segment the
+    /// rule would rotate.
     ///
     /// # Errors
     ///
-    /// I/O errors probing or opening the file.
+    /// I/O errors probing or opening the file, or
+    /// [`io::ErrorKind::InvalidData`] when it does not start with
+    /// [`SEGMENT_MAGIC`] (which [`recover`] rules out).
     pub fn open_append(dir: &Path, seq: u64, options: WalOptions) -> io::Result<Option<Wal>> {
         use std::io::Read;
         let path = segment_path(dir, seq);
@@ -354,11 +368,12 @@ impl Wal {
             return Ok(None);
         }
         let mut magic = [0u8; SEGMENT_MAGIC.len()];
-        match probe.read_exact(&mut magic) {
-            Ok(()) if &magic == SEGMENT_MAGIC => {}
-            Ok(()) => return Ok(None),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
+        probe.read_exact(&mut magic)?;
+        if &magic != SEGMENT_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} is not an ESCWAL02 segment", path.display()),
+            ));
         }
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok(Some(Wal {
@@ -406,7 +421,7 @@ impl Wal {
             self.rotate()?;
         }
         let before = self.buffer.len();
-        write_record_v2(&mut self.buffer, &record.to_bytes());
+        write_record(&mut self.buffer, &record.to_bytes());
         self.written += (self.buffer.len() - before) as u64;
         Ok(())
     }
@@ -641,7 +656,7 @@ mod tests {
         {
             let mut wal = Wal::open_append(&dir, 1, WalOptions::default())
                 .unwrap()
-                .expect("under-cap v2 segment is appendable");
+                .expect("under-cap segment is appendable");
             assert_eq!(wal.seq(), 1);
             for term in 4..=5 {
                 wal.append(&hard_state(term)).unwrap();
@@ -652,23 +667,6 @@ mod tests {
         let records = replay(&dir).unwrap();
         assert_eq!(records.len(), 5);
         assert_eq!(records[4], hard_state(5));
-    }
-
-    #[test]
-    fn open_append_refuses_v1_segments() {
-        let dir = scratch_dir("wal-open-append-v1");
-        let mut content = Vec::from(SEGMENT_MAGIC_V1.as_slice());
-        let mut buf = BytesMut::new();
-        escape_wire::record::write_record(&mut buf, &hard_state(1).to_bytes());
-        content.extend_from_slice(&buf);
-        fs::write(dir.join(format!("wal-{:016}.log", 1)), content).unwrap();
-        assert!(
-            Wal::open_append(&dir, 1, WalOptions::default()).unwrap().is_none(),
-            "v1 segments are read-only"
-        );
-        // But replay still reads them.
-        let records = replay(&dir).unwrap();
-        assert_eq!(records, vec![hard_state(1)]);
     }
 
     #[test]
@@ -693,28 +691,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn v1_and_v2_segments_replay_in_sequence() {
-        let dir = scratch_dir("wal-mixed-versions");
-        // Segment 1: legacy v1 (payload-only CRC).
-        let mut content = Vec::from(SEGMENT_MAGIC_V1.as_slice());
-        for term in 1..=2 {
-            let mut buf = BytesMut::new();
-            escape_wire::record::write_record(&mut buf, &hard_state(term).to_bytes());
-            content.extend_from_slice(&buf);
-        }
-        fs::write(dir.join(format!("wal-{:016}.log", 1)), content).unwrap();
-        // Segment 2: current v2.
-        let mut wal = Wal::create(&dir, 2, WalOptions::default()).unwrap();
-        wal.append(&hard_state(3)).unwrap();
-        wal.sync().unwrap();
-        let records = replay(&dir).unwrap();
-        assert_eq!(records, vec![hard_state(1), hard_state(2), hard_state(3)]);
-    }
-
-    /// The v2 motivation end-to-end: corrupting a record's *length
-    /// header* in the newest segment reads as a torn tail (stop +
-    /// repairable), never as a silently misframed record stream.
+    /// Why the record CRC covers the header, end to end: corrupting a
+    /// record's *length header* in the newest segment reads as a torn
+    /// tail (stop + repairable), never as a silently misframed record
+    /// stream.
     #[test]
     fn header_corruption_stops_replay_at_the_previous_record() {
         let dir = scratch_dir("wal-header-flip");
@@ -729,14 +709,13 @@ mod tests {
         // record.
         let record_bytes = {
             let mut one = BytesMut::new();
-            write_record_v2(&mut one, &hard_state(3).to_bytes());
+            write_record(&mut one, &hard_state(3).to_bytes());
             one.len()
         };
         let header_pos = raw.len() - record_bytes; // first length byte
         // Shrink the declared length so the corrupt record still frames
-        // *inside* the segment — the misframe only the v2 header-covering
-        // CRC can catch (an oversized length reads as truncation under v1
-        // and v2 alike).
+        // *inside* the segment — the misframe only a header-covering CRC
+        // can catch (an oversized length reads as truncation either way).
         let payload_len = (record_bytes - 8) as u8;
         raw[header_pos] ^= payload_len; // declared length becomes 0
         fs::write(&path, raw).unwrap();

@@ -40,4 +40,4 @@ pub use client::{
 pub use codec::{Decode, Encode, Envelope};
 pub use error::WireError;
 pub use frame::{write_frame, FrameReader};
-pub use record::{crc32, read_record, read_record_v2, write_record, write_record_v2, Crc32};
+pub use record::{crc32, read_record, write_record, Crc32};

@@ -5,19 +5,11 @@
 //! intact; a write-ahead log cannot trust a disk the same way — a torn
 //! write at the tail of a segment leaves a half-record that must be
 //! detected, not decoded. Every record therefore carries a CRC-32 (IEEE,
-//! the zlib/PNG polynomial), and readers treat a length or checksum
-//! violation as the end of usable log.
-//!
-//! Two framing generations coexist:
-//!
-//! * **v1** ([`write_record`]/[`read_record`]) checksums the payload
-//!   only — a bit flip *in the length header itself* is caught only
-//!   indirectly (the misframed payload usually fails its CRC, but a
-//!   corrupted length can also frame a different, valid-looking span).
-//! * **v2** ([`write_record_v2`]/[`read_record_v2`]) runs the CRC over
-//!   the length header **and** the payload, so header corruption fails
-//!   the checksum directly. New WAL segments use v2 (`ESCWAL02`); v1
-//!   segments remain readable.
+//! the zlib/PNG polynomial) over its length header **and** its payload,
+//! so a bit flip anywhere in the record — header included — fails the
+//! checksum directly, and readers treat a length or checksum violation
+//! as the end of usable log. This is the framing of `ESCWAL02` WAL
+//! segments.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -99,14 +91,17 @@ impl Crc32 {
     }
 }
 
-/// Appends `payload` framed as one checksummed record.
+/// Appends `payload` framed as one checksummed record; the CRC covers
+/// the 4-byte length header as well as the payload.
 pub fn write_record(buf: &mut BytesMut, payload: &[u8]) {
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u32_le(crc32(payload));
+    let len = (payload.len() as u32).to_le_bytes();
+    buf.put_slice(&len);
+    buf.put_u32_le(Crc32::new().update(&len).update(payload).finish());
     buf.put_slice(payload);
 }
 
-/// Reads the next record payload from `buf`, verifying its checksum.
+/// Reads the next record payload from `buf`, verifying the CRC over
+/// header + payload.
 ///
 /// Returns `Ok(None)` when `buf` is empty (clean end of log).
 ///
@@ -116,56 +111,12 @@ pub fn write_record(buf: &mut BytesMut, payload: &[u8]) {
 ///   tail write).
 /// * [`WireError::FrameTooLarge`] — the length prefix exceeds
 ///   `max_record` (corrupt header).
-/// * [`WireError::ChecksumMismatch`] — the payload does not match its
-///   CRC (corrupt or torn payload).
+/// * [`WireError::ChecksumMismatch`] — the header or payload does not
+///   match its CRC (corrupt or torn record).
 ///
 /// All three mean the same thing to a WAL reader: no further records are
 /// usable.
 pub fn read_record(buf: &mut Bytes, max_record: usize) -> Result<Option<Bytes>, WireError> {
-    if !buf.has_remaining() {
-        return Ok(None);
-    }
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    let expected = buf.get_u32_le();
-    if len > max_record {
-        return Err(WireError::FrameTooLarge {
-            declared: len,
-            limit: max_record,
-        });
-    }
-    if buf.remaining() < len {
-        return Err(WireError::Truncated);
-    }
-    let payload = buf.split_to(len);
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(WireError::ChecksumMismatch { expected, actual });
-    }
-    Ok(Some(payload))
-}
-
-/// Appends `payload` framed as one **v2** record: the CRC covers the
-/// 4-byte length header as well as the payload, so a bit flip anywhere
-/// in the record — header included — fails the checksum.
-pub fn write_record_v2(buf: &mut BytesMut, payload: &[u8]) {
-    let len = (payload.len() as u32).to_le_bytes();
-    buf.put_slice(&len);
-    buf.put_u32_le(Crc32::new().update(&len).update(payload).finish());
-    buf.put_slice(payload);
-}
-
-/// Reads the next **v2** record payload from `buf`, verifying the CRC
-/// over header + payload. Returns `Ok(None)` when `buf` is empty.
-///
-/// # Errors
-///
-/// As [`read_record`]; additionally, corruption *of the length header*
-/// surfaces as [`WireError::ChecksumMismatch`] (v1 could only catch it
-/// indirectly).
-pub fn read_record_v2(buf: &mut Bytes, max_record: usize) -> Result<Option<Bytes>, WireError> {
     if !buf.has_remaining() {
         return Ok(None);
     }
@@ -244,8 +195,64 @@ mod tests {
         );
     }
 
+    /// A flip in the stored CRC itself, not in what it covers.
     #[test]
     fn flipped_bit_is_checksum_mismatch() {
+        let mut buf = BytesMut::new();
+        write_record(&mut buf, b"payload-bytes");
+        let mut raw = buf.to_vec();
+        raw[4] ^= 0x01;
+        let mut bytes = Bytes::from(raw);
+        assert!(matches!(
+            read_record(&mut bytes, DEFAULT_MAX_RECORD),
+            Err(WireError::ChecksumMismatch { .. })
+        ));
+    }
+
+    /// The `ESCWAL02` layout, byte for byte: the CRC runs over the length
+    /// header and the payload.
+    #[test]
+    fn v2_records_round_trip_in_sequence() {
+        let mut buf = BytesMut::new();
+        write_record(&mut buf, b"abc");
+        let len = 3u32.to_le_bytes();
+        let crc = Crc32::new().update(&len).update(b"abc").finish();
+        let expected: Vec<u8> = [&len[..], &crc.to_le_bytes(), b"abc"].concat();
+        assert_eq!(buf.as_ref(), expected.as_slice());
+        let mut bytes = buf.freeze();
+        assert_eq!(
+            read_record(&mut bytes, DEFAULT_MAX_RECORD).unwrap().unwrap().as_ref(),
+            b"abc"
+        );
+        assert_eq!(read_record(&mut bytes, DEFAULT_MAX_RECORD).unwrap(), None);
+    }
+
+    /// Why the CRC covers the header: a bit flip in the *length header*
+    /// that still frames inside the buffer — which a payload-only CRC
+    /// cannot reliably catch — fails the checksum directly.
+    #[test]
+    fn v2_header_flip_is_checksum_mismatch() {
+        let payload = b"header-guarded"; // 14 bytes, length prefix 0x0E
+        let mut buf = BytesMut::new();
+        write_record(&mut buf, payload);
+        let mut raw = buf.to_vec();
+        raw[0] ^= 0x08; // declared length becomes 6: frames inside the 14 bytes
+        let mut bytes = Bytes::from(raw);
+        match read_record(&mut bytes, DEFAULT_MAX_RECORD) {
+            Err(WireError::ChecksumMismatch { .. }) => {}
+            other => panic!("an in-buffer header misframe must fail the CRC, got {other:?}"),
+        }
+        // Control: the intact record still reads, so the flip (not the
+        // format) is what fired.
+        let mut intact = buf.freeze();
+        assert_eq!(
+            read_record(&mut intact, DEFAULT_MAX_RECORD).unwrap().unwrap().as_ref(),
+            payload
+        );
+    }
+
+    #[test]
+    fn v2_payload_flip_is_checksum_mismatch() {
         let mut buf = BytesMut::new();
         write_record(&mut buf, b"payload-bytes");
         let mut raw = buf.to_vec();
@@ -254,70 +261,6 @@ mod tests {
         let mut bytes = Bytes::from(raw);
         assert!(matches!(
             read_record(&mut bytes, DEFAULT_MAX_RECORD),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn v2_records_round_trip_in_sequence() {
-        let mut buf = BytesMut::new();
-        write_record_v2(&mut buf, b"first");
-        write_record_v2(&mut buf, b"");
-        write_record_v2(&mut buf, b"third-record");
-        let mut bytes = buf.freeze();
-        assert_eq!(
-            read_record_v2(&mut bytes, DEFAULT_MAX_RECORD).unwrap().unwrap().as_ref(),
-            b"first"
-        );
-        assert_eq!(
-            read_record_v2(&mut bytes, DEFAULT_MAX_RECORD).unwrap().unwrap().len(),
-            0
-        );
-        assert_eq!(
-            read_record_v2(&mut bytes, DEFAULT_MAX_RECORD).unwrap().unwrap().as_ref(),
-            b"third-record"
-        );
-        assert_eq!(read_record_v2(&mut bytes, DEFAULT_MAX_RECORD).unwrap(), None);
-    }
-
-    /// The reason v2 exists: a bit flip in the *length header* that
-    /// still frames inside the buffer — the case v1's payload-only CRC
-    /// cannot reliably catch — fails the v2 checksum directly.
-    #[test]
-    fn v2_header_flip_is_checksum_mismatch() {
-        let payload = b"header-guarded"; // 14 bytes, length prefix 0x0E
-        let mut buf = BytesMut::new();
-        write_record_v2(&mut buf, payload);
-        let mut raw = buf.to_vec();
-        raw[0] ^= 0x08; // declared length becomes 6: frames inside the 14 bytes
-        let mut bytes = Bytes::from(raw);
-        match read_record_v2(&mut bytes, DEFAULT_MAX_RECORD) {
-            Err(WireError::ChecksumMismatch { .. }) => {}
-            other => panic!(
-                "an in-buffer header misframe must fail the v2 CRC, got {other:?}"
-            ),
-        }
-        // Control: v1 framing happily mis-reads the same corruption as a
-        // (differently-framed) record stream or a payload mismatch — it
-        // cannot pin the header itself. Prove the v2 read of the intact
-        // record still works, so the flip (not the format) is what fired.
-        let mut intact = buf.freeze();
-        assert_eq!(
-            read_record_v2(&mut intact, DEFAULT_MAX_RECORD).unwrap().unwrap().as_ref(),
-            payload
-        );
-    }
-
-    #[test]
-    fn v2_payload_flip_is_checksum_mismatch() {
-        let mut buf = BytesMut::new();
-        write_record_v2(&mut buf, b"payload-bytes");
-        let mut raw = buf.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0x01;
-        let mut bytes = Bytes::from(raw);
-        assert!(matches!(
-            read_record_v2(&mut bytes, DEFAULT_MAX_RECORD),
             Err(WireError::ChecksumMismatch { .. })
         ));
     }
