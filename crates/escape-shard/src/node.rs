@@ -19,11 +19,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
+use crossbeam::channel::{Receiver, Sender};
 
 use escape_core::engine::{Node, ProposeError};
 use escape_core::statemachine::StateMachine;
 use escape_core::types::{GroupId, LogIndex, ServerId};
+use escape_transport::clock::monotonic_now;
 use escape_transport::runtime::{NodeInput, NodeStatus, ProposeReply, Reply};
 use escape_transport::service::{ClientRouter, ClientService, RouteVerdict};
 use escape_transport::spec::ProtocolSpec;
@@ -506,16 +507,11 @@ impl ShardedNode {
             }
         }
         // Phase 2: collect the replies in input order.
-        pending
+        let (groups, slots): (Vec<_>, Vec<_>) = pending.into_iter().unzip();
+        collect_replies(slots, REPLY_TIMEOUT)
             .into_iter()
-            .map(|(group, slot)| match slot {
-                Ok(rx) => match rx.recv_timeout(REPLY_TIMEOUT) {
-                    Ok(Ok(index)) => Ok((group, index)),
-                    Ok(Err(e)) => Err(e.into()),
-                    Err(_) => Err(ShardError::Unavailable),
-                },
-                Err(e) => Err(e),
-            })
+            .zip(groups)
+            .map(|(outcome, group)| Ok((group, outcome??)))
             .collect()
     }
 
@@ -547,18 +543,12 @@ impl ShardedNode {
             }
         }
         // Phase 2: collect in input order.
-        pending
+        collect_replies(pending, REPLY_TIMEOUT)
             .into_iter()
-            .map(|slot| match slot {
-                Ok(rx) => match rx.recv_timeout(REPLY_TIMEOUT) {
-                    Ok(Ok(mut results)) => {
-                        debug_assert_eq!(results.len(), 1);
-                        Ok(results.pop().unwrap_or_default())
-                    }
-                    Ok(Err(e)) => Err(e.into()),
-                    Err(_) => Err(ShardError::Unavailable),
-                },
-                Err(e) => Err(e),
+            .map(|outcome| {
+                let mut results = outcome??;
+                debug_assert_eq!(results.len(), 1);
+                Ok(results.pop().unwrap_or_default())
             })
             .collect()
     }
@@ -634,5 +624,47 @@ impl ShardedNode {
     /// then iterates the per-group subdirectories.
     pub fn kill(self) {
         self.shutdown();
+    }
+}
+
+/// Takes each slot's reply in order, all under one deadline `wait` from
+/// now: a group thread that is alive but silent holds a batch for `wait`,
+/// not `wait` per item. A reply that misses the deadline is
+/// [`ShardError::Unavailable`].
+fn collect_replies<T>(
+    slots: Vec<Result<Receiver<T>, ShardError>>,
+    wait: Duration,
+) -> Vec<Result<T, ShardError>> {
+    let deadline = monotonic_now() + wait;
+    slots
+        .into_iter()
+        .map(|slot| {
+            let left = deadline.saturating_duration_since(monotonic_now());
+            slot?
+                .recv_timeout(left)
+                .map_err(|_| ShardError::Unavailable)
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_silent_batch_waits_one_deadline_not_one_per_item() {
+        // Held, never answered: the group thread is alive but silent.
+        let (replies, slots): (Vec<_>, Vec<_>) = (0..3)
+            .map(|_| {
+                let (reply, rx) = Reply::<u8>::channel();
+                (reply, Ok(rx))
+            })
+            .unzip();
+        let started = monotonic_now();
+        let outcomes = collect_replies(slots, Duration::from_millis(100));
+        let took = started.elapsed();
+        assert_eq!(outcomes, vec![Err(ShardError::Unavailable); 3]);
+        assert!(took < Duration::from_millis(200), "took {took:?}");
+        drop(replies);
     }
 }
