@@ -4,15 +4,20 @@
 //!   sort-and-assign step "imposes a slight computational cost" with linear
 //!   (well, `O(n log n)`) complexity (§IV-C); this bench quantifies it.
 //! * Log append and `AppendEntries` handling throughput.
+//! * One heartbeat round's replies to a leader of 8 and of 128 — the
+//!   per-ack path (quorum statistics, commit check) whose 128/8 ratio
+//!   `bench_check leader_round` caps: linear is 16×.
 //! * Wire codec encode/decode throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bytes::Bytes;
 use escape_core::config::EscapeParams;
-use escape_core::engine::Node;
+use escape_core::engine::{Action, Node, TimerKind, TimerToken};
 use escape_core::log::{Log, Payload};
-use escape_core::message::{AppendEntriesArgs, ConfigStatus, Message};
+use escape_core::message::{
+    AppendEntriesArgs, AppendEntriesReply, ConfigStatus, Message, RequestVoteReply,
+};
 use escape_core::policy::{ElectionPolicy, EscapePolicy, RaftPolicy};
 use escape_core::time::{Duration, Time};
 use escape_core::types::{ConfClock, LogIndex, ServerId, Term};
@@ -100,6 +105,104 @@ fn bench_message_handling(c: &mut Criterion) {
     group.finish();
 }
 
+/// Entries a quorum has not acknowledged, sitting above the leader's
+/// commit index through every round of `bench_leader_round`.
+const UNCOMMITTED_TAIL: usize = 32;
+
+/// The deadline and token of the `kind` timer `actions` arm.
+fn armed(actions: &[Action], kind: TimerKind) -> Option<(TimerToken, Time)> {
+    actions.iter().find_map(|a| match a {
+        Action::SetTimer { token, deadline } if token.kind == kind => Some((*token, *deadline)),
+        _ => None,
+    })
+}
+
+/// A leader of `n` whose no-op every follower holds, with
+/// [`UNCOMMITTED_TAIL`] proposals above it that none acknowledges, and
+/// its next heartbeat timer.
+fn leader_with_uncommitted_tail(n: u32) -> (Node, Vec<ServerId>, TimerToken, Time) {
+    let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
+    let mut node = Node::builder(ids[0], ids.clone())
+        .policy(Box::new(RaftPolicy::randomized(
+            Duration::from_millis(150_000), // fires once, below
+            Duration::from_millis(300_000),
+            1,
+        )))
+        .build();
+    let (election, now) = armed(&node.start(Time::ZERO), TimerKind::Election).expect("armed");
+    node.handle_timer(election, now);
+    let mut heartbeat = None;
+    for peer in &ids[1..] {
+        if node.is_leader() {
+            break;
+        }
+        let grant = RequestVoteReply {
+            term: node.current_term(),
+            vote_granted: true,
+        };
+        let actions = node.handle_message(*peer, Message::RequestVoteReply(grant), now);
+        heartbeat = armed(&actions, TimerKind::Heartbeat);
+    }
+    let (heartbeat, _) = heartbeat.expect("the winning vote arms the heartbeat");
+    let noop = node.log().last_index();
+    for peer in &ids[1..] {
+        node.handle_message(*peer, ack(&node, noop, 0), now);
+    }
+    assert_eq!(node.commit_index(), noop);
+    for i in 0..UNCOMMITTED_TAIL {
+        node.propose(Bytes::from(format!("tail-{i}")), now)
+            .expect("leader");
+    }
+    (node, ids, heartbeat, now)
+}
+
+fn ack(node: &Node, through: LogIndex, seq: u64) -> Message {
+    Message::AppendEntriesReply(AppendEntriesReply {
+        term: node.current_term(),
+        success: true,
+        match_hint: through,
+        status: None,
+        seq,
+    })
+}
+
+/// One heartbeat round of a leader whose tail stays uncommitted: the
+/// round goes out, and every follower's reply comes back (echoing the
+/// round, acknowledging only the committed prefix). Per reply the leader
+/// reclaims credit, folds in the echoed round and asks whether anything
+/// commits; constant work each makes the round linear in `n`.
+fn bench_leader_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine");
+    for n in [8u32, 128] {
+        group.throughput(Throughput::Elements(u64::from(n - 1)));
+        group.bench_with_input(BenchmarkId::new("leader_round", n), &n, |b, &n| {
+            let (mut node, ids, mut heartbeat, mut now) = leader_with_uncommitted_tail(n);
+            let committed = node.commit_index();
+            b.iter(|| {
+                now += Duration::from_millis(150);
+                let round = node.handle_timer(heartbeat, now);
+                heartbeat = armed(&round, TimerKind::Heartbeat).expect("re-armed").0;
+                let seq = round
+                    .iter()
+                    .find_map(|a| match a {
+                        Action::Send {
+                            msg: Message::AppendEntries(args),
+                            ..
+                        } => Some(args.seq),
+                        _ => None,
+                    })
+                    .expect("the round reaches every follower");
+                for peer in &ids[1..] {
+                    let reply = ack(&node, committed, seq);
+                    std::hint::black_box(node.handle_message(*peer, reply, now));
+                }
+            });
+            assert_eq!(node.commit_index(), committed, "tail must stay uncommitted");
+        });
+    }
+    group.finish();
+}
+
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     let msg = Message::AppendEntries(AppendEntriesArgs {
@@ -135,6 +238,7 @@ fn bench_wire_codec(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_ppf_rearrangement, bench_log_append, bench_message_handling, bench_wire_codec
+    targets = bench_ppf_rearrangement, bench_log_append, bench_message_handling,
+        bench_leader_round, bench_wire_codec
 }
 criterion_main!(benches);

@@ -6,6 +6,8 @@
 //! cargo bench -p escape-bench --bench engine
 //! cargo run -p escape-bench --bin bench_check -- engine \
 //!     crates/escape-bench/BENCH_engine.json crates/escape-bench/baselines/engine.json
+//! cargo run -p escape-bench --bin bench_check -- leader_round \
+//!     crates/escape-bench/BENCH_engine.json crates/escape-bench/baselines/engine.json
 //!
 //! cargo bench -p escape-bench --bench shard
 //! cargo run -p escape-bench --bin bench_check -- shard \
@@ -25,6 +27,12 @@
 //!
 //! * **engine** — `ppf_rearrangement/128` vs `/32`: the ROADMAP's
 //!   superlinear-cliff regression. Ratio limit 8×, baseline drift 2×.
+//! * **leader_round** — `engine/leader_round/128` vs `/8`: one heartbeat
+//!   round's replies to a leader with an uncommitted tail, so the round
+//!   is n − 1 acks. Constant work per ack makes it 16× (linear); a
+//!   per-ack sort or commit scan makes it quadratic (≈ 230× before the
+//!   quorum statistics went incremental). Ratio limit 32×, baseline
+//!   drift 2×.
 //! * **shard** — `shard_route/route/1024` vs `/4`: the router must stay
 //!   near-flat in the group count (hash + binary search). Ratio limit
 //!   4×, baseline drift 2×.
@@ -68,6 +76,13 @@ const SUITES: &[Suite] = &[
         ratio_numerator: "ppf_rearrangement/128",
         ratio_denominator: "ppf_rearrangement/32",
         ratio_limit: 8.0,
+        baseline_factor: 2.0,
+    },
+    Suite {
+        name: "leader_round",
+        ratio_numerator: "engine/leader_round/128",
+        ratio_denominator: "engine/leader_round/8",
+        ratio_limit: 32.0,
         baseline_factor: 2.0,
     },
     Suite {

@@ -1,9 +1,13 @@
 //! Glue between the engine's typed timer tokens and the simulator's opaque
 //! `u64` tokens.
 //!
-//! The engine cancels timers by bumping an epoch; the simulator never
-//! cancels anything. Encoding `(kind, epoch)` into the opaque token lets the
-//! engine's epoch check silently discard superseded expirations.
+//! The engine keeps one deadline per [`TimerKind`]: a new `SetTimer`
+//! supersedes the last one of its kind. The cluster arms each kind in its
+//! own simulator slot ([`Sim::arm`](escape_simnet::sim::Sim::arm), slot
+//! [`timer_slot`]), so a superseded deadline never fires at all. Encoding
+//! `(kind, epoch)` into the opaque token still lets the engine's epoch
+//! check discard the fires it no longer wants — a timer silenced without
+//! a re-arm (a step-down's heartbeat, say) still fires once.
 //!
 //! The fourth kind encoding is not an engine timer at all: it marks the
 //! instant a storage harness's deferred barrier reaches the disk (see
@@ -13,14 +17,19 @@
 
 use escape_core::engine::{TimerKind, TimerToken};
 
-/// Packs a [`TimerToken`] into the simulator's opaque `u64`.
-pub fn encode_timer(token: TimerToken) -> u64 {
-    let kind_bits = match token.kind {
+/// The simulator timer slot of `kind`: one per kind, since each kind keeps
+/// one deadline.
+pub fn timer_slot(kind: TimerKind) -> usize {
+    match kind {
         TimerKind::Election => 0,
         TimerKind::Heartbeat => 1,
         TimerKind::VoteRetry => 2,
-    };
-    (token.epoch << 2) | kind_bits
+    }
+}
+
+/// Packs a [`TimerToken`] into the simulator's opaque `u64`.
+pub fn encode_timer(token: TimerToken) -> u64 {
+    (token.epoch << 2) | timer_slot(token.kind) as u64
 }
 
 /// Packs a deferred-barrier ticket into the simulator's opaque `u64`.

@@ -27,7 +27,7 @@ use escape_simnet::loss::LossModel;
 use escape_simnet::sim::{Ready, Sim};
 use escape_simnet::skew::ClockSkew;
 
-use crate::adapter::{decode_barrier, decode_timer, encode_barrier, encode_timer};
+use crate::adapter::{decode_barrier, decode_timer, encode_barrier, encode_timer, timer_slot};
 use crate::invariants::SafetyChecker;
 
 /// Durable-storage hookup for fault campaigns.
@@ -792,7 +792,10 @@ impl SimCluster {
                     } else {
                         self.skew.to_global(id, deadline).max(at)
                     };
-                    self.sim.set_timer(id, encode_timer(token), deadline)
+                    // One slot per kind: the new deadline supersedes the
+                    // kind's last one, which then never fires.
+                    self.sim
+                        .arm(id, timer_slot(token.kind), encode_timer(token), deadline)
                 }
                 Action::BecameCandidate { term } => self.events.push(ObservedEvent::Candidate {
                     at,

@@ -263,6 +263,50 @@ mod tests {
         assert_eq!(a.messages_sent, b.messages_sent);
     }
 
+    /// Pins the exact outcome of `sim-loss`-shaped trials (n = 50, 20 %
+    /// broadcast omission, 30 commands, one warm-up crash), recorded
+    /// before the engine's quorum statistics went incremental and before
+    /// the simulator kept superseded timers out of its queue. Both were
+    /// meant to leave the event stream untouched; any later change that
+    /// reorders it — one extra RNG draw, one event popped in another
+    /// order — moves these numbers. Instants are in µs.
+    #[test]
+    fn sim_loss_trials_replay_their_recorded_outcomes() {
+        use escape_simnet::loss::LossModel;
+        let recorded = [
+            (Protocol::escape_paper_default(), 1,
+             "sent 6668, crashed S2 at 7635239, candidate at 9319832, S7 leads term 150 at 9626841 after 1 campaigns"),
+            (Protocol::escape_paper_default(), 5,
+             "sent 6893, crashed S13 at 8174344, candidate at 9768745, S41 leads term 198 at 10077919 after 1 campaigns"),
+            (Protocol::raft_paper_default(), 1,
+             "sent 7466, crashed S12 at 7684803, candidate at 9250266, S31 leads term 3 at 9594743 after 4 campaigns"),
+            (Protocol::raft_paper_default(), 2,
+             "sent 10174, crashed S6 at 9108081, candidate at 10656989, S49 leads term 5 at 11110210 after 9 campaigns"),
+            (Protocol::zraft_paper_default(), 3,
+             "sent 6598, crashed S49 at 7840732, candidate at 9473958, S50 leads term 149 at 9788111 after 1 campaigns"),
+        ];
+        for (protocol, seed, expected) in recorded {
+            let name = protocol.name();
+            let mut cluster = ClusterConfig::paper_network(50, protocol, seed);
+            cluster.loss = LossModel::BroadcastOmission(0.20);
+            let outcome = run_leader_failure_trial(&TrialConfig::with_workload(cluster, 30));
+            assert!(outcome.safe, "{name} seed {seed}");
+            let m = outcome.measurement.expect("a successor is elected");
+            let replayed = format!(
+                "sent {}, crashed {} at {}, candidate at {}, {} leads term {} at {} after {} campaigns",
+                outcome.messages_sent,
+                outcome.crashed_leader,
+                m.crash_at.as_micros(),
+                m.first_candidate_at.as_micros(),
+                m.winner,
+                m.winning_term.get(),
+                m.leader_at.as_micros(),
+                m.campaigns,
+            );
+            assert_eq!(replayed, expected, "{name} seed {seed} left its recording");
+        }
+    }
+
     #[test]
     fn run_trials_aggregates() {
         let cfg = quick(ClusterConfig::paper_network(

@@ -7,7 +7,7 @@
 
 use escape_obs::Event;
 
-use super::{Action, Node};
+use super::{Action, Node, Progress};
 use crate::message::{Message, RequestVoteArgs, RequestVoteReply};
 use crate::time::Time;
 use crate::types::{Role, ServerId};
@@ -207,12 +207,13 @@ impl Node {
         );
 
         let next = self.log.last_index().next();
-        for peer in &self.peers {
-            self.next_index.insert(*peer, next);
-            self.match_index.insert(*peer, crate::types::LogIndex::ZERO);
-            self.inflight.insert(*peer, 0);
-        }
-        self.window_cap.clear();
+        let fresh = Progress {
+            next,
+            cap: self.options.max_inflight_appends,
+            ..Progress::default()
+        };
+        self.progress.fill(fresh);
+        self.matched_above_commit = 0;
         self.propose_times.clear();
         // A fresh leadership starts with no lease and no acked rounds: a
         // PPF promotee must earn its own quorum acks before lease-serving

@@ -48,7 +48,7 @@ mod replication;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -320,6 +320,12 @@ impl NodeBuilder {
             .copied()
             .filter(|p| *p != self.id)
             .collect();
+        let mut slots: Vec<(ServerId, usize)> = peers
+            .iter()
+            .enumerate()
+            .map(|(slot, id)| (*id, slot))
+            .collect();
+        slots.sort_unstable();
 
         let mut current_term = Term::ZERO;
         let mut voted_for = None;
@@ -352,7 +358,9 @@ impl NodeBuilder {
 
         Node {
             id: self.id,
+            progress: vec![Progress::default(); peers.len()],
             peers,
+            slots,
             cluster_size: self.cluster.len(),
             policy,
             state_machine,
@@ -371,14 +379,12 @@ impl NodeBuilder {
             last_applied,
             latest_snapshot,
             votes_granted: BTreeSet::new(),
-            next_index: BTreeMap::new(),
-            match_index: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            window_cap: BTreeMap::new(),
+            matched_above_commit: 0,
             propose_times: VecDeque::new(),
             pending_reads: VecDeque::new(),
             read_batch_seq: 0,
-            acked_rounds: BTreeMap::new(),
+            confirmed: 0,
+            acked_above_confirmed: 0,
             round_starts: VecDeque::new(),
             lease_until: Time::ZERO,
             term_start_index: LogIndex::ZERO,
@@ -387,6 +393,7 @@ impl NodeBuilder {
             heartbeat_epoch: 0,
             vote_retry_epoch: 0,
             broadcast_seq: 0,
+            scratch: Vec::new(),
             metrics: NodeMetrics::new(),
             observer: self.observer,
         }
@@ -420,10 +427,47 @@ struct PendingReads {
     round: u64,
 }
 
+/// A leader's replication state for one peer: one slot of
+/// `Node::progress`, which runs parallel to `Node::peers`. Every field is
+/// reset when a leadership begins and read only while it lasts.
+#[derive(Clone, Copy, Debug, Default)]
+struct Progress {
+    /// Next index to ship. Advanced *optimistically* past every window
+    /// sent, so the pipeline does not wait for acks (see
+    /// `Node::pump_peer`); a rejection walks it back.
+    next: LogIndex,
+    /// Highest index the peer acknowledged holding.
+    matched: LogIndex,
+    /// Unacked entry-carrying `AppendEntries` windows (the pipelining
+    /// credit in use). Counted down on every reply, saturating — a lost
+    /// window's credit is reclaimed by later heartbeat replies rather
+    /// than leaking forever.
+    inflight: usize,
+    /// Pipelining window: [`Options::max_inflight_appends`] unless
+    /// [`Node::note_backpressure`] clamped it to 1, after which each
+    /// successful append ack widens it by one until it is back at the
+    /// option (slow-start-style additive recovery).
+    cap: usize,
+    /// Highest `AppendEntries` round the peer has echoed back under this
+    /// leadership (the `seq` field): by replying at all, a follower
+    /// acknowledges our term as of that round.
+    acked: u64,
+}
+
 /// Cap on remembered-but-unconfirmed round issue times. Only reachable
 /// when quorum acks stop entirely (a partitioned leader); dropping the
 /// oldest merely forgoes a lease extension, which is the safe direction.
 const ROUND_STARTS_MAX: usize = 1024;
+
+/// The `n`-th largest of `values` (1-based), in one linear-time
+/// selection that reorders `values`; `None` unless `1 <= n <= len`.
+fn nth_largest(values: &mut [u64], n: usize) -> Option<u64> {
+    if n == 0 || n > values.len() {
+        return None;
+    }
+    let (_, nth, _) = values.select_nth_unstable_by(n - 1, |a, b| b.cmp(a));
+    Some(*nth)
+}
 
 /// A single consensus server: Raft's replicated state machine plus the
 /// election behaviour of whatever [`ElectionPolicy`] it was built with.
@@ -432,7 +476,12 @@ const ROUND_STARTS_MAX: usize = 1024;
 #[derive(Debug)]
 pub struct Node {
     id: ServerId,
+    /// The other servers, in cluster order: the order every fan-out
+    /// sends in.
     peers: Vec<ServerId>,
+    /// `(peer, slot)` sorted by peer: the slot of `peers` and `progress`
+    /// a message's sender occupies.
+    slots: Vec<(ServerId, usize)>,
     cluster_size: usize,
     policy: Box<dyn ElectionPolicy>,
     state_machine: Box<dyn StateMachine>,
@@ -462,20 +511,12 @@ pub struct Node {
     votes_granted: BTreeSet<ServerId>,
 
     // ---- leader volatile state ----
-    next_index: BTreeMap<ServerId, LogIndex>,
-    match_index: BTreeMap<ServerId, LogIndex>,
-    /// Unacked entry-carrying `AppendEntries` windows per follower (the
-    /// pipelining credit). Counted down on every reply, saturating — a
-    /// lost window's credit is reclaimed by subsequent heartbeat replies
-    /// rather than leaking forever.
-    inflight: BTreeMap<ServerId, usize>,
-    /// Backpressure clamp on the pipelining window, per follower. Absent
-    /// = uncapped (`options.max_inflight_appends`). Set to 1 by
-    /// [`Node::note_backpressure`] when the transport reports dropped
-    /// frames to that peer; each subsequent successful append ack raises
-    /// it by one until it reaches the option cap and the entry is
-    /// dropped (slow-start-style additive recovery).
-    window_cap: BTreeMap<ServerId, usize>,
+    /// Per-peer replication state, slot for slot with `peers`.
+    progress: Vec<Progress>,
+    /// Peers whose `matched` exceeds `commit_index`. Nothing can commit
+    /// until this (plus the leader itself) reaches a quorum, which is
+    /// what lets [`Node::advance_commit`] skip most acks in O(1).
+    matched_above_commit: usize,
     /// Propose timestamps of this leader's own entries awaiting commit,
     /// in index order, for the commit-latency histogram. Cleared on any
     /// role change (a deposed leader's entries may commit under a
@@ -489,10 +530,13 @@ pub struct Node {
     pending_reads: VecDeque<PendingReads>,
     /// Batch-id counter for [`Node::read_batch`].
     read_batch_seq: u64,
-    /// Highest `AppendEntries` round each peer has echoed back under this
-    /// leadership (the `seq` field): by replying at all, a follower
-    /// acknowledges our term as of that round.
-    acked_rounds: BTreeMap<ServerId, u64>,
+    /// The newest round a read quorum of peers has echoed back: the
+    /// `needed`-th largest `Progress::acked`, cached.
+    confirmed: u64,
+    /// Peers whose `acked` exceeds `confirmed`. Only when this reaches the
+    /// read quorum can `confirmed` have moved, so only then is it
+    /// recomputed: O(1) amortised per ack.
+    acked_above_confirmed: usize,
     /// Issue times of broadcast rounds not yet quorum-confirmed, oldest
     /// first; confirmation converts them into lease extensions.
     round_starts: VecDeque<(u64, Time)>,
@@ -518,6 +562,8 @@ pub struct Node {
     vote_retry_epoch: u64,
     broadcast_seq: u64,
 
+    /// Reused buffer for the quorum selections.
+    scratch: Vec<u64>,
     metrics: NodeMetrics,
     /// Typed-event sink; see [`NodeBuilder::observer`].
     observer: Arc<dyn Observer>,
@@ -656,10 +702,6 @@ impl Node {
         self.role = Role::Follower;
         self.leader_hint = None;
         self.votes_granted.clear();
-        self.next_index.clear();
-        self.match_index.clear();
-        self.inflight.clear();
-        self.window_cap.clear();
         self.propose_times.clear();
         self.pending_reads.clear(); // waiters died with the old process
         self.reset_read_state();
@@ -685,17 +727,25 @@ impl Node {
         if self.role != Role::Leader {
             return;
         }
+        let Some(progress) = self.slot(peer).and_then(|slot| self.progress.get_mut(slot)) else {
+            return;
+        };
         // Only clamp a genuinely wider window: re-reports while already
         // clamped must not zero out additive recovery progress.
-        let current = self
-            .window_cap
-            .get(&peer)
-            .copied()
-            .unwrap_or(self.options.max_inflight_appends);
-        if current > 1 {
-            self.window_cap.insert(peer, 1);
+        if progress.cap > 1 {
+            progress.cap = 1;
             self.metrics.backpressure_resets += 1;
         }
+    }
+
+    /// The slot of `peers` (and `progress`) that `peer` occupies; `None`
+    /// for a server outside the cluster.
+    fn slot(&self, peer: ServerId) -> Option<usize> {
+        self.slots
+            .binary_search_by_key(&peer, |&(id, _)| id)
+            .ok()
+            .and_then(|i| self.slots.get(i))
+            .map(|&(_, slot)| slot)
     }
 
     /// Handles a message from `from`.
@@ -946,17 +996,39 @@ impl Node {
     /// `needed`-th largest per-peer ack (self implicitly acks everything,
     /// so a single-node cluster confirms every round instantly).
     fn confirmed_round(&self) -> u64 {
-        let needed = self.read_quorum_needed();
-        if needed == 0 {
+        if self.read_quorum_needed() == 0 {
             return self.broadcast_seq;
         }
-        if self.acked_rounds.len() < needed {
-            return 0;
+        self.confirmed
+    }
+
+    /// The peer in `slot` echoed round `seq`. Returns `true` if that is
+    /// newer than anything it echoed before.
+    pub(super) fn note_acked(&mut self, slot: usize, seq: u64) -> bool {
+        let Some(progress) = self.progress.get_mut(slot) else {
+            return false;
+        };
+        if seq <= progress.acked {
+            return false;
         }
-        let mut acks: Vec<u64> = self.acked_rounds.values().copied().collect();
-        acks.sort_unstable_by(|a, b| b.cmp(a));
-        // lint:allow(panic): needed >= 1 (quorum) and len >= needed checked above
-        acks[needed - 1]
+        if progress.acked <= self.confirmed && seq > self.confirmed {
+            self.acked_above_confirmed += 1;
+        }
+        progress.acked = seq;
+        let needed = self.read_quorum_needed();
+        if needed > 0 && self.acked_above_confirmed >= needed {
+            self.scratch.clear();
+            self.scratch.extend(self.progress.iter().map(|p| p.acked));
+            if let Some(confirmed) = nth_largest(&mut self.scratch, needed) {
+                self.confirmed = confirmed;
+            }
+            self.acked_above_confirmed = self
+                .progress
+                .iter()
+                .filter(|p| p.acked > self.confirmed)
+                .count();
+        }
+        true
     }
 
     /// Records a broadcast round's issue time (for lease extension on its
@@ -1060,7 +1132,11 @@ impl Node {
     /// Resets all per-leadership read state (on gaining *or* losing the
     /// leadership — a lease never crosses either boundary).
     pub(super) fn reset_read_state(&mut self) {
-        self.acked_rounds.clear();
+        for progress in &mut self.progress {
+            progress.acked = 0;
+        }
+        self.confirmed = 0;
+        self.acked_above_confirmed = 0;
         self.round_starts.clear();
         self.lease_until = Time::ZERO;
     }
@@ -1084,10 +1160,6 @@ impl Node {
         self.role = Role::Follower;
         self.leader_hint = None;
         self.votes_granted.clear();
-        self.next_index.clear();
-        self.match_index.clear();
-        self.inflight.clear();
-        self.window_cap.clear();
         self.propose_times.clear();
         // Queued reads were accepted under a leadership that just ended:
         // redirect them, never answer them.

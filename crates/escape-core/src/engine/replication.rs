@@ -10,7 +10,7 @@
 
 use escape_obs::Event;
 
-use super::{Action, Node, SnapshotHandle};
+use super::{nth_largest, Action, Node, Progress, SnapshotHandle};
 use crate::log::{AppendOutcome, ReplicationSource};
 use crate::message::{
     AppendEntriesArgs, AppendEntriesReply, InstallSnapshotArgs, InstallSnapshotReply, Message,
@@ -47,15 +47,11 @@ impl Node {
         }
         let broadcast = self.next_broadcast_id();
         self.note_round(broadcast, now, out);
-        // Index loop: `send` needs `&mut self`, and cloning the peer list
-        // on every heartbeat was a measurable per-round allocation.
-        for i in 0..self.peers.len() {
-            // lint:allow(panic): i < peers.len() by the loop bound
-            let peer = self.peers[i];
+        for slot in 0..self.peers.len() {
             let before = out.len();
-            self.pump_peer(peer, Some(broadcast), now, out);
+            self.pump_peer(slot, Some(broadcast), now, out);
             if out.len() == before {
-                self.send_heartbeat(peer, Some(broadcast), now, out);
+                self.send_heartbeat(slot, Some(broadcast), now, out);
             }
         }
     }
@@ -67,10 +63,8 @@ impl Node {
     pub(super) fn confirm_round(&mut self, now: Time, out: &mut Vec<Action>) -> u64 {
         let broadcast = self.next_broadcast_id();
         self.note_round(broadcast, now, out);
-        for i in 0..self.peers.len() {
-            // lint:allow(panic): i < peers.len() by the loop bound
-            let peer = self.peers[i];
-            self.send_heartbeat(peer, Some(broadcast), now, out);
+        for slot in 0..self.peers.len() {
+            self.send_heartbeat(slot, Some(broadcast), now, out);
         }
         broadcast
     }
@@ -86,45 +80,41 @@ impl Node {
         }
         let broadcast = self.next_broadcast_id();
         self.note_round(broadcast, now, out);
-        for i in 0..self.peers.len() {
-            // lint:allow(panic): i < peers.len() by the loop bound
-            let peer = self.peers[i];
-            self.pump_peer(peer, Some(broadcast), now, out);
+        for slot in 0..self.peers.len() {
+            self.pump_peer(slot, Some(broadcast), now, out);
         }
     }
 
-    /// Sends replication windows to `peer` until it is caught up, its
-    /// pipeline credit ([`Options::max_inflight_appends`]) is spent, or
-    /// nothing useful can be sent. Each entry-carrying window advances
-    /// `next_index` *optimistically* — the next window starts where the
-    /// previous one ended instead of waiting for its ack — which is what
-    /// turns replication into a pipeline; a rejection walks `next_index`
-    /// back down (see [`Node::on_append_entries_reply`]).
+    /// Sends replication windows to the peer in `slot` until it is caught
+    /// up, its pipeline credit ([`Progress::cap`]) is spent, or nothing
+    /// useful can be sent. Each entry-carrying window advances
+    /// [`Progress::next`] *optimistically* — the next window starts where
+    /// the previous one ended instead of waiting for its ack — which is
+    /// what turns replication into a pipeline; a rejection walks it back
+    /// down (see [`Node::on_append_entries_reply`]).
     pub(super) fn pump_peer(
         &mut self,
-        peer: ServerId,
+        slot: usize,
         broadcast: Option<u64>,
         now: Time,
         out: &mut Vec<Action>,
     ) {
+        let Some(&peer) = self.peers.get(slot) else {
+            return;
+        };
         loop {
-            let credit = self.inflight.get(&peer).copied().unwrap_or(0);
-            // A backpressure clamp (transport reported dropped frames to
-            // this peer) narrows the window below the configured cap.
-            let cap = self
-                .window_cap
-                .get(&peer)
-                .copied()
-                .unwrap_or(self.options.max_inflight_appends)
-                .min(self.options.max_inflight_appends);
-            if credit >= cap {
+            let Some(&Progress {
+                next,
+                inflight,
+                cap,
+                ..
+            }) = self.progress.get(slot)
+            else {
+                return;
+            };
+            if inflight >= cap {
                 return;
             }
-            let next = self
-                .next_index
-                .get(&peer)
-                .copied()
-                .unwrap_or_else(|| self.log.last_index().next());
             if next > self.log.last_index() {
                 return; // caught up (or everything already in flight)
             }
@@ -151,8 +141,7 @@ impl Node {
                         seq: self.broadcast_seq,
                     };
                     self.send(peer, Message::AppendEntries(args), broadcast, out);
-                    self.next_index.insert(peer, sent_through.next());
-                    *self.inflight.entry(peer).or_insert(0) += 1;
+                    self.note_sent(slot, sent_through.next());
                 }
                 ReplicationSource::NeedSnapshot => {
                     let Some(snapshot) = self.latest_snapshot.clone() else {
@@ -178,29 +167,37 @@ impl Node {
                     );
                     // Optimistically resume entry shipping above the
                     // snapshot; the reply re-anchors if it was stale.
-                    self.next_index.insert(peer, resume_from);
-                    *self.inflight.entry(peer).or_insert(0) += 1;
+                    self.note_sent(slot, resume_from);
                 }
             }
         }
     }
 
-    /// Queues one empty `AppendEntries` for `peer`: the keepalive that
-    /// feeds its failure detector, carries the leader's commit index, and
-    /// piggybacks the PPF configuration assignment (Listing 1).
+    /// A window went out to the peer in `slot`: shipping resumes at
+    /// `next`, and one more unit of pipeline credit is in use.
+    fn note_sent(&mut self, slot: usize, next: LogIndex) {
+        if let Some(progress) = self.progress.get_mut(slot) {
+            progress.next = next;
+            progress.inflight += 1;
+        }
+    }
+
+    /// Queues one empty `AppendEntries` for the peer in `slot`: the
+    /// keepalive that feeds its failure detector, carries the leader's
+    /// commit index, and piggybacks the PPF configuration assignment
+    /// (Listing 1).
     pub(super) fn send_heartbeat(
         &mut self,
-        peer: ServerId,
+        slot: usize,
         broadcast: Option<u64>,
         now: Time,
         out: &mut Vec<Action>,
     ) {
-        let next = self
-            .next_index
-            .get(&peer)
-            .copied()
-            .unwrap_or_else(|| self.log.last_index().next());
-        let prev_index = next.prev_saturating();
+        let (Some(&peer), Some(progress)) = (self.peers.get(slot), self.progress.get_mut(slot))
+        else {
+            return;
+        };
+        let prev_index = progress.next.prev_saturating();
         let Some(prev_term) = self.log.term_at(prev_index) else {
             // The pipeline's anchor was compacted away — which means the
             // optimistically sent windows below it were lost (a live
@@ -208,9 +205,9 @@ impl Node {
             // long before the log compacted). No keepalive can anchor
             // there; reset the pipeline onto the compaction horizon and
             // pump, which ships the snapshot this follower now needs.
-            self.inflight.insert(peer, 0);
-            self.next_index.insert(peer, self.log.snapshot_index());
-            self.pump_peer(peer, broadcast, now, out);
+            progress.inflight = 0;
+            progress.next = self.log.snapshot_index();
+            self.pump_peer(slot, broadcast, now, out);
             return;
         };
         let args = AppendEntriesArgs {
@@ -298,24 +295,31 @@ impl Node {
         if self.role != Role::Leader || reply.term != self.current_term {
             return;
         }
-        self.reclaim_inflight(from);
-        let match_index = self.match_index.entry(from).or_insert(LogIndex::ZERO);
-        if reply.match_hint > *match_index {
-            *match_index = reply.match_hint;
-        }
-        let matched = *match_index;
-        // Forward-only: entry windows pipelined above the snapshot are
-        // already in flight; snapping `next_index` back to the ack point
-        // would re-send them all.
-        let next = self
-            .next_index
-            .get(&from)
-            .copied()
-            .unwrap_or(LogIndex::ZERO)
-            .max(matched.next());
-        self.next_index.insert(from, next);
+        let Some(slot) = self.slot(from) else {
+            return; // not a member: nothing of ours to advance
+        };
+        self.reclaim_inflight(slot);
+        self.note_matched(slot, reply.match_hint);
         self.advance_commit(now, out);
-        self.pump_peer(from, None, now, out);
+        self.pump_peer(slot, None, now, out);
+    }
+
+    /// The peer in `slot` holds everything through `hint`: raise its match
+    /// point, and its next index with it — forward only, because windows
+    /// pipelined above the ack (see [`Node::pump_peer`]) are already in
+    /// flight, and snapping back to the ack point would re-send them all.
+    fn note_matched(&mut self, slot: usize, hint: LogIndex) {
+        let commit = self.commit_index;
+        let Some(progress) = self.progress.get_mut(slot) else {
+            return;
+        };
+        if hint > progress.matched {
+            if progress.matched <= commit && hint > commit {
+                self.matched_above_commit += 1;
+            }
+            progress.matched = hint;
+        }
+        progress.next = progress.next.max(progress.matched.next());
     }
 
     /// Compacts the log once enough applied entries accumulate above the
@@ -454,10 +458,13 @@ impl Node {
         if self.role != Role::Leader || reply.term != self.current_term {
             return; // stale reply
         }
+        let Some(slot) = self.slot(from) else {
+            return; // not a member: nothing of ours to advance
+        };
 
         // Every reply returns one unit of pipeline credit (saturating:
         // heartbeat replies may return credit a lost window never will).
-        self.reclaim_inflight(from);
+        self.reclaim_inflight(slot);
 
         // PPF input: record the follower's log responsiveness.
         if let Some(status) = reply.status {
@@ -466,41 +473,23 @@ impl Node {
 
         // ReadIndex input: any reply under our term acknowledges the
         // round it echoes, success or not.
-        if reply.seq > 0 {
-            let acked = self.acked_rounds.entry(from).or_insert(0);
-            if reply.seq > *acked {
-                *acked = reply.seq;
-                self.advance_read_state(out);
-            }
+        if reply.seq > 0 && self.note_acked(slot, reply.seq) {
+            self.advance_read_state(out);
         }
 
         if reply.success {
-            let match_index = self.match_index.entry(from).or_insert(LogIndex::ZERO);
-            if reply.match_hint > *match_index {
-                *match_index = reply.match_hint;
-            }
-            let matched = *match_index;
-            // Forward-only (see the pipelining note in `pump_peer`):
-            // acks for older windows must not drag the optimistic
-            // `next_index` back over entries already in flight.
-            let next = self
-                .next_index
-                .get(&from)
-                .copied()
-                .unwrap_or(LogIndex::ZERO)
-                .max(matched.next());
-            self.next_index.insert(from, next);
+            self.note_matched(slot, reply.match_hint);
             // Additive recovery from a backpressure clamp: each clean ack
-            // widens the window by one until it is back at the cap.
-            if let Some(cap) = self.window_cap.get_mut(&from) {
-                *cap += 1;
-                if *cap >= self.options.max_inflight_appends {
-                    self.window_cap.remove(&from);
+            // widens the window by one until it is back at the option.
+            let max = self.options.max_inflight_appends;
+            if let Some(progress) = self.progress.get_mut(slot) {
+                if progress.cap < max {
+                    progress.cap += 1;
                 }
             }
             self.advance_commit(now, out);
             // Keep the pipeline full if the follower is still behind.
-            self.pump_peer(from, None, now, out);
+            self.pump_peer(slot, None, now, out);
         } else {
             // Backtrack: at most to just past the follower's last index,
             // otherwise one step, floored at 1. A rejection also voids
@@ -515,30 +504,32 @@ impl Node {
             // phantom credit that throttles repair to one window per
             // round trip, which measurably slows catch-up under the
             // paper's lossy-network experiments.
-            let current = self
-                .next_index
-                .get(&from)
-                .copied()
-                .unwrap_or_else(|| self.log.last_index().next());
-            let stepped = current.prev_saturating().max(LogIndex::new(1));
-            let capped = stepped.min(reply.match_hint.next());
-            self.next_index.insert(from, capped.max(LogIndex::new(1)));
-            self.inflight.insert(from, 0);
-            self.pump_peer(from, None, now, out);
+            if let Some(progress) = self.progress.get_mut(slot) {
+                let stepped = progress.next.prev_saturating().max(LogIndex::new(1));
+                let capped = stepped.min(reply.match_hint.next());
+                progress.next = capped.max(LogIndex::new(1));
+                progress.inflight = 0;
+            }
+            self.pump_peer(slot, None, now, out);
         }
     }
 
-    /// Returns one unit of `peer`'s pipeline credit, saturating at zero
-    /// (replies to heartbeats and to windows sent before a pipeline reset
-    /// may over-return).
-    fn reclaim_inflight(&mut self, peer: ServerId) {
-        if let Some(credit) = self.inflight.get_mut(&peer) {
-            *credit = credit.saturating_sub(1);
+    /// Returns one unit of the pipeline credit of the peer in `slot`,
+    /// saturating at zero (replies to heartbeats and to windows sent
+    /// before a pipeline reset may over-return).
+    fn reclaim_inflight(&mut self, slot: usize) {
+        if let Some(progress) = self.progress.get_mut(slot) {
+            progress.inflight = progress.inflight.saturating_sub(1);
         }
     }
 
     /// Advances the commit index to the highest replicated-on-a-quorum entry
     /// of the *current* term (the Raft §5.4.2 restriction), then applies.
+    ///
+    /// That entry is the quorum-th largest match point (the leader's own
+    /// included), capped at the log tail, if its term is the current one:
+    /// terms never decrease along the log, so no lower quorum-replicated
+    /// entry can be of the current term when this one is not.
     pub(super) fn advance_commit(&mut self, now: Time, out: &mut Vec<Action>) {
         if self.role != Role::Leader {
             return;
@@ -552,22 +543,26 @@ impl Node {
         } else {
             self.durable_index
         };
-        let mut candidate = self.log.last_index();
-        while candidate > self.commit_index {
-            if self.log.term_at(candidate) == Some(self.current_term) {
-                let replicas = usize::from(candidate <= self_match)
-                    + self
-                        .match_index
-                        .values()
-                        .filter(|m| **m >= candidate)
-                        .count();
-                if replicas >= self.quorum() {
-                    break;
-                }
-            }
-            candidate = candidate.prev();
+        let quorum = self.quorum();
+        // Fewer than a quorum of replicas above the commit index: the
+        // common case, decided without looking at any peer.
+        if usize::from(self_match > self.commit_index) + self.matched_above_commit < quorum {
+            return;
         }
-        if candidate > self.commit_index {
+        self.scratch.clear();
+        self.scratch.push(self_match.get());
+        self.scratch
+            .extend(self.progress.iter().map(|p| p.matched.get()));
+        let Some(replicated) = nth_largest(&mut self.scratch, quorum) else {
+            return;
+        };
+        let candidate = LogIndex::new(replicated).min(self.log.last_index());
+        if candidate > self.commit_index && self.log.term_at(candidate) == Some(self.current_term) {
+            self.matched_above_commit = self
+                .progress
+                .iter()
+                .filter(|p| p.matched > candidate)
+                .count();
             // The no-op (or first entry) of this leadership just committed:
             // the failover timeline's terminal phase boundary.
             if self.commit_index < self.term_start_index && candidate >= self.term_start_index {

@@ -1900,3 +1900,187 @@ fn a_step_that_also_persisted_a_promise_takes_the_blocking_barrier() {
     assert_eq!(node.durable_index(), index);
     assert!(first < index);
 }
+
+// ---- incremental quorum statistics vs. the scans they replaced ----
+
+/// The sort-based `confirmed_round` the cached statistic replaced: the
+/// `needed`-th largest round echoed by the peers that echoed any.
+fn oracle_confirmed_round(node: &Node) -> u64 {
+    let needed = node.read_quorum_needed();
+    if needed == 0 {
+        return node.broadcast_seq;
+    }
+    let mut acks: Vec<u64> = node
+        .progress
+        .iter()
+        .map(|p| p.acked)
+        .filter(|&acked| acked > 0)
+        .collect();
+    if acks.len() < needed {
+        return 0;
+    }
+    acks.sort_unstable_by(|a, b| b.cmp(a));
+    acks[needed - 1]
+}
+
+/// The scanning `advance_commit` the quorum selection replaced: where it
+/// takes a commit index that stands at `commit`, given the leader's state.
+fn oracle_commit(node: &Node, commit: LogIndex) -> LogIndex {
+    let self_match = if node.storage_dirty {
+        node.log.last_index()
+    } else {
+        node.durable_index
+    };
+    let mut candidate = node.log.last_index();
+    while candidate > commit {
+        if node.log.term_at(candidate) == Some(node.current_term) {
+            let replicas = usize::from(candidate <= self_match)
+                + node
+                    .progress
+                    .iter()
+                    .filter(|p| p.matched >= candidate)
+                    .count();
+            if replicas >= node.quorum() {
+                break;
+            }
+        }
+        candidate = candidate.prev();
+    }
+    candidate.max(commit)
+}
+
+/// A leader of `n` on a deferring storage, elected at 1 s, its acks
+/// still to come.
+fn oracle_leader(n: u32) -> Node {
+    let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
+    let mut node = Node::builder(ids[0], ids.clone())
+        .policy(Box::new(RaftPolicy::with_source(Box::new(
+            ScriptedTimeouts::new(vec![Duration::from_millis(1000)]),
+        ))))
+        .options(Options {
+            max_entries_per_append: 4,
+            vote_retry_interval: None,
+            ..Options::default()
+        })
+        .storage(Box::new(DeferringStorage::default()))
+        .build();
+    node.start(Time::ZERO);
+    let token = TimerToken {
+        kind: TimerKind::Election,
+        epoch: 1,
+    };
+    let now = Time::from_millis(1000);
+    node.handle_timer(token, now);
+    for peer in &ids[1..] {
+        if node.is_leader() {
+            break;
+        }
+        let grant = crate::message::RequestVoteReply {
+            term: node.current_term(),
+            vote_granted: true,
+        };
+        node.handle_message(*peer, Message::RequestVoteReply(grant), now);
+    }
+    assert!(node.is_leader());
+    node
+}
+
+/// One leader input, decoded from three random numbers.
+fn oracle_step(node: &mut Node, (op, peer, value): (u8, u32, u64), now: Time) {
+    let peers = node.peers().to_vec();
+    let from = (!peers.is_empty()).then(|| peers[peer as usize % peers.len()]);
+    let last = node.log().last_index().get();
+    // Mostly "caught up to the tail"; sometimes anywhere, including just
+    // past the tail (a stale snapshot hint can claim that much).
+    let hint = LogIndex::new(if value & 3 == 0 {
+        (value >> 2) % (last + 3)
+    } else {
+        last
+    });
+    let seq = (value >> 8) % (node.broadcast_seq + 2);
+    let term = node.current_term();
+    match (op, from) {
+        (0 | 1, Some(from)) => {
+            let reply = crate::message::AppendEntriesReply {
+                term,
+                success: op == 0,
+                match_hint: hint,
+                status: None,
+                seq,
+            };
+            node.handle_message(from, Message::AppendEntriesReply(reply), now);
+        }
+        (2, Some(from)) => {
+            // A round ack that reports no progress.
+            let reply = crate::message::AppendEntriesReply {
+                term,
+                success: true,
+                match_hint: LogIndex::ZERO,
+                status: None,
+                seq,
+            };
+            node.handle_message(from, Message::AppendEntriesReply(reply), now);
+        }
+        (3, Some(from)) => node.note_backpressure(from),
+        (4, Some(from)) => {
+            let reply = crate::message::InstallSnapshotReply {
+                term,
+                match_hint: hint,
+            };
+            node.handle_message(from, Message::InstallSnapshotReply(reply), now);
+        }
+        (5, _) => {
+            let commands = (0..=value % 3)
+                .map(|i| Bytes::from(format!("c{i}")))
+                .collect();
+            node.propose_batch(commands, now).expect("still the leader");
+        }
+        (6, _) => {
+            node.barrier_done(value % (last + 2), now);
+        }
+        (7, _) => {
+            let token = TimerToken {
+                kind: TimerKind::Heartbeat,
+                epoch: node.heartbeat_epoch,
+            };
+            node.handle_timer(token, now);
+        }
+        (_, _) => {
+            node.read_batch(vec![Bytes::from_static(b"q")], now)
+                .expect("still the leader");
+        }
+    }
+}
+
+proptest::proptest! {
+    /// The cached confirmed round and the selected commit index equal
+    /// what the sort and the scan they replaced compute, after every
+    /// input, for every cluster size the engine meets — 1 and 2 are the
+    /// degenerate quorums, 50 the paper's scale point.
+    #[test]
+    fn quorum_statistics_match_the_scans_they_replaced(
+        ops in proptest::collection::vec(
+            (0u8..9, proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>()),
+            0..400,
+        )
+    ) {
+        for n in [1u32, 2, 3, 5, 50] {
+            let mut node = oracle_leader(n);
+            let mut commit = oracle_commit(&node, node.commit_index());
+            proptest::prop_assert_eq!(node.commit_index(), commit, "n={} at election", n);
+            for (step, &op) in ops.iter().enumerate() {
+                let now = Time::from_millis(1001 + step as u64);
+                oracle_step(&mut node, op, now);
+                commit = oracle_commit(&node, commit);
+                proptest::prop_assert_eq!(
+                    node.commit_index(), commit, "n={} step {} {:?}", n, step, op
+                );
+                proptest::prop_assert_eq!(
+                    node.confirmed_round(),
+                    oracle_confirmed_round(&node),
+                    "n={} step {} {:?}", n, step, op
+                );
+            }
+        }
+    }
+}

@@ -67,12 +67,24 @@ impl<E: Eq> EventQueue<E> {
 
     /// Schedules `event` at time `at`.
     pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.reserve();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// Takes the next insertion sequence number without queueing
+    /// anything: an event pushed later under it with
+    /// [`EventQueue::push_reserved`] sorts exactly as if it had been
+    /// pushed now.
+    pub fn reserve(&mut self) -> u64 {
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        }));
+        self.seq
+    }
+
+    /// Schedules `event` at time `at` under a sequence number from
+    /// [`EventQueue::reserve`]. Reusing a number for two events leaves
+    /// their relative order unspecified.
+    pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
+        self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
     /// Pops the earliest event (FIFO among equal times).
@@ -137,6 +149,17 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::from_millis(4)));
         q.clear();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reserved_sequence_numbers_sort_at_reservation_order() {
+        let mut q = EventQueue::new();
+        let t = Time::from_millis(5);
+        let early = q.reserve();
+        q.push(t, "pushed after the reservation");
+        q.push_reserved(t, early, "reserved first");
+        assert_eq!(q.pop(), Some((t, "reserved first")));
+        assert_eq!(q.pop(), Some((t, "pushed after the reservation")));
     }
 
     #[test]

@@ -60,9 +60,39 @@ enum SimEvent<M> {
         token: u64,
         incarnation: u64,
     },
+    /// The queued entry of a [`Sim::arm`] slot, known by the sequence
+    /// number it was queued under.
+    Slot {
+        node: ServerId,
+        slot: usize,
+        seq: u64,
+    },
     Control {
         tag: u64,
     },
+}
+
+/// The newest arming of a timer slot.
+#[derive(Clone, Copy, Debug)]
+struct Armed {
+    deadline: Time,
+    /// The queue sequence number reserved when it was armed: where it
+    /// sorts among events due at the same instant.
+    seq: u64,
+    token: u64,
+    incarnation: u64,
+}
+
+/// One `(node, slot)` timer of [`Sim::arm`].
+#[derive(Clone, Copy, Debug, Default)]
+struct TimerSlot {
+    /// The arming that fires; `None` once it has.
+    live: Option<Armed>,
+    /// `(deadline, seq)` of the one queued entry that delivers `live` or
+    /// moves it on. An entry of this slot queued under any other
+    /// sequence number was overtaken by an earlier arming and is
+    /// dropped when it pops.
+    carrier: Option<(Time, u64)>,
 }
 
 /// An event the harness must act on, already filtered for crashes and stale
@@ -82,7 +112,7 @@ pub enum Ready<M> {
     Timer {
         /// The timer's owner.
         node: ServerId,
-        /// The opaque token passed to [`Sim::set_timer`].
+        /// The opaque token passed to [`Sim::set_timer`] or [`Sim::arm`].
         token: u64,
     },
     /// A control point scheduled via [`Sim::schedule_control`] (fault
@@ -106,7 +136,9 @@ pub struct NetStats {
     pub dropped_partition: u64,
     /// Messages addressed to a crashed or re-incarnated node.
     pub dropped_crashed: u64,
-    /// Timer events fired (current incarnation only).
+    /// Timer events fired (current incarnation only). A slot timer
+    /// ([`Sim::arm`]) counts once per live firing: armings it superseded
+    /// never fire and are not counted.
     pub timers_fired: u64,
     /// Extra copies injected by the chaos model.
     pub duplicated: u64,
@@ -150,6 +182,8 @@ pub struct Sim<M: SimMessage> {
     rng: Xoshiro256,
     crashed: BTreeSet<ServerId>,
     incarnations: BTreeMap<ServerId, u64>,
+    /// [`Sim::arm`] slots, by `ServerId::index()` and then slot.
+    timers: Vec<Vec<TimerSlot>>,
     trace: Trace,
     stats: NetStats,
 }
@@ -167,6 +201,7 @@ impl<M: SimMessage> Sim<M> {
             rng: Xoshiro256::seed_from(seed),
             crashed: BTreeSet::new(),
             incarnations: BTreeMap::new(),
+            timers: Vec::new(),
             trace: Trace::disabled(),
             stats: NetStats::default(),
         }
@@ -362,7 +397,9 @@ impl<M: SimMessage> Sim<M> {
     }
 
     /// Arms a timer for `node`; the opaque `token` comes back in
-    /// [`Ready::Timer`]. Timers die with the node's incarnation.
+    /// [`Ready::Timer`]. Timers die with the node's incarnation. Every
+    /// call fires on its own; for a timer that each new deadline
+    /// supersedes, use [`Sim::arm`].
     pub fn set_timer(&mut self, node: ServerId, token: u64, deadline: Time) {
         let incarnation = self.incarnation(node);
         self.queue.push(
@@ -373,6 +410,45 @@ impl<M: SimMessage> Sim<M> {
                 incarnation,
             },
         );
+    }
+
+    /// Arms timer `slot` of `node` to fire at `deadline` with `token`,
+    /// superseding whatever that slot was armed with before — the
+    /// one-deadline-per-kind contract of a consensus engine's timers.
+    /// Like [`Sim::set_timer`], the timer dies with the node's
+    /// incarnation, so an arming from before a crash never fires after
+    /// the restart.
+    ///
+    /// A superseded arming fires nothing, and the queue holds at most one
+    /// entry per slot for it: re-arming *later* only records the new
+    /// arming, and the queued entry, when it pops, moves on to it. Only
+    /// re-arming *earlier* queues a fresh entry (the old one is dropped
+    /// when it pops). Each arming reserves its queue sequence number when
+    /// it is made, so it fires exactly where [`Sim::set_timer`] would have
+    /// put it among the other events.
+    pub fn arm(&mut self, node: ServerId, slot: usize, token: u64, deadline: Time) {
+        let seq = self.queue.reserve();
+        let incarnation = self.incarnation(node);
+        let index = node.index();
+        if self.timers.len() <= index {
+            self.timers.resize_with(index + 1, Vec::new);
+        }
+        let slots = &mut self.timers[index];
+        if slots.len() <= slot {
+            slots.resize(slot + 1, TimerSlot::default());
+        }
+        let timer = &mut slots[slot];
+        timer.live = Some(Armed {
+            deadline,
+            seq,
+            token,
+            incarnation,
+        });
+        if timer.carrier.map_or(true, |(at, _)| deadline < at) {
+            timer.carrier = Some((deadline, seq));
+            self.queue
+                .push_reserved(deadline, seq, SimEvent::Slot { node, slot, seq });
+        }
     }
 
     /// Schedules a control point (fault scripts, measurements) at `at`.
@@ -446,6 +522,46 @@ impl<M: SimMessage> Sim<M> {
                 }
                 self.stats.timers_fired += 1;
                 Some(Some(Ready::Timer { node, token }))
+            }
+            SimEvent::Slot { node, slot, seq } => {
+                let Some(timer) = self
+                    .timers
+                    .get_mut(node.index())
+                    .and_then(|slots| slots.get_mut(slot))
+                else {
+                    return Some(None);
+                };
+                if timer.carrier.map(|(_, carried)| carried) != Some(seq) {
+                    return Some(None); // overtaken by an earlier arming
+                }
+                let Some(live) = timer.live else {
+                    timer.carrier = None;
+                    return Some(None);
+                };
+                if live.seq != seq {
+                    // Re-armed later since this entry was queued: carry
+                    // the live arming on to its own place in the order.
+                    timer.carrier = Some((live.deadline, live.seq));
+                    self.queue.push_reserved(
+                        live.deadline,
+                        live.seq,
+                        SimEvent::Slot {
+                            node,
+                            slot,
+                            seq: live.seq,
+                        },
+                    );
+                    return Some(None);
+                }
+                *timer = TimerSlot::default();
+                if self.crashed.contains(&node) || live.incarnation != self.incarnation(node) {
+                    return Some(None);
+                }
+                self.stats.timers_fired += 1;
+                Some(Some(Ready::Timer {
+                    node,
+                    token: live.token,
+                }))
             }
             SimEvent::Control { tag } => Some(Some(Ready::Control { tag })),
         }
@@ -582,6 +698,116 @@ mod tests {
         );
         assert_eq!(sim.now(), Time::from_millis(100));
         assert_eq!(sim.stats().timers_fired, 1);
+    }
+
+    /// Drains the simulator, returning what fired and when (ms).
+    fn drain(sim: &mut Sim<Ping>) -> Vec<(u64, Ready<Ping>)> {
+        std::iter::from_fn(|| sim.step().map(|ready| (sim.now().as_millis(), ready))).collect()
+    }
+
+    fn fired(node: u32, token: u64) -> Ready<Ping> {
+        Ready::Timer {
+            node: s(node),
+            token,
+        }
+    }
+
+    fn delivered(from: u32, to: u32, ping: u32) -> Ready<Ping> {
+        Ready::Message {
+            from: s(from),
+            to: s(to),
+            msg: Ping(ping),
+        }
+    }
+
+    #[test]
+    fn later_rearm_fires_once_at_its_own_deadline() {
+        let mut sim = sim(20);
+        sim.arm(s(1), 0, 1, Time::from_millis(100));
+        sim.arm(s(1), 0, 2, Time::from_millis(150));
+        assert_eq!(drain(&mut sim), vec![(150, fired(1, 2))]);
+        assert_eq!(sim.stats().timers_fired, 1);
+    }
+
+    #[test]
+    fn earlier_rearm_fires_at_the_earlier_deadline() {
+        let mut sim = sim(21);
+        sim.arm(s(1), 0, 1, Time::from_millis(100));
+        sim.arm(s(1), 0, 2, Time::from_millis(40));
+        assert_eq!(drain(&mut sim), vec![(40, fired(1, 2))]);
+        assert_eq!(sim.stats().timers_fired, 1);
+        assert_eq!(sim.pending(), 0, "the overtaken entry was dropped");
+    }
+
+    #[test]
+    fn slot_armed_before_a_crash_never_fires_after_the_restart() {
+        let mut sim = sim(22);
+        sim.arm(s(2), 0, 1, Time::from_millis(20));
+        sim.crash(s(2));
+        sim.restart(s(2));
+        assert!(drain(&mut sim).is_empty());
+        // Re-armed by the new incarnation, later or earlier than the
+        // pre-crash arming: only the new one fires.
+        sim.arm(s(2), 0, 2, Time::from_millis(50));
+        sim.crash(s(2));
+        sim.restart(s(2));
+        sim.arm(s(2), 0, 3, Time::from_millis(80));
+        sim.arm(s(2), 1, 4, Time::from_millis(60));
+        sim.crash(s(2));
+        sim.restart(s(2));
+        sim.arm(s(2), 1, 5, Time::from_millis(55));
+        assert_eq!(drain(&mut sim), vec![(55, fired(2, 5))]);
+    }
+
+    #[test]
+    fn slots_are_independent() {
+        let mut sim = sim(23);
+        sim.arm(s(1), 0, 10, Time::from_millis(30));
+        sim.arm(s(1), 1, 11, Time::from_millis(20));
+        sim.arm(s(2), 0, 12, Time::from_millis(25));
+        sim.arm(s(1), 0, 13, Time::from_millis(40));
+        assert_eq!(
+            drain(&mut sim),
+            vec![(20, fired(1, 11)), (25, fired(2, 12)), (40, fired(1, 13))]
+        );
+    }
+
+    /// A re-armed slot sorts among events due at the same instant by when
+    /// it was *armed*, exactly as a fresh `set_timer` would.
+    #[test]
+    fn equal_deadline_ties_keep_arm_order_against_deliveries() {
+        let mut sim = sim(24); // constant 10 ms latency
+        let t = Time::from_millis(10);
+        sim.arm(s(1), 0, 1, Time::from_millis(5)); // carrier, pops first
+        sim.send(s(2), s(1), Ping(1)); // due at 10, queued before the re-arm
+        sim.arm(s(1), 0, 2, t); // re-armed later: rides the carrier
+        sim.send(s(2), s(1), Ping(2)); // due at 10, queued after it
+        sim.arm(s(1), 1, 3, t); // another slot, armed last
+        let ms = t.as_millis();
+        assert_eq!(
+            drain(&mut sim),
+            vec![
+                (ms, delivered(2, 1, 1)),
+                (ms, fired(1, 2)),
+                (ms, delivered(2, 1, 2)),
+                (ms, fired(1, 3)),
+            ]
+        );
+    }
+
+    #[test]
+    fn pending_stays_bounded_under_rearms() {
+        let mut sim = sim(25);
+        for i in 0..1000u64 {
+            // Each heartbeat pushes the failure detector back.
+            sim.arm(s(1), 0, i, Time::from_millis(100 + i));
+            sim.arm(s(2), 0, i, Time::from_millis(100 + i));
+        }
+        assert_eq!(sim.pending(), 2, "one queued entry per slot");
+        assert_eq!(
+            drain(&mut sim),
+            vec![(1099, fired(1, 999)), (1099, fired(2, 999))]
+        );
     }
 
     #[test]
