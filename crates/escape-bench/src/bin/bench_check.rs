@@ -20,6 +20,10 @@
 //! cargo run -p escape-bench --bin bench_check -- obs_overhead \
 //!     crates/escape-bench/BENCH_replication.json \
 //!     crates/escape-bench/baselines/replication.json
+//!
+//! cargo bench -p escape-bench --bench wal
+//! cargo run -p escape-bench --bin bench_check -- wal \
+//!     crates/escape-bench/BENCH_wal.json crates/escape-bench/baselines/wal.json
 //! ```
 //!
 //! Each suite gates one scaling ratio, twice — both machine-independent
@@ -51,6 +55,11 @@
 //!   with an explicit no-op observer attached vs the builder default.
 //!   Limit 1.02 — the observer hooks threaded through the hot path must
 //!   cost under 2% when disabled; baseline drift 1.05.
+//! * **wal** — `wal/append/b128` vs `wal/encode/b128`: `Wal::append` of
+//!   one 128-entry slice plus its `write` (no fsync) against encoding the
+//!   same entries alone. Limit 12× — the slicing-by-16 CRC keeps it ≈ 8×,
+//!   the byte-at-a-time CRC it replaced measured ≈ 24×; baseline drift
+//!   2×.
 //!
 //! Absolute medians are compared against the baseline too, but only
 //! warn: wall-clock medians vary across CI machines, so absolute 2×
@@ -112,6 +121,13 @@ const SUITES: &[Suite] = &[
         ratio_denominator: "obs_overhead/baseline/b256",
         ratio_limit: 1.02,
         baseline_factor: 1.05,
+    },
+    Suite {
+        name: "wal",
+        ratio_numerator: "wal/append/b128",
+        ratio_denominator: "wal/encode/b128",
+        ratio_limit: 12.0,
+        baseline_factor: 2.0,
     },
 ];
 

@@ -8,6 +8,8 @@
 //! `Get` keeps its log encoding only so replicas can still replay
 //! read-through-consensus entries written by older versions.
 
+use std::sync::OnceLock;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use escape_wire::varint::{get_uvarint, put_uvarint};
@@ -189,11 +191,14 @@ const RTAG_CAS_FAILED: u8 = 3;
 const RTAG_MALFORMED: u8 = 4;
 
 impl KvResponse {
-    /// Serializes the response (the `apply` return payload).
+    /// Serializes the response (the `apply` return payload). Every put
+    /// answers [`KvResponse::Ok`], so its one byte is allocated once and
+    /// shared.
     pub fn encode(&self) -> Bytes {
+        static OK: OnceLock<Bytes> = OnceLock::new();
         let mut buf = BytesMut::new();
         match self {
-            KvResponse::Ok => buf.put_u8(RTAG_OK),
+            KvResponse::Ok => return OK.get_or_init(|| Bytes::from_static(&[RTAG_OK])).clone(),
             KvResponse::Value(v) => {
                 buf.put_u8(RTAG_VALUE);
                 put_opt_blob(&mut buf, v);

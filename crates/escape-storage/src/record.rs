@@ -69,46 +69,65 @@ impl WalRecord {
     /// checksummed by the segment writer, not here).
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the record's payload encoding to `buf` — what
+    /// [`Wal::append`](crate::wal::Wal::append) writes straight into its
+    /// group-commit buffer.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             WalRecord::HardState { term, voted_for } => {
                 buf.put_u8(TAG_HARD_STATE);
-                term.encode(&mut buf);
+                term.encode(buf);
                 match voted_for {
                     None => buf.put_u8(0),
                     Some(id) => {
                         buf.put_u8(1);
-                        id.encode(&mut buf);
+                        id.encode(buf);
                     }
                 }
             }
-            WalRecord::AppendEntry { entry } => {
-                buf.put_u8(TAG_APPEND_ENTRY);
-                entry.encode(&mut buf);
-            }
+            WalRecord::AppendEntry { entry } => Self::encode_append_entry(entry, buf),
             WalRecord::AppendSlice {
                 prev_index,
                 prev_term,
                 entries,
-            } => {
-                buf.put_u8(TAG_APPEND_SLICE);
-                prev_index.encode(&mut buf);
-                prev_term.encode(&mut buf);
-                put_uvarint(&mut buf, entries.len() as u64);
-                for entry in entries {
-                    entry.encode(&mut buf);
-                }
-            }
+            } => Self::encode_append_slice(*prev_index, *prev_term, entries, buf),
             WalRecord::Config { config } => {
                 buf.put_u8(TAG_CONFIG);
-                config.encode(&mut buf);
+                config.encode(buf);
             }
             WalRecord::SnapshotMarker { index, term } => {
                 buf.put_u8(TAG_SNAPSHOT_MARKER);
-                index.encode(&mut buf);
-                term.encode(&mut buf);
+                index.encode(buf);
+                term.encode(buf);
             }
         }
-        buf.freeze()
+    }
+
+    /// The [`WalRecord::AppendEntry`] encoding of a borrowed entry, so
+    /// the storage writes it without cloning the entry into a record.
+    pub(crate) fn encode_append_entry(entry: &Entry, buf: &mut BytesMut) {
+        buf.put_u8(TAG_APPEND_ENTRY);
+        entry.encode(buf);
+    }
+
+    /// The [`WalRecord::AppendSlice`] encoding of a borrowed slice.
+    pub(crate) fn encode_append_slice(
+        prev_index: LogIndex,
+        prev_term: Term,
+        entries: &[Entry],
+        buf: &mut BytesMut,
+    ) {
+        buf.put_u8(TAG_APPEND_SLICE);
+        prev_index.encode(buf);
+        prev_term.encode(buf);
+        put_uvarint(buf, entries.len() as u64);
+        for entry in entries {
+            entry.encode(buf);
+        }
     }
 
     /// Decodes one record from a payload produced by

@@ -202,22 +202,19 @@ impl Storage for WalStorage {
     }
 
     fn persist_entry(&mut self, entry: &Entry) -> io::Result<()> {
-        self.wal.append(&WalRecord::AppendEntry {
-            entry: entry.clone(),
-        })
+        self.wal
+            .append_with(|buf| WalRecord::encode_append_entry(entry, buf))
     }
 
-    /// Group commit: the whole batch is encoded into the WAL's buffer in
-    /// one go, and the engine's single post-batch [`Storage::sync`] makes
-    /// it durable with one `write` + one `fdatasync`.
+    /// Group commit: the whole batch is encoded, from the borrowed
+    /// entries, into the WAL's buffer in one go, and the engine's single
+    /// post-batch [`Storage::sync`] makes it durable with one `write` +
+    /// one `fdatasync`.
     fn persist_entries(&mut self, entries: &[Entry]) -> io::Result<()> {
-        let records: Vec<WalRecord> = entries
-            .iter()
-            .map(|entry| WalRecord::AppendEntry {
-                entry: entry.clone(),
-            })
-            .collect();
-        self.wal.append_many(&records)
+        for entry in entries {
+            self.persist_entry(entry)?;
+        }
+        Ok(())
     }
 
     fn persist_appended(
@@ -226,10 +223,8 @@ impl Storage for WalStorage {
         prev_term: Term,
         entries: &[Entry],
     ) -> io::Result<()> {
-        self.wal.append(&WalRecord::AppendSlice {
-            prev_index,
-            prev_term,
-            entries: entries.to_vec(),
+        self.wal.append_with(|buf| {
+            WalRecord::encode_append_slice(prev_index, prev_term, entries, buf)
         })
     }
 
@@ -254,11 +249,7 @@ impl Storage for WalStorage {
         self.wal.rotate()?;
         self.wal.append(&WalRecord::SnapshotMarker { index, term })?;
         if !tail.is_empty() {
-            self.wal.append(&WalRecord::AppendSlice {
-                prev_index: index,
-                prev_term: term,
-                entries: tail.to_vec(),
-            })?;
+            self.persist_appended(index, term, tail)?;
         }
         self.wal.sync()?;
         let keep_from = self.wal.seq();
@@ -286,6 +277,45 @@ mod tests {
             index: LogIndex::new(index),
             payload: Payload::Command(Bytes::from_static(payload)),
         }
+    }
+
+    /// The storage encodes from borrowed entries; the segment must hold
+    /// exactly what appending the equivalent owned records writes.
+    #[test]
+    fn borrowed_entry_paths_write_the_oracle_bytes() {
+        let dir = scratch_dir("store-oracle");
+        let batch: Vec<Entry> = (1..=128u64)
+            .map(|i| Entry {
+                term: Term::new(2),
+                index: LogIndex::new(i),
+                payload: Payload::Command(Bytes::from(vec![i as u8; 250])),
+            })
+            .collect();
+        {
+            let (mut storage, _) = WalStorage::open(&dir).unwrap();
+            storage.persist_entry(&batch[0]).unwrap();
+            storage.persist_entries(&batch[1..4]).unwrap();
+            storage
+                .persist_appended(LogIndex::ZERO, Term::ZERO, &batch)
+                .unwrap();
+            storage.sync().unwrap();
+        }
+        let mut expected: Vec<WalRecord> = batch[..4]
+            .iter()
+            .map(|entry| WalRecord::AppendEntry {
+                entry: entry.clone(),
+            })
+            .collect();
+        expected.push(WalRecord::AppendSlice {
+            prev_index: LogIndex::ZERO,
+            prev_term: Term::ZERO,
+            entries: batch.clone(),
+        });
+        let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            crate::wal::tests::oracle_segment(&expected)
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!
 //! # Group commit
 //!
-//! Appends are **deferred-sync**: [`Wal::append`] and
-//! [`Wal::append_many`] encode records into a user-space buffer and the
+//! Appends are **deferred-sync**: [`Wal::append`] encodes each record,
+//! framed in place, into a user-space buffer and the
 //! [`Wal::sync`] barrier writes the whole buffer with one `write` and
 //! makes it durable with one `fdatasync` — so a batch of N records costs
 //! one syscall pair instead of N, and the engine's
@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use escape_obs::{Gauge, Histogram, Labels, Registry};
-use escape_wire::record::{read_record, write_record, DEFAULT_MAX_RECORD};
+use escape_wire::record::{read_record, write_record_with, DEFAULT_MAX_RECORD};
 
 use crate::record::WalRecord;
 
@@ -413,30 +413,29 @@ impl Wal {
     /// after [`Wal::sync`]), rotating first if the active segment is over
     /// the cap.
     ///
+    /// The record is framed in place: the 8-byte header is reserved in
+    /// the buffer, the record is encoded straight after it, and the
+    /// length and the CRC over that slice are backfilled
+    /// ([`write_record_with`]). Each payload byte is copied into the
+    /// buffer once and checksummed once; the bytes are those of
+    /// `write_record(buf, &record.to_bytes())`.
+    ///
     /// # Errors
     ///
     /// I/O errors from a rotation's flush.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+        self.append_with(|buf| record.encode_into(buf))
+    }
+
+    /// [`Wal::append`] of the record `encode` writes, for callers that
+    /// encode from borrowed data instead of building a [`WalRecord`].
+    pub(crate) fn append_with(&mut self, encode: impl FnOnce(&mut BytesMut)) -> io::Result<()> {
         if self.written >= self.options.segment_max_bytes {
             self.rotate()?;
         }
         let before = self.buffer.len();
-        write_record(&mut self.buffer, &record.to_bytes());
+        write_record_with(&mut self.buffer, encode);
         self.written += (self.buffer.len() - before) as u64;
-        Ok(())
-    }
-
-    /// Appends a whole batch of records into the group-commit buffer —
-    /// the [`Wal::append`] loop without per-record call overhead; one
-    /// [`Wal::sync`] then covers the entire batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Wal::append`].
-    pub fn append_many(&mut self, records: &[WalRecord]) -> io::Result<()> {
-        for record in records {
-            self.append(record)?;
-        }
         Ok(())
     }
 
@@ -520,16 +519,88 @@ impl Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::test_util::scratch_dir;
     use escape_core::types::{ServerId, Term};
+    use escape_wire::record::write_record;
 
     fn hard_state(term: u64) -> WalRecord {
         WalRecord::HardState {
             term: Term::new(term),
             voted_for: Some(ServerId::new(1)),
         }
+    }
+
+    /// One record of every kind, plus a batch-sized `AppendSlice`.
+    fn every_record_kind() -> Vec<WalRecord> {
+        use escape_core::config::Configuration;
+        use escape_core::log::{Entry, Payload};
+        use escape_core::time::Duration;
+        use escape_core::types::{ConfClock, LogIndex, Priority};
+
+        let entry = |index: u64| Entry {
+            term: Term::new(3),
+            index: LogIndex::new(index),
+            payload: Payload::Command(Bytes::from(vec![index as u8; 250])),
+        };
+        vec![
+            hard_state(7),
+            WalRecord::HardState {
+                term: Term::new(8),
+                voted_for: None,
+            },
+            WalRecord::AppendEntry { entry: entry(1) },
+            WalRecord::AppendEntry {
+                entry: Entry {
+                    term: Term::new(3),
+                    index: LogIndex::new(2),
+                    payload: Payload::Noop,
+                },
+            },
+            WalRecord::AppendSlice {
+                prev_index: LogIndex::new(2),
+                prev_term: Term::new(3),
+                entries: (3..131).map(entry).collect(),
+            },
+            WalRecord::Config {
+                config: Configuration::new(
+                    Duration::from_millis(1500),
+                    Priority::new(5),
+                    ConfClock::new(12),
+                ),
+            },
+            WalRecord::SnapshotMarker {
+                index: LogIndex::new(100),
+                term: Term::new(8),
+            },
+        ]
+    }
+
+    /// What a segment holding `records` must contain, byte for byte:
+    /// each record encoded on its own, then framed by copying.
+    pub(crate) fn oracle_segment(records: &[WalRecord]) -> Vec<u8> {
+        let mut buf = BytesMut::from(&SEGMENT_MAGIC[..]);
+        for record in records {
+            write_record(&mut buf, &record.to_bytes());
+        }
+        buf.to_vec()
+    }
+
+    /// The in-place append writes exactly the `ESCWAL02` bytes the
+    /// copying encoder wrote, for every record kind.
+    #[test]
+    fn append_is_byte_identical_to_the_copying_oracle() {
+        let dir = scratch_dir("wal-oracle");
+        let records = every_record_kind();
+        let mut wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
+        for record in &records {
+            wal.append(record).unwrap();
+        }
+        wal.sync().unwrap();
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(fs::read(&path).unwrap(), oracle_segment(&records));
+        assert_eq!(replay(&dir).unwrap(), records);
     }
 
     #[test]
@@ -605,7 +676,8 @@ mod tests {
     fn buffered_appends_are_invisible_until_sync_and_lost_on_crash() {
         let dir = scratch_dir("wal-group-commit");
         let mut wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
-        wal.append_many(&[hard_state(1), hard_state(2)]).unwrap();
+        wal.append(&hard_state(1)).unwrap();
+        wal.append(&hard_state(2)).unwrap();
         assert!(wal.buffered_bytes() > 0, "records must buffer, not write through");
         assert_eq!(
             replay(&dir).unwrap().len(),
@@ -617,7 +689,8 @@ mod tests {
         assert_eq!(replay(&dir).unwrap().len(), 2, "the barrier publishes the batch");
 
         // Buffer two more, then crash (drop without sync).
-        wal.append_many(&[hard_state(3), hard_state(4)]).unwrap();
+        wal.append(&hard_state(3)).unwrap();
+        wal.append(&hard_state(4)).unwrap();
         drop(wal);
         let records = replay(&dir).unwrap();
         assert_eq!(

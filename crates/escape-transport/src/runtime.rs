@@ -12,7 +12,7 @@
 //! outcome becomes known — no other thread waits on the engine on a
 //! caller's behalf.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -191,7 +191,7 @@ pub fn node_loop(
         timers: BTreeMap::new(),
         apply_waiters: HashMap::new(),
         read_waiters: HashMap::new(),
-        recent_results: BTreeMap::new(),
+        recent_results: VecDeque::with_capacity(RESULT_WINDOW),
         drops_seen: BTreeMap::new(),
         election_backlog: None,
     };
@@ -286,9 +286,11 @@ struct NodeThread {
     /// Each caller's reply remembers how many of the batch's queries are
     /// its own.
     read_waiters: ReadWaiters,
-    /// Recent apply results, so a client that registers interest just after
-    /// the apply still gets its response (bounded window).
-    recent_results: BTreeMap<LogIndex, Bytes>,
+    /// The last [`RESULT_WINDOW`] apply results, oldest first, so a client
+    /// that registers interest just after the apply still gets its
+    /// response. Applied indexes only grow, so the ring stays sorted:
+    /// lookup is a binary search and eviction a `pop_front`.
+    recent_results: VecDeque<(LogIndex, Bytes)>,
     peers: Vec<ServerId>,
     /// Per-peer dropped-frame counters as of the last backpressure poll.
     drops_seen: BTreeMap<ServerId, u64>,
@@ -471,7 +473,12 @@ impl NodeThread {
         if self.node.last_applied() >= index {
             // Already applied: serve from the recent-results window
             // (empty payload if it aged out or was a no-op slot).
-            reply.answer(self.recent_results.get(&index).cloned().unwrap_or_default());
+            let recent = self
+                .recent_results
+                .binary_search_by_key(&index, |(applied, _)| *applied)
+                .ok()
+                .and_then(|at| self.recent_results.get(at));
+            reply.answer(recent.map(|(_, result)| result.clone()).unwrap_or_default());
         } else {
             self.apply_waiters
                 .entry(index)
@@ -488,21 +495,22 @@ impl NodeThread {
                     self.timers.insert(token.kind, (token, deadline));
                 }
                 Action::Applied { index, result } => {
-                    for waiter in self.apply_waiters.remove(&index).into_iter().flatten() {
-                        match waiter {
-                            ApplyWaiter::Proposed(reply) => {
-                                reply.answer(Ok((index, result.clone())));
+                    // Nobody waits on most applies (a follower's, a
+                    // batch's whose callers asked only for acceptance).
+                    if !self.apply_waiters.is_empty() {
+                        for waiter in self.apply_waiters.remove(&index).into_iter().flatten() {
+                            match waiter {
+                                ApplyWaiter::Proposed(reply) => {
+                                    reply.answer(Ok((index, result.clone())));
+                                }
+                                ApplyWaiter::Awaited(reply) => reply.answer(result.clone()),
                             }
-                            ApplyWaiter::Awaited(reply) => reply.answer(result.clone()),
                         }
                     }
-                    self.recent_results.insert(index, result);
-                    while self.recent_results.len() > RESULT_WINDOW {
-                        let Some(oldest) = self.recent_results.keys().next().copied() else {
-                            break;
-                        };
-                        self.recent_results.remove(&oldest);
+                    if self.recent_results.len() == RESULT_WINDOW {
+                        self.recent_results.pop_front();
                     }
+                    self.recent_results.push_back((index, result));
                 }
                 Action::ReadReady { batch, results } => {
                     if let Some(splits) = self.read_waiters.remove(&batch) {
@@ -809,6 +817,114 @@ pub(crate) mod tests {
         );
         assert!(answers.try_recv().is_err(), "one answer only");
         leader.stop();
+    }
+
+    /// The recent-results window holds the last `RESULT_WINDOW` applies:
+    /// one more evicts the oldest, whose late `AwaitApplied` gets the
+    /// empty payload, and what is still inside keeps answering after the
+    /// node steps down.
+    #[test]
+    fn late_awaits_are_served_from_the_apply_window() {
+        use escape_core::log::{Entry, Payload};
+        use escape_core::message::AppendEntriesArgs;
+        use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
+        use escape_core::time::Duration;
+        use std::time::Duration as Wall;
+
+        let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+        let node = Node::builder(ids[1], ids.clone())
+            .policy(Box::new(RaftPolicy::with_source(Box::new(
+                ScriptedTimeouts::new(vec![Duration::from_millis(300)]),
+            ))))
+            .state_machine(Box::new(Echo))
+            .build();
+        let (sent_tx, _sent) = crossbeam::channel::unbounded();
+        let outbound = Arc::new(RecordingOutbound(sent_tx));
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let thread =
+            std::thread::spawn(move || node_loop(node, rx, outbound, RuntimeClock::start()));
+        let command = |i: u64| Bytes::from(format!("cmd-{i}"));
+        let status = || {
+            let (reply, status) = Reply::channel();
+            tx.send(NodeInput::Query { reply }).unwrap();
+            status.recv_timeout(Wall::from_secs(5)).unwrap()
+        };
+        let awaited = |indexes: &[u64]| -> Vec<Bytes> {
+            let receivers: Vec<_> = indexes
+                .iter()
+                .map(|&i| {
+                    let (reply, applied) = Reply::channel();
+                    tx.send(NodeInput::AwaitApplied {
+                        index: LogIndex::new(i),
+                        reply,
+                    })
+                    .unwrap();
+                    applied
+                })
+                .collect();
+            receivers
+                .into_iter()
+                .map(|applied| applied.recv_timeout(Wall::from_secs(5)).unwrap())
+                .collect()
+        };
+
+        let newest = RESULT_WINDOW as u64 + 1;
+        tx.send(NodeInput::Peer(
+            ids[0],
+            Message::AppendEntries(AppendEntriesArgs {
+                term: Term::new(1),
+                leader_id: ids[0],
+                prev_log_index: LogIndex::ZERO,
+                prev_log_term: Term::ZERO,
+                entries: (1..=newest)
+                    .map(|i| Entry {
+                        term: Term::new(1),
+                        index: LogIndex::new(i),
+                        payload: Payload::Command(command(i)),
+                    })
+                    .collect(),
+                leader_commit: LogIndex::new(newest),
+                new_config: None,
+                seq: 1,
+            }),
+        ))
+        .unwrap();
+        assert_eq!(awaited(&[newest]), [command(newest)], "the newest apply");
+        assert_eq!(awaited(&[1]), [Bytes::new()], "evicted by the one over the window");
+
+        // The leader falls silent: the follower campaigns, then a leader
+        // of its new term reaches it and it steps down.
+        let candidate = loop {
+            let now = status();
+            if now.role == Role::Candidate {
+                break now.term;
+            }
+            std::thread::sleep(Wall::from_millis(10));
+        };
+        tx.send(NodeInput::Peer(
+            ids[2],
+            Message::AppendEntries(AppendEntriesArgs {
+                term: candidate,
+                leader_id: ids[2],
+                prev_log_index: LogIndex::new(newest),
+                prev_log_term: Term::new(1),
+                entries: Vec::new(),
+                leader_commit: LogIndex::new(newest),
+                new_config: None,
+                seq: 1,
+            }),
+        ))
+        .unwrap();
+        assert_eq!(status().role, Role::Follower);
+        let inside = [2, 3, newest / 2, newest - 1, newest];
+        assert_eq!(
+            awaited(&inside),
+            inside.map(command),
+            "each index still in the window answers with its own result"
+        );
+        assert_eq!(awaited(&[1]), [Bytes::new()]);
+        tx.send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
     }
 
     /// A reply is invoked exactly once: with the answer, or with `None`

@@ -82,7 +82,7 @@ use escape_core::storage::{RecoveredState, Storage};
 use escape_core::types::{GroupId, ServerId};
 use escape_obs::{Counter, Event, Gauge, Labels, Observer, Registry};
 use escape_storage::{WalInstruments, WalStorage};
-use escape_wire::{write_frame, Decode, Encode, Envelope, FrameReader, CLIENT_HELLO};
+use escape_wire::{write_frame_with, Decode, Encode, Envelope, FrameReader, CLIENT_HELLO};
 
 use crate::clock::RuntimeClock;
 use crate::runtime::{node_loop, NodeInput, Outbound};
@@ -599,6 +599,17 @@ impl GroupOutbound {
     }
 }
 
+/// The wire frame carrying `envelope`: one buffer, sized up front from
+/// the message's size estimate (which over-counts for realistic terms
+/// and indexes, so the buffer does not regrow),
+/// with the envelope encoded in place behind a backfilled length prefix.
+/// The bytes are exactly `write_frame(envelope.to_bytes())`'s.
+fn peer_frame(envelope: &Envelope) -> Bytes {
+    let mut frame = BytesMut::with_capacity(4 + envelope.message.approx_wire_size());
+    write_frame_with(&mut frame, |buf| envelope.encode(buf));
+    frame.freeze()
+}
+
 impl Outbound for GroupOutbound {
     fn send(&self, to: ServerId, msg: Message) {
         let envelope = Envelope {
@@ -606,9 +617,7 @@ impl Outbound for GroupOutbound {
             group: self.group,
             message: msg,
         };
-        let mut frame = BytesMut::new();
-        write_frame(&mut frame, &envelope.to_bytes());
-        self.mesh.send_frame(to, frame.freeze());
+        self.mesh.send_frame(to, peer_frame(&envelope));
     }
 
     /// The mesh is shared by every group in the process, so this reports
@@ -943,6 +952,114 @@ mod tests {
     use bytes::Bytes;
     use escape_core::types::Term;
     use std::time::Duration;
+
+    /// The in-place peer frame is byte for byte the frame of the
+    /// separately encoded envelope, for every message variant, and reads
+    /// back whole through a `FrameReader`.
+    #[test]
+    fn peer_frames_equal_copied_frames_and_round_trip() {
+        use escape_core::config::Configuration;
+        use escape_core::log::{Entry, Payload};
+        use escape_core::message::{
+            AppendEntriesArgs, AppendEntriesReply, ConfigStatus, InstallSnapshotArgs,
+            InstallSnapshotReply, RequestVoteArgs,
+        };
+        use escape_core::types::{ConfClock, LogIndex, Priority};
+        use escape_wire::write_frame;
+
+        let config = Configuration::new(
+            escape_core::time::Duration::from_millis(150),
+            Priority::new(3),
+            ConfClock::new(9),
+        );
+        let messages = vec![
+            Message::AppendEntries(AppendEntriesArgs {
+                term: Term::new(4),
+                leader_id: ServerId::new(1),
+                prev_log_index: LogIndex::new(1000),
+                prev_log_term: Term::new(4),
+                entries: (1001..1129)
+                    .map(|i| Entry {
+                        term: Term::new(4),
+                        index: LogIndex::new(i),
+                        payload: if i == 1001 {
+                            Payload::Noop
+                        } else {
+                            Payload::Command(Bytes::from(vec![i as u8; 250]))
+                        },
+                    })
+                    .collect(),
+                leader_commit: LogIndex::new(999),
+                new_config: Some(config),
+                seq: 77,
+            }),
+            Message::AppendEntries(AppendEntriesArgs {
+                term: Term::new(4),
+                leader_id: ServerId::new(1),
+                prev_log_index: LogIndex::new(1128),
+                prev_log_term: Term::new(4),
+                entries: Vec::new(),
+                leader_commit: LogIndex::new(1128),
+                new_config: None,
+                seq: 78,
+            }),
+            Message::AppendEntriesReply(AppendEntriesReply {
+                term: Term::new(4),
+                success: true,
+                match_hint: LogIndex::new(1128),
+                status: Some(ConfigStatus {
+                    log_index: LogIndex::new(1128),
+                    timer_period: escape_core::time::Duration::from_millis(150),
+                    conf_clock: ConfClock::new(9),
+                }),
+                seq: 77,
+            }),
+            Message::RequestVote(RequestVoteArgs {
+                term: Term::new(5),
+                candidate_id: ServerId::new(2),
+                last_log_index: LogIndex::new(1128),
+                last_log_term: Term::new(4),
+                conf_clock: Some(ConfClock::new(9)),
+            }),
+            vote_reply(5),
+            Message::InstallSnapshot(InstallSnapshotArgs {
+                term: Term::new(5),
+                leader_id: ServerId::new(2),
+                last_included_index: LogIndex::new(1128),
+                last_included_term: Term::new(4),
+                data: Bytes::from(vec![7u8; 4096]),
+            }),
+            Message::InstallSnapshotReply(InstallSnapshotReply {
+                term: Term::new(5),
+                match_hint: LogIndex::new(1128),
+            }),
+        ];
+        let mut reader = FrameReader::new();
+        let mut envelopes = Vec::new();
+        for message in messages {
+            let envelope = Envelope {
+                from: ServerId::new(300),
+                group: GroupId::new(70_000),
+                message,
+            };
+            let frame = peer_frame(&envelope);
+            let mut copied = BytesMut::new();
+            write_frame(&mut copied, &envelope.to_bytes());
+            assert_eq!(frame.as_ref(), copied.as_ref(), "{:?}", envelope.message.kind());
+            assert!(
+                frame.len() <= 4 + envelope.message.approx_wire_size(),
+                "{:?} outgrew its pre-sized buffer",
+                envelope.message.kind()
+            );
+            reader.extend(&frame);
+            envelopes.push(envelope);
+        }
+        for envelope in envelopes {
+            let mut payload = reader.next_frame().unwrap().expect("a whole frame");
+            assert_eq!(Envelope::decode(&mut payload).unwrap(), envelope);
+        }
+        assert_eq!(reader.buffered(), 0);
+    }
 
     /// Starts server 1's mesh against a `peer` that is down, runs
     /// `while_down` on it, then brings the peer's port back: returns the

@@ -18,6 +18,18 @@ pub fn write_frame(buf: &mut BytesMut, payload: &[u8]) {
     buf.put_slice(payload);
 }
 
+/// Appends one frame whose payload `encode` writes straight into `buf`:
+/// the length prefix is reserved first and backfilled, so the payload is
+/// never built in a buffer of its own and copied. The bytes are exactly
+/// [`write_frame`]'s for the same payload.
+pub fn write_frame_with(buf: &mut BytesMut, encode: impl FnOnce(&mut BytesMut)) {
+    let start = buf.len();
+    buf.put_u32_le(0);
+    encode(buf);
+    let (prefix, payload) = buf.split_at_mut(start).1.split_at_mut(4);
+    prefix.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+}
+
 /// Incremental frame parser for byte streams.
 ///
 /// # Examples
@@ -119,6 +131,17 @@ mod tests {
         assert_eq!(got[0].as_ref(), b"alpha");
         assert_eq!(got[1].as_ref(), b"bravo-charlie");
         assert_eq!(reader.buffered(), 0);
+    }
+
+    #[test]
+    fn in_place_frames_equal_copied_frames() {
+        for payload in [&b""[..], b"x", b"bravo-charlie"] {
+            let mut copied = BytesMut::from(&b"head"[..]);
+            write_frame(&mut copied, payload);
+            let mut in_place = BytesMut::from(&b"head"[..]);
+            write_frame_with(&mut in_place, |buf| buf.put_slice(payload));
+            assert_eq!(in_place, copied);
+        }
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub use client::{
 };
 pub use codec::{Decode, Encode, Envelope};
 pub use error::WireError;
-pub use frame::{write_frame, FrameReader};
-pub use record::{crc32, read_record, write_record, Crc32};
+pub use frame::{write_frame, write_frame_with, FrameReader};
+pub use record::{crc32, read_record, write_record, write_record_with, Crc32};
