@@ -24,6 +24,11 @@
 //! cargo bench -p escape-bench --bench wal
 //! cargo run -p escape-bench --bin bench_check -- wal \
 //!     crates/escape-bench/BENCH_wal.json crates/escape-bench/baselines/wal.json
+//!
+//! cargo bench -p escape-bench --bench sim_queue
+//! cargo run -p escape-bench --bin bench_check -- sim_queue \
+//!     crates/escape-bench/BENCH_sim_queue.json \
+//!     crates/escape-bench/baselines/sim_queue.json
 //! ```
 //!
 //! Each suite gates one scaling ratio, twice — both machine-independent
@@ -60,6 +65,13 @@
 //!   same entries alone. Limit 12× — the slicing-by-16 CRC keeps it ≈ 8×,
 //!   the byte-at-a-time CRC it replaced measured ≈ 24×; baseline drift
 //!   2×.
+//! * **sim_queue** — `sim_queue/calendar/hold512` vs
+//!   `sim_queue/heap_reference/hold512`: the simulator's event queue
+//!   against the binary heap of whole 136-byte events it replaced, on the
+//!   same hold model (pop one event, push it back 100–200 ms later) at a
+//!   settled n = 50 cluster's occupancy. Limit 0.7 — the calendar queue
+//!   of 24-byte keys over a slab reads ≈ 0.4–0.45, and a heap of whole
+//!   events is back at ≈ 1; baseline drift 2×.
 //!
 //! Absolute medians are compared against the baseline too, but only
 //! warn: wall-clock medians vary across CI machines, so absolute 2×
@@ -127,6 +139,13 @@ const SUITES: &[Suite] = &[
         ratio_numerator: "wal/append/b128",
         ratio_denominator: "wal/encode/b128",
         ratio_limit: 12.0,
+        baseline_factor: 2.0,
+    },
+    Suite {
+        name: "sim_queue",
+        ratio_numerator: "sim_queue/calendar/hold512",
+        ratio_denominator: "sim_queue/heap_reference/hold512",
+        ratio_limit: 0.7,
         baseline_factor: 2.0,
     },
 ];

@@ -726,10 +726,6 @@ impl SimCluster {
                 };
                 self.finish(node, actions);
             }
-            Ready::Control { .. } => {
-                // Control points are consumed by experiment loops via
-                // step_before deadlines; nothing to do here.
-            }
         }
     }
 
@@ -777,7 +773,11 @@ impl SimCluster {
                     broadcast: Some(bid),
                 } => match broadcast.iter_mut().find(|(b, _)| *b == bid) {
                     Some((_, fanout)) => fanout.push((to, msg)),
-                    None => broadcast.push((bid, vec![(to, msg)])),
+                    None => {
+                        let mut fanout = Vec::with_capacity(self.config.n - 1);
+                        fanout.push((to, msg));
+                        broadcast.push((bid, fanout));
+                    }
                 },
                 Action::Send {
                     to,

@@ -305,12 +305,15 @@ impl NodeBuilder {
     pub fn build(self) -> Node {
         // lint:allow(panic): documented `# Panics` builder contract
         let mut policy = self.policy.expect("NodeBuilder requires a policy");
-        let mut seen = BTreeSet::new();
-        for id in &self.cluster {
-            assert!(seen.insert(*id), "duplicate server id {id} in cluster");
+        let mut sorted = self.cluster.clone();
+        sorted.sort_unstable();
+        for pair in sorted.windows(2) {
+            if let [a, b] = pair {
+                assert!(a != b, "duplicate server id {a} in cluster");
+            }
         }
         assert!(
-            seen.contains(&self.id),
+            sorted.binary_search(&self.id).is_ok(),
             "cluster must contain the node's own id {}",
             self.id
         );

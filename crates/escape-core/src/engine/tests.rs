@@ -464,6 +464,31 @@ fn single_node_cluster_self_elects_and_commits() {
     assert!(pump.node(1).commit_index() >= index);
 }
 
+fn build_with_cluster(id: u32, cluster: &[u32]) -> Node {
+    Node::builder(
+        ServerId::new(id),
+        cluster.iter().copied().map(ServerId::new).collect(),
+    )
+    .policy(Box::new(RaftPolicy::randomized(
+        Duration::from_millis(10),
+        Duration::from_millis(20),
+        1,
+    )))
+    .build()
+}
+
+#[test]
+#[should_panic(expected = "duplicate server id S3 in cluster")]
+fn builder_rejects_a_duplicate_id() {
+    build_with_cluster(1, &[3, 1, 2, 3]);
+}
+
+#[test]
+#[should_panic(expected = "cluster must contain the node's own id S4")]
+fn builder_rejects_a_cluster_without_its_own_id() {
+    build_with_cluster(4, &[1, 2, 3]);
+}
+
 #[test]
 fn heartbeats_carry_commit_index_to_followers() {
     let mut pump = raft_cluster(5);

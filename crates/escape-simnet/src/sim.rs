@@ -12,8 +12,6 @@
 //! *incarnation numbers* so pre-crash messages and timers can never leak
 //! into a later life of the node.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use escape_core::rand::Xoshiro256;
 use escape_core::time::{Duration, Time};
 use escape_core::types::ServerId;
@@ -24,9 +22,9 @@ use crate::partition::PartitionMap;
 use crate::queue::EventQueue;
 use crate::trace::{DropCause, Trace, TraceEvent};
 
-/// Messages the simulator can carry: cheap to clone, comparable (for the
-/// deterministic queue), and self-describing for traces.
-pub trait SimMessage: Clone + std::fmt::Debug + Eq {
+/// Messages the simulator can carry: cheap to clone and self-describing
+/// for traces.
+pub trait SimMessage: Clone + std::fmt::Debug {
     /// Short kind name for traces ("AppendEntries", …).
     fn kind_name(&self) -> &'static str {
         "message"
@@ -47,7 +45,7 @@ impl SimMessage for escape_core::message::Message {
 }
 
 /// Internal queued event.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 enum SimEvent<M> {
     Deliver {
         from: ServerId,
@@ -66,9 +64,6 @@ enum SimEvent<M> {
         node: ServerId,
         slot: usize,
         seq: u64,
-    },
-    Control {
-        tag: u64,
     },
 }
 
@@ -114,12 +109,6 @@ pub enum Ready<M> {
         node: ServerId,
         /// The opaque token passed to [`Sim::set_timer`] or [`Sim::arm`].
         token: u64,
-    },
-    /// A control point scheduled via [`Sim::schedule_control`] (fault
-    /// scripts, measurement points).
-    Control {
-        /// The tag passed at scheduling time.
-        tag: u64,
     },
 }
 
@@ -180,8 +169,10 @@ pub struct Sim<M: SimMessage> {
     chaos: ChaosModel,
     partitions: PartitionMap,
     rng: Xoshiro256,
-    crashed: BTreeSet<ServerId>,
-    incarnations: BTreeMap<ServerId, u64>,
+    /// Crashed nodes, by `ServerId::index()`.
+    crashed: Vec<bool>,
+    /// Restarts so far, by `ServerId::index()`.
+    incarnations: Vec<u64>,
     /// [`Sim::arm`] slots, by `ServerId::index()` and then slot.
     timers: Vec<Vec<TimerSlot>>,
     trace: Trace,
@@ -199,8 +190,8 @@ impl<M: SimMessage> Sim<M> {
             chaos: ChaosModel::none(),
             partitions: PartitionMap::new(),
             rng: Xoshiro256::seed_from(seed),
-            crashed: BTreeSet::new(),
-            incarnations: BTreeMap::new(),
+            crashed: Vec::new(),
+            incarnations: Vec::new(),
             timers: Vec::new(),
             trace: Trace::disabled(),
             stats: NetStats::default(),
@@ -272,12 +263,17 @@ impl<M: SimMessage> Sim<M> {
 
     /// `true` if `node` is currently crashed.
     pub fn is_crashed(&self, node: ServerId) -> bool {
-        self.crashed.contains(&node)
+        self.crashed.get(node.index()).copied().unwrap_or(false)
     }
 
     /// Crashes `node`: pending deliveries and timers die with it.
     pub fn crash(&mut self, node: ServerId) {
-        if self.crashed.insert(node) {
+        let index = node.index();
+        if self.crashed.len() <= index {
+            self.crashed.resize(index + 1, false);
+            self.incarnations.resize(index + 1, 0);
+        }
+        if !std::mem::replace(&mut self.crashed[index], true) {
             self.trace.record(TraceEvent::Crashed {
                 at: self.now,
                 node,
@@ -288,8 +284,9 @@ impl<M: SimMessage> Sim<M> {
     /// Restarts `node` under a fresh incarnation; anything scheduled for a
     /// previous life is silently discarded when popped.
     pub fn restart(&mut self, node: ServerId) {
-        if self.crashed.remove(&node) {
-            *self.incarnations.entry(node).or_insert(0) += 1;
+        if self.is_crashed(node) {
+            self.crashed[node.index()] = false;
+            self.incarnations[node.index()] += 1;
             self.trace.record(TraceEvent::Restarted {
                 at: self.now,
                 node,
@@ -298,7 +295,7 @@ impl<M: SimMessage> Sim<M> {
     }
 
     fn incarnation(&self, node: ServerId) -> u64 {
-        self.incarnations.get(&node).copied().unwrap_or(0)
+        self.incarnations.get(node.index()).copied().unwrap_or(0)
     }
 
     // ---- scheduling ----
@@ -451,11 +448,6 @@ impl<M: SimMessage> Sim<M> {
         }
     }
 
-    /// Schedules a control point (fault scripts, measurements) at `at`.
-    pub fn schedule_control(&mut self, at: Time, tag: u64) {
-        self.queue.push(at, SimEvent::Control { tag });
-    }
-
     // ---- the pump ----
 
     /// Advances to the next relevant event and returns it, or `None` when
@@ -483,7 +475,7 @@ impl<M: SimMessage> Sim<M> {
                 msg,
                 incarnation,
             } => {
-                if self.crashed.contains(&to) {
+                if self.is_crashed(to) {
                     self.stats.dropped_crashed += 1;
                     self.trace.record(TraceEvent::Dropped {
                         at,
@@ -517,7 +509,7 @@ impl<M: SimMessage> Sim<M> {
                 token,
                 incarnation,
             } => {
-                if self.crashed.contains(&node) || incarnation != self.incarnation(node) {
+                if self.is_crashed(node) || incarnation != self.incarnation(node) {
                     return Some(None);
                 }
                 self.stats.timers_fired += 1;
@@ -554,7 +546,7 @@ impl<M: SimMessage> Sim<M> {
                     return Some(None);
                 }
                 *timer = TimerSlot::default();
-                if self.crashed.contains(&node) || live.incarnation != self.incarnation(node) {
+                if self.is_crashed(node) || live.incarnation != self.incarnation(node) {
                     return Some(None);
                 }
                 self.stats.timers_fired += 1;
@@ -563,7 +555,6 @@ impl<M: SimMessage> Sim<M> {
                     token: live.token,
                 }))
             }
-            SimEvent::Control { tag } => Some(Some(Ready::Control { tag })),
         }
     }
 
@@ -839,16 +830,6 @@ mod tests {
         // 8 receivers, round(0.25·8) = 2 omitted.
         assert_eq!(delivered, 6);
         assert_eq!(sim.stats().dropped_loss, 2);
-    }
-
-    #[test]
-    fn control_events_interleave_with_traffic() {
-        let mut sim = sim(7);
-        sim.send(s(1), s(2), Ping(1)); // arrives at 10ms
-        sim.schedule_control(Time::from_millis(5), 42);
-        assert_eq!(sim.step(), Some(Ready::Control { tag: 42 }));
-        assert_eq!(sim.now(), Time::from_millis(5));
-        assert!(matches!(sim.step(), Some(Ready::Message { .. })));
     }
 
     #[test]
