@@ -17,7 +17,8 @@
 //!   [`start_group`](tcp::start_group), which put one group's storage
 //!   and threads together.
 //! * [`service`] — [`ClientService`]: client connections served off the
-//!   peer listener.
+//!   peer listener. Its non-blocking `send` is this crate's only
+//!   `unsafe` (the private `sys` module).
 //! * [`wal`] — the per-group WAL thread that takes a leader's log barrier
 //!   off the thread that sends its heartbeats.
 //! * [`spec`] — protocol/timing presets scaled for loopback latencies.
@@ -51,6 +52,7 @@ pub mod clock;
 pub mod runtime;
 pub mod service;
 pub mod spec;
+mod sys;
 pub mod tcp;
 pub mod wal;
 

@@ -74,7 +74,7 @@ pub struct NodeStatus {
 /// The one answer an input is owed. The node thread invokes it, on its
 /// own thread, so the closure inside must not block and must carry
 /// whatever it needs to deliver the answer (a channel to send on, a
-/// request id and a connection's response queue, …).
+/// request id and a connection's outbox, …).
 ///
 /// Exactly one call is made: with `Some(outcome)` when the node answers,
 /// or with `None` when the reply is dropped unanswered — the node thread
