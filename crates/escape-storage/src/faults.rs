@@ -22,9 +22,9 @@
 //!   call and fail-stops the node *before* any of its output actions are
 //!   delivered, preserving write-before-send.
 //! * **Torn tail** — not a wrapper behavior but a crash artifact:
-//!   [`tear_wal_tail`] chops a seeded number of bytes off the newest
-//!   segment at kill time; recovery repairs it and reports the
-//!   truncation via [`Event::WalTailTruncated`].
+//!   [`tear_wal_tail`] zeroes a seeded number of record bytes at the end
+//!   of the newest segment at kill time; recovery zeroes what is left of
+//!   the torn record and reports it via [`Event::WalTailTruncated`].
 
 use std::io;
 use std::path::Path;
@@ -238,28 +238,30 @@ impl Storage for FaultyStorage {
     }
 }
 
-/// Crash artifact injection: chops a seeded number of bytes (at least 1,
-/// at most the whole payload past the segment header) off the newest WAL
-/// segment, simulating a write torn mid-record by power loss. Returns
-/// the number of bytes removed (0 when there was nothing to tear).
+/// Crash artifact injection: zeroes a seeded number of record bytes (at
+/// least 1, at most every record byte past the segment header) at the end
+/// of the newest WAL segment's records, simulating a write torn
+/// mid-record by power loss. The WAL overwrites zeros, so a lost write
+/// leaves zeros behind, not a shorter file. Returns the number of bytes
+/// torn (0 when there was nothing to tear).
 ///
 /// # Errors
 ///
-/// I/O failures listing or truncating the segment.
+/// I/O failures reading or writing the segment.
 pub fn tear_wal_tail(dir: &Path, rng: &mut dyn Rng64) -> io::Result<u64> {
     let Some((_, path)) = wal::list_segments(dir)?.pop() else {
         return Ok(0);
     };
-    let len = std::fs::metadata(&path)?.len();
+    let end = wal::records_end(&path)?;
     let header = wal::SEGMENT_MAGIC.len() as u64;
-    if len <= header {
+    if end <= header {
         return Ok(0);
     }
-    let tearable = len - header;
-    let torn = rng.gen_range(1, tearable + 1);
+    let record_bytes = end - header;
+    let torn = rng.gen_range(1, record_bytes + 1);
     let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-    file.set_len(len - torn)?;
-    file.sync_all()?;
+    wal::write_zeros(&file, end - torn, end)?;
+    file.sync_data()?;
     Ok(torn)
 }
 
@@ -468,8 +470,15 @@ mod tests {
                 storage.sync().unwrap();
             }
             let mut rng = Xoshiro256::seed_from(seed);
+            let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
+            let len = std::fs::metadata(&path).unwrap().len();
             let torn = tear_wal_tail(&dir, &mut rng).unwrap();
             assert!(torn > 0, "there were bytes to tear");
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                len,
+                "a tear zeroes, it does not cut"
+            );
             let log = Arc::new(EventLog::new(16));
             let observer = RingObserver::new(Arc::clone(&log));
             let (_, state) =
@@ -488,11 +497,12 @@ mod tests {
                 .collect();
             match reported.as_slice() {
                 [(at, lost)] => {
-                    // The report covers what *recovery* truncated: the
+                    // The report covers what *recovery* zeroed: the
                     // partial record the tear left behind (the torn
-                    // bytes themselves are already gone from the file).
+                    // bytes themselves are zeros already).
                     assert_eq!(*at, 123);
                     assert!(*lost > 0);
+                    assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
                     mid_record_tears += 1;
                 }
                 [] => {} // boundary tear: clean log, nothing to report

@@ -6,9 +6,10 @@
 //! configurations" (Fig. 5b) — which presumes servers *can* recover their
 //! term, vote, log, and configuration. This crate is that layer:
 //!
-//! * [`wal`] — an append-only write-ahead log of engine mutations,
-//!   CRC-framed per record (via `escape-wire`), fsync'd, rotated into
-//!   numbered segments.
+//! * [`wal`] — a write-ahead log of engine mutations, CRC-framed per
+//!   record (via `escape-wire`), written over zeros laid down ahead of it
+//!   so a barrier flushes data only, fsync'd, rotated into numbered
+//!   segments.
 //! * [`snapshot`] — atomically written snapshot files (state-machine
 //!   bytes + last-included index/term), after which older WAL segments
 //!   are deleted.
@@ -29,7 +30,8 @@
 //! 2. Anchor the log at the snapshot's `(index, term)`.
 //! 3. Replay every intact WAL record in segment order through the same
 //!    `escape-core` log operations that produced it; stop at the first
-//!    torn/corrupt record (the crash's tail write).
+//!    end marker or torn/corrupt record (the crash's tail write), which
+//!    is zeroed.
 //! 4. Hand the resulting `RecoveredState` to
 //!    [`NodeBuilder::recover`](escape_core::engine::NodeBuilder::recover),
 //!    which restores term/vote/log/configuration and feeds the snapshot

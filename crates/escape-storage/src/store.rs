@@ -49,8 +49,8 @@ pub struct WalStorage {
 
 impl WalStorage {
     /// Opens (creating if needed) the data directory, recovers the
-    /// persistent state it holds, and starts a fresh WAL segment for new
-    /// records.
+    /// persistent state it holds, and continues the newest WAL segment
+    /// (or starts a fresh one) for new records.
     ///
     /// # Errors
     ///
@@ -73,8 +73,8 @@ impl WalStorage {
         Self::open_observed(dir, options, &escape_obs::NullObserver, 0)
     }
 
-    /// [`WalStorage::open_with`] that reports recovery repairs: a torn
-    /// WAL tail truncated during recovery emits a
+    /// [`WalStorage::open_with`] that reports recovery repairs: torn WAL
+    /// debris zeroed during recovery emits a
     /// [`WalTailTruncated`](escape_obs::Event::WalTailTruncated) event at
     /// `at_micros` on the caller's clock. Failures must be *observable* —
     /// a silent repair is indistinguishable from silent data loss.
@@ -92,25 +92,26 @@ impl WalStorage {
         fs::create_dir_all(&dir)?;
 
         let snapshot = snapshot::load_latest(&dir)?;
-        // `recover` (not `replay`): it truncates the crash's torn tail
-        // record so segments written after this recovery stay reachable
-        // on every future open.
-        let (records, lost_bytes) = wal::recover_reporting(&dir)?;
+        // `recover` (not `replay`): it zeroes the crash's debris so
+        // segments written after this recovery stay reachable on every
+        // future open.
+        let recovery = wal::recover_reporting(&dir)?;
+        let lost_bytes = recovery.lost_bytes;
         if lost_bytes > 0 && observer.enabled() {
             observer.record(at_micros, escape_obs::Event::WalTailTruncated { lost_bytes });
         }
-        let state = rebuild(snapshot, records)?;
+        let state = rebuild(snapshot, recovery.records)?;
 
-        // Continue the last segment while it is under the rotation cap —
-        // recovery just truncated any torn tail, so it ends on a record
-        // boundary and appending is safe. (Restarts used to always open
-        // a fresh segment, growing the directory by one file per restart
-        // until the next snapshot.) An over-cap last segment gets a fresh
-        // one instead.
-        let wal = match wal::list_segments(&dir)?.last() {
-            Some((seq, _)) => match Wal::open_append(&dir, *seq, options)? {
+        // Continue the last segment at its end marker while it is under
+        // the rotation cap — recovery just zeroed any debris after it,
+        // so the next record cannot bury a tear. (Restarts used to always
+        // open a fresh segment, growing the directory by one file per
+        // restart until the next snapshot.) An over-cap or `ESCWAL02`
+        // last segment gets a fresh one instead.
+        let wal = match recovery.newest {
+            Some(newest) => match Wal::open_append(&dir, newest, options)? {
                 Some(wal) => wal,
-                None => Wal::create(&dir, seq + 1, options)?,
+                None => Wal::create(&dir, newest.seq + 1, options)?,
             },
             None => Wal::create(&dir, 1, options)?,
         };
@@ -312,10 +313,7 @@ mod tests {
             entries: batch.clone(),
         });
         let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
-        assert_eq!(
-            fs::read(&path).unwrap(),
-            crate::wal::tests::oracle_segment(&expected)
-        );
+        wal::tests::assert_oracle_then_zeros(&path, &wal::tests::oracle_segment(&expected));
     }
 
     #[test]
@@ -468,8 +466,8 @@ mod tests {
     }
 
     /// A reopen after a torn tail continues the repaired segment — the
-    /// truncation leaves it ending on a record boundary, so appending
-    /// cannot bury the tear.
+    /// repair zeroes everything after the last intact record, so the
+    /// next record cannot bury the tear.
     #[test]
     fn reopen_after_torn_tail_repairs_then_appends_in_place() {
         let dir = scratch_dir("store-append-torn");
@@ -485,8 +483,7 @@ mod tests {
             storage.sync().unwrap();
         }
         let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 3]).unwrap();
+        wal::tests::tear(&path, 3);
         {
             let (mut storage, state) = WalStorage::open(&dir).unwrap();
             assert_eq!(state.term, Term::new(3), "torn record dropped");
@@ -591,10 +588,9 @@ mod tests {
                 .unwrap();
             storage.sync().unwrap();
         }
-        // Chop into the last record.
+        // Tear into the last record.
         let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 3]).unwrap();
+        wal::tests::tear(&path, 3);
         let (_, state) = WalStorage::open(&dir).unwrap();
         assert_eq!(state.term, Term::new(3), "only the intact prefix replays");
     }
@@ -619,8 +615,7 @@ mod tests {
         }
         // Crash #1 tears the tail of the first segment.
         let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 3]).unwrap();
+        wal::tests::tear(&path, 3);
 
         // Reboot #1 recovers the intact prefix and then persists (and
         // acks) a vote in term 9, which lands in a *newer* segment.
@@ -721,14 +716,18 @@ mod tests {
             }
         }
         let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
+        let end = wal::records_end(&path).unwrap() as usize;
         let mut raw = fs::read(&path).unwrap();
         let header = wal::SEGMENT_MAGIC.len();
-        let record = (raw.len() - header) / 5;
+        let record = (end - header) / 5;
         // Flip a byte inside record 3 (CRC mismatch mid-segment)...
         raw[header + 2 * record + record / 2] ^= 0xFF;
-        // ...and tear the final record in half (crash mid-write).
-        raw.truncate(raw.len() - record / 2);
-        let torn_len = raw.len();
+        // ...and tear the final record in half (an overwrite lost
+        // mid-write leaves the zeros it was meant to replace).
+        let torn_end = end - record / 2;
+        raw[torn_end..end].fill(0);
+        assert_ne!(raw[torn_end - 1], 0, "the kept half must end on a nonzero byte");
+        let len = raw.len() as u64;
         fs::write(&path, raw).unwrap();
 
         let log = Arc::new(EventLog::default());
@@ -740,7 +739,7 @@ mod tests {
             Term::new(2),
             "only the prefix before the corrupt record survives"
         );
-        let expected_lost = (torn_len - (header + 2 * record)) as u64;
+        let expected_lost = (torn_end - (header + 2 * record)) as u64;
         let events = log.snapshot();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at_micros, 777);
@@ -751,12 +750,141 @@ mod tests {
             }
         );
 
-        // The truncation was repaired on disk: a clean reopen, no event.
+        // The debris was zeroed on disk, in place: a clean reopen, no
+        // event.
+        assert_eq!(fs::metadata(&path).unwrap().len(), len, "repair must not truncate");
         let silent = Arc::new(EventLog::default());
         let again = RingObserver::new(Arc::clone(&silent));
         let (_, state) =
             WalStorage::open_observed(&dir, WalOptions::default(), &again, 778).unwrap();
         assert_eq!(state.term, Term::new(2));
         assert!(silent.is_empty(), "a repaired log must not re-report");
+    }
+
+    /// Opens `dir` with a recording observer; returns the recovered term
+    /// and every `WalTailTruncated` loss reported.
+    fn open_reporting(dir: &Path) -> (Term, Vec<u64>) {
+        use escape_obs::{EventLog, RingObserver};
+        use std::sync::Arc;
+
+        let log = Arc::new(EventLog::default());
+        let observer = RingObserver::new(Arc::clone(&log));
+        let (_, state) =
+            WalStorage::open_observed(dir, WalOptions::default(), &observer, 1).unwrap();
+        let lost = log
+            .snapshot()
+            .iter()
+            .filter_map(|t| match t.event {
+                escape_obs::Event::WalTailTruncated { lost_bytes } => Some(lost_bytes),
+                _ => None,
+            })
+            .collect();
+        (state.term, lost)
+    }
+
+    fn persist_terms(dir: &Path, terms: std::ops::RangeInclusive<u64>) {
+        let (mut storage, _) = WalStorage::open(dir).unwrap();
+        for term in terms {
+            storage
+                .persist_hard_state(Term::new(term), Some(ServerId::new(1)))
+                .unwrap();
+            storage.sync().unwrap();
+        }
+    }
+
+    /// The zeros after the records are the end marker, not damage: a
+    /// clean log reopens with nothing lost and nothing reported.
+    #[test]
+    fn zero_header_is_a_clean_end() {
+        let dir = scratch_dir("store-zero-end");
+        persist_terms(&dir, 1..=3);
+        let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
+        let end = wal::records_end(&path).unwrap();
+        assert!(fs::metadata(&path).unwrap().len() > end + 8, "zeros follow the records");
+        assert_eq!(open_reporting(&dir), (Term::new(3), vec![]));
+    }
+
+    /// Nonzero bytes after the end marker of the newest segment are crash
+    /// debris: zeroed in place (the file keeps its size), and reported.
+    #[test]
+    fn newest_segment_debris_is_zeroed_not_truncated() {
+        let dir = scratch_dir("store-newest-debris");
+        persist_terms(&dir, 1..=3);
+        let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
+        let end = wal::records_end(&path).unwrap() as usize;
+        let mut raw = fs::read(&path).unwrap();
+        raw[end + 90..end + 100].fill(0x5A);
+        fs::write(&path, &raw).unwrap();
+
+        assert_eq!(open_reporting(&dir), (Term::new(3), vec![100]));
+        let repaired = fs::read(&path).unwrap();
+        assert_eq!(repaired.len(), raw.len(), "repair must not truncate");
+        assert!(repaired[end..].iter().all(|&b| b == 0));
+        assert_eq!(repaired[..end], raw[..end]);
+        assert_eq!(open_reporting(&dir), (Term::new(3), vec![]));
+    }
+
+    /// A crash while the next segment was being prepared leaves a
+    /// `.prep` file. It holds no records: every record comes back, and
+    /// the stray file is deleted.
+    #[test]
+    fn a_stray_prepared_segment_is_removed_and_every_record_recovered() {
+        let dir = scratch_dir("store-stray-prep");
+        let opts = WalOptions {
+            segment_max_bytes: 1024,
+            fsync: true,
+        };
+        {
+            let (mut storage, _) = WalStorage::open_with(&dir, opts).unwrap();
+            for i in 1..=50u64 {
+                storage
+                    .persist_entry(&entry(1, i, b"twenty-byte-payload!"))
+                    .unwrap();
+                storage.sync().unwrap();
+            }
+            // Crash: the helper has prepared the next segment by now.
+        }
+        let prepared = |dir: &Path| {
+            fs::read_dir(dir)
+                .unwrap()
+                .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".prep"))
+                .count()
+        };
+        assert_eq!(prepared(&dir), 1, "the crash must leave a prepared segment");
+        let (_, state) = WalStorage::open_with(&dir, opts).unwrap();
+        assert_eq!(state.log.last_index(), LogIndex::new(50));
+        assert_eq!(prepared(&dir), 0, "the stray .prep must be deleted");
+    }
+
+    /// A data directory written in `ESCWAL02` (records to the end of the
+    /// file) still recovers; new records go to a fresh `ESCWAL03` segment
+    /// after it, and the old one is left as it was.
+    #[test]
+    fn escwal02_directory_recovers_and_continues_into_a_fresh_segment() {
+        use escape_wire::record::write_record;
+
+        let dir = scratch_dir("store-escwal02");
+        let mut content = b"ESCWAL02".to_vec();
+        for term in 1..=3 {
+            let record = WalRecord::HardState {
+                term: Term::new(term),
+                voted_for: Some(ServerId::new(2)),
+            };
+            let mut framed = bytes::BytesMut::new();
+            write_record(&mut framed, &record.to_bytes());
+            content.extend_from_slice(&framed);
+        }
+        let old = dir.join(format!("wal-{:016}.log", 1));
+        fs::write(&old, &content).unwrap();
+
+        assert_eq!(open_reporting(&dir), (Term::new(3), vec![]));
+        persist_terms(&dir, 4..=4);
+        let segments = wal::list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2);
+        assert!(fs::read(&segments[1].1).unwrap().starts_with(wal::SEGMENT_MAGIC));
+        assert_eq!(fs::read(&old).unwrap(), content, "the ESCWAL02 segment is kept");
+        let (_, state) = WalStorage::open(&dir).unwrap();
+        assert_eq!(state.term, Term::new(4));
+        assert_eq!(state.voted_for, Some(ServerId::new(1)));
     }
 }

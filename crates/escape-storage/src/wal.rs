@@ -1,27 +1,75 @@
-//! Append-only, CRC-framed, segment-rotated write-ahead log.
+//! CRC-framed, segment-rotated write-ahead log that overwrites zeros laid
+//! down ahead of it instead of appending.
 //!
 //! On-disk layout inside a data directory:
 //!
 //! ```text
-//! wal-0000000000000001.log      [8-byte magic "ESCWAL02"][record]...
-//! wal-0000000000000002.log      (rotated when a segment passes the cap)
+//! wal-0000000000000001.log      [8-byte magic "ESCWAL03"][record]...[zeros]
+//! wal-0000000000000002.log      (rotated when a segment's records pass the cap)
+//! wal-0000000000000003.prep     (the next segment, zero-filled ahead of use)
 //! ```
 //!
 //! Each record is `[u32 LE len][u32 LE CRC-32][payload]`
 //! ([`escape_wire::record`]), the CRC covering the length header as well
-//! as the payload; payloads are [`WalRecord`] encodings. A segment whose
-//! header names another format version (`ESCWAL` plus anything but `02`)
-//! is refused with [`io::ErrorKind::InvalidData`] and left on disk: it
-//! is data this build cannot read, not crash debris.
+//! as the payload; payloads are [`WalRecord`] encodings. The records are
+//! framed exactly as in `ESCWAL02`; what `03` adds is the zero tail.
 //!
-//! Readers replay segments in sequence order and treat the first framing
-//! or checksum violation as the end of usable log (a torn tail write from
-//! the crash the WAL exists to survive). On the open path, [`recover`]
-//! **repairs** that torn tail by truncating the newest segment back to
-//! its intact prefix — which is also what makes it safe for reopening to
-//! *continue* the last segment ([`Wal::open_append`]) instead of always
-//! starting a fresh one: after repair the segment ends on a record
-//! boundary, so appending can never bury a tear behind valid records.
+//! # The end marker
+//!
+//! An all-zero 8-byte header ends a segment's records, and so does the
+//! end of the file. No record can begin with one: the CRC covers the
+//! length field, and the CRC-32 of four zero bytes is `0x2144DF1C`, not
+//! zero. Every byte after the end marker must be zero. A nonzero byte
+//! there (or a record that fails its frame or CRC) is crash debris in the
+//! newest segment and mid-log corruption in any older one.
+//!
+//! `ESCWAL02` segments have no zero tail and read the same way; the
+//! newest one is never continued, an open starts a fresh `03` segment
+//! after it. A segment whose header names any other version (`ESCWAL`
+//! plus anything but `02`/`03`) is refused with
+//! [`io::ErrorKind::InvalidData`] and left on disk: it is data this build
+//! cannot read, not crash debris.
+//!
+//! # Why overwrite, not append
+//!
+//! After an *appending* write, `fdatasync` must also make the new file
+//! size durable, which on a journaling filesystem (ext4's default
+//! `data=ordered`, for one) costs a journal commit, and the commits of
+//! several WALs on one disk queue behind each other. Overwriting blocks
+//! that were zero-filled and synced earlier changes no metadata, so the
+//! barrier flushes data only. The zeros are laid ahead of the writer:
+//!
+//! * A segment made at open, or when nothing was prepared, starts with a
+//!   64 KiB runway of zeros, written and synced.
+//! * A barrier that finds less than half a step of runway left extends it
+//!   by one step: 64 KiB, doubling up to 1 MiB. Only the barriers that
+//!   extend pay a journal commit.
+//! * Once the active segment is half full, a short-lived helper thread
+//!   writes the next segment as `wal-<seq>.prep`: the magic and zeros up
+//!   to the cap, synced, directory synced. Rotation syncs the old
+//!   segment, joins the helper and renames the file to `.log`. So
+//!   steady-state barriers neither zero-fill nor create files.
+//!
+//! Nothing is zero-filled past the cap; a record that crosses it extends
+//! the file. All zero-filling is budgeted: the zero bytes a [`Wal`] writes
+//! stay at most twice the record bytes it writes plus 64 KiB (the open's
+//! runway), so a lightly used WAL stays cheap. A step or a preparation
+//! the budget does not cover is skipped: the first segment after an open
+//! usually cannot afford its successor, which then starts with a runway.
+//! That is the price of the steps. Without them the first segment could
+//! afford its successor, but a WAL too slow to fill a segment, the common
+//! case for a lightly loaded group, would append on every barrier once
+//! its first 64 KiB were used.
+//!
+//! # Recovery
+//!
+//! Readers replay segments in sequence order and stop at the first end
+//! marker or framing/checksum violation. On the open path, [`recover`]
+//! **repairs** debris in the newest segment by overwriting it with zeros
+//! (the file keeps its size) and deletes stray `.prep` files, which
+//! [`list_segments`] never returns. The repaired segment ends cleanly at
+//! its end marker, so [`Wal::open_append`] can continue it there without
+//! burying the tear behind valid records.
 //!
 //! # Group commit
 //!
@@ -36,9 +84,11 @@
 //! suffix — records no message was ever allowed to reference.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 use bytes::{Bytes, BytesMut};
 use escape_obs::{Gauge, Histogram, Labels, Registry};
@@ -46,9 +96,27 @@ use escape_wire::record::{read_record, write_record_with, DEFAULT_MAX_RECORD};
 
 use crate::record::WalRecord;
 
-/// Magic bytes opening every WAL segment (name + format version 2:
-/// record CRCs cover the length header too).
-pub const SEGMENT_MAGIC: &[u8; 8] = b"ESCWAL02";
+/// Magic bytes opening every WAL segment this build writes (name + format
+/// version 3: `ESCWAL02` records, then zeros).
+pub const SEGMENT_MAGIC: &[u8; 8] = b"ESCWAL03";
+
+/// Magic of the previous format, whose segments end at the end of the
+/// file. Still read; never continued.
+const LEGACY_MAGIC: &[u8; 8] = b"ESCWAL02";
+
+const MAGIC_LEN: u64 = SEGMENT_MAGIC.len() as u64;
+
+/// Bytes in a record header, and so in the all-zero end marker.
+const RECORD_HEADER: usize = 8;
+
+/// Zeros a new segment starts with, the first runway step, and the zero
+/// budget each open adds.
+const RUNWAY: u64 = 64 * 1024;
+
+/// The largest runway step.
+const MAX_STEP: u64 = 1024 * 1024;
+
+static ZEROS: [u8; RUNWAY as usize] = [0; RUNWAY as usize];
 
 /// Default segment-rotation threshold (4 MiB).
 pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
@@ -89,7 +157,8 @@ impl WalInstruments {
 /// Write-ahead-log tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalOptions {
-    /// Rotate to a fresh segment once the active one passes this size.
+    /// Rotate to a fresh segment once the active one's records pass this
+    /// size. Also the size a prepared segment is zero-filled to.
     pub segment_max_bytes: u64,
     /// Whether [`Wal::sync`] issues a real `fdatasync`. Disable only for
     /// tests that model the fsync-less case.
@@ -109,6 +178,10 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:016}.log"))
 }
 
+fn prepared_path(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("wal-{seq:016}.prep"))
+}
+
 /// Parses a `wal-<seq>.log` file name back into its sequence number.
 fn segment_seq(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
@@ -123,7 +196,8 @@ pub(crate) fn sync_dir(dir: &Path) {
     }
 }
 
-/// All WAL segments in `dir`, sorted by sequence number.
+/// All WAL segments in `dir`, sorted by sequence number. Prepared
+/// (`.prep`) segments are not segments yet and are never listed.
 pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -138,13 +212,78 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// One segment's parse result: the records of its intact prefix, plus
-/// where (in file bytes) that prefix ends if the tail is torn.
+/// Deletes the `.prep` files a crash left behind: a preparation that
+/// never became a segment holds no records.
+fn remove_prepared(dir: &Path) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.starts_with("wal-") && name.ends_with(".prep") {
+            fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
+}
+
+/// Writes zeros over `[from, to)` of `file`.
+pub(crate) fn write_zeros(file: &File, mut from: u64, to: u64) -> io::Result<()> {
+    while from < to {
+        let n = (to - from).min(RUNWAY);
+        file.write_all_at(ZEROS.get(..n as usize).unwrap_or_default(), from)?;
+        from += n;
+    }
+    Ok(())
+}
+
+/// Creates the segment file `path` holding the magic and zeros up to
+/// offset `len`; with `fsync`, syncs it and then the directory.
+fn new_segment(dir: &Path, path: &Path, len: u64, fsync: bool) -> io::Result<File> {
+    let file = OpenOptions::new().create_new(true).write(true).open(path)?;
+    file.write_all_at(SEGMENT_MAGIC, 0)?;
+    write_zeros(&file, MAGIC_LEN, len)?;
+    if fsync {
+        file.sync_data()?;
+        sync_dir(dir);
+    }
+    Ok(file)
+}
+
+/// Writes `wal-<seq>.prep`, zero-filled to `cap`: the helper thread's
+/// whole job.
+fn prepare(dir: &Path, seq: u64, cap: u64, fsync: bool) -> io::Result<()> {
+    let path = prepared_path(dir, seq);
+    let _ = fs::remove_file(&path);
+    new_segment(dir, &path, cap, fsync).map(drop)
+}
+
+/// Bytes of `tail` up to and including its last nonzero byte (0 when it
+/// is all zeros). Whole blocks are OR-folded, which vectorises, before
+/// one block is searched byte by byte.
+fn nonzero_extent(tail: &[u8]) -> u64 {
+    let mut extent = tail.len();
+    for block in tail.rchunks(4096) {
+        if block.iter().fold(0, |acc, &b| acc | b) != 0 {
+            let last = block.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+            return (extent - block.len() + last) as u64;
+        }
+        extent -= block.len();
+    }
+    0
+}
+
+/// One segment's parse result.
 struct SegmentScan {
+    /// The records before the end.
     records: Vec<WalRecord>,
-    /// `Some(offset)` when a framing/CRC violation cut the scan short;
-    /// `offset` is the file position right after the last intact record.
-    torn_at: Option<u64>,
+    /// File offset where the records end: the end marker, the end of the
+    /// file, or the first record that fails its frame or CRC.
+    end: u64,
+    /// Bytes from `end` through the last nonzero byte after it: crash
+    /// debris, 0 for a clean segment.
+    debris: u64,
+    /// An `ESCWAL03` segment, which may be continued.
+    current: bool,
     /// The file had no (complete) magic header at all.
     headerless: bool,
 }
@@ -156,59 +295,71 @@ struct SegmentScan {
 /// [`io::ErrorKind::InvalidData`] when the header names another WAL
 /// format version.
 fn scan_segment(path: &Path, raw: Vec<u8>) -> io::Result<SegmentScan> {
-    match raw.get(..SEGMENT_MAGIC.len()) {
-        Some(magic) if magic == SEGMENT_MAGIC => {}
+    let current = match raw.get(..SEGMENT_MAGIC.len()) {
+        Some(magic) if magic == SEGMENT_MAGIC => true,
+        Some(magic) if magic == LEGACY_MAGIC => false,
         Some(magic) if magic.starts_with(b"ESCWAL") => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "WAL segment {} has format {:?}; this build reads only {:?}",
+                    "WAL segment {} has format {:?}; this build reads only {:?} and {:?}",
                     path.display(),
                     String::from_utf8_lossy(magic),
                     String::from_utf8_lossy(SEGMENT_MAGIC),
+                    String::from_utf8_lossy(LEGACY_MAGIC),
                 ),
             ));
         }
         _ => {
             return Ok(SegmentScan {
                 records: Vec::new(),
-                torn_at: None,
+                end: 0,
+                debris: nonzero_extent(&raw),
+                current: false,
                 headerless: true,
             })
         }
-    }
-    let total = raw.len();
-    let mut bytes = Bytes::from(raw).slice(SEGMENT_MAGIC.len()..);
+    };
+    let raw = Bytes::from(raw);
+    let mut bytes = raw.slice(SEGMENT_MAGIC.len()..);
     let mut records = Vec::new();
-    let mut torn_at = None;
-    loop {
-        let good = (total - bytes.len()) as u64;
+    let end = loop {
+        let at = raw.len() - bytes.len();
+        if bytes.iter().take(RECORD_HEADER).all(|&b| b == 0) {
+            break at;
+        }
         match read_record(&mut bytes, DEFAULT_MAX_RECORD) {
             Ok(Some(mut payload)) => match WalRecord::decode(&mut payload) {
                 Ok(record) => records.push(record),
-                Err(_) => {
-                    torn_at = Some(good);
-                    break;
-                }
+                Err(_) => break at,
             },
-            Ok(None) => break,
-            Err(_) => {
-                torn_at = Some(good);
-                break;
-            }
+            Ok(None) | Err(_) => break at,
         }
-    }
+    };
     Ok(SegmentScan {
         records,
-        torn_at,
+        end: end as u64,
+        debris: raw.get(end..).map_or(0, nonzero_extent),
+        current,
         headerless: false,
     })
 }
 
+/// Where the records of the segment at `path` end (0 for a file without
+/// a header).
+///
+/// # Errors
+///
+/// I/O failures reading it, or [`io::ErrorKind::InvalidData`] for a
+/// segment of another format version.
+pub(crate) fn records_end(path: &Path) -> io::Result<u64> {
+    Ok(scan_segment(path, fs::read(path)?)?.end)
+}
+
 /// Replays every intact record in `dir`'s segments, in write order,
-/// **read-only**: the scan stops at the first framing/CRC violation and
+/// **read-only**: the scan stops at the first segment with debris and
 /// ignores any later segment. Use [`recover`] on the open path — it
-/// repairs the torn tail so later segments stay reachable on the *next*
+/// repairs the debris so later segments stay reachable on the *next*
 /// open.
 ///
 /// # Errors
@@ -221,7 +372,7 @@ pub fn replay(dir: &Path) -> io::Result<Vec<WalRecord>> {
     for (_, path) in list_segments(dir)? {
         let scan = scan_segment(&path, fs::read(&path)?)?;
         records.extend(scan.records);
-        if scan.headerless || scan.torn_at.is_some() {
+        if scan.headerless || scan.debris > 0 {
             break;
         }
     }
@@ -231,45 +382,72 @@ pub fn replay(dir: &Path) -> io::Result<Vec<WalRecord>> {
 /// Replays `dir`'s segments like [`replay`], and **repairs** crash
 /// damage so it cannot compound:
 ///
-/// * A torn record (or missing header) in the **newest** segment is the
-///   tail write of the crash being recovered from — never synced, never
-///   acked. The segment is truncated back to its intact prefix (or
-///   removed, if headerless), so a later open replays straight through
-///   into any segments written after this recovery. Without the repair,
-///   the *next* restart would stop at the tear and silently forget every
-///   newer segment — including fsync'd, acked votes.
-/// * Damage in an **older** segment is not a crash artifact (later
+/// * Debris (a torn record, nonzero bytes after the end marker, or a
+///   missing header) in the **newest** segment is the tail write of the
+///   crash being recovered from — never synced, never acked. It is
+///   overwritten with zeros (or, if headerless, the segment is removed),
+///   so a later open replays straight through into any segments written
+///   after this recovery. Without the repair, the *next* restart would
+///   stop at the tear and silently forget every newer segment —
+///   including fsync'd, acked votes.
+/// * Debris in an **older** segment is not a crash artifact (later
 ///   segments were written by a process that had read past this point):
 ///   it is real corruption, and recovering around it would apply newer
 ///   records over a gap. That is refused outright.
 /// * A segment of another format version (in any position) is refused
 ///   too, and left as it is.
+/// * Stray `.prep` files are deleted.
 ///
 /// # Errors
 ///
 /// I/O failures, or [`io::ErrorKind::InvalidData`] for mid-log
 /// corruption or a foreign format version, as described above.
 pub fn recover(dir: &Path) -> io::Result<Vec<WalRecord>> {
-    recover_reporting(dir).map(|(records, _)| records)
+    recover_reporting(dir).map(|recovery| recovery.records)
 }
 
-/// [`recover`], additionally reporting how many bytes the tail repair
-/// dropped (0 when the log was clean). Callers with an observer turn a
-/// non-zero count into a `wal_tail_truncated` event.
+/// The newest segment as recovery left it: what [`Wal::open_append`]
+/// needs to continue it without reading it again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NewestSegment {
+    /// Its sequence number.
+    pub seq: u64,
+    /// The offset of its end marker if it is an `ESCWAL03` segment;
+    /// `None` for an `ESCWAL02` one, which is never continued.
+    pub end: Option<u64>,
+}
+
+/// What [`recover_reporting`] found.
+#[derive(Debug)]
+pub struct Recovery {
+    /// Every intact record, in write order.
+    pub records: Vec<WalRecord>,
+    /// Debris bytes the repair zeroed (0 when the log was clean). Callers
+    /// with an observer turn a nonzero count into a `wal_tail_truncated`
+    /// event.
+    pub lost_bytes: u64,
+    /// The newest segment left on disk, if any.
+    pub newest: Option<NewestSegment>,
+}
+
+/// [`recover`], additionally reporting how many debris bytes the repair
+/// zeroed and where the newest segment's records end.
 ///
 /// # Errors
 ///
 /// As [`recover`].
-pub fn recover_reporting(dir: &Path) -> io::Result<(Vec<WalRecord>, u64)> {
+pub fn recover_reporting(dir: &Path) -> io::Result<Recovery> {
+    remove_prepared(dir)?;
     let segments = list_segments(dir)?;
     let last = segments.len().saturating_sub(1);
-    let mut records = Vec::new();
-    let mut lost_bytes = 0u64;
+    let mut recovery = Recovery {
+        records: Vec::new(),
+        lost_bytes: 0,
+        newest: None,
+    };
     for (i, (seq, path)) in segments.into_iter().enumerate() {
-        let raw = fs::read(&path)?;
-        let raw_len = raw.len() as u64;
-        let scan = scan_segment(&path, raw)?;
-        let damaged = scan.headerless || scan.torn_at.is_some();
+        let scan = scan_segment(&path, fs::read(&path)?)?;
+        let damaged = scan.headerless || scan.debris > 0;
         if damaged && i != last {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -279,20 +457,37 @@ pub fn recover_reporting(dir: &Path) -> io::Result<(Vec<WalRecord>, u64)> {
                 ),
             ));
         }
-        records.extend(scan.records);
+        recovery.records.extend(scan.records);
+        recovery.lost_bytes += scan.debris;
         if scan.headerless {
             // A crash inside segment creation: no header ever landed.
-            lost_bytes += raw_len;
             fs::remove_file(&path)?;
             sync_dir(dir);
-        } else if let Some(offset) = scan.torn_at {
-            lost_bytes += raw_len.saturating_sub(offset);
-            let file = OpenOptions::new().write(true).open(&path)?;
-            file.set_len(offset)?;
-            file.sync_all()?;
+            continue;
         }
+        if scan.debris > 0 {
+            let file = OpenOptions::new().write(true).open(&path)?;
+            write_zeros(&file, scan.end, scan.end + scan.debris)?;
+            file.sync_data()?;
+        }
+        recovery.newest = Some(NewestSegment {
+            seq,
+            end: scan.current.then_some(scan.end),
+        });
     }
-    Ok((records, lost_bytes))
+    Ok(recovery)
+}
+
+/// What the active segment's successor is.
+#[derive(Debug)]
+enum Next {
+    /// The active segment is not yet half full.
+    Undecided,
+    /// The zero budget did not cover a preparation, or no helper thread
+    /// could be spawned; rotation creates the successor with a runway.
+    Skipped,
+    /// A helper thread is writing `wal-<seq + 1>.prep`.
+    Preparing(JoinHandle<io::Result<()>>),
 }
 
 /// The active write-ahead log: an open segment plus rotation bookkeeping
@@ -303,8 +498,19 @@ pub struct Wal {
     options: WalOptions,
     file: File,
     seq: u64,
-    /// Bytes in the active segment, counting the not-yet-flushed buffer.
+    /// Where the active segment's records end, counting the not-yet-flushed
+    /// buffer.
     written: u64,
+    /// Length of the active segment file; below it, past the flushed
+    /// records, every byte is zero.
+    len: u64,
+    /// Size of the next runway extension.
+    step: u64,
+    /// Record bytes written since this `Wal` was opened.
+    record_bytes: u64,
+    /// Zero bytes written (or handed to a helper) since it was opened.
+    zero_bytes: u64,
+    next: Next,
     /// Encoded-but-unflushed records (the group-commit window). Written
     /// to the file by [`Wal::flush`] / [`Wal::sync`]; discarded by a
     /// crash — which is exactly the durability contract, since nothing
@@ -315,76 +521,75 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens a *fresh* segment with sequence `seq` in `dir`.
+    fn with_segment(
+        dir: &Path,
+        options: WalOptions,
+        file: File,
+        seq: u64,
+        end: u64,
+        len: u64,
+    ) -> Wal {
+        Wal {
+            dir: dir.to_path_buf(),
+            options,
+            file,
+            seq,
+            written: end,
+            len,
+            step: RUNWAY,
+            record_bytes: 0,
+            zero_bytes: 0,
+            next: Next::Undecided,
+            buffer: BytesMut::new(),
+            instruments: None,
+        }
+    }
+
+    /// Opens a *fresh* segment with sequence `seq` in `dir`, starting
+    /// with a 64 KiB runway of zeros (less if the cap is smaller).
     ///
     /// # Errors
     ///
     /// I/O errors creating the segment file.
     pub fn create(dir: &Path, seq: u64, options: WalOptions) -> io::Result<Wal> {
-        let path = segment_path(dir, seq);
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)?;
-        file.write_all(SEGMENT_MAGIC)?;
-        if options.fsync {
-            file.sync_data()?;
-        }
-        sync_dir(dir);
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            options,
-            file,
-            seq,
-            written: SEGMENT_MAGIC.len() as u64,
-            buffer: BytesMut::new(),
-            instruments: None,
-        })
+        let len = runway_end(RUNWAY, options.segment_max_bytes);
+        let file = new_segment(dir, &segment_path(dir, seq), len, options.fsync)?;
+        let mut wal = Wal::with_segment(dir, options, file, seq, MAGIC_LEN, len);
+        wal.zero_bytes = len - MAGIC_LEN;
+        count_caller_fill();
+        Ok(wal)
     }
 
-    /// Reopens the **existing** segment `seq` for appending — the
-    /// post-recovery continue path that stops the one-segment-per-restart
-    /// growth. Callers must have run [`recover`] first (it truncates any
-    /// torn tail, so the file ends on a record boundary).
+    /// Reopens the **existing** segment `newest` and continues it at its
+    /// end marker — the post-recovery continue path that stops the
+    /// one-segment-per-restart growth. `newest` must come from
+    /// [`recover_reporting`], which zeroed everything after that marker
+    /// and so already read the file once.
     ///
-    /// Returns `Ok(None)` when the segment is already at/over the
-    /// rotation cap; the caller falls back to [`Wal::create`]. The whole
+    /// Returns `Ok(None)` when the segment cannot be continued: an
+    /// `ESCWAL02` segment, or one whose records are at/over the rotation
+    /// cap. The caller falls back to [`Wal::create`]. The whole
     /// appendability rule lives here so no caller can open a segment the
     /// rule would rotate.
     ///
     /// # Errors
     ///
-    /// I/O errors probing or opening the file, or
-    /// [`io::ErrorKind::InvalidData`] when it does not start with
-    /// [`SEGMENT_MAGIC`] (which [`recover`] rules out).
-    pub fn open_append(dir: &Path, seq: u64, options: WalOptions) -> io::Result<Option<Wal>> {
-        use std::io::Read;
-        let path = segment_path(dir, seq);
-        // Only the magic and the length are needed — not the contents
-        // (recovery already replayed them).
-        let mut probe = File::open(&path)?;
-        let written = probe.metadata()?.len();
-        if written >= options.segment_max_bytes {
+    /// I/O errors opening the file.
+    pub fn open_append(
+        dir: &Path,
+        newest: NewestSegment,
+        options: WalOptions,
+    ) -> io::Result<Option<Wal>> {
+        let Some(end) = newest.end.filter(|&end| end < options.segment_max_bytes) else {
             return Ok(None);
-        }
-        let mut magic = [0u8; SEGMENT_MAGIC.len()];
-        probe.read_exact(&mut magic)?;
-        if &magic != SEGMENT_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} is not an ESCWAL02 segment", path.display()),
-            ));
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(Some(Wal {
-            dir: dir.to_path_buf(),
-            options,
-            file,
-            seq,
-            written,
-            buffer: BytesMut::new(),
-            instruments: None,
-        }))
+        };
+        let file = OpenOptions::new()
+            .write(true)
+            .open(segment_path(dir, newest.seq))?;
+        let len = file.metadata()?.len();
+        Ok(Some(Wal::with_segment(
+            dir, options, file, newest.seq, end, len,
+        )))
     }
 
     /// The active segment's sequence number.
@@ -445,8 +650,8 @@ impl Wal {
         self.buffer.len()
     }
 
-    /// Writes the group-commit buffer to the segment file (one `write`
-    /// syscall), **without** forcing it to stable storage — crash
+    /// Writes the group-commit buffer over the zeros after the records
+    /// (one `pwrite`), **without** forcing it to stable storage — crash
     /// durability still requires [`Wal::sync`].
     ///
     /// # Errors
@@ -454,50 +659,145 @@ impl Wal {
     /// I/O errors from the write.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.buffer.is_empty() {
-            self.file.write_all(&self.buffer)?;
+            let at = self.written - self.buffer.len() as u64;
+            self.file.write_all_at(&self.buffer, at)?;
+            self.record_bytes += self.buffer.len() as u64;
+            self.len = self.len.max(self.written);
             self.buffer.clear();
         }
         Ok(())
     }
 
     /// Closes the active segment (flushed + synced) and opens the next
-    /// one.
+    /// one: the prepared file if there is one, else a fresh segment with
+    /// a runway.
     ///
     /// # Errors
     ///
     /// I/O errors syncing the old segment or creating the new one.
     pub fn rotate(&mut self) -> io::Result<()> {
-        self.sync()?;
-        let mut next = Wal::create(&self.dir, self.seq + 1, self.options)?;
-        next.instruments = self.instruments.take();
-        next.update_segment_gauge();
-        *self = next;
+        self.flush()?;
+        self.sync_data()?;
+        let seq = self.seq + 1;
+        let path = segment_path(&self.dir, seq);
+        let prepared = match std::mem::replace(&mut self.next, Next::Undecided) {
+            Next::Preparing(helper) => {
+                let ready = matches!(helper.join(), Ok(Ok(())));
+                if !ready {
+                    let _ = fs::remove_file(prepared_path(&self.dir, seq));
+                }
+                ready
+            }
+            Next::Undecided | Next::Skipped => false,
+        };
+        let cap = self.options.segment_max_bytes;
+        if prepared {
+            fs::rename(prepared_path(&self.dir, seq), &path)?;
+            if self.options.fsync {
+                sync_dir(&self.dir);
+            }
+            self.file = OpenOptions::new().write(true).open(&path)?;
+            self.len = cap.max(MAGIC_LEN);
+        } else {
+            let len = runway_end(RUNWAY.min(self.zero_budget()), cap);
+            self.file = new_segment(&self.dir, &path, len, self.options.fsync)?;
+            self.zero_bytes += len - MAGIC_LEN;
+            self.len = len;
+            count_caller_fill();
+        }
+        self.seq = seq;
+        self.written = MAGIC_LEN;
+        self.step = RUNWAY;
+        self.update_segment_gauge();
         Ok(())
     }
 
     /// The group-commit barrier: flushes the buffer and makes everything
     /// appended so far durable (one `write` + one `fdatasync`, however
-    /// many records accumulated since the previous barrier).
+    /// many records accumulated since the previous barrier). Extends the
+    /// runway first when it runs short, and starts preparing the next
+    /// segment once this one is half full.
     ///
     /// # Errors
     ///
-    /// I/O errors from the flush or the sync.
+    /// I/O errors from the flush, the runway or the sync.
     pub fn sync(&mut self) -> io::Result<()> {
         self.flush()?;
-        if self.options.fsync {
-            match &self.instruments {
-                Some(instruments) => {
-                    // lint:allow(time): measuring the real fsync barrier is this instrument's entire purpose
-                    let started = std::time::Instant::now();
-                    self.file.sync_data()?;
-                    instruments
-                        .fsync_micros
-                        .observe(started.elapsed().as_micros() as u64);
-                }
-                None => self.file.sync_data()?,
+        self.extend_runway()?;
+        self.sync_data()?;
+        self.prepare_next();
+        Ok(())
+    }
+
+    /// One `fdatasync` of the active segment, timed when instrumented.
+    fn sync_data(&self) -> io::Result<()> {
+        if !self.options.fsync {
+            return Ok(());
+        }
+        match &self.instruments {
+            Some(instruments) => {
+                // lint:allow(time): measuring the real fsync barrier is this instrument's entire purpose
+                let started = std::time::Instant::now();
+                self.file.sync_data()?;
+                instruments
+                    .fsync_micros
+                    .observe(started.elapsed().as_micros() as u64);
             }
+            None => self.file.sync_data()?,
         }
         Ok(())
+    }
+
+    /// Zero bytes this `Wal` may still write: twice the record bytes plus
+    /// one runway, less what it has written.
+    fn zero_budget(&self) -> u64 {
+        (2 * self.record_bytes + RUNWAY).saturating_sub(self.zero_bytes)
+    }
+
+    /// Zero-fills one more step past the file end, up to the cap, when
+    /// less than half a step is left and the budget covers it.
+    fn extend_runway(&mut self) -> io::Result<()> {
+        let cap = self.options.segment_max_bytes;
+        if self.len >= cap || self.len - self.written >= self.step / 2 {
+            return Ok(());
+        }
+        let to = (self.len + self.step).min(cap);
+        if to - self.len > self.zero_budget() {
+            return Ok(());
+        }
+        write_zeros(&self.file, self.len, to)?;
+        self.zero_bytes += to - self.len;
+        self.len = to;
+        self.step = (self.step * 2).min(MAX_STEP);
+        count_caller_fill();
+        Ok(())
+    }
+
+    /// Once the active segment is half full, hands the next segment's
+    /// zero-fill to a helper thread. A preparation that fails, or whose
+    /// thread cannot be spawned, only costs the successor its head start:
+    /// rotation creates it on the caller with a runway instead.
+    fn prepare_next(&mut self) {
+        let cap = self.options.segment_max_bytes.max(MAGIC_LEN);
+        if !matches!(self.next, Next::Undecided) || self.written < cap / 2 {
+            return;
+        }
+        let zeros = cap - MAGIC_LEN;
+        if zeros > self.zero_budget() {
+            self.next = Next::Skipped;
+            return;
+        }
+        let (dir, seq, fsync) = (self.dir.clone(), self.seq + 1, self.options.fsync);
+        let helper = thread::Builder::new()
+            .name("escape-wal-prep".into())
+            .spawn(move || prepare(&dir, seq, cap, fsync));
+        self.next = match helper {
+            Ok(helper) => {
+                self.zero_bytes += zeros;
+                Next::Preparing(helper)
+            }
+            Err(_) => Next::Skipped,
+        };
     }
 
     /// Deletes every segment with a sequence number below `seq` — called
@@ -516,6 +816,37 @@ impl Wal {
         self.update_segment_gauge();
         Ok(())
     }
+}
+
+impl Drop for Wal {
+    /// Waits for a helper still writing the next segment, so no thread
+    /// outlives the log it prepares for. Its `.prep` file stays: the next
+    /// open deletes it.
+    fn drop(&mut self) {
+        if let Next::Preparing(helper) = std::mem::replace(&mut self.next, Next::Undecided) {
+            let _ = helper.join();
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Zero-fills and segment creations done on this thread by a `Wal`
+    /// (a helper thread's preparation is not counted).
+    static CALLER_FILLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one zero-fill or segment creation on the caller's thread; tests
+/// assert that steady-state barriers do none.
+fn count_caller_fill() {
+    #[cfg(test)]
+    CALLER_FILLS.with(|fills| fills.set(fills.get() + 1));
+}
+
+/// The length of a fresh segment: the magic plus `runway` zeros, cut at
+/// the cap.
+fn runway_end(runway: u64, cap: u64) -> u64 {
+    (MAGIC_LEN + runway).min(cap).max(MAGIC_LEN)
 }
 
 #[cfg(test)]
@@ -577,8 +908,9 @@ pub(crate) mod tests {
         ]
     }
 
-    /// What a segment holding `records` must contain, byte for byte:
-    /// each record encoded on its own, then framed by copying.
+    /// What a segment holding `records` must begin with, byte for byte:
+    /// each record encoded on its own, then framed by copying. Zeros
+    /// follow.
     pub(crate) fn oracle_segment(records: &[WalRecord]) -> Vec<u8> {
         let mut buf = BytesMut::from(&SEGMENT_MAGIC[..]);
         for record in records {
@@ -587,8 +919,32 @@ pub(crate) mod tests {
         buf.to_vec()
     }
 
-    /// The in-place append writes exactly the `ESCWAL02` bytes the
-    /// copying encoder wrote, for every record kind.
+    /// Asserts the segment at `path` is `oracle` followed by zeros only.
+    pub(crate) fn assert_oracle_then_zeros(path: &Path, oracle: &[u8]) {
+        let raw = fs::read(path).unwrap();
+        assert!(raw.len() >= oracle.len(), "segment shorter than its records");
+        let (records, tail) = raw.split_at(oracle.len());
+        assert_eq!(records, oracle);
+        assert!(tail.iter().all(|&b| b == 0), "only zeros may follow the records");
+    }
+
+    /// Zeroes the last `n` record bytes of the segment at `path` — what a
+    /// torn overwrite leaves behind — and returns where its records ended.
+    pub(crate) fn tear(path: &Path, n: usize) -> usize {
+        let end = records_end(path).unwrap() as usize;
+        let mut raw = fs::read(path).unwrap();
+        raw[end - n..end].fill(0);
+        fs::write(path, raw).unwrap();
+        end
+    }
+
+    fn newest(dir: &Path) -> NewestSegment {
+        recover_reporting(dir).unwrap().newest.unwrap()
+    }
+
+    /// The in-place append writes exactly the `ESCWAL02` record bytes the
+    /// copying encoder wrote, for every record kind, after the `03` magic
+    /// and before the zero tail.
     #[test]
     fn append_is_byte_identical_to_the_copying_oracle() {
         let dir = scratch_dir("wal-oracle");
@@ -599,8 +955,18 @@ pub(crate) mod tests {
         }
         wal.sync().unwrap();
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        assert_eq!(fs::read(&path).unwrap(), oracle_segment(&records));
+        let oracle = oracle_segment(&records);
+        assert_oracle_then_zeros(&path, &oracle);
+        assert!(fs::metadata(&path).unwrap().len() > oracle.len() as u64, "no runway");
         assert_eq!(replay(&dir).unwrap(), records);
+    }
+
+    /// The end marker is sound only because no record header is all
+    /// zeros: the CRC covers the length field, and CRC-32 of four zero
+    /// bytes is not zero.
+    #[test]
+    fn a_zero_length_field_has_a_nonzero_crc() {
+        assert_eq!(escape_wire::record::crc32(&[0; 4]), 0x2144_DF1C);
     }
 
     #[test]
@@ -708,10 +1074,9 @@ pub(crate) mod tests {
             wal.append(&hard_state(term)).unwrap();
         }
         wal.sync().unwrap();
-        // Tear the last record by chopping bytes off the segment.
+        // Tear the last record: its final bytes never landed.
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 5]).unwrap();
+        tear(&path, 5);
         let records = replay(&dir).unwrap();
         assert_eq!(records.len(), 2, "intact prefix survives, torn record dropped");
     }
@@ -727,7 +1092,7 @@ pub(crate) mod tests {
             wal.sync().unwrap();
         }
         {
-            let mut wal = Wal::open_append(&dir, 1, WalOptions::default())
+            let mut wal = Wal::open_append(&dir, newest(&dir), WalOptions::default())
                 .unwrap()
                 .expect("under-cap segment is appendable");
             assert_eq!(wal.seq(), 1);
@@ -758,8 +1123,12 @@ pub(crate) mod tests {
             }
             wal.sync().unwrap();
         }
+        let first = NewestSegment {
+            seq: 1,
+            end: Some(records_end(&segment_path(&dir, 1)).unwrap()),
+        };
         assert!(
-            Wal::open_append(&dir, 1, opts).unwrap().is_none(),
+            Wal::open_append(&dir, first, opts).unwrap().is_none(),
             "an at/over-cap segment must rotate, not continue"
         );
     }
@@ -777,6 +1146,7 @@ pub(crate) mod tests {
         }
         wal.sync().unwrap();
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let end = records_end(&path).unwrap() as usize;
         let mut raw = fs::read(&path).unwrap();
         // Locate the last record's length header by sizing an identical
         // record.
@@ -785,7 +1155,7 @@ pub(crate) mod tests {
             write_record(&mut one, &hard_state(3).to_bytes());
             one.len()
         };
-        let header_pos = raw.len() - record_bytes; // first length byte
+        let header_pos = end - record_bytes;
         // Shrink the declared length so the corrupt record still frames
         // *inside* the segment — the misframe only a header-covering CRC
         // can catch (an oversized length reads as truncation either way).
@@ -816,5 +1186,116 @@ pub(crate) mod tests {
         let left = list_segments(&dir).unwrap();
         assert!(left.iter().all(|(seq, _)| *seq >= keep));
         assert!(!left.is_empty());
+    }
+
+    /// A record of `len` payload bytes (an entry of that size, roughly).
+    fn sized(index: u64, len: usize) -> WalRecord {
+        use escape_core::log::{Entry, Payload};
+        use escape_core::types::LogIndex;
+        WalRecord::AppendEntry {
+            entry: Entry {
+                term: Term::new(1),
+                index: LogIndex::new(index),
+                payload: Payload::Command(Bytes::from(vec![0xA5; len])),
+            },
+        }
+    }
+
+    /// Once segments are prepared ahead, a barrier only overwrites: no
+    /// zero-fill and no segment creation on the caller, across rotations.
+    #[test]
+    fn steady_state_barriers_neither_zero_fill_nor_create_files() {
+        let dir = scratch_dir("wal-steady");
+        let opts = WalOptions {
+            segment_max_bytes: 128 * 1024,
+            fsync: false,
+        };
+        let mut wal = Wal::create(&dir, 1, opts).unwrap();
+        let mut index = 0;
+        let mut barrier = |wal: &mut Wal| {
+            index += 1;
+            wal.append(&sized(index, 2000)).unwrap();
+            wal.sync().unwrap();
+        };
+        // The first segment cannot afford to prepare its successor, which
+        // starts with a runway; from the third segment on, every one was
+        // prepared by a helper.
+        while wal.seq() < 3 {
+            barrier(&mut wal);
+        }
+        let fills = CALLER_FILLS.with(|fills| fills.get());
+        while wal.seq() < 7 {
+            barrier(&mut wal);
+        }
+        let after = CALLER_FILLS.with(|fills| fills.get());
+        assert_eq!(after, fills, "a steady-state barrier filled on the caller");
+        assert_eq!(list_segments(&dir).unwrap().len(), 7);
+        drop(wal);
+        assert_eq!(recover(&dir).unwrap().len(), index as usize);
+    }
+
+    /// The zero-fill budget holds after every barrier of every open:
+    /// zero bytes written ≤ 2 × record bytes written + 64 KiB.
+    #[test]
+    fn zero_fill_stays_within_twice_the_records_plus_a_runway_per_open() {
+        let dir = scratch_dir("wal-budget");
+        let opts = WalOptions {
+            segment_max_bytes: 256 * 1024,
+            fsync: false,
+        };
+        let mut newest: Option<NewestSegment> = None;
+        let mut index = 0u64;
+        for open in 0..3 {
+            let mut wal = match newest {
+                None => Wal::create(&dir, 1, opts).unwrap(),
+                Some(newest) => Wal::open_append(&dir, newest, opts)
+                    .unwrap()
+                    .unwrap_or_else(|| Wal::create(&dir, newest.seq + 1, opts).unwrap()),
+            };
+            assert!(wal.zero_bytes <= RUNWAY);
+            for round in 0..200u64 {
+                // Barriers of one to five records of up to 2 KB, in an
+                // uneven cycle.
+                for _ in 0..(round * 7 % 5 + 1) {
+                    index += 1;
+                    wal.append(&sized(index, (round * 2749 % 2000) as usize + 1))
+                        .unwrap();
+                }
+                wal.sync().unwrap();
+                assert!(
+                    wal.zero_bytes <= 2 * wal.record_bytes + RUNWAY,
+                    "open {open}, round {round}: {} zero bytes for {} record bytes",
+                    wal.zero_bytes,
+                    wal.record_bytes
+                );
+            }
+            newest = Some(NewestSegment {
+                seq: wal.seq(),
+                end: Some(wal.written),
+            });
+        }
+        assert!(list_segments(&dir).unwrap().len() >= 6, "too few rotations to tell");
+    }
+
+    /// Nonzero bytes after the end marker of an older segment are not
+    /// crash debris — later segments exist — so recovery refuses.
+    #[test]
+    fn debris_after_the_end_of_an_older_segment_is_refused() {
+        let dir = scratch_dir("wal-old-debris");
+        {
+            let mut wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
+            wal.append(&hard_state(1)).unwrap();
+            wal.rotate().unwrap();
+            wal.append(&hard_state(2)).unwrap();
+            wal.sync().unwrap();
+        }
+        let path = segment_path(&dir, 1);
+        let end = records_end(&path).unwrap() as usize;
+        let mut raw = fs::read(&path).unwrap();
+        raw[end + 100] = 0x5A;
+        fs::write(&path, &raw).unwrap();
+        let err = recover(&dir).expect_err("debris in an older segment must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(fs::read(&path).unwrap(), raw, "the segment must be left as it was");
     }
 }
