@@ -40,7 +40,7 @@ use escape_simnet::loss::{ChaosModel, LossModel};
 use escape_simnet::skew::ClockSkew;
 use escape_storage::{tear_wal_tail, FaultSpec, FaultStats, FaultyStorage, WalOptions, WalStorage};
 
-use crate::cluster::{ClusterConfig, ObservedEvent, Protocol, SimCluster, StorageHarness};
+use crate::cluster::{ClusterConfig, Protocol, SimCluster, StorageHarness};
 
 /// Salt separating the campaign's own draws (skew, victims, cut
 /// endpoints) from the network stream, which uses the raw seed.
@@ -851,7 +851,7 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     // "this exact index commits": a proposal accepted by a leader that
     // then loses leadership may legitimately never commit (Raft §8), so
     // only a cluster that stops committing altogether fails.
-    let committed_before = max_commit(&cluster);
+    let committed_before = cluster.safety().highest_committed();
     let mut accepted = false;
     for i in 0..6u32 {
         let command = Bytes::from(format!("campaign-{seed}-{i}"));
@@ -862,9 +862,10 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     cluster.run_for(Duration::from_secs(2));
     if !accepted {
         failures.push("workload: no leader accepted a command".into());
-    } else if max_commit(&cluster) <= committed_before {
+    } else if cluster.safety().highest_committed() <= committed_before {
         failures.push(format!(
-            "workload: commit index stuck at {committed_before} despite accepted proposals"
+            "workload: commit index stuck at {} despite accepted proposals",
+            committed_before.get()
         ));
     }
 
@@ -940,19 +941,6 @@ fn acknowledge_before_own_sync(
         ));
     }
     Ok((index, command))
-}
-
-/// The highest commit index any node has reported so far.
-fn max_commit(cluster: &SimCluster) -> u64 {
-    cluster
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            ObservedEvent::Commit { index, .. } => Some(index.get()),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
 }
 
 fn finish_trial(

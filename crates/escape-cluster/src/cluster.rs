@@ -2,9 +2,10 @@
 //! discrete-event network.
 //!
 //! [`SimCluster`] owns the nodes and the [`Sim`], pumps events between them,
-//! and keeps a protocol-level event log ([`ObservedEvent`]) that the
-//! election observer and the safety checker consume. Experiments are plain
-//! loops over this API — see [`crate::experiments`].
+//! and observes them through one [`EventLog`] ring per node: the engines
+//! record into it, the harness adds kill/restart markers, and the election
+//! measurement and failover timeline read it. Experiments are plain loops
+//! over this API — see [`crate::experiments`].
 
 use std::io;
 use std::sync::Arc;
@@ -240,73 +241,19 @@ impl ClusterConfig {
     }
 }
 
-/// A protocol-level observation, timestamped with virtual time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ObservedEvent {
-    /// `node` started an election campaign in `term`.
-    Candidate {
-        /// When.
-        at: Time,
-        /// Who.
-        node: ServerId,
-        /// Campaign term.
-        term: Term,
-    },
-    /// `node` won the election for `term`.
-    Leader {
-        /// When.
-        at: Time,
-        /// Who.
-        node: ServerId,
-        /// Leadership term.
-        term: Term,
-    },
-    /// `node` stepped down into `term`.
-    Follower {
-        /// When.
-        at: Time,
-        /// Who.
-        node: ServerId,
-        /// New follower term.
-        term: Term,
-    },
-    /// `node`'s commit index reached `index`.
-    Commit {
-        /// When.
-        at: Time,
-        /// Who.
-        node: ServerId,
-        /// New commit index.
-        index: LogIndex,
-    },
-    /// `node` crashed (fault injection).
-    Crash {
-        /// When.
-        at: Time,
-        /// Who.
-        node: ServerId,
-    },
-    /// `node` restarted (fault injection).
-    Restart {
-        /// When.
-        at: Time,
-        /// Who.
-        node: ServerId,
-    },
-}
-
-/// N consensus nodes + the simulated network + the observation log.
+/// N consensus nodes + the simulated network + one event ring per node.
 #[derive(Debug)]
 pub struct SimCluster {
     sim: Sim<Message>,
     nodes: Vec<Node>,
     alive: Vec<bool>,
-    events: Vec<ObservedEvent>,
     /// Per-node typed event rings (index = `ServerId::index()`): the
     /// engines record into these through their observers, and the
     /// harness stamps kill/restart markers so a failover timeline can be
     /// reconstructed from the streams alone.
     logs: Vec<Arc<EventLog>>,
+    /// The last `Action::BecameLeader` absorbed, as `(node, term)`.
+    last_elected: Option<(ServerId, Term)>,
     checker: SafetyChecker,
     check_safety: bool,
     config: ClusterConfig,
@@ -358,31 +305,14 @@ impl SimCluster {
             .collect();
         let nodes: Vec<Node> = ids
             .iter()
-            .map(|id| {
-                // Derive a per-node seed that is stable in (master seed, id).
-                let node_seed = config
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(id.get() as u64);
-                let observer: Arc<dyn Observer> =
-                    Arc::new(RingObserver::new(Arc::clone(&logs[id.index()])));
-                let mut builder = Node::builder(*id, ids.clone())
-                    .policy(config.protocol.build_policy(*id, config.n, node_seed))
-                    .options(config.options)
-                    .observer(Arc::clone(&observer));
-                if let Some(harness) = storage.as_mut() {
-                    let (store, state) = harness.open(*id, observer, 0)?;
-                    builder = builder.storage(store).recover(state);
-                }
-                Ok(builder.build())
-            })
+            .map(|&id| Self::build_node(&config, &logs[id.index()], storage.as_mut(), id, 0))
             .collect::<io::Result<Vec<Node>>>()?;
         let mut cluster = SimCluster {
             sim,
             nodes,
             alive: vec![true; config.n],
-            events: Vec::new(),
             logs,
+            last_elected: None,
             checker: SafetyChecker::new(config.n),
             check_safety: config.check_safety,
             config,
@@ -394,6 +324,34 @@ impl SimCluster {
             cluster.finish(ServerId::from_index(i), actions);
         }
         Ok(cluster)
+    }
+
+    /// Builds node `id` afresh: a policy seeded stably in (master seed,
+    /// id), the configured options, an observer on the node's ring `log`
+    /// and, with a storage harness, the state it recovers from disk,
+    /// opened at the virtual instant `at_micros`.
+    fn build_node(
+        config: &ClusterConfig,
+        log: &Arc<EventLog>,
+        storage: Option<&mut Box<dyn StorageHarness>>,
+        id: ServerId,
+        at_micros: u64,
+    ) -> io::Result<Node> {
+        let node_seed = config
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(id.get() as u64);
+        let ids: Vec<ServerId> = (1..=config.n as u32).map(ServerId::new).collect();
+        let observer: Arc<dyn Observer> = Arc::new(RingObserver::new(Arc::clone(log)));
+        let mut builder = Node::builder(id, ids)
+            .policy(config.protocol.build_policy(id, config.n, node_seed))
+            .options(config.options)
+            .observer(Arc::clone(&observer));
+        if let Some(harness) = storage {
+            let (store, state) = harness.open(id, observer, at_micros)?;
+            builder = builder.storage(store).recover(state);
+        }
+        Ok(builder.build())
     }
 
     // ---- inspection ----
@@ -437,9 +395,9 @@ impl SimCluster {
             .map(|n| n.id())
     }
 
-    /// The protocol-level observation log.
-    pub fn events(&self) -> &[ObservedEvent] {
-        &self.events
+    /// The last leadership the cluster absorbed, as `(node, term)`.
+    pub(crate) fn last_elected(&self) -> Option<(ServerId, Term)> {
+        self.last_elected
     }
 
     /// A snapshot of `id`'s typed event ring (engine emissions plus the
@@ -460,53 +418,29 @@ impl SimCluster {
             .collect()
     }
 
-    /// Reconstructs the failover that began with the most recent crash:
-    /// merges every node's typed event stream and decomposes it into
+    /// Reconstructs the failover that began with the most recent crash of
+    /// `killed`: merges every node's typed event stream from the last
+    /// `NodeKilled` marker in `killed`'s own ring and decomposes it into
     /// `leader_killed → detected → campaign_started → leader_elected →
     /// first_commit`.
     ///
-    /// # Errors
-    ///
-    /// [`TimelineError`] when no crash was injected yet or a phase marker
-    /// is missing (horizon too short, or the property under test failed).
-    pub fn failover_timeline(&self) -> Result<FailoverTimeline, TimelineError> {
-        let killed_at = self
-            .events
-            .iter()
-            .rev()
-            .find_map(|e| match e {
-                ObservedEvent::Crash { at, .. } => Some(at.as_micros()),
-                _ => None,
-            })
-            .ok_or(TimelineError::NoDetection)?;
-        reconstruct(killed_at, &self.event_streams())
-    }
-
-    /// Like [`SimCluster::failover_timeline`], but keyed on the most
-    /// recent crash of **`killed` specifically** rather than the most
-    /// recent crash of anyone.
-    ///
-    /// This is the right anchor when faults can crash *other* nodes
-    /// around the measured kill: a disk-full victim fail-stopping after
-    /// the leader kill used to shift the "killed at" anchor to its own
-    /// (irrelevant) crash and garble every phase measurement.
+    /// Keying on the victim, not on the most recent crash of anyone, keeps
+    /// the anchor when faults crash *other* nodes around the measured kill
+    /// (a disk-full victim fail-stopping after the leader kill).
     ///
     /// # Errors
     ///
     /// [`TimelineError`] when `killed` never crashed or a phase marker is
-    /// missing.
+    /// missing (horizon too short, or the property under test failed).
     pub fn failover_timeline_for(
         &self,
         killed: ServerId,
     ) -> Result<FailoverTimeline, TimelineError> {
-        let killed_at = self
-            .events
+        let killed_at = self.logs[killed.index()]
+            .snapshot()
             .iter()
             .rev()
-            .find_map(|e| match e {
-                ObservedEvent::Crash { at, node } if *node == killed => Some(at.as_micros()),
-                _ => None,
-            })
+            .find_map(|timed| (timed.event == Event::NodeKilled).then_some(timed.at_micros))
             .ok_or(TimelineError::NoDetection)?;
         reconstruct(killed_at, &self.event_streams())
     }
@@ -551,7 +485,6 @@ impl SimCluster {
         if std::mem::replace(&mut self.alive[id.index()], false) {
             self.sim.crash(id);
             let at = self.sim.now();
-            self.events.push(ObservedEvent::Crash { at, node: id });
             // The kill marker goes into the victim's own stream: the
             // harness knows the instant, the node (being dead) does not.
             self.logs[id.index()].push(at.as_micros(), Event::NodeKilled);
@@ -579,29 +512,17 @@ impl SimCluster {
         if !std::mem::replace(&mut self.alive[id.index()], true) {
             self.sim.restart(id);
             let now = self.sim.now();
-            self.events.push(ObservedEvent::Restart { at: now, node: id });
             self.logs[id.index()].push(now.as_micros(), Event::NodeRestarted);
             let local = self.node_now(id);
-            let actions = if let Some(harness) = self.storage.as_mut() {
-                let observer: Arc<dyn Observer> =
-                    Arc::new(RingObserver::new(Arc::clone(&self.logs[id.index()])));
-                let (store, state) = harness
-                    .open(id, Arc::clone(&observer), now.as_micros())
-                    .expect("storage harness must reopen a crashed node's directory");
-                let node_seed = self
-                    .config
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(id.get() as u64);
-                let ids = self.ids();
-                let n = self.config.n;
-                self.nodes[id.index()] = Node::builder(id, ids)
-                    .policy(self.config.protocol.build_policy(id, n, node_seed))
-                    .options(self.config.options)
-                    .observer(observer)
-                    .storage(store)
-                    .recover(state)
-                    .build();
+            let actions = if self.storage.is_some() {
+                self.nodes[id.index()] = Self::build_node(
+                    &self.config,
+                    &self.logs[id.index()],
+                    self.storage.as_mut(),
+                    id,
+                    now.as_micros(),
+                )
+                .expect("storage harness must reopen a crashed node's directory");
                 self.nodes[id.index()].start(local)
             } else {
                 self.nodes[id.index()].restart(local)
@@ -657,24 +578,18 @@ impl SimCluster {
     /// Processes events until some live node reports leadership in a term
     /// `> after_term`, or `deadline` passes. Returns the winner.
     pub fn run_until_new_leader(&mut self, after_term: Term, deadline: Time) -> Option<ServerId> {
-        let already = self.events.iter().rev().find_map(|e| match e {
-            ObservedEvent::Leader { node, term, .. } if *term > after_term => Some(*node),
+        let elected = |cluster: &Self| match cluster.last_elected {
+            Some((node, term)) if term > after_term => Some(node),
             _ => None,
-        });
-        if let Some(node) = already {
+        };
+        if let Some(node) = elected(self) {
             return Some(node);
         }
-        let mut cursor = self.events.len();
         while let Some(ready) = self.sim.step_before(deadline) {
             self.dispatch(ready);
-            for event in &self.events[cursor..] {
-                if let ObservedEvent::Leader { node, term, .. } = event {
-                    if *term > after_term {
-                        return Some(*node);
-                    }
-                }
+            if let Some(node) = elected(self) {
+                return Some(node);
             }
-            cursor = self.events.len();
         }
         None
     }
@@ -759,7 +674,7 @@ impl SimCluster {
         }
     }
 
-    /// Routes a node's actions into the simulator and the observation log.
+    /// Routes a node's actions into the simulator and the safety checker.
     fn absorb(&mut self, id: ServerId, actions: Vec<Action>) {
         let at = self.sim.now();
         // Group broadcast sends so the loss model can omit receivers per
@@ -797,34 +712,16 @@ impl SimCluster {
                     self.sim
                         .arm(id, timer_slot(token.kind), encode_timer(token), deadline)
                 }
-                Action::BecameCandidate { term } => self.events.push(ObservedEvent::Candidate {
-                    at,
-                    node: id,
-                    term,
-                }),
                 Action::BecameLeader { term } => {
-                    self.events.push(ObservedEvent::Leader {
-                        at,
-                        node: id,
-                        term,
-                    });
+                    self.last_elected = Some((id, term));
                     self.checker.observe_leader(id, term);
                 }
-                Action::BecameFollower { term } => self.events.push(ObservedEvent::Follower {
-                    at,
-                    node: id,
-                    term,
-                }),
                 Action::Committed { index } => {
-                    self.events.push(ObservedEvent::Commit {
-                        at,
-                        node: id,
-                        index,
-                    });
                     self.checker
                         .observe_commit(&self.nodes[id.index()], index);
                 }
-                Action::Applied { .. }
+                Action::BecameFollower { .. }
+                | Action::Applied { .. }
                 | Action::ReadReady { .. }
                 | Action::ReadFailed { .. } => {}
             }
@@ -891,7 +788,9 @@ mod tests {
         // Let the successor's no-op commit (its FirstCommit marker).
         cluster.run_for(Duration::from_millis(500));
 
-        let timeline = cluster.failover_timeline().expect("reconstructable");
+        let timeline = cluster
+            .failover_timeline_for(killed)
+            .expect("reconstructable");
         assert_eq!(timeline.winner, winner.get());
         assert_ne!(timeline.winner, killed.get(), "the corpse cannot win");
         assert_eq!(timeline.campaigns, 1, "ESCAPE's one-campaign property");
@@ -914,7 +813,7 @@ mod tests {
     /// *anyone*, so an unrelated node dying after the measured kill (a
     /// disk-full fail-stop, say) shifted the anchor and garbled every
     /// phase. `failover_timeline_for` pins the anchor to the killed
-    /// leader's own crash event.
+    /// leader's own kill marker.
     #[test]
     fn timeline_keyed_by_killed_node_survives_a_later_unrelated_crash() {
         let mut cluster = SimCluster::new(reflex_config(77));
@@ -951,19 +850,42 @@ mod tests {
             .unwrap_or_else(|violations| {
                 panic!("reflex bound violated: {violations}\n{}", timeline.render())
             });
+    }
 
-        // The old most-recent-crash anchor, by contrast, keys off the
-        // bystander's crash — after which no election happened at all, so
-        // reconstruction cannot find the same failover (it either errors
-        // or measures a different window).
-        match cluster.failover_timeline() {
-            Err(_) => {}
-            Ok(mislabeled) => assert_ne!(
-                (mislabeled.leader_killed_at, mislabeled.winner),
-                (timeline.leader_killed_at, timeline.winner),
-                "most-recent-crash keying should not accidentally equal the keyed anchor"
-            ),
+    /// The checker's highest committed index is the highest `Committed`
+    /// index the cluster absorbed: without restarts that is the largest
+    /// commit index any node holds, across a failover and later writes.
+    #[test]
+    fn highest_committed_matches_the_highest_absorbed_commit() {
+        let mut cluster = SimCluster::new(reflex_config(5));
+        cluster.bootstrap(Duration::from_millis(500));
+        for i in 0..3 {
+            cluster
+                .propose(Bytes::from(format!("before-{i}")))
+                .expect("a leader accepts");
+            cluster.run_for(Duration::from_millis(50));
         }
+        let term = cluster
+            .node(cluster.current_leader().expect("leader"))
+            .current_term();
+        cluster.crash_leader();
+        let horizon = cluster.now() + Duration::from_secs(10);
+        cluster
+            .run_until_new_leader(term, horizon)
+            .expect("a successor must be elected");
+        cluster
+            .propose(Bytes::from_static(b"after"))
+            .expect("the successor accepts");
+        cluster.run_for(Duration::from_millis(500));
+
+        let highest = cluster
+            .ids()
+            .into_iter()
+            .map(|id| cluster.node(id).commit_index())
+            .max()
+            .expect("five nodes");
+        assert!(highest.get() >= 6, "two no-ops and four writes committed");
+        assert_eq!(cluster.safety().highest_committed(), highest);
     }
 
     /// Determinism: the same seed must yield byte-identical event logs —

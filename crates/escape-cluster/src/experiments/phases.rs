@@ -83,7 +83,7 @@ pub fn run_phases_sweep(
                         .expect("scripted scenario must elect a leader");
                     assert!(cluster.safety().is_safe(), "safety violation in scenario");
                     let window = Duration::from_millis(200);
-                    let m = measure_election(cluster.events(), Time::ZERO, window)
+                    let m = measure_election(&cluster.event_streams(), Time::ZERO, window)
                         .expect("leader event must be observable");
                     detection.push(m.detection());
                     election.push(m.election());

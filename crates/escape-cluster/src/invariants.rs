@@ -129,6 +129,14 @@ impl SafetyChecker {
         self.violations.is_empty()
     }
 
+    /// The highest index observed committed so far (zero before any
+    /// commit).
+    pub fn highest_committed(&self) -> LogIndex {
+        self.committed
+            .last_key_value()
+            .map_or(LogIndex::ZERO, |(index, _)| *index)
+    }
+
     /// Records a leadership claim (Election Safety).
     pub fn observe_leader(&mut self, node: ServerId, term: Term) {
         match self.leaders_by_term.get(&term) {

@@ -6,13 +6,13 @@
 //!
 //! Layers:
 //!
-//! * [`cluster`] — [`SimCluster`]: N nodes + network +
-//!   an observation log; crash/restart/partition/propose/run-until APIs.
+//! * [`cluster`] — [`SimCluster`]: N nodes + network + one `escape-obs`
+//!   event ring per node; crash/restart/partition/propose/run-until APIs.
 //! * [`campaign`] — deterministic fault-injection campaigns: composable
 //!   [`FaultPlan`](campaign::FaultPlan)s, a seed-sweeping scenario matrix,
 //!   reproducer shrinking, and the regression seed corpus.
-//! * [`observer`] — turns the observation log into the paper's metrics
-//!   (detection period, election period, phases with competing candidates).
+//! * [`observer`] — turns those rings into the paper's metrics (detection
+//!   period, election period, phases with competing candidates).
 //! * [`trial`] — the leader-failure trial behind Figs. 3, 4, 9, 11.
 //! * [`scenario`] — deterministic scripts (Fig. 2 split vote, Fig. 10 forced
 //!   competing-candidate phases).
@@ -47,7 +47,7 @@ pub mod scenario;
 pub mod stats;
 pub mod trial;
 
-pub use cluster::{ClusterConfig, ObservedEvent, Protocol, SimCluster};
+pub use cluster::{ClusterConfig, Protocol, SimCluster};
 pub use observer::{measure_election, ElectionMeasurement};
 pub use stats::{Cdf, Summary};
 pub use trial::{run_leader_failure_trial, run_trials, TrialConfig, TrialOutcome};

@@ -7,15 +7,17 @@
 //! appears. The election period is recorded between when a candidate starts
 //! an election campaign and a new leader is elected."
 //!
-//! [`measure_election`] extracts exactly those quantities from a cluster's
-//! [`ObservedEvent`] log.
+//! [`measure_election`] extracts exactly those quantities from the nodes'
+//! `escape-obs` event streams ([`SimCluster::event_streams`]), merged the
+//! way [`escape_obs::reconstruct`] merges them.
+//!
+//! [`SimCluster::event_streams`]: crate::cluster::SimCluster::event_streams
 
 use std::collections::BTreeSet;
 
 use escape_core::time::{Duration, Time};
 use escape_core::types::{ServerId, Term};
-
-use crate::cluster::ObservedEvent;
+use escape_obs::{merge_events, Event, NodeEvents};
 
 /// The measured anatomy of one leader election.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,34 +85,37 @@ fn count_phases(mut starts: Vec<Time>, window: Duration) -> (u32, u32) {
     (phases, competing)
 }
 
-/// Measures the election triggered by the crash at `crash_at`.
+/// Measures the election triggered by the crash at `since`.
 ///
-/// Scans `events` for the first campaign after the crash and the first
-/// leadership claim after that; campaigns are grouped into phases with a
-/// concurrency `window` (pass roughly the maximum network latency: campaigns
-/// closer than one one-way delay genuinely compete for the same votes).
+/// Merges `streams` from `since` on ([`merge_events`]: by instant, ties by
+/// node) and scans them for the first `CampaignStarted` and the first
+/// `LeaderElected` after that; campaigns are grouped into phases with a
+/// concurrency `window` (pass roughly the maximum network latency:
+/// campaigns closer than one one-way delay genuinely compete for the same
+/// votes).
 ///
 /// Returns `None` if no leader emerged after the crash (measurement horizon
 /// too short).
 pub fn measure_election(
-    events: &[ObservedEvent],
-    crash_at: Time,
+    streams: &[NodeEvents],
+    since: Time,
     window: Duration,
 ) -> Option<ElectionMeasurement> {
     let mut first_candidate_at: Option<Time> = None;
     let mut campaign_starts: Vec<Time> = Vec::new();
-    let mut candidates: BTreeSet<ServerId> = BTreeSet::new();
+    let mut candidates: BTreeSet<u32> = BTreeSet::new();
     let mut campaigns = 0u32;
 
-    for event in events {
+    for (at, node, event) in merge_events(since.as_micros(), streams) {
+        let at = Time::from_micros(at);
         match event {
-            ObservedEvent::Candidate { at, node, .. } if *at >= crash_at => {
-                first_candidate_at.get_or_insert(*at);
+            Event::CampaignStarted { .. } => {
+                first_candidate_at.get_or_insert(at);
                 campaigns += 1;
-                candidates.insert(*node);
-                campaign_starts.push(*at);
+                candidates.insert(node);
+                campaign_starts.push(at);
             }
-            ObservedEvent::Leader { at, node, term } if *at >= crash_at => {
+            Event::LeaderElected { term } => {
                 // A leadership claim with no post-crash campaign behind it
                 // is leftover from a pre-crash election (e.g. a leader
                 // crashed at the instant it won); the recovery election is
@@ -120,11 +125,11 @@ pub fn measure_election(
                 };
                 let (phases, competing_phases) = count_phases(campaign_starts, window);
                 return Some(ElectionMeasurement {
-                    crash_at,
+                    crash_at: since,
                     first_candidate_at: first,
-                    leader_at: *at,
-                    winner: *node,
-                    winning_term: *term,
+                    leader_at: at,
+                    winner: ServerId::new(node),
+                    winning_term: Term::new(term),
                     campaigns,
                     distinct_candidates: candidates.len() as u32,
                     phases,
@@ -140,42 +145,51 @@ pub fn measure_election(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escape_core::types::LogIndex;
+    use escape_obs::TimedEvent;
+
+    /// One stream per node, in the order the nodes first appear; each
+    /// `(at_ms, node, event)` is appended to its node's stream.
+    fn streams(events: &[(u64, u32, Event)]) -> Vec<NodeEvents> {
+        let mut out: Vec<NodeEvents> = Vec::new();
+        for &(at, node, event) in events {
+            let timed = TimedEvent {
+                at_micros: ms(at).as_micros(),
+                event,
+            };
+            match out.iter_mut().find(|stream| stream.node == node) {
+                Some(stream) => stream.events.push(timed),
+                None => out.push(NodeEvents {
+                    node,
+                    events: vec![timed],
+                }),
+            }
+        }
+        out
+    }
 
     fn ms(v: u64) -> Time {
         Time::from_millis(v)
     }
 
-    fn cand(at: u64, node: u32, term: u64) -> ObservedEvent {
-        ObservedEvent::Candidate {
-            at: ms(at),
-            node: ServerId::new(node),
-            term: Term::new(term),
-        }
+    fn cand(at: u64, node: u32, term: u64) -> (u64, u32, Event) {
+        (at, node, Event::CampaignStarted { term })
     }
 
-    fn lead(at: u64, node: u32, term: u64) -> ObservedEvent {
-        ObservedEvent::Leader {
-            at: ms(at),
-            node: ServerId::new(node),
-            term: Term::new(term),
-        }
+    fn lead(at: u64, node: u32, term: u64) -> (u64, u32, Event) {
+        (at, node, Event::LeaderElected { term })
     }
 
     const WINDOW: Duration = Duration::from_millis(200);
 
     #[test]
     fn clean_single_campaign() {
-        let events = vec![
+        let events = streams(&[
             cand(100, 2, 1), // pre-crash noise
             lead(150, 2, 1),
-            ObservedEvent::Crash {
-                at: ms(1000),
-                node: ServerId::new(2),
-            },
+            (1000, 2, Event::NodeKilled),
             cand(2600, 3, 2),
             lead(2900, 3, 2),
-        ];
+        ]);
         let m = measure_election(&events, ms(1000), WINDOW).unwrap();
         assert_eq!(m.detection(), Duration::from_millis(1600));
         assert_eq!(m.election(), Duration::from_millis(300));
@@ -190,12 +204,12 @@ mod tests {
     fn split_vote_counts_phases() {
         // Fig. 2's anatomy: S3 and S4 collide (phase 1, competing), then S3
         // wins alone on its second timeout (phase 2).
-        let events = vec![
+        let events = streams(&[
             cand(2500, 3, 2),
             cand(2550, 4, 2),
             cand(4100, 3, 3),
             lead(4400, 3, 3),
-        ];
+        ]);
         let m = measure_election(&events, ms(1000), WINDOW).unwrap();
         assert_eq!(m.campaigns, 3);
         assert_eq!(m.distinct_candidates, 2);
@@ -208,12 +222,12 @@ mod tests {
     fn concurrent_escape_campaigns_one_phase() {
         // Fig. 6: three simultaneous campaigns in different terms, resolved
         // in one phase.
-        let events = vec![
+        let events = streams(&[
             cand(2600, 2, 13),
             cand(2610, 3, 15),
             cand(2620, 4, 12),
             lead(2950, 3, 15),
-        ];
+        ]);
         let m = measure_election(&events, ms(1000), WINDOW).unwrap();
         assert_eq!(m.phases, 1);
         assert_eq!(m.competing_phases, 1);
@@ -223,7 +237,7 @@ mod tests {
 
     #[test]
     fn no_leader_yields_none() {
-        let events = vec![cand(2600, 3, 2)];
+        let events = streams(&[cand(2600, 3, 2)]);
         assert!(measure_election(&events, ms(1000), WINDOW).is_none());
     }
 
@@ -232,11 +246,11 @@ mod tests {
         // The crashed leader's own win can share the crash timestamp; the
         // measurement must wait for the *recovery* election instead of
         // aborting.
-        let events = vec![
+        let events = streams(&[
             lead(1000, 2, 5), // wins and crashes in the same instant
             cand(2600, 3, 7),
             lead(2900, 3, 7),
-        ];
+        ]);
         let m = measure_election(&events, ms(1000), WINDOW).unwrap();
         assert_eq!(m.winner, ServerId::new(3));
         assert_eq!(m.total(), Duration::from_millis(1900));
@@ -244,12 +258,12 @@ mod tests {
 
     #[test]
     fn pre_crash_events_are_ignored() {
-        let events = vec![
+        let events = streams(&[
             cand(500, 9, 1),
             lead(800, 9, 1),
             cand(2600, 3, 2),
             lead(2900, 3, 2),
-        ];
+        ]);
         let m = measure_election(&events, ms(1000), WINDOW).unwrap();
         assert_eq!(m.winner, ServerId::new(3));
         assert_eq!(m.campaigns, 1);
@@ -257,17 +271,34 @@ mod tests {
 
     #[test]
     fn commit_events_do_not_confuse_measurement() {
-        let events = vec![
-            ObservedEvent::Commit {
-                at: ms(1100),
-                node: ServerId::new(1),
-                index: LogIndex::new(5),
-            },
+        // Neither a commit nor the detection and step-down markers around
+        // a campaign move its measurement.
+        let events = streams(&[
+            (1100, 1, Event::FirstCommit { term: 1, index: 5 }),
+            (2500, 3, Event::ElectionTimeout { term: 1 }),
+            (2550, 4, Event::SteppedDown { term: 2 }),
             cand(2600, 3, 2),
             lead(2900, 3, 2),
-        ];
+        ]);
         let m = measure_election(&events, ms(1000), WINDOW).unwrap();
         assert_eq!(m.total(), Duration::from_millis(1900));
+        assert_eq!(m.detection(), Duration::from_millis(1600));
+    }
+
+    #[test]
+    fn a_campaign_won_at_the_instant_it_began_is_one_campaign() {
+        // Same-instant events merge by node (S2 before S4), and S4's own
+        // campaign and win keep their recording order.
+        let events = streams(&[
+            (2600, 4, Event::ElectionTimeout { term: 1 }),
+            cand(2600, 4, 4),
+            lead(2600, 4, 4),
+            (2600, 2, Event::SteppedDown { term: 4 }),
+        ]);
+        let m = measure_election(&events, ms(1000), WINDOW).unwrap();
+        assert_eq!(m.winner, ServerId::new(4));
+        assert_eq!(m.campaigns, 1);
+        assert_eq!(m.election(), Duration::ZERO);
     }
 
     #[test]

@@ -209,8 +209,12 @@ mod tests {
             .run_until_new_leader(Term::ZERO, Time::from_millis(10_000))
             .expect("class-0 script elects the winner in wave 1");
         assert_eq!(winner, ServerId::new(2));
-        let m = measure_election(cluster.events(), Time::ZERO, Duration::from_millis(200))
-            .unwrap();
+        let m = measure_election(
+            &cluster.event_streams(),
+            Time::ZERO,
+            Duration::from_millis(200),
+        )
+        .unwrap();
         assert_eq!(m.competing_phases, 0);
         assert_eq!(m.phases, 1);
     }
@@ -228,8 +232,12 @@ mod tests {
             .run_until_new_leader(Term::ZERO, Time::from_millis(20_000))
             .expect("winner after two forced waves");
         assert_eq!(winner, ServerId::new(2));
-        let m = measure_election(cluster.events(), Time::ZERO, Duration::from_millis(200))
-            .unwrap();
+        let m = measure_election(
+            &cluster.event_streams(),
+            Time::ZERO,
+            Duration::from_millis(200),
+        )
+        .unwrap();
         assert_eq!(m.competing_phases, 2, "exactly two split waves");
         assert_eq!(m.phases, 3);
         // The livelock costs ≈ phases × wave (§VI-C).
@@ -252,8 +260,12 @@ mod tests {
             .expect("highest-priority candidate wins wave 1");
         // All eight collide; the top term surface belongs to S8.
         assert_eq!(winner, ServerId::new(8));
-        let m = measure_election(cluster.events(), Time::ZERO, Duration::from_millis(200))
-            .unwrap();
+        let m = measure_election(
+            &cluster.event_streams(),
+            Time::ZERO,
+            Duration::from_millis(200),
+        )
+        .unwrap();
         // One phase despite 8 concurrent candidates — Fig. 10's claim.
         assert_eq!(m.phases, 1);
         assert_eq!(m.competing_phases, 1);

@@ -131,14 +131,8 @@ pub fn run_leader_failure_trial(config: &TrialConfig) -> TrialOutcome {
             // Extremely lossy bootstrap can leave a leaderless instant; wait
             // for one and crash it then.
             let term = cluster
-                .events()
-                .iter()
-                .rev()
-                .find_map(|e| match e {
-                    crate::cluster::ObservedEvent::Leader { term, .. } => Some(*term),
-                    _ => None,
-                })
-                .unwrap_or(escape_core::types::Term::ZERO);
+                .last_elected()
+                .map_or(escape_core::types::Term::ZERO, |(_, term)| term);
             let horizon = cluster.now() + Duration::from_secs(300);
             cluster
                 .run_until_new_leader(term, horizon)
@@ -154,32 +148,7 @@ pub fn run_leader_failure_trial(config: &TrialConfig) -> TrialOutcome {
     cluster.run_until_new_leader(term_at_crash, deadline);
 
     let window = cluster.sim_mut().latency().max_latency();
-    let measurement = measure_election(cluster.events(), crash_time, window);
-
-    if measurement.is_none() && std::env::var_os("ESCAPE_TRIAL_DEBUG").is_some() {
-        eprintln!(
-            "trial debug: crashed {crashed} (term {term_at_crash:?}) at {crash_time}, no successor by {deadline}"
-        );
-        for event in cluster.events().iter().rev().take(12).collect::<Vec<_>>().iter().rev() {
-            eprintln!("  event {event:?}");
-        }
-        for id in cluster.ids() {
-            let n = cluster.node(id);
-            eprintln!(
-                "  {id}: role={:?} term={} log={} voted={:?} cfg={:?} alive={}",
-                n.role(),
-                n.current_term(),
-                n.log().last_index(),
-                n.voted_for(),
-                n.current_config().map(|c| (
-                    c.priority.get(),
-                    c.conf_clock.get(),
-                    c.timer_period.as_millis()
-                )),
-                cluster.is_alive(id)
-            );
-        }
-    }
+    let measurement = measure_election(&cluster.event_streams(), crash_time, window);
 
     TrialOutcome {
         crashed_leader: crashed,

@@ -51,9 +51,6 @@ impl Node {
                 term: self.current_term.get(),
             },
         );
-        out.push(Action::BecameCandidate {
-            term: self.current_term,
-        });
 
         if self.votes_granted.len() >= self.quorum() {
             // Single-node cluster: instant leadership.

@@ -112,13 +112,6 @@ pub enum Action {
         /// Absolute deadline.
         deadline: Time,
     },
-    /// The node started an election campaign (follower/candidate →
-    /// candidate, term already advanced). The observer uses this to split
-    /// detection time from election time (Fig. 10).
-    BecameCandidate {
-        /// The campaign's term.
-        term: Term,
-    },
     /// The node won an election.
     BecameLeader {
         /// The leadership term.

@@ -18,6 +18,8 @@
 //!   group's event streams and decomposes one leader kill into
 //!   `leader_killed → detected → campaign_started → leader_elected →
 //!   first_commit`, with per-phase bound checks and a campaign count.
+//!   Its merge, [`merge_events`], is what the simulator's election
+//!   measurement reads too.
 //!
 //! The crate is dependency-free and sits *below* `escape-core`, so every
 //! layer emits into it without a cycle; it speaks primitives (`u32` ids,
@@ -38,5 +40,5 @@ pub use observer::{NullObserver, Observer, RingObserver};
 pub use ring::{EventLog, DEFAULT_EVENT_CAPACITY};
 pub use scrape::ScrapeServer;
 pub use timeline::{
-    reconstruct, FailoverTimeline, NodeEvents, PhaseBounds, TimelineError,
+    merge_events, reconstruct, FailoverTimeline, NodeEvents, PhaseBounds, TimelineError,
 };

@@ -194,6 +194,25 @@ impl FailoverTimeline {
     }
 }
 
+/// Every event at or after `since_micros` across `streams`, as
+/// `(at_micros, node, event)`, sorted stably by `(at_micros, node)`: ties
+/// between nodes break by node id, and one node's same-instant events keep
+/// their recording order.
+pub fn merge_events(since_micros: u64, streams: &[NodeEvents]) -> Vec<(u64, u32, Event)> {
+    let mut merged: Vec<(u64, u32, Event)> = streams
+        .iter()
+        .flat_map(|stream| {
+            stream
+                .events
+                .iter()
+                .filter(|timed| timed.at_micros >= since_micros)
+                .map(|timed| (timed.at_micros, stream.node, timed.event))
+        })
+        .collect();
+    merged.sort_by_key(|&(at, node, _)| (at, node));
+    merged
+}
+
 /// Merges the nodes' event streams and reconstructs the failover that
 /// began when the leader was killed at `killed_at_micros`.
 ///
@@ -211,16 +230,7 @@ pub fn reconstruct(
     killed_at_micros: u64,
     streams: &[NodeEvents],
 ) -> Result<FailoverTimeline, TimelineError> {
-    // Merge-sort all events by (time, node) for deterministic tie-breaks.
-    let mut merged: Vec<(u64, u32, Event)> = Vec::new();
-    for stream in streams {
-        for timed in &stream.events {
-            if timed.at_micros >= killed_at_micros {
-                merged.push((timed.at_micros, stream.node, timed.event));
-            }
-        }
-    }
-    merged.sort_by_key(|&(at, node, _)| (at, node));
+    let merged = merge_events(killed_at_micros, streams);
 
     let detected_at = merged
         .iter()
@@ -385,6 +395,43 @@ mod tests {
         ));
         let t = reconstruct(1_000, &streams).expect("timeline");
         assert_eq!(t.campaigns, 1);
+    }
+
+    /// Same-instant events on two nodes come out in node order whatever
+    /// the stream order; one node's same-instant events keep their
+    /// recording order, so a campaign won at the instant it began is one
+    /// campaign with a zero elect phase.
+    #[test]
+    fn same_instant_events_merge_by_node_then_recording_order() {
+        let streams = vec![
+            stream(3, &[(5_000, Event::SteppedDown { term: 2 })]),
+            stream(
+                2,
+                &[
+                    (5_000, Event::ElectionTimeout { term: 1 }),
+                    (5_000, Event::CampaignStarted { term: 2 }),
+                    (5_000, Event::LeaderElected { term: 2 }),
+                    (6_000, Event::FirstCommit { term: 2, index: 1 }),
+                ],
+            ),
+        ];
+        let order: Vec<(u32, &str)> = merge_events(0, &streams)
+            .iter()
+            .map(|&(_, node, event)| (node, event.name()))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (2, "election_timeout"),
+                (2, "campaign_started"),
+                (2, "leader_elected"),
+                (3, "stepped_down"),
+                (2, "first_commit"),
+            ]
+        );
+        let t = reconstruct(0, &streams).expect("timeline");
+        assert_eq!((t.winner, t.campaigns), (2, 1));
+        assert_eq!(t.elect_micros(), 0);
     }
 
     #[test]

@@ -541,9 +541,7 @@ impl NodeThread {
                         }
                     }
                 }
-                Action::BecameCandidate { .. }
-                | Action::BecameLeader { .. }
-                | Action::Committed { .. } => {}
+                Action::BecameLeader { .. } | Action::Committed { .. } => {}
             }
         }
     }

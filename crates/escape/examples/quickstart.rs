@@ -5,8 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use escape::cluster::{ClusterConfig, ObservedEvent, Protocol, SimCluster};
-use escape::core::time::Duration;
+use escape::cluster::{measure_election, ClusterConfig, Protocol, SimCluster};
+use escape::core::time::{Duration, Time};
+use escape::core::types::{ServerId, Term};
+use escape::obs::{merge_events, Event};
 
 fn main() {
     // The paper's evaluation network: uniform 100–200 ms latency, ESCAPE
@@ -44,24 +46,22 @@ fn main() {
         .run_until_new_leader(term, crash_at + Duration::from_secs(30))
         .expect("ESCAPE elects in one campaign");
 
-    for event in cluster.events() {
+    // Every node's event ring, merged from the crash on.
+    let streams = cluster.event_streams();
+    for (at, node, event) in merge_events(crash_at.as_micros(), &streams) {
+        let (at, node) = (Time::from_micros(at), ServerId::new(node));
         match event {
-            ObservedEvent::Candidate { at, node, term } if *at >= crash_at => {
-                println!("{at}  {node} starts a campaign in {term}");
+            Event::CampaignStarted { term } => {
+                println!("{at}  {node} starts a campaign in {}", Term::new(term));
             }
-            ObservedEvent::Leader { at, node, term } if *at >= crash_at => {
-                println!("{at}  {node} wins the election in {term}");
+            Event::LeaderElected { term } => {
+                println!("{at}  {node} wins the election in {}", Term::new(term));
             }
             _ => {}
         }
     }
 
-    let m = escape::cluster::measure_election(
-        cluster.events(),
-        crash_at,
-        Duration::from_millis(200),
-    )
-    .expect("measured");
+    let m = measure_election(&streams, crash_at, Duration::from_millis(200)).expect("measured");
     println!(
         "\nnew leader {winner}: detection {} + election {} = {} total ({} campaign)",
         m.detection(),

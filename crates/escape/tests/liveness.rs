@@ -59,9 +59,10 @@ fn theorem4_f_plus_one_elections_under_cascading_failures() {
     // the final stable one... but the first f crashes already consumed f of
     // them, so at most one more campaign may still be in flight.
     let events_after_first_crash = cluster
-        .events()
+        .event_streams()
         .iter()
-        .filter(|e| matches!(e, escape::cluster::ObservedEvent::Leader { .. }))
+        .flat_map(|stream| &stream.events)
+        .filter(|timed| matches!(timed.event, escape::obs::Event::LeaderElected { .. }))
         .count();
     // Boot election + f recovery elections.
     assert!(

@@ -35,8 +35,12 @@ fn fig2_split_vote_costs_an_extra_timeout() {
         .expect("S3 eventually wins");
     assert_eq!(winner, ServerId::new(3));
 
-    let m = measure_election(cluster.events(), Time::ZERO, Duration::from_millis(200))
-        .expect("measured");
+    let m = measure_election(
+        &cluster.event_streams(),
+        Time::ZERO,
+        Duration::from_millis(200),
+    )
+    .expect("measured");
     assert_eq!(m.competing_phases, 1, "B/C collide once");
     assert_eq!(m.phases, 2, "the second timeout resolves it");
     assert_eq!(m.distinct_candidates, 2, "S3 and S4");
@@ -182,8 +186,12 @@ fn fig6_concurrent_campaigns_converge_in_one_phase() {
     // All five fire together; S5's priority-5 campaign lands highest.
     assert_eq!(winner, ServerId::new(5));
 
-    let m = measure_election(cluster.events(), Time::ZERO, Duration::from_millis(200))
-        .expect("measured");
+    let m = measure_election(
+        &cluster.event_streams(),
+        Time::ZERO,
+        Duration::from_millis(200),
+    )
+    .expect("measured");
     assert_eq!(m.phases, 1, "one phase despite full-cluster contention");
     assert!(m.distinct_candidates >= 3, "the contention was real");
     assert!(m.total() <= Duration::from_millis(2100));

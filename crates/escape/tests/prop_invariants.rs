@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use escape::cluster::{ClusterConfig, Protocol, SimCluster};
 use escape::core::time::Duration;
 use escape::core::types::ServerId;
+use escape::obs::Event;
 use escape::simnet::latency::LatencyModel;
 use escape::simnet::loss::LossModel;
 
@@ -195,20 +196,23 @@ proptest! {
         schedule in proptest::collection::vec(arb_step(), 4..12),
     ) {
         let cluster = run_schedule(protocol, 5, seed, 0.0, &schedule);
-        // Observed terms per node from the event log must be non-decreasing.
-        let mut last_term = std::collections::BTreeMap::new();
-        for event in cluster.events() {
-            let (node, term) = match event {
-                escape::cluster::ObservedEvent::Candidate { node, term, .. }
-                | escape::cluster::ObservedEvent::Leader { node, term, .. }
-                | escape::cluster::ObservedEvent::Follower { node, term, .. } => (node, term),
-                _ => continue,
-            };
-            if let Some(prev) = last_term.insert(*node, *term) {
+        // The terms each node's ring records its campaigns, wins and
+        // step-downs under must be non-decreasing.
+        for stream in cluster.event_streams() {
+            let mut last_term = 0;
+            for timed in &stream.events {
+                let term = match timed.event {
+                    Event::CampaignStarted { term }
+                    | Event::LeaderElected { term }
+                    | Event::SteppedDown { term } => term,
+                    _ => continue,
+                };
                 prop_assert!(
-                    *term >= prev,
-                    "{node} regressed from {prev} to {term}"
+                    term >= last_term,
+                    "S{} regressed from {last_term} to {term}",
+                    stream.node
                 );
+                last_term = term;
             }
         }
     }

@@ -56,8 +56,12 @@ fn raft_under_forced_timer_collisions_needs_extra_campaigns() {
         .expect("scripted collision scenario must eventually elect");
     assert!(cluster.safety().is_safe(), "safety violation during collisions");
 
-    let m = measure_election(cluster.events(), Time::ZERO, Duration::from_millis(200))
-        .expect("leader event must be observable");
+    let m = measure_election(
+        &cluster.event_streams(),
+        Time::ZERO,
+        Duration::from_millis(200),
+    )
+    .expect("leader event must be observable");
     assert!(
         m.campaigns > 1,
         "forced collisions must cost Raft extra campaigns, got {}",
