@@ -923,23 +923,19 @@ impl Node {
                 }],
             ));
         }
-        self.metrics.read_batches += 1;
         let mut out = Vec::new();
-        let round = if self.lease_valid(now) {
-            self.metrics.lease_reads += queries.len() as u64;
+        let leased = self.lease_valid(now);
+        self.count_read_batch(queries.len(), leased);
+        let round = if leased {
             0 // pre-confirmed: the lease vouches for our leadership
         } else {
-            self.metrics.quorum_reads += queries.len() as u64;
             // lint:allow(write-before-send): the read path mutates nothing durable
             self.confirm_round(now, &mut out)
         };
-        // Not a safe read index until our own no-op commits: see
-        // `term_start_index`.
-        let read_index = self.commit_index.max(self.term_start_index);
         self.pending_reads.push_back(PendingReads {
             batch,
             queries,
-            read_index,
+            read_index: self.read_index(),
             term: self.current_term,
             round,
         });
@@ -948,7 +944,58 @@ impl Node {
         Ok((batch, out))
     }
 
+    /// Answers `queries` at once if the lease alone can: this node leads,
+    /// its lease holds at `now`, no earlier batch is waiting (so answers
+    /// keep FIFO order), and everything up to the safe read index has
+    /// applied. The counters move exactly as they do for a
+    /// [`Node::read_batch`] the lease answers on the spot.
+    ///
+    /// Otherwise it returns `None` and changes nothing; the caller falls
+    /// back to [`Node::read_batch`]. It produces no [`Action`] and arms no
+    /// timer, so a thread that does not drive the node may call it.
+    pub fn lease_read(&mut self, queries: &[Bytes], now: Time) -> Option<Vec<Bytes>> {
+        let answerable = self.role == Role::Leader
+            && self.lease_valid(now)
+            && self.pending_reads.is_empty()
+            && self.last_applied >= self.read_index();
+        if !answerable {
+            return None;
+        }
+        if !queries.is_empty() {
+            self.count_read_batch(queries.len(), true);
+        }
+        Some(self.serve_queries(queries))
+    }
+
     // ---- linearizable-read internals ----
+
+    /// The index a read accepted now must see applied. Not a safe read
+    /// index until our own no-op commits: see `term_start_index`.
+    fn read_index(&self) -> LogIndex {
+        self.commit_index.max(self.term_start_index)
+    }
+
+    /// Counts one non-empty batch of `queries` reads, confirmed by the
+    /// lease (`leased`) or by a quorum round.
+    fn count_read_batch(&mut self, queries: usize, leased: bool) {
+        self.metrics.read_batches += 1;
+        if leased {
+            self.metrics.lease_reads += queries as u64;
+        } else {
+            self.metrics.quorum_reads += queries as u64;
+        }
+    }
+
+    /// Answers `queries` off the state machine, in order, and counts them
+    /// served.
+    fn serve_queries(&mut self, queries: &[Bytes]) -> Vec<Bytes> {
+        let results: Vec<Bytes> = queries
+            .iter()
+            .map(|q| self.state_machine.query(q))
+            .collect();
+        self.metrics.reads_served += results.len() as u64;
+        results
+    }
 
     /// The lease length in force: the configured duration capped by the
     /// policy's bound (`None` when leasing is disabled).
@@ -1099,12 +1146,7 @@ impl Node {
             let Some(ready) = self.pending_reads.pop_front() else {
                 break;
             };
-            let results: Vec<Bytes> = ready
-                .queries
-                .iter()
-                .map(|q| self.state_machine.query(q))
-                .collect();
-            self.metrics.reads_served += results.len() as u64;
+            let results = self.serve_queries(&ready.queries);
             out.push(Action::ReadReady {
                 batch: ready.batch,
                 results,

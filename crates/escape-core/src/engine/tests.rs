@@ -1585,6 +1585,114 @@ fn expired_lease_falls_back_to_a_quorum_round() {
     assert!(pump.node(1).lease_valid(pump.now), "quorum ack renews the lease");
 }
 
+/// A 3-node lease cluster whose leader (server 1) has committed its no-op
+/// and holds a fresh lease.
+fn leased_cluster() -> Pump {
+    let mut pump = lease_cluster(3);
+    pump.fire(ServerId::new(1), TimerKind::Election);
+    pump.fire(ServerId::new(1), TimerKind::Heartbeat);
+    assert!(pump.node(1).lease_valid(pump.now));
+    pump
+}
+
+/// Asserts that `lease_read` declines on `node` at `now` and leaves every
+/// bit of its state — metrics included — as it was.
+fn declines_untouched(node: &mut Node, now: Time) {
+    let before = format!("{node:?}");
+    assert_eq!(node.lease_read(&[Bytes::from_static(b"q")], now), None);
+    assert_eq!(format!("{node:?}"), before, "a declined lease_read changes nothing");
+}
+
+#[test]
+fn lease_read_counts_what_read_batchs_lease_branch_counts() {
+    let queries = [Bytes::from_static(b"a"), Bytes::from_static(b"b")];
+    let mut inline = leased_cluster();
+    let mut batched = leased_cluster();
+    let now = inline.now;
+
+    let answered = inline.node_mut(1).lease_read(&queries, now);
+    let (batch, actions) = batched.node_mut(1).read_batch(queries.to_vec(), now).unwrap();
+    assert_eq!(reads_ready(&actions), vec![(batch, answered.clone().unwrap())]);
+    assert_eq!(answered.map(|results| results.len()), Some(2));
+    let metrics = inline.node(1).metrics();
+    assert_eq!(metrics, batched.node(1).metrics());
+    assert_eq!(
+        (metrics.read_batches, metrics.lease_reads, metrics.reads_served),
+        (1, 2, 2)
+    );
+}
+
+#[test]
+fn lease_read_declines_on_a_follower_and_after_the_lease_lapses() {
+    let mut pump = leased_cluster();
+    let now = pump.now;
+    declines_untouched(pump.node_mut(2), now);
+    pump.now += Duration::from_millis(200); // outlives the 100 ms lease
+    let now = pump.now;
+    assert!(pump.node(1).is_leader());
+    declines_untouched(pump.node_mut(1), now);
+}
+
+#[test]
+fn lease_read_declines_while_a_read_index_batch_is_pending() {
+    // The lease from the last round runs out before the next round's acks
+    // arrive: a read in the gap opens a ReadIndex round of its own, then
+    // the late acks renew the lease. The lease now holds, but the queued
+    // batch waits for its own round, and an answer past it would break
+    // FIFO order.
+    let mut pump = leased_cluster();
+    let (token, _) = pump.timers[&ServerId::new(1)][&TimerKind::Heartbeat];
+    pump.now += Duration::from_millis(50);
+    let now = pump.now;
+    let late_round = pump.node_mut(1).handle_timer(token, now);
+    pump.now += Duration::from_millis(60); // the last lease has lapsed
+    let now = pump.now;
+    assert!(!pump.node(1).lease_valid(now));
+    let (_, confirm) = pump
+        .node_mut(1)
+        .read_batch(vec![Bytes::from_static(b"q")], now)
+        .unwrap();
+    assert!(reads_ready(&confirm).is_empty());
+
+    pump.absorb(ServerId::new(1), late_round);
+    pump.settle();
+    assert!(pump.node(1).lease_valid(now), "the late acks renew the lease");
+    assert_eq!(pump.node(1).pending_reads.len(), 1);
+    declines_untouched(pump.node_mut(1), now);
+}
+
+#[test]
+fn lease_read_declines_until_the_read_index_has_applied() {
+    // Applied trails committed: the instant between commit and apply,
+    // which no call boundary shows, set up by hand.
+    let mut pump = leased_cluster();
+    let now = pump.now;
+    let node = pump.node_mut(1);
+    node.propose(Bytes::from_static(b"x"), now).unwrap();
+    node.commit_index = node.log().last_index();
+    assert!(node.last_applied() < node.commit_index());
+    declines_untouched(node, now);
+}
+
+#[test]
+fn lease_read_declines_before_the_terms_no_op_commits() {
+    // A log-mismatch refusal echoes the round: the lease starts, but the
+    // no-op is on no follower yet, so the read index is out of reach.
+    let (mut node, ids) = undelivered_leader(lease_options());
+    let now = Time::from_millis(1000);
+    let refusal = Message::AppendEntriesReply(crate::message::AppendEntriesReply {
+        term: node.current_term(),
+        success: false,
+        match_hint: LogIndex::ZERO,
+        status: None,
+        seq: node.broadcast_seq,
+    });
+    node.handle_message(ids[1], refusal, now);
+    assert!(node.lease_valid(now));
+    assert!(node.commit_index() < node.term_start_index);
+    declines_untouched(&mut node, now);
+}
+
 #[test]
 fn vote_fence_refuses_premature_votes_but_not_expired_timers() {
     let mut pump = lease_cluster(3);

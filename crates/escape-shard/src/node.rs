@@ -11,7 +11,7 @@
 //! directory with a `group-<g>/` WAL+snapshot subtree per group — and the
 //! [`Router`] that turns client keys into group addresses.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use escape_core::engine::{Node, ProposeError};
 use escape_core::statemachine::StateMachine;
 use escape_core::types::{GroupId, LogIndex, ServerId};
 use escape_transport::clock::monotonic_now;
-use escape_transport::runtime::{NodeInput, NodeStatus, ProposeReply, Reply};
+use escape_transport::runtime::{GroupHandle, NodeInput, NodeStatus, ProposeReply, Reply};
 use escape_transport::service::{ClientRouter, ClientService, RouteVerdict};
 use escape_transport::spec::ProtocolSpec;
 use escape_transport::tcp::{
@@ -119,18 +119,18 @@ impl std::fmt::Debug for ShardSpawnOptions {
 
 /// The sharded node's [`ClientRouter`]: key ownership comes from the
 /// shard map (misroutes answer with a redirect naming the owner and the
-/// map version), and owned groups resolve to their engine inbox.
+/// map version), and owned groups resolve to their [`GroupHandle`].
 #[derive(Debug)]
 struct ShardClientRouter {
     router: Router,
-    inboxes: Vec<Sender<NodeInput>>,
+    groups: Vec<GroupHandle>,
 }
 
 impl ClientRouter for ShardClientRouter {
-    fn route(&self, group: GroupId, key: &[u8]) -> RouteVerdict {
+    fn route(&self, group: GroupId, key: &[u8]) -> RouteVerdict<'_> {
         match self.router.check(group, key) {
-            Ok(owner) => match self.inboxes.get(owner.index()) {
-                Some(inbox) => RouteVerdict::Local(inbox.clone()),
+            Ok(owner) => match self.groups.get(owner.index()) {
+                Some(group) => RouteVerdict::Local(group),
                 None => RouteVerdict::Unknown,
             },
             Err(redirect) => RouteVerdict::Redirect {
@@ -160,7 +160,7 @@ impl ClientRouter for ShardClientRouter {
 pub struct ShardedNode {
     id: ServerId,
     router: Router,
-    inboxes: Vec<Sender<NodeInput>>,
+    groups: Vec<GroupHandle>,
     mesh: Arc<TcpMesh>,
     acceptor: Acceptor,
     threads: Vec<JoinHandle<()>>,
@@ -328,24 +328,24 @@ impl ShardedNode {
         // envelope for a group not yet in the table is dropped, and what
         // sits in a restarted server's backlog is exactly the traffic its
         // peers queued for it.
-        let mut inboxes = Vec::with_capacity(map.len());
+        let mut groups = Vec::with_capacity(map.len());
         let mut receivers = Vec::with_capacity(map.len());
         for group in map.groups() {
             let (tx, rx) = crossbeam::channel::unbounded::<NodeInput>();
             routes.register(group, tx.clone());
-            inboxes.push(tx.clone());
-            receivers.push((group, tx, rx));
+            groups.push(GroupHandle::new(tx));
+            receivers.push((group, rx));
         }
         let service = options.serve_clients.then(|| {
             ClientService::new(Arc::new(ShardClientRouter {
                 router: Router::new(map.clone()),
-                inboxes: inboxes.clone(),
+                groups: groups.clone(),
             }))
         });
         let acceptor = Acceptor::spawn(id, my_addr, listener, routes, Arc::clone(&mesh), service);
 
         let mut threads = Vec::new();
-        for ((group, inbox, rx), durable) in receivers.into_iter().zip(durable) {
+        for (((group, rx), handle), durable) in receivers.into_iter().zip(&groups).zip(durable) {
             let mut builder = Node::builder(id, ids.clone())
                 .policy(spec.build_group_policy(id, n, seed.wrapping_add(id.get() as u64), group))
                 .state_machine(state_machine_for(group))
@@ -357,7 +357,7 @@ impl ShardedNode {
                 format!("escape-shard-{}-g{}", id.get(), group.get()),
                 builder,
                 durable,
-                inbox,
+                handle,
                 rx,
                 Arc::new(GroupOutbound::new(Arc::clone(&mesh), group)),
             ));
@@ -366,7 +366,7 @@ impl ShardedNode {
         ShardedNode {
             id,
             router: Router::new(map),
-            inboxes,
+            groups,
             mesh,
             acceptor,
             threads,
@@ -395,14 +395,14 @@ impl ShardedNode {
 
     /// The input channel of `group`'s engine on this server.
     pub fn inbox(&self, group: GroupId) -> Option<Sender<NodeInput>> {
-        self.inboxes.get(group.index()).cloned()
+        self.groups.get(group.index()).map(|g| g.inbox().clone())
     }
 
     /// A status snapshot of `group`'s engine on this server.
     pub fn status(&self, group: GroupId) -> Option<NodeStatus> {
-        let inbox = self.inbox(group)?;
+        let group = self.group(group).ok()?;
         let (reply, rx) = Reply::channel();
-        inbox.send(NodeInput::Query { reply }).ok()?;
+        group.inbox().send(NodeInput::Query { reply }).ok()?;
         rx.recv_timeout(REPLY_TIMEOUT).ok()
     }
 
@@ -450,9 +450,9 @@ impl ShardedNode {
             .router
             .check(group, key)
             .map_err(ShardError::Redirect)?;
-        let inbox = self.inbox(group).ok_or(ShardError::UnknownGroup(group))?;
         let (reply, rx) = Reply::channel();
-        inbox
+        self.group(group)?
+            .inbox()
             .send(NodeInput::Propose {
                 command,
                 reply: ProposeReply::Accepted(reply),
@@ -493,12 +493,15 @@ impl ShardedNode {
         let mut pending = Vec::with_capacity(items.len());
         for (key, command) in items {
             let group = self.route(&key);
-            let Some(inbox) = self.inbox(group) else {
-                pending.push((group, Err(ShardError::UnknownGroup(group))));
-                continue;
+            let handle = match self.group(group) {
+                Ok(handle) => handle,
+                Err(e) => {
+                    pending.push((group, Err(e)));
+                    continue;
+                }
             };
             let (reply, rx) = Reply::channel();
-            match inbox.send(NodeInput::Propose {
+            match handle.inbox().send(NodeInput::Propose {
                 command,
                 reply: ProposeReply::Accepted(reply),
             }) {
@@ -516,45 +519,50 @@ impl ShardedNode {
     }
 
     /// Linearizable reads, per-shard batched like
-    /// [`ShardedNode::propose_batch`]: every `(key, query)` pair is
-    /// routed and enqueued into its owning group before any reply is
-    /// awaited, so each group answers its share of the queries with one
-    /// ReadIndex confirmation round (or zero rounds under a held lease)
-    /// instead of one per query. Returns one response per input, in
-    /// input order.
+    /// [`ShardedNode::propose_batch`]: each group gets its share of the
+    /// queries, in input order, as one read ([`GroupHandle::read`]) before
+    /// any reply is awaited, so it answers them with one ReadIndex
+    /// confirmation round (or zero rounds under a held lease) instead of
+    /// one per query. Returns one response per input, in input order.
     pub fn read_batch(&self, items: Vec<(Bytes, Bytes)>) -> Vec<Result<Bytes, ShardError>> {
-        // Phase 1: route + enqueue. Queries for the same group land
-        // back-to-back in its inbox, where the node loop's read drain
-        // coalesces them into one engine batch.
-        let mut pending = Vec::with_capacity(items.len());
-        for (key, query) in items {
-            let group = self.route(&key);
-            let Some(inbox) = self.inbox(group) else {
-                pending.push(Err(ShardError::UnknownGroup(group)));
-                continue;
-            };
-            let (reply, rx) = Reply::channel();
-            match inbox.send(NodeInput::Read {
-                queries: vec![query],
-                reply,
-            }) {
-                Ok(()) => pending.push(Ok(rx)),
-                Err(_) => pending.push(Err(ShardError::Unavailable)),
-            }
+        let owners: Vec<GroupId> = items.iter().map(|(key, _)| self.route(key)).collect();
+        let mut shares: BTreeMap<GroupId, Vec<Bytes>> = BTreeMap::new();
+        for (&group, (_, query)) in owners.iter().zip(items) {
+            shares.entry(group).or_default().push(query);
         }
-        // Phase 2: collect in input order.
-        collect_replies(pending, REPLY_TIMEOUT)
+        // Every group's read goes out before any answer is awaited.
+        let (groups, slots): (Vec<_>, Vec<_>) = shares
             .into_iter()
-            .map(|outcome| {
-                let mut results = outcome??;
-                debug_assert_eq!(results.len(), 1);
-                Ok(results.pop().unwrap_or_default())
+            .map(|(group, queries)| {
+                let slot = self.group(group).map(|handle| {
+                    let (reply, rx) = Reply::channel();
+                    handle.read(queries, reply);
+                    rx
+                });
+                (group, slot)
+            })
+            .unzip();
+        // Each group's answers, dealt back out in input order.
+        let mut answers: BTreeMap<GroupId, Result<std::vec::IntoIter<Bytes>, ShardError>> = groups
+            .into_iter()
+            .zip(collect_replies(slots, REPLY_TIMEOUT))
+            .map(|(group, outcome)| {
+                let results = outcome.and_then(|answer| Ok(answer?.into_iter()));
+                (group, results)
+            })
+            .collect();
+        owners
+            .into_iter()
+            .map(|group| match answers.get_mut(&group) {
+                Some(Ok(results)) => Ok(results.next().unwrap_or_default()),
+                Some(Err(e)) => Err(e.clone()),
+                None => Err(ShardError::Unavailable),
             })
             .collect()
     }
 
     /// Routes `key` and reads it through its owning group's linearizable
-    /// read path on this server.
+    /// read path on this server ([`GroupHandle::read`]).
     ///
     /// # Errors
     ///
@@ -563,19 +571,20 @@ impl ShardedNode {
     /// gone or silent.
     pub fn read(&self, key: &[u8], query: Bytes) -> Result<(GroupId, Bytes), ShardError> {
         let group = self.route(key);
-        let inbox = self.inbox(group).ok_or(ShardError::UnknownGroup(group))?;
         let (reply, rx) = Reply::channel();
-        inbox
-            .send(NodeInput::Read {
-                queries: vec![query],
-                reply,
-            })
-            .map_err(|_| ShardError::Unavailable)?;
+        self.group(group)?.read(vec![query], reply);
         match rx.recv_timeout(REPLY_TIMEOUT) {
             Ok(Ok(mut results)) => Ok((group, results.pop().unwrap_or_default())),
             Ok(Err(e)) => Err(e.into()),
             Err(_) => Err(ShardError::Unavailable),
         }
+    }
+
+    /// `group`'s handle on this server.
+    fn group(&self, group: GroupId) -> Result<&GroupHandle, ShardError> {
+        self.groups
+            .get(group.index())
+            .ok_or(ShardError::UnknownGroup(group))
     }
 
     /// Waits for `group` to apply `index`, returning the state machine's
@@ -588,9 +597,9 @@ impl ShardedNode {
     /// server's engine steps down while the wait is parked — what then
     /// applies at `index` may be another leader's command.
     pub fn await_applied(&self, group: GroupId, index: LogIndex) -> Result<Bytes, ShardError> {
-        let inbox = self.inbox(group).ok_or(ShardError::UnknownGroup(group))?;
         let (reply, rx) = Reply::channel();
-        inbox
+        self.group(group)?
+            .inbox()
             .send(NodeInput::AwaitApplied { index, reply })
             .map_err(|_| ShardError::Unavailable)?;
         rx.recv_timeout(APPLY_TIMEOUT)
@@ -608,8 +617,8 @@ impl ShardedNode {
     /// joined, so the other servers see EOF and re-dial whatever owns the
     /// listener next.
     pub fn shutdown(self) {
-        for inbox in &self.inboxes {
-            let _ = inbox.send(NodeInput::Shutdown);
+        for group in &self.groups {
+            let _ = group.inbox().send(NodeInput::Shutdown);
         }
         self.acceptor.close();
         self.mesh.stop();

@@ -307,6 +307,26 @@ fn propose_batch_routes_and_batches_per_shard() {
             .expect("batched tail must apply");
     }
 
+    // Reading the keys back, interleaved across shards: each shard gets
+    // its share as one read, and the answers come back in input order.
+    let gets: Vec<(Bytes, Bytes)> = (0..90)
+        .map(|i| {
+            let key = format!("batch-key-{i}");
+            (Bytes::from(key.clone()), KvCommand::Get { key }.encode())
+        })
+        .collect();
+    for (i, outcome) in server.read_batch(gets).into_iter().enumerate() {
+        if led.contains(&expected_groups[i]) {
+            let value = KvResponse::decode(&outcome.expect("a led shard answers")).unwrap();
+            assert_eq!(value, KvResponse::Value(Some(Bytes::from(format!("v{i}")))));
+        } else {
+            assert!(
+                matches!(outcome, Err(ShardError::NotLeader { .. })),
+                "item {i}: {outcome:?}"
+            );
+        }
+    }
+
     for node in nodes.into_iter().flatten() {
         node.shutdown();
     }

@@ -1,7 +1,7 @@
 //! The classic single-group node — a `ShardedNode` over a shard map of
 //! one — over real TCP: election and commit, what `kill` closes, recovery
-//! from the data directory, fencing of a wiped node, and storage faults
-//! injected under the real stack.
+//! from the data directory, fencing of a wiped node, storage faults
+//! injected under the real stack, and shutting down after serving reads.
 
 mod common;
 
@@ -12,13 +12,16 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 
 use escape_core::message::{Message, RequestVoteReply};
 use escape_core::types::{ServerId, Term};
 use escape_shard::ShardSpawnOptions;
 use escape_transport::tcp::StorageHook;
-use escape_wire::{write_frame, Encode, Envelope};
+use escape_wire::{
+    write_frame, ClientRequest, ClientResponse, Decode, Encode, Envelope, FrameReader, RequestBody,
+    ResponseBody, CLIENT_HELLO,
+};
 
 use common::{propose_and_apply, Cluster, G};
 
@@ -206,5 +209,68 @@ fn tcp_cluster_commits_through_transient_storage_faults() {
              transient fault must have hit the TCP persist path"
         );
     }
+    cluster.finish();
+}
+
+/// A durable leader that has answered client reads shuts down within 2 s,
+/// with the client's connection still open. That connection's router
+/// still holds the group's handle; an engine the handle kept alive would
+/// keep its WAL thread, which shutdown joins, waiting for it for ever.
+#[test]
+fn a_node_that_served_client_reads_shuts_down_promptly() {
+    const READS: u64 = 10;
+    let mut cluster = Cluster::start(
+        Some("reads"),
+        ShardSpawnOptions {
+            serve_clients: true,
+            ..ShardSpawnOptions::default()
+        },
+    );
+    let leader = cluster.wait_for_leader();
+    let mut client =
+        TcpStream::connect(cluster.addrs[&ServerId::new(leader as u32 + 1)]).expect("connect");
+    let mut frames = BytesMut::new();
+    write_frame(&mut frames, CLIENT_HELLO);
+    for id in 1..=READS {
+        let body = RequestBody::Read {
+            group: G,
+            key: Bytes::new(),
+            query: Bytes::new(),
+        };
+        write_frame(&mut frames, &ClientRequest { id, body }.to_bytes());
+    }
+    client.write_all(&frames).expect("send hello + reads");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = FrameReader::new();
+    let mut answered = 0;
+    while answered < READS {
+        let Some(mut frame) = reader.next_frame().expect("well-framed") else {
+            let mut chunk = [0u8; 4096];
+            let n = client.read(&mut chunk).expect("responses arrive");
+            assert!(n > 0, "the server closed the connection");
+            reader.extend(&chunk[..n]);
+            continue;
+        };
+        let response = ClientResponse::decode(&mut frame).expect("a response");
+        assert!(
+            matches!(response.body, ResponseBody::Value(_)),
+            "{response:?}"
+        );
+        answered += 1;
+    }
+
+    let node = cluster.nodes[leader].take().expect("leader is up");
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        node.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "shutdown did not return within 2 s"
+    );
+    drop(client);
     cluster.finish();
 }

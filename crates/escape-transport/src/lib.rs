@@ -9,7 +9,9 @@
 //! one).
 //!
 //! * [`runtime`] — the per-group thread loop (inbox + timers → actions),
-//!   which also answers every request through its [`Reply`].
+//!   which answers every request through its [`Reply`], and the
+//!   [`GroupHandle`] a group is reached by, which answers a leased read
+//!   on the caller's thread instead.
 //! * [`tcp`] — the group-multiplexed full mesh with `escape-wire`
 //!   framing: [`TcpMesh`] and [`GroupOutbound`] outbound,
 //!   [`Acceptor`](tcp::Acceptor) and [`GroupRoutes`] inbound, and
@@ -57,7 +59,7 @@ pub mod tcp;
 pub mod wal;
 
 pub use clock::RuntimeClock;
-pub use runtime::{NodeInput, NodeStatus, Outbound, ProposeReply, Reply};
+pub use runtime::{GroupHandle, NodeInput, NodeStatus, Outbound, ProposeReply, Reply};
 pub use service::{ClientRouter, ClientService, RouteVerdict};
 pub use spec::ProtocolSpec;
 pub use tcp::{loopback_listeners, GroupOutbound, GroupRoutes, StorageHook, TcpMesh};

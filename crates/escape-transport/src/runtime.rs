@@ -10,13 +10,18 @@
 //! The node thread is also the one that answers: every input that wants
 //! an outcome carries a [`Reply`], and the thread invokes it where the
 //! outcome becomes known — no other thread waits on the engine on a
-//! caller's behalf.
+//! caller's behalf. The one exception is a read the lease can answer at
+//! once: [`GroupHandle::read`] asks the engine itself, on the caller's
+//! thread, when the node thread is not using it — the engine sits behind
+//! one lock, which the node thread holds across each engine call and
+//! nothing else.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 
 use escape_core::engine::{Action, Node, ProposeError, TimerKind, TimerToken};
 use escape_core::message::Message;
@@ -175,17 +180,81 @@ pub enum NodeInput {
     Shutdown,
 }
 
-/// Runs a node until shutdown. This is the body of every group's node
-/// thread.
+/// One hosted group as the threads that route to it see it: the inbox
+/// its node thread drains, and its engine, which a leased read may ask
+/// directly. Cheap to clone.
+#[derive(Clone)]
+pub struct GroupHandle {
+    inbox: Sender<NodeInput>,
+    /// Filled by [`node_loop`] while the node thread runs; empty before it
+    /// starts and after it ends.
+    engine: Arc<Mutex<Option<Node>>>,
+    /// The clock the node thread drives the engine by.
+    clock: RuntimeClock,
+}
+
+impl std::fmt::Debug for GroupHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupHandle")
+            .field("inbox", &self.inbox)
+            .finish_non_exhaustive()
+    }
+}
+
+impl GroupHandle {
+    /// A handle on the group whose node thread drains `inbox`. Until
+    /// [`node_loop`] runs on it, every read goes to the inbox.
+    pub fn new(inbox: Sender<NodeInput>) -> Self {
+        GroupHandle {
+            inbox,
+            engine: Arc::default(),
+            clock: RuntimeClock::start(),
+        }
+    }
+
+    /// The group's inbox.
+    pub fn inbox(&self) -> &Sender<NodeInput> {
+        &self.inbox
+    }
+
+    /// Submits a batch of linearizable read-only queries. If the engine is
+    /// free and its lease answers at once ([`Node::lease_read`]), the reply
+    /// is answered here, on the calling thread, after the lock is
+    /// released. Otherwise — the node thread holds the engine, or the
+    /// lease cannot vouch — the read goes to the inbox as
+    /// [`NodeInput::Read`]. The caller never waits for the group, so a
+    /// group stalled inside an engine call delays only its own requests.
+    pub fn read(&self, queries: Vec<Bytes>, reply: ReadReply) {
+        let leased = self
+            .engine
+            .try_lock()
+            .and_then(|mut engine| engine.as_mut()?.lease_read(&queries, self.clock.now()));
+        match leased {
+            Some(results) => reply.answer(Ok(results)),
+            None => {
+                // A refused send hands the input back, and dropping it
+                // drops the reply unanswered.
+                let _ = self.inbox.send(NodeInput::Read { queries, reply });
+            }
+        }
+    }
+}
+
+/// Runs `node` as `group`'s engine until shutdown. This is the body of
+/// every group's node thread. The thread keeps no sender of its own
+/// inbox, and the engine leaves `group`'s shared slot when it ends.
 pub fn node_loop(
     node: Node,
+    group: GroupHandle,
     inbox: Receiver<NodeInput>,
     outbound: Arc<dyn Outbound + Sync>,
-    clock: RuntimeClock,
 ) {
+    let GroupHandle { engine, clock, .. } = group;
+    let peers = node.peers().to_vec();
+    *engine.lock() = Some(node);
     let mut thread = NodeThread {
-        peers: node.peers().to_vec(),
-        node,
+        engine,
+        peers,
         outbound,
         clock,
         timers: BTreeMap::new(),
@@ -195,8 +264,8 @@ pub fn node_loop(
         drops_seen: BTreeMap::new(),
         election_backlog: None,
     };
-    let actions = thread.node.start(clock.now());
-    thread.absorb(actions);
+    let actions = thread.step(|node, now| node.start(now));
+    thread.absorb(actions.unwrap_or_default());
 
     loop {
         thread.poll_backpressure();
@@ -226,12 +295,12 @@ pub fn node_loop(
             match input {
                 NodeInput::Shutdown => return,
                 NodeInput::Peer(from, msg) => {
-                    let actions = thread.node.handle_message(from, msg, clock.now());
-                    thread.absorb(actions);
+                    let actions = thread.step(|node, now| node.handle_message(from, msg, now));
+                    thread.absorb(actions.unwrap_or_default());
                 }
                 NodeInput::BarrierDone(Ok(ticket)) => {
-                    let actions = thread.node.barrier_done(ticket, clock.now());
-                    thread.absorb(actions);
+                    let actions = thread.step(|node, now| node.barrier_done(ticket, now));
+                    thread.absorb(actions.unwrap_or_default());
                 }
                 NodeInput::BarrierDone(Err(error)) => {
                     // lint:allow(panic): fail-stop by design — a node that cannot persist must not serve
@@ -243,7 +312,11 @@ pub fn node_loop(
                 NodeInput::Read { queries, reply } => {
                     carry = thread.read(queries, reply, &inbox);
                 }
-                NodeInput::Query { reply } => reply.answer(thread.status()),
+                NodeInput::Query { reply } => {
+                    if let Some(status) = thread.status() {
+                        reply.answer(status);
+                    }
+                }
                 NodeInput::AwaitApplied { index, reply } => thread.await_applied(index, reply),
             }
         }
@@ -278,7 +351,10 @@ enum ApplyWaiter {
 /// What one node thread keeps between inputs: the engine, where its
 /// messages leave, and who is waiting on it.
 struct NodeThread {
-    node: Node,
+    /// The group's engine slot, filled for as long as this thread runs.
+    /// The thread holds its lock across one engine call at a time, never
+    /// across a wait, an outbound send or a reply.
+    engine: Arc<Mutex<Option<Node>>>,
     outbound: Arc<dyn Outbound + Sync>,
     clock: RuntimeClock,
     timers: BTreeMap<TimerKind, (TimerToken, Time)>,
@@ -301,6 +377,14 @@ struct NodeThread {
 }
 
 impl NodeThread {
+    /// Runs one engine call, with the time read, under the engine lock.
+    /// `None` only once the engine is gone.
+    fn step<R>(&self, call: impl FnOnce(&mut Node, Time) -> R) -> Option<R> {
+        let mut engine = self.engine.lock();
+        let node = engine.as_mut()?;
+        Some(call(node, self.clock.now()))
+    }
+
     /// Backpressure hookup: a peer whose outbound queue shed frames since
     /// the last poll gets its pipelining window clamped — blindly topping
     /// up credit would feed the drop.
@@ -310,7 +394,7 @@ impl NodeThread {
             let seen = self.drops_seen.entry(peer).or_insert(0);
             if dropped > *seen {
                 *seen = dropped;
-                self.node.note_backpressure(peer);
+                self.step(|node, _| node.note_backpressure(peer));
             }
         }
     }
@@ -353,8 +437,8 @@ impl NodeThread {
                 continue;
             }
             self.timers.remove(&kind);
-            let actions = self.node.handle_timer(token, self.clock.now());
-            self.absorb(actions);
+            let actions = self.step(|node, now| node.handle_timer(token, now));
+            self.absorb(actions.unwrap_or_default());
         }
     }
 
@@ -384,8 +468,9 @@ impl NodeThread {
                 Err(_) => break,
             }
         }
-        match self.node.propose_batch(commands, self.clock.now()) {
-            Ok((indexes, actions)) => {
+        // An engine already gone drops the replies unanswered.
+        match self.step(|node, now| node.propose_batch(commands, now)) {
+            Some(Ok((indexes, actions))) => {
                 // Register before absorbing: a single-server group applies
                 // the batch in these very actions.
                 for (reply, index) in replies.into_iter().zip(indexes) {
@@ -400,7 +485,7 @@ impl NodeThread {
                 }
                 self.absorb(actions);
             }
-            Err(e) => {
+            Some(Err(e)) => {
                 for reply in replies {
                     match reply {
                         ProposeReply::Accepted(reply) => reply.answer(Err(e)),
@@ -408,6 +493,7 @@ impl NodeThread {
                     }
                 }
             }
+            None => {}
         }
         carry
     }
@@ -439,38 +525,43 @@ impl NodeThread {
                 Err(_) => break,
             }
         }
-        match self.node.read_batch(queries, self.clock.now()) {
-            Ok((batch, actions)) => {
+        match self.step(|node, now| node.read_batch(queries, now)) {
+            Some(Ok((batch, actions))) => {
                 // Register before absorbing: a lease-path batch is
                 // already ReadReady in `actions`.
                 self.read_waiters.insert(batch, splits);
                 self.absorb(actions);
             }
-            Err(e) => {
+            Some(Err(e)) => {
                 for (reply, _) in splits {
                     reply.answer(Err(e));
                 }
             }
+            None => {}
         }
         carry
     }
 
-    fn status(&self) -> NodeStatus {
-        NodeStatus {
-            id: self.node.id(),
-            role: self.node.role(),
-            term: self.node.current_term(),
-            leader_hint: self.node.leader_hint(),
-            commit_index: self.node.commit_index(),
-            last_applied: self.node.last_applied(),
-            log_len: self.node.log().len(),
-            metrics: *self.node.metrics(),
-            frames_dropped: self.outbound.frames_dropped(),
-        }
+    fn status(&self) -> Option<NodeStatus> {
+        let frames_dropped = self.outbound.frames_dropped();
+        self.step(|node, _| NodeStatus {
+            id: node.id(),
+            role: node.role(),
+            term: node.current_term(),
+            leader_hint: node.leader_hint(),
+            commit_index: node.commit_index(),
+            last_applied: node.last_applied(),
+            log_len: node.log().len(),
+            metrics: *node.metrics(),
+            frames_dropped,
+        })
     }
 
     fn await_applied(&mut self, index: LogIndex, reply: Reply<Bytes>) {
-        if self.node.last_applied() >= index {
+        let Some(applied) = self.step(|node, _| node.last_applied()) else {
+            return;
+        };
+        if applied >= index {
             // Already applied: serve from the recent-results window
             // (empty payload if it aged out or was a no-op slot).
             let recent = self
@@ -534,7 +625,7 @@ impl NodeThread {
                     // with another command's result. Proposals get the
                     // refusal (the client retries: at-least-once);
                     // `AwaitApplied` waiters are dropped unanswered.
-                    let hint = self.node.leader_hint();
+                    let hint = self.step(|node, _| node.leader_hint()).flatten();
                     for waiter in self.apply_waiters.drain().flat_map(|(_, waiters)| waiters) {
                         if let ApplyWaiter::Proposed(reply) = waiter {
                             reply.answer(Err(ProposeError::NotLeader { hint }));
@@ -544,6 +635,17 @@ impl NodeThread {
                 Action::BecameLeader { .. } | Action::Committed { .. } => {}
             }
         }
+    }
+}
+
+impl Drop for NodeThread {
+    /// The engine ends with its thread, however the thread ends: handles
+    /// that outlive it find the slot empty and send to the closed inbox,
+    /// and the engine's storage — the WAL thread's queue — closes now,
+    /// not when the last handle goes.
+    fn drop(&mut self) {
+        let engine = self.engine.lock().take();
+        drop(engine);
     }
 }
 
@@ -590,8 +692,8 @@ pub(crate) mod tests {
             stall: Wall::from_millis(150),
         });
         let (tx, rx) = crossbeam::channel::unbounded();
-        let thread =
-            std::thread::spawn(move || node_loop(node, rx, outbound, RuntimeClock::start()));
+        let group = GroupHandle::new(tx.clone());
+        let thread = std::thread::spawn(move || node_loop(node, group, rx, outbound));
         let heartbeat = |seq| {
             NodeInput::Peer(
                 ids[0],
@@ -660,7 +762,7 @@ pub(crate) mod tests {
     /// term: it campaigns after 30 ms and the test grants server 2's vote.
     /// Nothing it replicates is ever acknowledged.
     pub(crate) struct ScriptedLeader {
-        pub(crate) inbox: crossbeam::channel::Sender<NodeInput>,
+        pub(crate) group: GroupHandle,
         /// The term it won.
         pub(crate) term: Term,
         /// Every message it sends.
@@ -684,10 +786,13 @@ pub(crate) mod tests {
             let (sent_tx, sent) = crossbeam::channel::unbounded();
             let outbound = Arc::new(RecordingOutbound(sent_tx));
             let (inbox, rx) = crossbeam::channel::unbounded();
-            let thread =
-                std::thread::spawn(move || node_loop(node, rx, outbound, RuntimeClock::start()));
+            let group = GroupHandle::new(inbox);
+            let thread = {
+                let group = group.clone();
+                std::thread::spawn(move || node_loop(node, group, rx, outbound))
+            };
             let mut leader = ScriptedLeader {
-                inbox,
+                group,
                 term: Term::ZERO,
                 sent,
                 thread,
@@ -700,7 +805,11 @@ pub(crate) mod tests {
                 term: leader.term,
                 vote_granted: true,
             });
-            leader.inbox.send(NodeInput::Peer(ids[1], granted)).unwrap();
+            leader
+                .group
+                .inbox()
+                .send(NodeInput::Peer(ids[1], granted))
+                .unwrap();
             // The new leader's no-op going out is the sign it leads.
             leader.wait_for(|msg| match msg {
                 Message::AppendEntries(args) if !args.entries.is_empty() => Some(()),
@@ -738,7 +847,7 @@ pub(crate) mod tests {
 
         /// Stops the node thread and waits for it.
         pub(crate) fn stop(self) {
-            self.inbox.send(NodeInput::Shutdown).unwrap();
+            self.group.inbox().send(NodeInput::Shutdown).unwrap();
             self.thread.join().unwrap();
         }
     }
@@ -754,7 +863,7 @@ pub(crate) mod tests {
         use std::time::Duration as Wall;
 
         let leader = ScriptedLeader::start();
-        let (tx, term) = (leader.inbox.clone(), leader.term);
+        let (tx, term) = (leader.group.inbox().clone(), leader.term);
         let (answer_tx, answers) = crossbeam::channel::unbounded();
         tx.send(NodeInput::Propose {
             command: Bytes::from_static(b"A"),
@@ -839,8 +948,8 @@ pub(crate) mod tests {
         let (sent_tx, _sent) = crossbeam::channel::unbounded();
         let outbound = Arc::new(RecordingOutbound(sent_tx));
         let (tx, rx) = crossbeam::channel::unbounded();
-        let thread =
-            std::thread::spawn(move || node_loop(node, rx, outbound, RuntimeClock::start()));
+        let group = GroupHandle::new(tx.clone());
+        let thread = std::thread::spawn(move || node_loop(node, group, rx, outbound));
         let command = |i: u64| Bytes::from(format!("cmd-{i}"));
         let status = || {
             let (reply, status) = Reply::channel();
@@ -923,6 +1032,91 @@ pub(crate) mod tests {
         assert_eq!(awaited(&[1]), [Bytes::new()]);
         tx.send(NodeInput::Shutdown).unwrap();
         thread.join().unwrap();
+    }
+
+    /// What the engine of a [`leased_group`] answers query `q` with.
+    pub(crate) fn tagged(q: &Bytes) -> Bytes {
+        [b"lease:".as_slice(), q].concat().into()
+    }
+
+    /// Answers each query with [`tagged`], so a test can tell an answer
+    /// the engine gave from one a stand-in group thread gave.
+    #[derive(Debug)]
+    struct Tagged;
+
+    impl escape_core::statemachine::StateMachine for Tagged {
+        fn apply(&mut self, _index: LogIndex, _command: &Bytes) -> Bytes {
+            Bytes::new()
+        }
+
+        fn query(&self, query: &Bytes) -> Bytes {
+            tagged(query)
+        }
+    }
+
+    /// A group on `inbox` whose engine — installed as if its node thread
+    /// ran, though none does — is server 1 of three, elected, with its
+    /// no-op acknowledged by server 2 and a one-minute lease from now.
+    pub(crate) fn leased_group(inbox: crossbeam::channel::Sender<NodeInput>) -> GroupHandle {
+        use escape_core::engine::Options;
+        use escape_core::message::{AppendEntriesReply, RequestVoteReply};
+        use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
+        use escape_core::time::Duration;
+
+        let group = GroupHandle::new(inbox);
+        let now = || group.clock.now();
+        let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+        let mut node = Node::builder(ids[0], ids.clone())
+            .policy(Box::new(RaftPolicy::with_source(Box::new(
+                ScriptedTimeouts::new(vec![Duration::from_secs(60)]),
+            ))))
+            .options(Options {
+                lease_duration: Some(Duration::from_secs(60)),
+                ..Options::default()
+            })
+            .state_machine(Box::new(Tagged))
+            .build();
+        let election = node
+            .start(now())
+            .into_iter()
+            .find_map(|action| match action {
+                Action::SetTimer { token, .. } => Some(token),
+                _ => None,
+            });
+        node.handle_timer(election.unwrap(), now());
+        let term = node.current_term();
+        let granted = Message::RequestVoteReply(RequestVoteReply {
+            term,
+            vote_granted: true,
+        });
+        let no_op = node
+            .handle_message(ids[1], granted, now())
+            .into_iter()
+            .find_map(|action| match action {
+                Action::Send {
+                    to,
+                    msg: Message::AppendEntries(args),
+                    ..
+                } if to == ids[1] => Some(args),
+                _ => None,
+            })
+            .unwrap();
+        let acked = Message::AppendEntriesReply(AppendEntriesReply {
+            term,
+            success: true,
+            match_hint: no_op.entries.last().unwrap().index,
+            status: None,
+            seq: no_op.seq,
+        });
+        node.handle_message(ids[1], acked, now());
+        assert!(node.lease_valid(now()) && node.lease_read(&[], now()).is_some());
+        *group.engine.lock() = Some(node);
+        group
+    }
+
+    /// `group`'s engine slot, for a test that plays its node thread.
+    pub(crate) fn engine_of(group: &GroupHandle) -> &Mutex<Option<Node>> {
+        &group.engine
     }
 
     /// A reply is invoked exactly once: with the answer, or with `None`

@@ -8,24 +8,31 @@
 //! * The acceptor's reader thread — after it sees the
 //!   [`CLIENT_HELLO`](escape_wire::CLIENT_HELLO) frame — becomes the
 //!   connection's **dispatcher**: it decodes requests, routes each through
-//!   the node's [`ClientRouter`], and either answers immediately
-//!   (`FetchMap`, redirects) or submits the operation to its group's inbox
-//!   with a [`Reply`] built around the request id and the connection's
-//!   outbox. It never waits for an outcome, so a wedged or leaderless
-//!   shard delays only its own requests.
-//! * The **group thread** answers: it invokes the reply where the outcome
-//!   is known — a read when its batch is ready, a write when its command
-//!   applies (or is refused) — which sends the [`ClientResponse`]. A
-//!   reply the group drops unanswered (its thread ended, its inbox is
+//!   the node's [`ClientRouter`] to a hosted group's [`GroupHandle`], and
+//!   either answers immediately (`FetchMap`, redirects) or hands the
+//!   operation to the group with a [`Reply`] built around the request id
+//!   and the connection's outbox. A read the group's lease can answer at
+//!   once is answered right there, on the group's engine
+//!   ([`GroupHandle::read`]), so a leased get never leaves the dispatcher;
+//!   the engine is taken by `try_lock` only, and every other operation
+//!   goes to the group's inbox. It never waits for an outcome, so a
+//!   wedged or leaderless shard delays only its own requests.
+//! * The **group thread** answers the rest: it invokes the reply where the
+//!   outcome is known — a read when its batch is ready, a write when its
+//!   command applies (or is refused) — which sends the [`ClientResponse`].
+//!   A reply the group drops unanswered (its thread ended, its inbox is
 //!   closed) sends [`ResponseBody::Unavailable`], so every admitted
 //!   request gets exactly one response and no thread keeps a timeout.
 //! * The **outbox** is the socket's send side. A response — from a reply
 //!   or from the dispatcher — is framed in place into its backlog under
 //!   one lock. When the writer is idle the kernel gets it there and then,
 //!   by a `send` that never blocks; nearly always it takes it all, and a
-//!   response crosses no other thread. What it leaves behind wakes the
-//!   **writer** thread, which makes the blocking writes until the backlog
-//!   is empty again; while it works, responses only join the backlog. So
+//!   response crosses no other thread. While the dispatcher handles what
+//!   one `read` of the socket brought, it holds the backlog: responses
+//!   only join it, and leave together in one `send` before the dispatcher
+//!   reads again. What the kernel leaves behind wakes the **writer**
+//!   thread, which makes the blocking writes until the backlog is empty
+//!   again; while it works, responses only join the backlog. So
 //!   no group thread ever waits on a client's socket, and frames never
 //!   interleave.
 //!
@@ -34,6 +41,7 @@
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use bytes::{Buf, Bytes, BytesMut};
@@ -47,15 +55,15 @@ use escape_wire::{
     ResponseBody, WireShardMap,
 };
 
-use crate::runtime::{NodeInput, ProposeReply, Reply};
+use crate::runtime::{GroupHandle, NodeInput, ProposeReply, Reply};
 use crate::sys;
 
 /// Where a client operation on `(group, key)` should go, as judged by the
 /// serving node's routing state.
-#[derive(Clone, Debug)]
-pub enum RouteVerdict {
-    /// The group is hosted here and owns the key: submit to its inbox.
-    Local(Sender<NodeInput>),
+#[derive(Clone, Copy, Debug)]
+pub enum RouteVerdict<'a> {
+    /// The group is hosted here and owns the key: hand it the operation.
+    Local(&'a GroupHandle),
     /// The key belongs to a different group (stale client map).
     Redirect {
         /// The group the client addressed.
@@ -74,7 +82,7 @@ pub enum RouteVerdict {
 /// through this trait.
 pub trait ClientRouter: Send + Sync + std::fmt::Debug {
     /// Routes one operation addressed to `group` for `key`.
-    fn route(&self, group: GroupId, key: &[u8]) -> RouteVerdict;
+    fn route(&self, group: GroupId, key: &[u8]) -> RouteVerdict<'_>;
 
     /// The node's current shard map, in wire form (for
     /// [`RequestBody::FetchMap`]).
@@ -123,9 +131,12 @@ impl ClientService {
 
         self.dispatch_loop(stream, &mut reader, &outbox);
 
-        // The writer ends once every outbox handle is gone — this one and
-        // the one inside each reply still out with a group; joining it
-        // lets the backlog already queued reach the wire.
+        // A dispatcher that quit mid-hold gives it up, so what the groups
+        // still answer goes out. The writer ends once every outbox handle
+        // is gone — this one and the one inside each reply still out with
+        // a group; joining it lets the backlog already queued reach the
+        // wire.
+        outbox.release();
         drop(outbox);
         let _ = writer.join();
     }
@@ -136,7 +147,9 @@ impl ClientService {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             // Drain every frame already buffered (the hello's read may
-            // have carried pipelined requests) before blocking again.
+            // have carried pipelined requests) before blocking again. The
+            // answers given meanwhile are held, and leave in one send.
+            outbox.hold();
             loop {
                 match reader.next_frame() {
                     Ok(Some(mut frame)) => {
@@ -152,6 +165,9 @@ impl ClientService {
                     Ok(None) => break,
                     Err(_) => return,
                 }
+            }
+            if !outbox.release() {
+                return;
             }
             let n = match stream.read(&mut chunk) {
                 Ok(0) | Err(_) => return,
@@ -172,23 +188,26 @@ impl ClientService {
                 group,
                 key,
                 command,
-            } => self.submit(group, &key, || NodeInput::Propose {
-                command,
-                reply: ProposeReply::Applied(respond(id, outbox, |(index, result)| {
-                    ResponseBody::Written { index, result }
-                })),
+            } => self.submit(group, &key, |group| {
+                let input = NodeInput::Propose {
+                    command,
+                    reply: ProposeReply::Applied(respond(id, outbox, |(index, result)| {
+                        ResponseBody::Written { index, result }
+                    })),
+                };
+                // A refused send hands the input back, and dropping it
+                // answers `Unavailable`.
+                let _ = group.inbox().send(input);
             }),
-            RequestBody::Read { group, key, query } => {
-                self.submit(group, &key, || NodeInput::Read {
-                    queries: vec![query],
-                    reply: respond(id, outbox, |values: Vec<Bytes>| {
-                        match values.into_iter().next() {
-                            Some(value) => ResponseBody::Value(value),
-                            None => ResponseBody::Unavailable,
-                        }
-                    }),
-                })
-            }
+            RequestBody::Read { group, key, query } => self.submit(group, &key, |group| {
+                let reply = respond(id, outbox, |values: Vec<Bytes>| {
+                    match values.into_iter().next() {
+                        Some(value) => ResponseBody::Value(value),
+                        None => ResponseBody::Unavailable,
+                    }
+                });
+                group.read(vec![query], reply);
+            }),
         };
         match immediate {
             Some(body) => outbox.send(&ClientResponse { id, body }),
@@ -196,21 +215,19 @@ impl ClientService {
         }
     }
 
-    /// Routes an operation on `(group, key)`: hosted here, `input` is built
-    /// and handed to the group, whose thread answers it; otherwise the
-    /// answer comes back to be sent at once. The input is built only for
-    /// a local group because the reply inside it answers when dropped.
+    /// Routes an operation on `(group, key)`: hosted here, `local` hands it
+    /// to the group, which answers it; otherwise the answer comes back to
+    /// be sent at once. The reply is built only for a local group because
+    /// it answers when dropped.
     fn submit(
         &self,
         group: GroupId,
         key: &[u8],
-        input: impl FnOnce() -> NodeInput,
+        local: impl FnOnce(&GroupHandle),
     ) -> Option<ResponseBody> {
         match self.router.route(group, key) {
-            RouteVerdict::Local(inbox) => {
-                // A refused send hands the input back, and dropping it
-                // answers `Unavailable`.
-                let _ = inbox.send(input());
+            RouteVerdict::Local(group) => {
+                local(group);
                 None
             }
             RouteVerdict::Redirect {
@@ -269,6 +286,9 @@ struct Backlog {
     writer_busy: bool,
     /// A send failed: the client is gone, and later responses are dropped.
     closed: bool,
+    /// The dispatcher is handling what one `read` brought: responses only
+    /// join the backlog, and it sends them together when it is done.
+    held: bool,
 }
 
 /// The handle responses go out through: the dispatcher holds one and so
@@ -284,19 +304,44 @@ struct Outbox {
 
 impl Outbox {
     /// Frames `response` into the backlog and, unless the writer holds the
-    /// flush, sends the backlog at once without blocking; the writer is
-    /// woken for whatever the kernel leaves. Returns `false` once the
-    /// client is gone.
+    /// flush or the dispatcher holds the backlog, sends the backlog at once
+    /// without blocking; the writer is woken for whatever the kernel
+    /// leaves. Returns `false` once the client is gone.
     fn send(&self, response: &ClientResponse) -> bool {
-        let send_side = &*self.send_side;
-        let mut backlog = send_side.backlog.lock();
+        let mut backlog = self.send_side.backlog.lock();
         if backlog.closed {
             return false;
         }
         write_frame_with(&mut backlog.bytes, |buf| response.encode(buf));
-        if backlog.writer_busy {
+        if backlog.writer_busy || backlog.held {
             return true;
         }
+        self.push(backlog)
+    }
+
+    /// Holds responses in the backlog until [`Outbox::release`].
+    fn hold(&self) {
+        self.send_side.backlog.lock().held = true;
+    }
+
+    /// Ends a hold, sending what it kept as [`Outbox::send`] would.
+    /// Returns `false` once the client is gone.
+    fn release(&self) -> bool {
+        let mut backlog = self.send_side.backlog.lock();
+        backlog.held = false;
+        if backlog.closed {
+            return false;
+        }
+        if backlog.writer_busy || backlog.bytes.is_empty() {
+            return true;
+        }
+        self.push(backlog)
+    }
+
+    /// Sends the non-empty backlog without blocking, or hands what the
+    /// kernel leaves to the writer thread.
+    fn push(&self, mut backlog: impl DerefMut<Target = Backlog>) -> bool {
+        let send_side = &*self.send_side;
         match sys::send_nonblocking(&send_side.socket, &backlog.bytes) {
             Ok(sent) if sent == backlog.bytes.len() => {
                 backlog.bytes.clear();
@@ -384,16 +429,16 @@ mod tests {
 
     use escape_wire::{write_frame, Decode};
 
-    use crate::runtime::tests::ScriptedLeader;
+    use crate::runtime::tests::{engine_of, leased_group, tagged, ScriptedLeader};
 
-    /// Routes by group id alone, to whatever inbox the test put there.
+    /// Routes by group id alone, to whatever group the test put there.
     #[derive(Debug)]
-    struct FakeRouter(HashMap<GroupId, Sender<NodeInput>>);
+    struct FakeRouter(HashMap<GroupId, GroupHandle>);
 
     impl ClientRouter for FakeRouter {
-        fn route(&self, group: GroupId, _key: &[u8]) -> RouteVerdict {
+        fn route(&self, group: GroupId, _key: &[u8]) -> RouteVerdict<'_> {
             match self.0.get(&group) {
-                Some(inbox) => RouteVerdict::Local(inbox.clone()),
+                Some(group) => RouteVerdict::Local(group),
                 None => RouteVerdict::Unknown,
             }
         }
@@ -414,7 +459,7 @@ mod tests {
     }
 
     impl TestClient {
-        fn connect(groups: HashMap<GroupId, Sender<NodeInput>>) -> Self {
+        fn connect(groups: HashMap<GroupId, GroupHandle>) -> Self {
             Self::served_by(service_over(groups))
         }
 
@@ -455,14 +500,20 @@ mod tests {
         }
     }
 
-    fn service_over(groups: HashMap<GroupId, Sender<NodeInput>>) -> ClientService {
+    fn service_over(groups: HashMap<GroupId, GroupHandle>) -> ClientService {
         ClientService::new(Arc::new(FakeRouter(groups)))
     }
 
-    /// A group thread that answers every read with its own queries, and
-    /// the count of reads it has answered.
-    fn echo_group() -> (Sender<NodeInput>, Arc<AtomicUsize>) {
+    /// A group with no engine, whose thread answers every read with its
+    /// own queries, and the count of reads it has answered.
+    fn echo_group() -> (GroupHandle, Arc<AtomicUsize>) {
         let (inbox, inputs) = unbounded();
+        (GroupHandle::new(inbox), echo(inputs))
+    }
+
+    /// Starts a group thread on `inputs` that answers every read with its
+    /// own queries; returns the count of reads it has answered.
+    fn echo(inputs: Receiver<NodeInput>) -> Arc<AtomicUsize> {
         let answered = Arc::new(AtomicUsize::new(0));
         let count = Arc::clone(&answered);
         std::thread::spawn(move || {
@@ -473,7 +524,7 @@ mod tests {
                 }
             }
         });
-        (inbox, answered)
+        answered
     }
 
     fn read_of(group: u32, query: Bytes) -> RequestBody {
@@ -507,7 +558,7 @@ mod tests {
     fn a_write_parked_on_a_group_that_stops_is_answered_unavailable() {
         let leader = ScriptedLeader::start();
         let mut client =
-            TestClient::connect(HashMap::from([(GroupId::ZERO, leader.inbox.clone())]));
+            TestClient::connect(HashMap::from([(GroupId::ZERO, leader.group.clone())]));
         client.send(1, write_to(0, b"A"));
         leader.replicates(b"A");
         assert_eq!(client.response_within(Duration::from_millis(50)), None);
@@ -542,7 +593,7 @@ mod tests {
         let (stuck, never_drained) = unbounded();
         let (healthy, _) = echo_group();
         let mut client = TestClient::connect(HashMap::from([
-            (GroupId::new(1), stuck),
+            (GroupId::new(1), GroupHandle::new(stuck)),
             (GroupId::new(2), healthy),
         ]));
         client.send(1, write_to(1, b"A"));
@@ -631,5 +682,174 @@ mod tests {
             REQUESTS as usize
         };
         assert_eq!(handoffs.load(Ordering::Relaxed), expected);
+    }
+
+    /// A read the lease can answer is answered on the dispatcher, off the
+    /// group's engine: a thousand gets on one connection, and not one of
+    /// them reaches the group's inbox.
+    #[test]
+    fn leased_reads_are_answered_without_the_group_thread() {
+        const REQUESTS: u64 = 1_000;
+        let (inbox, inputs) = unbounded();
+        let group = leased_group(inbox);
+        let mut client = TestClient::connect(HashMap::from([(GroupId::ZERO, group.clone())]));
+        for id in 1..=REQUESTS {
+            let query = Bytes::from(id.to_le_bytes().to_vec());
+            client.send(id, read_of(0, query.clone()));
+            assert_eq!(
+                client.response_within(Duration::from_secs(5)),
+                value(id, tagged(&query))
+            );
+        }
+        assert_eq!(
+            inputs.try_iter().count(),
+            0,
+            "inputs the group thread received"
+        );
+        let engine = engine_of(&group).lock();
+        let metrics = engine.as_ref().unwrap().metrics();
+        assert_eq!((metrics.lease_reads, metrics.quorum_reads), (REQUESTS, 0));
+    }
+
+    /// A dispatcher never waits for the engine: while the node thread
+    /// holds it, a read goes to the inbox, and the group thread answers it
+    /// once it runs.
+    #[test]
+    fn a_read_goes_to_the_inbox_while_the_engine_is_busy() {
+        let (inbox, inputs) = unbounded();
+        let group = leased_group(inbox);
+        let mut client = TestClient::connect(HashMap::from([(GroupId::ZERO, group.clone())]));
+        let busy = engine_of(&group).lock();
+        client.send(1, read_of(0, Bytes::from_static(b"q")));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while inputs.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "the read never reached the inbox"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(client.response_within(Duration::from_millis(50)), None);
+
+        echo(inputs);
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            value(1, Bytes::from_static(b"q")),
+            "answered by the group thread, not the engine"
+        );
+        drop(busy);
+    }
+
+    /// The lease answers nothing on a follower: its node thread refuses
+    /// the read, naming the leader it follows.
+    #[test]
+    fn a_read_on_a_follower_is_refused_with_the_leader_hint() {
+        use escape_core::engine::Node;
+        use escape_core::message::{AppendEntriesArgs, Message};
+        use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
+        use escape_core::types::{LogIndex, ServerId, Term};
+
+        struct Nowhere;
+        impl crate::runtime::Outbound for Nowhere {
+            fn send(&self, _to: ServerId, _msg: Message) {}
+        }
+
+        let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+        let node = Node::builder(ids[1], ids.clone())
+            .policy(Box::new(RaftPolicy::with_source(Box::new(
+                ScriptedTimeouts::new(vec![escape_core::time::Duration::from_secs(60)]),
+            ))))
+            .options(crate::spec::ProtocolSpec::local_options())
+            .build();
+        let (inbox, rx) = unbounded();
+        let group = GroupHandle::new(inbox.clone());
+        let thread = {
+            let group = group.clone();
+            std::thread::spawn(move || {
+                crate::runtime::node_loop(node, group, rx, Arc::new(Nowhere))
+            })
+        };
+        let heartbeat = Message::AppendEntries(AppendEntriesArgs {
+            term: Term::new(1),
+            leader_id: ids[0],
+            prev_log_index: LogIndex::ZERO,
+            prev_log_term: Term::ZERO,
+            entries: Vec::new(),
+            leader_commit: LogIndex::ZERO,
+            new_config: None,
+            seq: 1,
+        });
+        inbox.send(NodeInput::Peer(ids[0], heartbeat)).unwrap();
+
+        let mut client = TestClient::connect(HashMap::from([(GroupId::ZERO, group)]));
+        client.send(1, read_of(0, Bytes::from_static(b"q")));
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            Some(ClientResponse {
+                id: 1,
+                body: ResponseBody::NotLeader { hint: Some(ids[0]) },
+            })
+        );
+        inbox.send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
+    }
+
+    /// The answers to the requests one `read` brought leave in one `send`:
+    /// ten leased reads written at once come back in the client's first
+    /// read.
+    #[test]
+    fn answers_to_one_reads_requests_leave_together() {
+        const REQUESTS: u64 = 10;
+        let (inbox, _inputs) = unbounded();
+        let mut client = TestClient::connect(HashMap::from([(GroupId::ZERO, leased_group(inbox))]));
+        let mut frames = BytesMut::new();
+        for id in 1..=REQUESTS {
+            let request = ClientRequest {
+                id,
+                body: read_of(0, Bytes::from(id.to_le_bytes().to_vec())),
+            };
+            write_frame(&mut frames, &request.to_bytes());
+        }
+        client.stream.write_all(&frames).unwrap();
+        let mut chunk = [0u8; 4096];
+        let n = client.stream.read(&mut chunk).unwrap();
+        client.reader.extend(&chunk[..n]);
+        let mut answered = 0;
+        while let Some(mut frame) = client.reader.next_frame().unwrap() {
+            let response = ClientResponse::decode(&mut frame).unwrap();
+            let query = Bytes::from(response.id.to_le_bytes().to_vec());
+            assert_eq!(Some(response.clone()), value(response.id, tagged(&query)));
+            answered += 1;
+        }
+        assert_eq!(answered, REQUESTS, "answers in the first read");
+    }
+
+    /// A dispatcher that quits in the middle of a hold — here on a corrupt
+    /// frame read together with a request its group parks — gives the hold
+    /// up: the group's later answer still reaches the client, whether it
+    /// comes before or after the dispatcher has quit.
+    #[test]
+    fn a_hold_ends_with_its_dispatcher() {
+        let (inbox, inputs) = unbounded();
+        let mut client =
+            TestClient::connect(HashMap::from([(GroupId::ZERO, GroupHandle::new(inbox))]));
+        let mut frames = BytesMut::new();
+        let request = ClientRequest {
+            id: 1,
+            body: read_of(0, Bytes::from_static(b"q")),
+        };
+        write_frame(&mut frames, &request.to_bytes());
+        write_frame(&mut frames, b"\xff");
+        client.stream.write_all(&frames).unwrap();
+
+        let Ok(NodeInput::Read { queries, reply }) = inputs.recv_timeout(Duration::from_secs(5))
+        else {
+            panic!("the read reaches the group");
+        };
+        reply.answer(Ok(queries));
+        assert_eq!(
+            client.response_within(Duration::from_secs(5)),
+            value(1, Bytes::from_static(b"q"))
+        );
     }
 }

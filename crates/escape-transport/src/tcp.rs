@@ -85,7 +85,7 @@ use escape_storage::{WalInstruments, WalStorage};
 use escape_wire::{write_frame_with, Decode, Encode, Envelope, FrameReader, CLIENT_HELLO};
 
 use crate::clock::RuntimeClock;
-use crate::runtime::{node_loop, NodeInput, Outbound};
+use crate::runtime::{node_loop, GroupHandle, NodeInput, Outbound};
 use crate::service::ClientService;
 use crate::wal::spawn_wal_thread;
 
@@ -836,10 +836,11 @@ pub fn recover_group(
 
 /// Starts one hosted group: puts `durable` (what [`recover_group`]
 /// returned; `None` runs memory-only) behind its WAL thread — which posts
-/// finished barriers into `inbox` — hands it to the engine, and starts the
-/// node thread on `rx`. `builder` is the engine up to (not including)
-/// storage and recovery; the WAL thread's name is `thread_name` plus
-/// `-wal`.
+/// finished barriers into `group`'s inbox — hands it to the engine, and
+/// starts the node thread on `rx`, the inbox's receiving end, with the
+/// engine in `group`'s slot. `builder` is the engine up to (not
+/// including) storage and recovery; the WAL thread's name is
+/// `thread_name` plus `-wal`.
 ///
 /// The handles come back in the order they must be joined: the node
 /// thread, then its WAL thread — which ends once the node thread has
@@ -849,21 +850,22 @@ pub fn start_group(
     thread_name: String,
     mut builder: NodeBuilder,
     durable: Option<(Box<dyn Storage>, RecoveredState)>,
-    inbox: Sender<NodeInput>,
+    group: &GroupHandle,
     rx: Receiver<NodeInput>,
     outbound: Arc<dyn Outbound + Sync>,
 ) -> Vec<JoinHandle<()>> {
     let mut wal_thread = None;
     if let Some((storage, recovered)) = durable {
+        let inbox = group.inbox().clone();
         let (queued, handle) = spawn_wal_thread(format!("{thread_name}-wal"), storage, inbox);
         builder = builder.storage(Box::new(queued)).recover(recovered);
         wal_thread = Some(handle);
     }
     let node = builder.build();
-    let clock = RuntimeClock::start();
+    let group = group.clone();
     let node_thread = std::thread::Builder::new()
         .name(thread_name)
-        .spawn(move || node_loop(node, rx, outbound, clock))
+        .spawn(move || node_loop(node, group, rx, outbound))
         // lint:allow(panic): thread-spawn failure at startup is fatal by design
         .expect("spawn node loop");
     std::iter::once(node_thread).chain(wal_thread).collect()
