@@ -28,7 +28,10 @@ use escape_simnet::loss::LossModel;
 use escape_simnet::sim::{Ready, Sim};
 use escape_simnet::skew::ClockSkew;
 
-use crate::adapter::{decode_barrier, decode_timer, encode_barrier, encode_timer, timer_slot};
+use crate::adapter::{
+    decode_barrier, decode_peer_closed, decode_timer, encode_barrier, encode_peer_closed,
+    encode_timer, timer_slot,
+};
 use crate::invariants::SafetyChecker;
 
 /// Durable-storage hookup for fault campaigns.
@@ -496,6 +499,23 @@ impl SimCluster {
         }
     }
 
+    /// `id`'s process exits: [`SimCluster::crash`], plus what a TCP peer
+    /// sees of an exit and not of a lost machine — each live peer learns,
+    /// one sampled link latency later, that `id` closed its connection
+    /// ([`Node::peer_closed`]). [`SimCluster::crash`] itself stays silent:
+    /// the paper's failure model is the lost machine.
+    pub fn exit(&mut self, id: ServerId) {
+        if !self.alive[id.index()] {
+            return;
+        }
+        self.crash(id);
+        for peer in self.ids() {
+            if self.alive[peer.index()] {
+                self.sim.signal(id, peer, encode_peer_closed(id));
+            }
+        }
+    }
+
     /// Restarts `id`: volatile state resets, persistent state survives.
     ///
     /// Without a storage harness the node's in-memory persistent state is
@@ -630,14 +650,15 @@ impl SimCluster {
                     return;
                 }
                 let now = self.node_now(node);
-                let actions = match decode_barrier(token) {
-                    Some(ticket) => {
-                        if let Some(harness) = self.storage.as_mut() {
-                            harness.complete_deferred(node, ticket);
-                        }
-                        self.nodes[node.index()].barrier_done(ticket, now)
+                let actions = if let Some(ticket) = decode_barrier(token) {
+                    if let Some(harness) = self.storage.as_mut() {
+                        harness.complete_deferred(node, ticket);
                     }
-                    None => self.nodes[node.index()].handle_timer(decode_timer(token), now),
+                    self.nodes[node.index()].barrier_done(ticket, now)
+                } else if let Some(peer) = decode_peer_closed(token) {
+                    self.nodes[node.index()].peer_closed(peer, now)
+                } else {
+                    self.nodes[node.index()].handle_timer(decode_timer(token), now)
                 };
                 self.finish(node, actions);
             }

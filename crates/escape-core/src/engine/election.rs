@@ -124,13 +124,8 @@ impl Node {
                 None => true,
                 Some(v) => v == args.candidate_id,
             };
-            // Rule 3: candidate's log at least as up-to-date as ours.
-            let log_ok = self.log.candidate_is_up_to_date(crate::log::LogPosition {
-                index: args.last_log_index,
-                term: args.last_log_term,
-            });
-            // ESCAPE's addition: candidate's confClock must not be stale.
-            let policy_ok = self.policy.candidate_admissible(&args);
+            // Rule 3 and ESCAPE's confClock rule.
+            let candidate_ok = self.candidate_acceptable(&args);
             // Lease vote fence (only when leases are in force): refuse to
             // elect anyone until every lease the last-heard leader could
             // hold has provably expired — lease × 5/4 of silence, the
@@ -140,25 +135,25 @@ impl Node {
             let fence_ok = !self.vote_fenced(now);
             if !fence_ok {
                 self.metrics.votes_lease_fenced += 1;
+                let lapses_in = self
+                    .fence_lapse()
+                    .map_or(0, |lapse| (lapse - now).as_micros());
                 self.emit(
                     now,
                     Event::VoteFenced {
                         term: args.term.get(),
+                        lapses_in_micros: lapses_in,
                     },
                 );
+                if vote_free && candidate_ok {
+                    self.defer_fenced_vote(args, out);
+                }
             }
-            vote_free && log_ok && policy_ok && fence_ok
+            vote_free && candidate_ok && fence_ok
         };
 
         if granted {
-            self.voted_for = Some(args.candidate_id);
-            // Durable before the grant is sent (Election Safety): a voter
-            // that forgets this vote could grant another in the same term.
-            self.persist_hard_state();
-            self.metrics.votes_granted += 1;
-            // Granting a vote concedes the current campaign window to the
-            // candidate: push our own timer back.
-            self.arm_election_timer(now, out);
+            self.grant_vote(args.candidate_id, now, out);
         } else {
             self.metrics.votes_rejected += 1;
         }
@@ -168,6 +163,71 @@ impl Node {
             vote_granted: granted,
         };
         self.send(from, Message::RequestVoteReply(reply), None, out);
+    }
+
+    /// Rule 3 (the candidate's log is at least as up-to-date as ours) and
+    /// the policy's own admissibility rule (ESCAPE: its confClock is not
+    /// stale).
+    fn candidate_acceptable(&self, args: &RequestVoteArgs) -> bool {
+        self.log.candidate_is_up_to_date(crate::log::LogPosition {
+            index: args.last_log_index,
+            term: args.last_log_term,
+        }) && self.policy.candidate_admissible(args)
+    }
+
+    /// Records the vote for `candidate`; the caller sends the grant.
+    fn grant_vote(&mut self, candidate: ServerId, now: Time, out: &mut Vec<Action>) {
+        self.voted_for = Some(candidate);
+        // Durable before the grant is sent (Election Safety): a voter
+        // that forgets this vote could grant another in the same term.
+        self.persist_hard_state();
+        self.metrics.votes_granted += 1;
+        // Granting a vote concedes the current campaign window to the
+        // candidate: push our own timer back.
+        self.arm_election_timer(now, out);
+    }
+
+    /// Keeps a solicitation the fence alone refused, to be granted when
+    /// the fence lapses. The first candidate of a term keeps the slot; a
+    /// higher term's replaces it.
+    fn defer_fenced_vote(&mut self, args: RequestVoteArgs, out: &mut Vec<Action>) {
+        if self.fenced_vote.is_some_and(|held| held.term >= args.term) {
+            return;
+        }
+        let Some(lapse) = self.fence_lapse() else {
+            return;
+        };
+        self.fenced_vote = Some(args);
+        self.arm_fence_lapse_timer(lapse, out);
+    }
+
+    /// The vote fence lapsed: grant the solicitation it refused, if this
+    /// node is still in that term, has not voted, is unfenced (no leader
+    /// spoke since) and still finds the candidate acceptable. The grant
+    /// goes out as an unsolicited reply, which the candidate counts like
+    /// any other.
+    pub(super) fn on_fence_lapse(&mut self, now: Time, out: &mut Vec<Action>) {
+        let Some(args) = self.fenced_vote.take() else {
+            return;
+        };
+        if args.term != self.current_term
+            || self.voted_for.is_some()
+            || self.vote_fenced(now)
+            || !self.candidate_acceptable(&args)
+        {
+            return;
+        }
+        self.grant_vote(args.candidate_id, now, out);
+        let reply = RequestVoteReply {
+            term: self.current_term,
+            vote_granted: true,
+        };
+        self.send(
+            args.candidate_id,
+            Message::RequestVoteReply(reply),
+            None,
+            out,
+        );
     }
 
     /// A vote reply arrived.

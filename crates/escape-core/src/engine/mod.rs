@@ -56,7 +56,7 @@ use escape_obs::{Event, NullObserver, Observer};
 
 use crate::config::Configuration;
 use crate::log::Log;
-use crate::message::Message;
+use crate::message::{Message, RequestVoteArgs};
 use crate::metrics::NodeMetrics;
 use crate::policy::ElectionPolicy;
 use crate::statemachine::{NullStateMachine, StateMachine};
@@ -64,7 +64,7 @@ use crate::storage::{Barrier, NullStorage, RecoveredState, Storage};
 use crate::time::{Duration, Time};
 use crate::types::{quorum, LogIndex, Role, ServerId, Term};
 
-/// Which of the node's two timers an event refers to.
+/// Which of the node's timers an event refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// Follower/candidate failure-detection timer.
@@ -75,6 +75,10 @@ pub enum TimerKind {
     /// whose solicitations were lost should not have to wait a full
     /// election timeout to try the same term again.
     VoteRetry,
+    /// Voter-side: the lease vote fence lapses, and a solicitation it
+    /// refused only because of the fence may be granted now (see
+    /// [`Node::peer_closed`]).
+    FenceLapse,
 }
 
 /// An armed-timer handle. The runtime schedules the deadline and hands the
@@ -212,7 +216,10 @@ pub struct Options {
     /// expires before its successor exists (≤ 25 % clock-rate drift
     /// tolerated). Choose it well below the minimum election timeout —
     /// the fence must not delay legitimate failovers; policies may cap it
-    /// further via [`ElectionPolicy::lease_bound`].
+    /// further via [`ElectionPolicy::lease_bound`]. The fence is also the
+    /// floor of hinted detection: a follower told that its leader's
+    /// process closed its connections ([`Node::peer_closed`]) campaigns no
+    /// sooner than one fence after it last heard that leader.
     pub lease_duration: Option<Duration>,
 }
 
@@ -385,9 +392,12 @@ impl NodeBuilder {
             lease_until: Time::ZERO,
             term_start_index: LogIndex::ZERO,
             last_leader_contact: None,
+            fenced_vote: None,
+            election_deadline: Time::ZERO,
             election_epoch: 0,
             heartbeat_epoch: 0,
             vote_retry_epoch: 0,
+            fence_lapse_epoch: 0,
             broadcast_seq: 0,
             scratch: Vec::new(),
             metrics: NodeMetrics::new(),
@@ -548,14 +558,21 @@ pub struct Node {
     /// Last time a leader was heard (`AppendEntries` / `InstallSnapshot`),
     /// across terms. The lease vote fence measures silence from here.
     last_leader_contact: Option<Time>,
+    /// A solicitation refused only because of the vote fence, granted
+    /// when the fence lapses if this node is still in its term and has
+    /// not voted (the `FenceLapse` timer).
+    fenced_vote: Option<RequestVoteArgs>,
 
     // ---- snapshotting ----
     latest_snapshot: Option<SnapshotHandle>,
 
     // ---- timer + broadcast bookkeeping ----
+    /// Where the election timer was last armed.
+    election_deadline: Time,
     election_epoch: u64,
     heartbeat_epoch: u64,
     vote_retry_epoch: u64,
+    fence_lapse_epoch: u64,
     broadcast_seq: u64,
 
     /// Reused buffer for the quorum selections.
@@ -702,12 +719,14 @@ impl Node {
         self.pending_reads.clear(); // waiters died with the old process
         self.reset_read_state();
         self.last_leader_contact = None;
+        self.fenced_vote = None;
         self.commit_index = self.last_applied;
         self.policy.stepped_down();
         // Invalidate any pre-crash timers.
         self.election_epoch += 1;
         self.heartbeat_epoch += 1;
         self.vote_retry_epoch += 1;
+        self.fence_lapse_epoch += 1;
         self.start(now)
     }
 
@@ -732,6 +751,57 @@ impl Node {
             progress.cap = 1;
             self.metrics.backpressure_resets += 1;
         }
+    }
+
+    /// The transport saw `peer`'s connection end by a remote close —
+    /// mostly because its process exited; a partition or an overloaded
+    /// peer closes nothing, a live peer resetting its link can. A
+    /// follower that last heard `peer` lead takes this as a failure hint
+    /// and moves its election deadline earlier by the policy's timeout
+    /// floor minus the vote fence — never before its own last contact
+    /// plus the fence, and never later than the deadline already armed.
+    /// Every follower moves by the same amount, so PPF's priority order
+    /// and Eq. 1's spacing `k` hold: the prepared candidate still
+    /// campaigns first and alone, one fence after the leader's last word
+    /// (at once without leases). A leader that is in fact alive re-arms
+    /// the timer with its next `AppendEntries`, as always.
+    ///
+    /// No safety argument rests on the hint: voters still enforce their
+    /// own fence. A voter that heard the leader after the candidate did
+    /// (by µs when a broadcast reached it later, by up to a heartbeat
+    /// after a catch-up stream) refuses the solicitation, and grants it
+    /// when its fence lapses if it is still in that term and has not
+    /// voted. Any other case is a no-op.
+    pub fn peer_closed(&mut self, peer: ServerId, now: Time) -> Vec<Action> {
+        let mut out = Vec::new();
+        if self.role != Role::Follower || self.leader_hint != Some(peer) {
+            return out;
+        }
+        let (Some(floor), Some(contact)) = (self.policy.timeout_floor(), self.last_leader_contact)
+        else {
+            return out;
+        };
+        let fence = self
+            .effective_lease()
+            .map_or(Duration::ZERO, Node::lease_fence);
+        let deadline = self
+            .election_deadline
+            .saturating_sub(floor.saturating_sub(fence))
+            .max(contact + fence)
+            .max(now);
+        if deadline >= self.election_deadline {
+            return out;
+        }
+        let advance = self.election_deadline - deadline;
+        self.set_election_deadline(deadline, &mut out);
+        self.emit(
+            now,
+            Event::FailureHinted {
+                term: self.current_term.get(),
+                advance_micros: advance.as_micros(),
+            },
+        );
+        out
     }
 
     /// The slot of `peers` (and `progress`) that `peer` occupies; `None`
@@ -782,6 +852,9 @@ impl Node {
             }
             TimerKind::VoteRetry if token.epoch == self.vote_retry_epoch => {
                 self.on_vote_retry_timeout(now, &mut out);
+            }
+            TimerKind::FenceLapse if token.epoch == self.fence_lapse_epoch => {
+                self.on_fence_lapse(now, &mut out);
             }
             _ => {} // stale epoch: the timer was re-armed or cancelled
         }
@@ -1019,15 +1092,18 @@ impl Node {
         Duration::from_micros(lease.as_micros().saturating_mul(5) / 4)
     }
 
+    /// When the lease vote fence lapses: one fence after the last leader
+    /// contact. `None` without leases or without a contact.
+    pub(super) fn fence_lapse(&self) -> Option<Time> {
+        let lease = self.effective_lease()?;
+        Some(self.last_leader_contact? + Node::lease_fence(lease))
+    }
+
     /// `true` while the lease vote fence forbids granting any vote:
     /// leases are in force and a leader was heard too recently for every
     /// lease it could hold to have expired.
     pub(super) fn vote_fenced(&self, now: Time) -> bool {
-        let Some(lease) = self.effective_lease() else {
-            return false;
-        };
-        self.last_leader_contact
-            .is_some_and(|contact| now < contact + Node::lease_fence(lease))
+        self.fence_lapse().is_some_and(|lapse| now < lapse)
     }
 
     /// Peer acks (beyond self) needed for a read quorum.
@@ -1225,14 +1301,32 @@ impl Node {
 
     /// Arms (re-arms) the election timer with a fresh policy-drawn period.
     fn arm_election_timer(&mut self, now: Time, out: &mut Vec<Action>) {
-        self.election_epoch += 1;
         let period = self.policy.election_timeout();
+        self.set_election_deadline(now + period, out);
+    }
+
+    /// Re-arms the election timer for `deadline`.
+    fn set_election_deadline(&mut self, deadline: Time, out: &mut Vec<Action>) {
+        self.election_epoch += 1;
+        self.election_deadline = deadline;
         out.push(Action::SetTimer {
             token: TimerToken {
                 kind: TimerKind::Election,
                 epoch: self.election_epoch,
             },
-            deadline: now + period,
+            deadline,
+        });
+    }
+
+    /// Arms the fence-lapse timer for `deadline`.
+    fn arm_fence_lapse_timer(&mut self, deadline: Time, out: &mut Vec<Action>) {
+        self.fence_lapse_epoch += 1;
+        out.push(Action::SetTimer {
+            token: TimerToken {
+                kind: TimerKind::FenceLapse,
+                epoch: self.fence_lapse_epoch,
+            },
+            deadline,
         });
     }
 

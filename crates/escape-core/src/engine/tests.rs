@@ -1820,6 +1820,380 @@ fn clock_drift_within_the_fence_margin_cannot_revive_a_lease() {
     );
 }
 
+// ---- the failure hint and the deferred fenced grant ----
+
+/// The local-timing knobs a TCP deployment runs (`ProtocolSpec::
+/// local_options` and `escape_local`): 50 ms heartbeats, a 100 ms lease
+/// (so a 125 ms vote fence) or none, `baseTime` 150 ms, `k` 50 ms.
+fn local_escape_cluster(n: u32, leased: bool) -> Pump {
+    let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
+    let params = EscapeParams::builder(n as usize)
+        .base_time_ms(150)
+        .spacing_ms(50)
+        .build();
+    let options = Options {
+        heartbeat_interval: Duration::from_millis(50),
+        lease_duration: leased.then(|| Duration::from_millis(100)),
+        vote_retry_interval: Some(Duration::from_millis(50)),
+        ..Options::default()
+    };
+    let nodes = ids
+        .iter()
+        .map(|id| {
+            Node::builder(*id, ids.clone())
+                .policy(Box::new(EscapePolicy::new(*id, params)))
+                .options(options)
+                .build()
+        })
+        .collect();
+    let mut pump = Pump::new(nodes);
+    // The boot-best server wins, and a few heartbeats let PPF hand the
+    // followers their ranks.
+    pump.fire(ServerId::new(n), TimerKind::Election);
+    for _ in 0..3 {
+        pump.fire(ServerId::new(n), TimerKind::Heartbeat);
+    }
+    pump
+}
+
+/// An empty `AppendEntries` from `leader` at `term`.
+fn heartbeat(term: u64, leader: ServerId) -> Message {
+    Message::AppendEntries(crate::message::AppendEntriesArgs {
+        term: Term::new(term),
+        leader_id: leader,
+        prev_log_index: LogIndex::ZERO,
+        prev_log_term: Term::ZERO,
+        entries: Vec::new(),
+        leader_commit: LogIndex::ZERO,
+        new_config: None,
+        seq: 1,
+    })
+}
+
+/// The followers of `pump`'s leader `n`, best priority first.
+fn followers_by_priority(pump: &Pump, n: u32) -> Vec<u32> {
+    let mut followers: Vec<u32> = (1..n).collect();
+    followers.sort_by_key(|id| {
+        std::cmp::Reverse(pump.node(*id).current_config().unwrap().priority.get())
+    });
+    followers
+}
+
+/// The election deadline `actions` arm, if any.
+fn election_deadline(actions: &[Action]) -> Option<Time> {
+    actions.iter().find_map(|a| match a {
+        Action::SetTimer { token, deadline } if token.kind == TimerKind::Election => {
+            Some(*deadline)
+        }
+        _ => None,
+    })
+}
+
+/// `(to, granted)` of every vote reply in `actions`.
+fn vote_replies(actions: &[Action]) -> Vec<(ServerId, bool)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: Message::RequestVoteReply(r),
+                ..
+            } => Some((*to, r.vote_granted)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_hint_moves_the_deadline_by_floor_minus_fence_and_emits_it() {
+    let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+    let (log, ring) = escape_obs::RingObserver::with_default_capacity();
+    let params = EscapeParams::builder(3)
+        .base_time_ms(150)
+        .spacing_ms(50)
+        .build();
+    let mut node = Node::builder(ids[2], ids.clone())
+        .policy(Box::new(EscapePolicy::new(ids[2], params)))
+        .options(lease_options())
+        .observer(Arc::new(ring))
+        .build();
+    node.start(Time::ZERO);
+    let contact = Time::from_millis(10);
+    node.handle_message(ids[0], heartbeat(1, ids[0]), contact);
+    // Boot priority 3 of 3: `baseTime`.
+    assert_eq!(node.election_deadline, contact + Duration::from_millis(150));
+
+    let actions = node.peer_closed(ids[0], contact + Duration::from_millis(1));
+    // 150 − 125 = 25 ms earlier: exactly one fence after the contact.
+    assert_eq!(
+        election_deadline(&actions),
+        Some(contact + Duration::from_millis(125))
+    );
+    assert_eq!(node.election_deadline, contact + Duration::from_millis(125));
+    let hinted: Vec<Event> = log
+        .snapshot()
+        .iter()
+        .map(|t| t.event)
+        .filter(|e| matches!(e, Event::FailureHinted { .. }))
+        .collect();
+    assert_eq!(
+        hinted,
+        vec![Event::FailureHinted {
+            term: 1,
+            advance_micros: 25_000
+        }]
+    );
+    // A second hint finds nothing left to move.
+    assert!(node
+        .peer_closed(ids[0], contact + Duration::from_millis(2))
+        .is_empty());
+}
+
+/// Fixed timeouts under a declared floor: a timer armed below the floor
+/// the hint subtracts from, to drive its clamps.
+#[derive(Debug)]
+struct FlooredTimeouts {
+    timeout: Duration,
+    floor: Duration,
+}
+
+impl ElectionPolicy for FlooredTimeouts {
+    fn name(&self) -> &'static str {
+        "floored"
+    }
+    fn election_timeout(&mut self) -> Duration {
+        self.timeout
+    }
+    fn timeout_floor(&self) -> Option<Duration> {
+        Some(self.floor)
+    }
+}
+
+/// A follower with a 150 ms floor, a 125 ms fence and timeouts of
+/// `timeout_ms`, that heard server 1 lead at 10 ms.
+fn floored_follower(timeout_ms: u64) -> Node {
+    let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+    let mut node = Node::builder(ids[1], ids.clone())
+        .policy(Box::new(FlooredTimeouts {
+            timeout: Duration::from_millis(timeout_ms),
+            floor: Duration::from_millis(150),
+        }))
+        .options(lease_options())
+        .build();
+    node.start(Time::ZERO);
+    node.handle_message(ids[0], heartbeat(1, ids[0]), Time::from_millis(10));
+    node
+}
+
+#[test]
+fn a_hint_never_moves_the_deadline_inside_the_fence_nor_later() {
+    let leader = ServerId::new(1);
+    // Armed at 10 + 140: 25 ms earlier would be 125, inside the fence
+    // (10 + 125 = 135) — so the deadline stops at the fence.
+    let mut node = floored_follower(140);
+    let actions = node.peer_closed(leader, Time::from_millis(11));
+    assert_eq!(election_deadline(&actions), Some(Time::from_millis(135)));
+
+    // Armed at 10 + 100, before the fence lapses: the hint would move it
+    // later, so it does nothing.
+    let mut node = floored_follower(100);
+    let before = format!("{node:?}");
+    assert!(node.peer_closed(leader, Time::from_millis(11)).is_empty());
+    assert_eq!(format!("{node:?}"), before);
+}
+
+#[test]
+fn hinted_followers_keep_their_eq1_spacing() {
+    let mut pump = local_escape_cluster(3, true);
+    let contact = pump.now;
+    let leader = ServerId::new(3);
+    let followers = followers_by_priority(&pump, 3);
+    let moved: Vec<Time> = followers
+        .iter()
+        .map(|id| {
+            let actions = pump.node_mut(*id).peer_closed(leader, contact);
+            let deadline = election_deadline(&actions).expect("a hinted follower re-arms");
+            pump.absorb(ServerId::new(*id), actions);
+            deadline
+        })
+        .collect();
+    // Priorities n and n−1: `baseTime` and `baseTime + k`, both moved
+    // 25 ms earlier — the prepared one to the fence, the gap still k.
+    assert_eq!(moved[0], contact + Duration::from_millis(125));
+    assert_eq!(moved[1] - moved[0], Duration::from_millis(50));
+
+    // The prepared follower campaigns first, alone, and wins.
+    pump.crash(3);
+    pump.fire(ServerId::new(followers[0]), TimerKind::Election);
+    assert_eq!(pump.now, contact + Duration::from_millis(125));
+    assert_eq!(pump.leader(), Some(ServerId::new(followers[0])));
+    assert_eq!(pump.node(followers[1]).metrics().elections_started, 0);
+}
+
+#[test]
+fn a_hint_is_ignored_unless_it_names_a_followers_leader() {
+    let mut pump = local_escape_cluster(3, true);
+    let now = pump.now;
+    let followers = followers_by_priority(&pump, 3);
+    // Not the leader: a fellow follower's process closed.
+    let other = ServerId::new(followers[1]);
+    assert!(pump
+        .node_mut(followers[0])
+        .peer_closed(other, now)
+        .is_empty());
+    // On the leader itself.
+    assert!(pump.node_mut(3).peer_closed(other, now).is_empty());
+
+    // No known leader: a fresh node.
+    let mut fresh = floored_follower(140);
+    fresh.restart(Time::from_millis(20));
+    assert!(fresh
+        .peer_closed(ServerId::new(1), Time::from_millis(21))
+        .is_empty());
+
+    // On a candidate.
+    let mut candidate = floored_follower(140);
+    let token = TimerToken {
+        kind: TimerKind::Election,
+        epoch: candidate.election_epoch,
+    };
+    candidate.handle_timer(token, Time::from_millis(150));
+    assert_eq!(candidate.role(), Role::Candidate);
+    assert!(candidate
+        .peer_closed(ServerId::new(1), Time::from_millis(151))
+        .is_empty());
+}
+
+#[test]
+fn without_leases_the_prepared_follower_campaigns_at_the_hint() {
+    let mut pump = local_escape_cluster(3, false);
+    let contact = pump.now;
+    let hinted_at = contact + Duration::from_millis(1);
+    let followers = followers_by_priority(&pump, 3);
+    let prepared = pump
+        .node_mut(followers[0])
+        .peer_closed(ServerId::new(3), hinted_at);
+    assert_eq!(election_deadline(&prepared), Some(hinted_at));
+    let next = pump
+        .node_mut(followers[1])
+        .peer_closed(ServerId::new(3), hinted_at);
+    assert_eq!(
+        election_deadline(&next),
+        Some(contact + Duration::from_millis(50))
+    );
+}
+
+/// A follower of the leased local cluster, the instant it last heard its
+/// leader, the prepared candidate, and that candidate's solicitation for
+/// the next term.
+fn fenced_voter() -> (Pump, u32, Time, ServerId, Message) {
+    let pump = local_escape_cluster(3, true);
+    let contact = pump.now;
+    let followers = followers_by_priority(&pump, 3);
+    let (candidate, voter) = (followers[0], followers[1]);
+    let last = pump.node(candidate).log().last_position();
+    let solicit = Message::RequestVote(crate::message::RequestVoteArgs {
+        term: Term::new(pump.node(voter).current_term().get() + 1),
+        candidate_id: ServerId::new(candidate),
+        last_log_index: last.index,
+        last_log_term: last.term,
+        conf_clock: pump.node(candidate).policy.campaign_conf_clock(),
+    });
+    (pump, voter, contact, ServerId::new(candidate), solicit)
+}
+
+/// The fence-lapse timer `actions` arm.
+fn fence_lapse(actions: &[Action]) -> (TimerToken, Time) {
+    actions
+        .iter()
+        .find_map(|a| match a {
+            Action::SetTimer { token, deadline } if token.kind == TimerKind::FenceLapse => {
+                Some((*token, *deadline))
+            }
+            _ => None,
+        })
+        .expect("a fenced refusal arms the fence lapse")
+}
+
+/// A message from the leader (server 3) carrying the term after
+/// `solicit`'s.
+fn higher_term_than(solicit: &Message) -> Message {
+    Message::RequestVoteReply(crate::message::RequestVoteReply {
+        term: Term::new(solicit.term().get() + 1),
+        vote_granted: false,
+    })
+}
+
+#[test]
+fn a_fenced_refusal_is_granted_exactly_once_at_the_lapse() {
+    let (mut pump, voter, contact, candidate, solicit) = fenced_voter();
+    let node = pump.node_mut(voter);
+    let granted_before = node.metrics().votes_granted;
+    let refused = node.handle_message(candidate, solicit, contact + Duration::from_millis(1));
+    assert_eq!(vote_replies(&refused), vec![(candidate, false)]);
+    let (token, lapse) = fence_lapse(&refused);
+    assert_eq!(
+        lapse,
+        contact + Duration::from_millis(125),
+        "one fence after the contact"
+    );
+    assert_eq!(node.voted_for(), None);
+
+    let granted = node.handle_timer(token, lapse);
+    assert_eq!(vote_replies(&granted), vec![(candidate, true)]);
+    assert_eq!(node.voted_for(), Some(candidate));
+    assert_eq!(node.metrics().votes_granted, granted_before + 1);
+    // Once: the token is spent.
+    assert!(vote_replies(&node.handle_timer(token, lapse)).is_empty());
+    assert_eq!(node.metrics().votes_granted, granted_before + 1);
+}
+
+#[test]
+fn a_deferred_grant_yields_to_a_higher_term_another_vote_or_a_stale_term() {
+    let leader = ServerId::new(3);
+
+    // A higher term adopted meanwhile.
+    let (mut pump, voter, contact, candidate, solicit) = fenced_voter();
+    let node = pump.node_mut(voter);
+    let (token, lapse) = fence_lapse(&node.handle_message(candidate, solicit.clone(), contact));
+    node.handle_message(
+        leader,
+        higher_term_than(&solicit),
+        contact + Duration::from_millis(2),
+    );
+    assert!(vote_replies(&node.handle_timer(token, lapse)).is_empty());
+    assert_eq!(node.voted_for(), None);
+
+    // The vote went to another candidate at the lapse instant.
+    let (mut pump, voter, contact, candidate, solicit) = fenced_voter();
+    let node = pump.node_mut(voter);
+    let (token, lapse) = fence_lapse(&node.handle_message(candidate, solicit.clone(), contact));
+    let rival = match solicit {
+        Message::RequestVote(args) => Message::RequestVote(crate::message::RequestVoteArgs {
+            candidate_id: leader,
+            ..args
+        }),
+        _ => unreachable!(),
+    };
+    assert_eq!(
+        vote_replies(&node.handle_message(leader, rival, lapse)),
+        vec![(leader, true)]
+    );
+    assert!(vote_replies(&node.handle_timer(token, lapse)).is_empty());
+    assert_eq!(node.voted_for(), Some(leader));
+
+    // A stale term is refused outright and never deferred.
+    let (mut pump, voter, contact, candidate, solicit) = fenced_voter();
+    let node = pump.node_mut(voter);
+    node.handle_message(leader, higher_term_than(&solicit), contact);
+    let stale = node.handle_message(candidate, solicit, contact + Duration::from_millis(1));
+    assert_eq!(vote_replies(&stale), vec![(candidate, false)]);
+    assert!(stale.iter().all(|a| !matches!(
+        a,
+        Action::SetTimer { token, .. } if token.kind == TimerKind::FenceLapse
+    )));
+}
+
 // ---- the deferred leader barrier ----
 
 /// A storage whose deferred barrier never completes by itself: it hands

@@ -411,13 +411,13 @@ impl ElectionPolicy for EscapePolicy {
         self.config = config;
     }
 
-    fn lease_bound(&self) -> Option<Duration> {
+    fn timeout_floor(&self) -> Option<Duration> {
         // Eq. 1's floor is `baseTime` (the priority-n configuration the
-        // patrol hands the freshest follower). Capping the lease here keeps
-        // the vote fence at or below the prepared leader's timeout, so the
-        // PPF reflex promotion is never delayed by the fence — it fires
-        // exactly when every possible lease has also expired.
-        Some(crate::policy::lease_bound_for(self.params.base_time()))
+        // patrol hands the freshest follower). The lease bound it implies
+        // keeps the vote fence at or below the prepared leader's timeout,
+        // so the PPF reflex promotion is never delayed by the fence — it
+        // fires exactly when every possible lease has also expired.
+        Some(self.params.base_time())
     }
 }
 

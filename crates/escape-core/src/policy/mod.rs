@@ -153,21 +153,27 @@ pub trait ElectionPolicy: std::fmt::Debug + Send {
     /// pre-crash state, not a proposal from a leader.
     fn restore_config(&mut self, _config: Configuration) {}
 
-    /// The longest leader lease this policy can tolerate, or `None` for no
-    /// policy opinion. The engine caps `Options::lease_duration` here so
-    /// the lease vote fence (lease × 5/4 of required silence) never
-    /// exceeds the policy's *minimum* election timeout: a fence above it
-    /// would delay legitimate failovers — for ESCAPE, it would cost the
-    /// prepared leader its reflex advantage. Policies with a known
-    /// timeout floor `T` return `T × 4/5`.
-    fn lease_bound(&self) -> Option<Duration> {
+    /// The shortest election timeout any server of the cluster can arm
+    /// (Eq. 1's `baseTime`, Raft's range minimum), or `None` when the
+    /// policy cannot know it (scripted schedules).
+    fn timeout_floor(&self) -> Option<Duration> {
         None
+    }
+
+    /// The longest leader lease this policy can tolerate: the floor × 4/5,
+    /// `None` without a floor. The engine caps `Options::lease_duration`
+    /// here so the lease vote fence (lease × 5/4 of required silence)
+    /// never exceeds the *minimum* election timeout: a fence above it
+    /// would delay legitimate failovers — for ESCAPE, it would cost the
+    /// prepared leader its reflex advantage.
+    fn lease_bound(&self) -> Option<Duration> {
+        self.timeout_floor().map(lease_bound_for)
     }
 }
 
 /// `timeout_floor × 4/5`: the largest lease whose vote fence still fits
-/// under a policy's minimum election timeout (helper for
-/// [`ElectionPolicy::lease_bound`] implementations).
+/// under a policy's minimum election timeout (the default
+/// [`ElectionPolicy::lease_bound`]).
 pub(crate) fn lease_bound_for(timeout_floor: Duration) -> Duration {
     Duration::from_micros(timeout_floor.as_micros().saturating_mul(4) / 5)
 }
@@ -227,6 +233,7 @@ mod tests {
         assert!(!p.begin_heartbeat_round());
         assert_eq!(p.config_for(ServerId::new(2)), None);
         assert_eq!(p.current_config(), None);
+        assert_eq!(p.timeout_floor(), None);
         assert_eq!(p.lease_bound(), None);
     }
 

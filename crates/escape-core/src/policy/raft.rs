@@ -88,8 +88,8 @@ impl ElectionPolicy for RaftPolicy {
         self.timeouts.next_timeout()
     }
 
-    fn lease_bound(&self) -> Option<Duration> {
-        self.timeout_floor.map(crate::policy::lease_bound_for)
+    fn timeout_floor(&self) -> Option<Duration> {
+        self.timeout_floor
     }
 }
 

@@ -89,10 +89,10 @@ impl ElectionPolicy for ZRaftPolicy {
         Some(self.config)
     }
 
-    fn lease_bound(&self) -> Option<Duration> {
+    fn timeout_floor(&self) -> Option<Duration> {
         // The cluster's shortest election timeout is priority-n's, which
-        // Eq. 1 pins to `baseTime` — that is the fence budget.
-        Some(crate::policy::lease_bound_for(self.base_time))
+        // Eq. 1 pins to `baseTime`.
+        Some(self.base_time)
     }
 }
 

@@ -71,6 +71,12 @@ impl Time {
     pub fn saturating_add(self, d: Duration) -> Time {
         Time(self.0.saturating_add(d.0))
     }
+
+    /// Subtracts a duration, saturating at [`Time::ZERO`] instead of
+    /// underflowing.
+    pub fn saturating_sub(self, d: Duration) -> Time {
+        Time(self.0.saturating_sub(d.0))
+    }
 }
 
 impl fmt::Display for Time {

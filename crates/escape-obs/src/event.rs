@@ -45,11 +45,24 @@ pub enum Event {
         /// The term stepped down into.
         term: u64,
     },
+    /// The transport saw the leader's process close its connection, and
+    /// this follower moved its election deadline earlier: the failure
+    /// hint that lets detection end one vote fence after the leader's
+    /// last word instead of a full election timeout.
+    FailureHinted {
+        /// The follower's current term.
+        term: u64,
+        /// How far the deadline moved, in microseconds.
+        advance_micros: u64,
+    },
     /// A vote was refused by the lease fence (a leader was heard too
     /// recently for its lease to have provably expired).
     VoteFenced {
         /// The voter's current term.
         term: u64,
+        /// How long the fence still stands, in microseconds: when the
+        /// refused candidate can have this vote at the earliest.
+        lapses_in_micros: u64,
     },
     /// A quorum-acked round extended the leader's read lease.
     LeaseExtended {
@@ -136,6 +149,7 @@ impl Event {
             Event::CampaignStarted { .. } => "campaign_started",
             Event::LeaderElected { .. } => "leader_elected",
             Event::SteppedDown { .. } => "stepped_down",
+            Event::FailureHinted { .. } => "failure_hinted",
             Event::VoteFenced { .. } => "vote_fenced",
             Event::LeaseExtended { .. } => "lease_extended",
             Event::RearrangementIssued { .. } => "rearrangement_issued",
@@ -175,8 +189,17 @@ impl Event {
             Event::SteppedDown { term } => {
                 let _ = write!(out, " term={term}");
             }
-            Event::VoteFenced { term } => {
-                let _ = write!(out, " term={term}");
+            Event::FailureHinted {
+                term,
+                advance_micros,
+            } => {
+                let _ = write!(out, " term={term} advance_micros={advance_micros}");
+            }
+            Event::VoteFenced {
+                term,
+                lapses_in_micros,
+            } => {
+                let _ = write!(out, " term={term} lapses_in_micros={lapses_in_micros}");
             }
             Event::LeaseExtended { until_micros } => {
                 let _ = write!(out, " until_micros={until_micros}");
@@ -232,8 +255,23 @@ impl Event {
             Event::SteppedDown { term } => {
                 format!("stepped down to follower at term {term}")
             }
-            Event::VoteFenced { term } => {
-                format!("refused a vote at term {term}: lease fence in force")
+            Event::FailureHinted {
+                term,
+                advance_micros,
+            } => {
+                format!(
+                    "leader closed its connection at term {term}: election deadline \
+                     moved {advance_micros}us earlier"
+                )
+            }
+            Event::VoteFenced {
+                term,
+                lapses_in_micros,
+            } => {
+                format!(
+                    "refused a vote at term {term}: lease fence in force for \
+                     {lapses_in_micros}us more"
+                )
             }
             Event::LeaseExtended { until_micros } => {
                 format!("read lease extended until {until_micros}us")
@@ -309,7 +347,14 @@ mod tests {
             Event::CampaignStarted { term: 4 },
             Event::LeaderElected { term: 4 },
             Event::SteppedDown { term: 5 },
-            Event::VoteFenced { term: 4 },
+            Event::FailureHinted {
+                term: 3,
+                advance_micros: 25_000,
+            },
+            Event::VoteFenced {
+                term: 4,
+                lapses_in_micros: 1_500,
+            },
             Event::LeaseExtended { until_micros: 1_000_000 },
             Event::RearrangementIssued { conf_clock: 7 },
             Event::ConfigAdopted { conf_clock: 7 },

@@ -57,6 +57,11 @@ impl std::error::Error for TimelineError {}
 pub struct FailoverTimeline {
     /// When the old leader was killed.
     pub leader_killed_at: u64,
+    /// The first failure hint a survivor took between the kill and the
+    /// detection, as `(at, node, advance_micros)`: the leader's closed
+    /// connection that moved an election deadline earlier. `None` when
+    /// detection waited out the full timeout.
+    pub hinted: Option<(u64, u32, u64)>,
     /// First surviving election-timer expiry (failure detected).
     pub detected_at: u64,
     /// First campaign start.
@@ -170,6 +175,9 @@ impl FailoverTimeline {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "leader_killed at={}", self.leader_killed_at);
+        if let Some((at, node, advance)) = self.hinted {
+            let _ = writeln!(out, "hinted at={at} node={node} advance={advance}");
+        }
         let _ = writeln!(out, "detected at={}", self.detected_at);
         let _ = writeln!(out, "campaign_started at={}", self.campaign_started_at);
         let _ = writeln!(
@@ -236,6 +244,12 @@ pub fn reconstruct(
         .iter()
         .find_map(|&(at, _, e)| matches!(e, Event::ElectionTimeout { .. }).then_some(at))
         .ok_or(TimelineError::NoDetection)?;
+    let hinted = merged.iter().find_map(|&(at, node, e)| match e {
+        Event::FailureHinted { advance_micros, .. } if at <= detected_at => {
+            Some((at, node, advance_micros))
+        }
+        _ => None,
+    });
     let campaign_started_at = merged
         .iter()
         .find_map(|&(at, _, e)| {
@@ -278,6 +292,7 @@ pub fn reconstruct(
 
     Ok(FailoverTimeline {
         leader_killed_at: killed_at_micros,
+        hinted,
         detected_at,
         campaign_started_at,
         leader_elected_at,
@@ -432,6 +447,34 @@ mod tests {
         let t = reconstruct(0, &streams).expect("timeline");
         assert_eq!((t.winner, t.campaigns), (2, 1));
         assert_eq!(t.elect_micros(), 0);
+    }
+
+    /// A hinted detection explains itself: the hint that moved the
+    /// deadline is on the timeline, and rendered before the detection.
+    #[test]
+    fn a_hinted_detection_renders_its_hint() {
+        let mut streams = clean_failover();
+        streams.push(stream(
+            2,
+            &[(
+                2_000,
+                Event::FailureHinted {
+                    term: 1,
+                    advance_micros: 25_000,
+                },
+            )],
+        ));
+        let t = reconstruct(1_000, &streams).expect("timeline");
+        assert_eq!(t.hinted, Some((2_000, 2, 25_000)));
+        let text = t.render();
+        let hint = text
+            .find("hinted at=2000 node=2 advance=25000")
+            .expect("hint line");
+        assert!(hint < text.find("detected at=").expect("detection line"));
+        // An unhinted failover renders no hint line.
+        let plain = reconstruct(1_000, &clean_failover()).expect("timeline");
+        assert_eq!(plain.hinted, None);
+        assert!(!plain.render().contains("hinted"));
     }
 
     #[test]

@@ -409,6 +409,19 @@ impl<M: SimMessage> Sim<M> {
         );
     }
 
+    /// Schedules `token` on `to`'s timer queue one sampled `from → to`
+    /// link latency from now: a connection-level signal (a peer's FIN)
+    /// that travels like a frame but that the loss model never omits. A
+    /// partition stops it like any frame, and it dies with `to`'s
+    /// incarnation like any timer.
+    pub fn signal(&mut self, from: ServerId, to: ServerId, token: u64) {
+        if !self.partitions.connected(from, to) {
+            return;
+        }
+        let delay = self.latency.sample(from, to, &mut self.rng);
+        self.set_timer(to, token, self.now + delay);
+    }
+
     /// Arms timer `slot` of `node` to fire at `deadline` with `token`,
     /// superseding whatever that slot was armed with before — the
     /// one-deadline-per-kind contract of a consensus engine's timers.

@@ -140,6 +140,10 @@ pub enum ProposeReply {
 pub enum NodeInput {
     /// A protocol message from a peer.
     Peer(ServerId, Message),
+    /// The peer's connection ended by a remote close, mostly because its
+    /// process exited. A failure hint for the engine (see
+    /// [`Node::peer_closed`](escape_core::engine::Node::peer_closed)).
+    PeerClosed(ServerId),
     /// A client command.
     Propose {
         /// Encoded state-machine command.
@@ -296,6 +300,10 @@ pub fn node_loop(
                 NodeInput::Shutdown => return,
                 NodeInput::Peer(from, msg) => {
                     let actions = thread.step(|node, now| node.handle_message(from, msg, now));
+                    thread.absorb(actions.unwrap_or_default());
+                }
+                NodeInput::PeerClosed(peer) => {
+                    let actions = thread.step(|node, now| node.peer_closed(peer, now));
                     thread.absorb(actions.unwrap_or_default());
                 }
                 NodeInput::BarrierDone(Ok(ticket)) => {

@@ -28,6 +28,18 @@
 //! * closing an [`Acceptor`] (`kill`/`shutdown`) closes every peer
 //!   connection it accepted and joins their readers; the far end sees
 //!   EOF at once instead of a socket that swallows its next frame;
+//! * a remote close is also a failure hint: a reader whose peer's
+//!   connection ends by EOF or a read error while the connection is
+//!   still registered (so not by its own acceptor's close) posts
+//!   [`NodeInput::PeerClosed`] to every hosted group, and a follower
+//!   that last heard that peer lead moves its election deadline earlier
+//!   (see `Node::peer_closed`). A partition or an overloaded peer sends
+//!   no FIN, so neither hints. A live peer can: its link resets the
+//!   stream this reader serves when a write fails or its scan finds our
+//!   end gone (`PeerLink::mark_broken`). That hint is harmless: the
+//!   follower's deadline never moves before its last contact with the
+//!   leader plus the vote fence, and the leader's next `AppendEntries`
+//!   re-arms it;
 //! * an outbound socket carries no inbound traffic, so anything readable
 //!   on it is the peer's FIN or RST: the flusher's scan peeks every
 //!   connected link and marks a dead one broken within one
@@ -664,6 +676,15 @@ impl GroupRoutes {
     pub fn lookup(&self, group: GroupId) -> Option<Sender<NodeInput>> {
         self.inner.lock().get(&group).cloned()
     }
+
+    /// Tells every registered group that `peer`'s connection was closed
+    /// by its far end.
+    fn peer_closed(&self, peer: ServerId) {
+        let inboxes: Vec<Sender<NodeInput>> = self.inner.lock().values().cloned().collect();
+        for inbox in inboxes {
+            let _ = inbox.send(NodeInput::PeerClosed(peer));
+        }
+    }
 }
 
 /// The connections an [`Acceptor`] has accepted and not (yet) recognised
@@ -703,12 +724,19 @@ impl Readers {
 
     /// One connection's reader thread.
     fn read(self, conn: u64, mut stream: TcpStream) {
-        let hello = read_loop(&mut stream, &self.routes, &self.mesh);
+        let end = read_loop(&mut stream, &self.routes, &self.mesh);
         // An entry already gone means the acceptor closed and shut this
-        // socket down: there is nobody left to serve.
+        // socket down: there is nobody left to serve, and the close was
+        // ours, not the peer's.
         let ours = self.conns.lock().open.remove(&conn).is_some();
-        if let (true, Some(buffered), Some(service)) = (ours, hello, self.service) {
-            service.serve(stream, buffered);
+        match end {
+            ReadEnd::Hello(buffered) if ours => {
+                if let Some(service) = self.service {
+                    service.serve(stream, buffered);
+                }
+            }
+            ReadEnd::Closed(Some(peer)) if ours => self.routes.peer_closed(peer),
+            _ => {}
         }
     }
 }
@@ -871,18 +899,27 @@ pub fn start_group(
     std::iter::once(node_thread).chain(wal_thread).collect()
 }
 
-/// Reads one inbound connection until it ends. A peer's envelopes are
-/// routed to their groups' inboxes and `None` comes back when the
-/// connection is over; a connection whose first frame is the client hello
-/// comes back at once as `Some` of the reader holding whatever bytes
-/// followed the hello, for the [`ClientService`] to continue from.
-fn read_loop(stream: &mut TcpStream, routes: &GroupRoutes, mesh: &TcpMesh) -> Option<FrameReader> {
+/// How an inbound connection's [`read_loop`] ended.
+enum ReadEnd {
+    /// The first frame was the client hello: the reader holds whatever
+    /// bytes followed it, for the [`ClientService`] to continue from.
+    Hello(FrameReader),
+    /// The connection is over: `Some(peer)` when `peer` spoke on it and
+    /// its end then closed (EOF or a read error); `None` when nobody
+    /// spoke, or the stream was corrupt and this end drops it.
+    Closed(Option<ServerId>),
+}
+
+/// Reads one inbound connection until it ends, routing a peer's
+/// envelopes to their groups' inboxes; a connection whose first frame is
+/// the client hello comes back at once.
+fn read_loop(stream: &mut TcpStream, routes: &GroupRoutes, mesh: &TcpMesh) -> ReadEnd {
     let mut reader = FrameReader::new();
     let mut chunk = [0u8; 16 * 1024];
-    let mut first_frame = true;
+    let mut peer = None;
     loop {
         let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return None,
+            Ok(0) | Err(_) => return ReadEnd::Closed(peer),
             Ok(n) => n,
         };
         // lint:allow(panic): n is the byte count just read into chunk, so n <= chunk.len()
@@ -891,17 +928,17 @@ fn read_loop(stream: &mut TcpStream, routes: &GroupRoutes, mesh: &TcpMesh) -> Op
             let mut frame = match reader.next_frame() {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
-                Err(_) => return None,
+                Err(_) => return ReadEnd::Closed(None),
             };
-            let first = std::mem::take(&mut first_frame);
-            if first && frame.as_ref() == CLIENT_HELLO {
-                return Some(reader);
+            if peer.is_none() && frame.as_ref() == CLIENT_HELLO {
+                return ReadEnd::Hello(reader);
             }
             let Ok(envelope) = Envelope::decode(&mut frame) else {
-                return None; // corrupt stream: drop the connection
+                return ReadEnd::Closed(None); // corrupt stream: drop the connection
             };
-            if first {
+            if peer.is_none() {
                 mesh.peer_seen(envelope.from);
+                peer = Some(envelope.from);
             }
             // A group nobody registered is a misrouted or early message:
             // network loss to the protocol.
