@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 
 use escape_core::engine::{Node, ProposeError};
 use escape_core::statemachine::StateMachine;
@@ -49,9 +49,8 @@ pub enum ShardError {
     /// names the real owner and the map version either way).
     Redirect(Redirect),
     /// A group outside the hosted map was named where no key is
-    /// available to redirect by ([`ShardedNode::await_applied`] /
-    /// [`ShardedNode::inbox`]-driven paths; `propose_to` reports a
-    /// [`ShardError::Redirect`] instead).
+    /// available to redirect by ([`ShardedNode::await_applied`];
+    /// `propose_to` reports a [`ShardError::Redirect`] instead).
     UnknownGroup(GroupId),
     /// The owning group's engine on this server is not its leader.
     NotLeader {
@@ -393,11 +392,6 @@ impl ShardedNode {
         self.router.route(key)
     }
 
-    /// The input channel of `group`'s engine on this server.
-    pub fn inbox(&self, group: GroupId) -> Option<Sender<NodeInput>> {
-        self.groups.get(group.index()).map(|g| g.inbox().clone())
-    }
-
     /// A status snapshot of `group`'s engine on this server.
     pub fn status(&self, group: GroupId) -> Option<NodeStatus> {
         let group = self.group(group).ok()?;
@@ -433,7 +427,7 @@ impl ShardedNode {
     /// Proposes `command` (whose routing key is `key`) into `group`,
     /// **validating the route first**: a client that addressed the wrong
     /// group gets [`ShardError::Redirect`] naming the owner instead of a
-    /// wrong-shard write.
+    /// wrong-shard write. The command goes to the group as a batch of one.
     ///
     /// # Errors
     ///
@@ -446,23 +440,10 @@ impl ShardedNode {
         key: &[u8],
         command: Bytes,
     ) -> Result<LogIndex, ShardError> {
-        let group = self
-            .router
-            .check(group, key)
-            .map_err(ShardError::Redirect)?;
-        let (reply, rx) = Reply::channel();
-        self.group(group)?
-            .inbox()
-            .send(NodeInput::Propose {
-                command,
-                reply: ProposeReply::Accepted(reply),
-            })
-            .map_err(|_| ShardError::Unavailable)?;
-        match rx.recv_timeout(REPLY_TIMEOUT) {
-            Ok(Ok(index)) => Ok(index),
-            Ok(Err(e)) => Err(e.into()),
-            Err(_) => Err(ShardError::Unavailable),
-        }
+        let routed = self.router.check(group, key).map_err(ShardError::Redirect);
+        let mut outcomes = propose_routed(&self.groups, vec![(routed, command)], REPLY_TIMEOUT);
+        let (_, index) = outcomes.pop().unwrap_or(Err(ShardError::Unavailable))?;
+        Ok(index)
     }
 
     /// Routes `key` and proposes `command` into its owning group on this
@@ -479,43 +460,21 @@ impl ShardedNode {
     }
 
     /// Proposes a batch of `(key, command)` pairs, per-shard batched:
-    /// every command is routed and enqueued into its owning group
-    /// *before* any reply is awaited, so each group's node loop drains
-    /// its share into one engine batch (one WAL flush, one coalesced
-    /// fan-out per group) instead of one commit cycle per command.
-    /// Returns one outcome per input, in input order.
+    /// every command is routed, and each group gets its share, in input
+    /// order, as one input *before* any reply is awaited. Each group's
+    /// node loop proposes its share as one engine batch (one WAL flush,
+    /// one coalesced fan-out per group) and answers it with one reply, all
+    /// awaited under one deadline. Returns one outcome per input, in input
+    /// order.
     pub fn propose_batch(
         &self,
         items: Vec<(Bytes, Bytes)>,
     ) -> Vec<Result<(GroupId, LogIndex), ShardError>> {
-        // Phase 1: route + enqueue everything (this is what lets the
-        // per-group queues coalesce).
-        let mut pending = Vec::with_capacity(items.len());
-        for (key, command) in items {
-            let group = self.route(&key);
-            let handle = match self.group(group) {
-                Ok(handle) => handle,
-                Err(e) => {
-                    pending.push((group, Err(e)));
-                    continue;
-                }
-            };
-            let (reply, rx) = Reply::channel();
-            match handle.inbox().send(NodeInput::Propose {
-                command,
-                reply: ProposeReply::Accepted(reply),
-            }) {
-                Ok(()) => pending.push((group, Ok(rx))),
-                Err(_) => pending.push((group, Err(ShardError::Unavailable))),
-            }
-        }
-        // Phase 2: collect the replies in input order.
-        let (groups, slots): (Vec<_>, Vec<_>) = pending.into_iter().unzip();
-        collect_replies(slots, REPLY_TIMEOUT)
+        let routed = items
             .into_iter()
-            .zip(groups)
-            .map(|(outcome, group)| Ok((group, outcome??)))
-            .collect()
+            .map(|(key, command)| (Ok(self.route(&key)), command))
+            .collect();
+        propose_routed(&self.groups, routed, REPLY_TIMEOUT)
     }
 
     /// Linearizable reads, per-shard batched like
@@ -525,40 +484,17 @@ impl ShardedNode {
     /// confirmation round (or zero rounds under a held lease) instead of
     /// one per query. Returns one response per input, in input order.
     pub fn read_batch(&self, items: Vec<(Bytes, Bytes)>) -> Vec<Result<Bytes, ShardError>> {
-        let owners: Vec<GroupId> = items.iter().map(|(key, _)| self.route(key)).collect();
-        let mut shares: BTreeMap<GroupId, Vec<Bytes>> = BTreeMap::new();
-        for (&group, (_, query)) in owners.iter().zip(items) {
-            shares.entry(group).or_default().push(query);
-        }
-        // Every group's read goes out before any answer is awaited.
-        let (groups, slots): (Vec<_>, Vec<_>) = shares
+        let routed = items
             .into_iter()
-            .map(|(group, queries)| {
-                let slot = self.group(group).map(|handle| {
-                    let (reply, rx) = Reply::channel();
-                    handle.read(queries, reply);
-                    rx
-                });
-                (group, slot)
-            })
-            .unzip();
-        // Each group's answers, dealt back out in input order.
-        let mut answers: BTreeMap<GroupId, Result<std::vec::IntoIter<Bytes>, ShardError>> = groups
-            .into_iter()
-            .zip(collect_replies(slots, REPLY_TIMEOUT))
-            .map(|(group, outcome)| {
-                let results = outcome.and_then(|answer| Ok(answer?.into_iter()));
-                (group, results)
-            })
-            .collect();
-        owners
-            .into_iter()
-            .map(|group| match answers.get_mut(&group) {
-                Some(Ok(results)) => Ok(results.next().unwrap_or_default()),
-                Some(Err(e)) => Err(e.clone()),
-                None => Err(ShardError::Unavailable),
-            })
-            .collect()
+            .map(|(key, query)| (Ok(self.route(&key)), query));
+        per_group(&self.groups, routed, REPLY_TIMEOUT, |handle, queries| {
+            let (reply, rx) = Reply::channel();
+            handle.read(queries, reply);
+            Ok(rx)
+        })
+        .into_iter()
+        .map(|outcome| Ok(outcome?.1))
+        .collect()
     }
 
     /// Routes `key` and reads it through its owning group's linearizable
@@ -588,22 +524,37 @@ impl ShardedNode {
     }
 
     /// Waits for `group` to apply `index`, returning the state machine's
-    /// response.
+    /// response: [`ShardedNode::await_applied_within`] five seconds.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedNode::await_applied_within`].
+    pub fn await_applied(&self, group: GroupId, index: LogIndex) -> Result<Bytes, ShardError> {
+        self.await_applied_within(group, index, APPLY_TIMEOUT)
+    }
+
+    /// Waits up to `wait` for `group` to apply `index`, returning the
+    /// state machine's response. A short `wait` asks whether it has
+    /// applied by now.
     ///
     /// # Errors
     ///
     /// [`ShardError::UnknownGroup`]; [`ShardError::Unavailable`] when the
-    /// index does not apply in time, the group thread is gone, or this
-    /// server's engine steps down while the wait is parked — what then
-    /// applies at `index` may be another leader's command.
-    pub fn await_applied(&self, group: GroupId, index: LogIndex) -> Result<Bytes, ShardError> {
+    /// index does not apply within `wait`, the group thread is gone, or
+    /// this server's engine steps down while the wait is parked — what
+    /// then applies at `index` may be another leader's command.
+    pub fn await_applied_within(
+        &self,
+        group: GroupId,
+        index: LogIndex,
+        wait: Duration,
+    ) -> Result<Bytes, ShardError> {
         let (reply, rx) = Reply::channel();
         self.group(group)?
             .inbox()
             .send(NodeInput::AwaitApplied { index, reply })
             .map_err(|_| ShardError::Unavailable)?;
-        rx.recv_timeout(APPLY_TIMEOUT)
-            .map_err(|_| ShardError::Unavailable)
+        rx.recv_timeout(wait).map_err(|_| ShardError::Unavailable)
     }
 
     /// Stops every group and joins all threads, each group's WAL thread
@@ -634,6 +585,78 @@ impl ShardedNode {
     pub fn kill(self) {
         self.shutdown();
     }
+}
+
+/// Proposes each routed command into its group on this server: one
+/// [`NodeInput::Propose`] per group carrying its share in input order,
+/// answered once with every index (see [`per_group`]).
+fn propose_routed(
+    groups: &[GroupHandle],
+    items: Vec<(Result<GroupId, ShardError>, Bytes)>,
+    wait: Duration,
+) -> Vec<Result<(GroupId, LogIndex), ShardError>> {
+    per_group(groups, items, wait, |handle, commands| {
+        let (reply, rx) = Reply::channel();
+        handle
+            .inbox()
+            .send(NodeInput::Propose {
+                commands,
+                reply: ProposeReply::Accepted(reply),
+            })
+            .map_err(|_| ShardError::Unavailable)?;
+        Ok(rx)
+    })
+}
+
+/// Hands each group its share of the routed `items`, in input order,
+/// through `submit` — every share before any answer is awaited — then
+/// waits for every group's answer under one deadline `wait` and deals
+/// the answers back out in input order. An item routed to an error keeps
+/// it, a group that failed gives every one of its items the failure, and
+/// an item its group left unanswered is [`ShardError::Unavailable`].
+fn per_group<T, A>(
+    groups: &[GroupHandle],
+    items: impl IntoIterator<Item = (Result<GroupId, ShardError>, T)>,
+    wait: Duration,
+    submit: impl Fn(&GroupHandle, Vec<T>) -> Result<Receiver<Result<Vec<A>, ProposeError>>, ShardError>,
+) -> Vec<Result<(GroupId, A), ShardError>> {
+    let mut owners = Vec::new();
+    let mut shares: BTreeMap<GroupId, Vec<T>> = BTreeMap::new();
+    for (owner, item) in items {
+        if let Ok(group) = owner {
+            shares.entry(group).or_default().push(item);
+        }
+        owners.push(owner);
+    }
+    let (sent, slots): (Vec<_>, Vec<_>) = shares
+        .into_iter()
+        .map(|(group, share)| {
+            let slot = groups
+                .get(group.index())
+                .ok_or(ShardError::UnknownGroup(group))
+                .and_then(|handle| submit(handle, share));
+            (group, slot)
+        })
+        .unzip();
+    let mut answers: BTreeMap<GroupId, Result<std::vec::IntoIter<A>, ShardError>> = sent
+        .into_iter()
+        .zip(collect_replies(slots, wait))
+        .map(|(group, answer)| (group, answer.and_then(|answer| Ok(answer?.into_iter()))))
+        .collect();
+    owners
+        .into_iter()
+        .map(|owner| {
+            let group = owner?;
+            match answers.get_mut(&group) {
+                Some(Ok(answers)) => answers
+                    .next()
+                    .map(|answer| (group, answer))
+                    .ok_or(ShardError::Unavailable),
+                Some(Err(e)) => Err(e.clone()),
+                None => Err(ShardError::Unavailable),
+            }
+        })
+        .collect()
 }
 
 /// Takes each slot's reply in order, all under one deadline `wait` from
@@ -675,5 +698,74 @@ mod tests {
         assert_eq!(outcomes, vec![Err(ShardError::Unavailable); 3]);
         assert!(took < Duration::from_millis(200), "took {took:?}");
         drop(replies);
+    }
+
+    /// A stand-in group thread that answers each proposal input with
+    /// `answer(its command count)` and hands the test every input's
+    /// commands.
+    fn stand_in(
+        answer: impl Fn(usize) -> Result<Vec<LogIndex>, ProposeError> + Send + 'static,
+    ) -> (GroupHandle, Receiver<Vec<Bytes>>) {
+        let (inbox, inputs) = crossbeam::channel::unbounded();
+        let (seen_tx, seen) = crossbeam::channel::unbounded();
+        std::thread::spawn(move || {
+            for input in inputs.iter() {
+                if let NodeInput::Propose {
+                    commands,
+                    reply: ProposeReply::Accepted(reply),
+                } = input
+                {
+                    reply.answer(answer(commands.len()));
+                    let _ = seen_tx.send(commands);
+                }
+            }
+        });
+        (GroupHandle::new(inbox), seen)
+    }
+
+    /// One batch: a misrouted item, items for a group this server does not
+    /// lead, and items for a healthy group, interleaved. Each group gets
+    /// one input with its share in order, and each item its own outcome,
+    /// in input order.
+    #[test]
+    fn a_mixed_batch_keeps_per_item_outcomes_in_input_order() {
+        let hint = Some(ServerId::new(3));
+        let (healthy, healthy_inputs) =
+            stand_in(|n| Ok((10..10 + n as u64).map(LogIndex::new).collect()));
+        let (follower, follower_inputs) = stand_in(move |_| Err(ProposeError::NotLeader { hint }));
+        let (g0, g1) = (GroupId::new(0), GroupId::new(1));
+        let redirect = Redirect {
+            asked: g1,
+            owner: g0,
+            map_version: 1,
+        };
+        let command = |c: &'static [u8]| Bytes::from_static(c);
+        let items = vec![
+            (Ok(g0), command(b"a")),
+            (Err(ShardError::Redirect(redirect)), command(b"b")),
+            (Ok(g1), command(b"c")),
+            (Ok(g0), command(b"d")),
+            (Ok(g1), command(b"e")),
+        ];
+        let outcomes = propose_routed(&[healthy, follower], items, Duration::from_secs(5));
+        assert_eq!(
+            outcomes,
+            vec![
+                Ok((g0, LogIndex::new(10))),
+                Err(ShardError::Redirect(redirect)),
+                Err(ShardError::NotLeader { hint }),
+                Ok((g0, LogIndex::new(11))),
+                Err(ShardError::NotLeader { hint }),
+            ]
+        );
+        let one_input = |inputs: Receiver<Vec<Bytes>>| inputs.iter().collect::<Vec<_>>();
+        assert_eq!(
+            one_input(healthy_inputs),
+            [vec![command(b"a"), command(b"d")]]
+        );
+        assert_eq!(
+            one_input(follower_inputs),
+            [vec![command(b"c"), command(b"e")]]
+        );
     }
 }

@@ -119,7 +119,11 @@ fn commands_route_and_redirect_over_tcp() {
     let key = &keys_for(any.map(), groups[0], 1)[0];
     let wrong = groups[1];
     let err = any
-        .propose_to(wrong, key.as_bytes(), KvCommand::Get { key: key.clone() }.encode())
+        .propose_to(
+            wrong,
+            key.as_bytes(),
+            KvCommand::Get { key: key.clone() }.encode(),
+        )
         .expect_err("misroute must not reach the log");
     match err {
         ShardError::Redirect(redirect) => {
@@ -209,7 +213,10 @@ fn killing_one_shards_leader_does_not_stall_the_others() {
             "victim shard never failed over"
         );
     }
-    assert!(writes >= unaffected.len() * 2, "too few writes to call it traffic");
+    assert!(
+        writes >= unaffected.len() * 2,
+        "too few writes to call it traffic"
+    );
 
     // And the victim shard is healthy again: a write through its new
     // leader commits.
@@ -237,11 +244,10 @@ fn propose_batch_routes_and_batches_per_shard() {
     let servers = 3;
     let shards = 3;
     let (addrs, listeners) = loopback_listeners(servers);
-    let nodes: Vec<Option<ShardedNode>> =
-        spawn_cluster(servers, shards, &addrs, &listeners)
-            .into_iter()
-            .map(Some)
-            .collect();
+    let nodes: Vec<Option<ShardedNode>> = spawn_cluster(servers, shards, &addrs, &listeners)
+        .into_iter()
+        .map(Some)
+        .collect();
     let groups: Vec<GroupId> = nodes[0].as_ref().unwrap().map().groups().collect();
     let leaders = wait_for_all_leaders(&nodes, &groups, Duration::from_secs(15));
 
@@ -266,10 +272,7 @@ fn propose_batch_routes_and_batches_per_shard() {
             (Bytes::from(key), cmd.encode())
         })
         .collect();
-    let expected_groups: Vec<GroupId> = items
-        .iter()
-        .map(|(key, _)| server.route(key))
-        .collect();
+    let expected_groups: Vec<GroupId> = items.iter().map(|(key, _)| server.route(key)).collect();
     let outcomes = server.propose_batch(items);
     assert_eq!(outcomes.len(), 90);
 
@@ -297,10 +300,13 @@ fn propose_batch_routes_and_batches_per_shard() {
     // Every locally led shard accepted its share, at increasing indexes,
     // and applied through to the batch tail.
     for group in &led {
-        let indexes = accepted.get(group).unwrap_or_else(|| {
-            panic!("led shard {group} accepted nothing")
-        });
-        assert!(indexes.windows(2).all(|p| p[1] > p[0]), "indexes must increase");
+        let indexes = accepted
+            .get(group)
+            .unwrap_or_else(|| panic!("led shard {group} accepted nothing"));
+        assert!(
+            indexes.windows(2).all(|p| p[1] > p[0]),
+            "indexes must increase"
+        );
         let last = *indexes.last().unwrap();
         server
             .await_applied(*group, last)
@@ -327,6 +333,62 @@ fn propose_batch_routes_and_batches_per_shard() {
         }
     }
 
+    for node in nodes.into_iter().flatten() {
+        node.shutdown();
+    }
+}
+
+/// A batch crosses each group's inbox once: `propose_batch` of 128 over
+/// two groups that one server leads is one engine batch per group, of
+/// exactly that group's share — not the first few commands a woken group
+/// thread found queued, then the rest.
+#[test]
+fn propose_batch_is_one_engine_batch_per_group() {
+    let (addrs, listeners) = loopback_listeners(1);
+    let nodes: Vec<Option<ShardedNode>> = spawn_cluster(1, 2, &addrs, &listeners)
+        .into_iter()
+        .map(Some)
+        .collect();
+    let server = nodes[0].as_ref().unwrap();
+    let groups: Vec<GroupId> = server.map().groups().collect();
+    wait_for_all_leaders(&nodes, &groups, Duration::from_secs(15));
+    let metrics = |group| server.status(group).expect("status").metrics;
+    let before: Vec<_> = groups.iter().map(|&g| metrics(g)).collect();
+
+    let items: Vec<(Bytes, Bytes)> = (0..128)
+        .map(|i| {
+            let key = format!("one-input-{i}");
+            let cmd = KvCommand::Put {
+                key: key.clone(),
+                value: Bytes::from_static(b"v"),
+            };
+            (Bytes::from(key), cmd.encode())
+        })
+        .collect();
+    let shares: Vec<u64> = groups
+        .iter()
+        .map(|&g| {
+            items
+                .iter()
+                .filter(|(key, _)| server.route(key) == g)
+                .count() as u64
+        })
+        .collect();
+    assert!(
+        shares.iter().all(|&n| n > 0),
+        "both groups get a share: {shares:?}"
+    );
+    let outcomes = server.propose_batch(items);
+    assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+
+    for ((&group, before), share) in groups.iter().zip(&before).zip(shares) {
+        let after = metrics(group);
+        assert_eq!(
+            (after.propose_batches, after.commands_proposed),
+            (before.propose_batches + 1, before.commands_proposed + share),
+            "group {group}"
+        );
+    }
     for node in nodes.into_iter().flatten() {
         node.shutdown();
     }
@@ -371,9 +433,7 @@ fn published_group_histograms_merge_across_groups() {
                 .with("group", group.get());
             let batches = registry
                 .counter_value("escape_propose_batches_total", &labels)
-                .unwrap_or_else(|| {
-                    panic!("server {server}: group {group} published no counter")
-                });
+                .unwrap_or_else(|| panic!("server {server}: group {group} published no counter"));
             per_group_total += batches;
         }
 
@@ -388,7 +448,10 @@ fn published_group_histograms_merge_across_groups() {
         );
         // The leaders committed writes, so at least one group sampled.
         if leaders.values().any(|l| *l == server) {
-            assert!(merged.count > 0, "server {server} led a group yet saw no batches");
+            assert!(
+                merged.count > 0,
+                "server {server} led a group yet saw no batches"
+            );
         }
 
         // The exposition renders every group's series distinctly.
@@ -478,7 +541,10 @@ fn kill_then_immediate_respawn_keeps_every_acked_write_in_both_shards() {
                     if let Some((_, raw)) = answer {
                         break raw;
                     }
-                    assert!(Instant::now() < deadline, "no leader answered a read of {key}");
+                    assert!(
+                        Instant::now() < deadline,
+                        "no leader answered a read of {key}"
+                    );
                     std::thread::sleep(Duration::from_millis(10));
                 };
                 assert_eq!(
@@ -506,8 +572,7 @@ fn kill_then_immediate_respawn_keeps_every_acked_write_in_both_shards() {
 #[test]
 fn a_group_that_cannot_recover_leaves_nothing_running() {
     let (addrs, listeners) = loopback_listeners(3);
-    let root =
-        std::env::temp_dir().join(format!("escape-shard-half-spawn-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("escape-shard-half-spawn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let dir = group_data_dir(&root, GroupId::new(1));
     {
@@ -547,7 +612,10 @@ fn a_group_that_cannot_recover_leaves_nothing_running() {
             },
         )
     });
-    assert!(spawned.is_err(), "an unrecoverable group must fail the spawn");
+    assert!(
+        spawned.is_err(),
+        "an unrecoverable group must fail the spawn"
+    );
 
     // The test still holds the listener, so the connection lands in its
     // backlog; only a leaked acceptor could pick it up and answer.

@@ -26,7 +26,7 @@ use escape_core::types::{LogIndex, Role, ServerId, Term};
 use escape_shard::{ShardSpawnOptions, ShardedNode};
 use escape_storage::WalStorage;
 use escape_transport::tcp::StorageHook;
-use escape_transport::{NodeInput, NodeStatus, Reply};
+use escape_transport::NodeStatus;
 
 use common::{Cluster, G};
 
@@ -236,17 +236,12 @@ fn stalled_follower_disk_delays_its_ack_and_starts_no_election() {
         "the other follower completes the quorum"
     );
     std::thread::sleep(STALL);
-    // Asked through the inbox, because the node's own `await_applied`
-    // would sit out its five seconds: no answer at once means not applied.
-    let (reply, applied) = Reply::channel();
-    cluster
-        .node(follower)
-        .inbox(G)
-        .expect("hosted group")
-        .send(NodeInput::AwaitApplied { index, reply })
-        .expect("node thread alive");
+    // No answer at once means not applied.
     assert!(
-        applied.recv_timeout(Duration::from_millis(1)).is_err(),
+        cluster
+            .node(follower)
+            .await_applied_within(G, index, Duration::from_millis(1))
+            .is_err(),
         "a follower inside its barrier has acked and applied nothing"
     );
     valve.release.send(()).expect("storage is waiting");

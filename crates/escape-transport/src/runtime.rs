@@ -15,6 +15,14 @@
 //! thread, when the node thread is not using it — the engine sits behind
 //! one lock, which the node thread holds across each engine call and
 //! nothing else.
+//!
+//! Writes arrive batched: a [`NodeInput::Propose`] carries all the
+//! commands its sender had for this group (a caller's batch; a client
+//! dispatcher sends each write alone), so a batch costs one inbox send
+//! and one wake-up, not one per command. The thread proposes an input
+//! whole, merging whatever other proposals are already queued into the
+//! same engine call up to [`PROPOSE_BATCH_MAX`] commands: one WAL barrier
+//! and one `AppendEntries` fan-out for them all.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -124,16 +132,19 @@ impl<T> Drop for Reply<T> {
     }
 }
 
-/// When a proposal is answered, and with what.
+/// When a proposal batch is answered, and with what.
 pub enum ProposeReply {
-    /// At acceptance, with the assigned index; the caller follows up with
-    /// [`NodeInput::AwaitApplied`] if it wants the result.
-    Accepted(Reply<Result<LogIndex, ProposeError>>),
-    /// Once: with the index and the state machine's result when the
-    /// command applies, or with the refusal — also when this node loses
-    /// its leadership first, because the entry may then be overwritten and
-    /// what applies at its index is somebody else's command.
-    Applied(Reply<Result<(LogIndex, Bytes), ProposeError>>),
+    /// Once, at acceptance, with every command's index in order; the
+    /// caller follows up with [`NodeInput::AwaitApplied`] if it wants a
+    /// result.
+    Accepted(Reply<Result<Vec<LogIndex>, ProposeError>>),
+    /// One reply per command, in order, because each client write gets
+    /// its own response. Each is answered once: with the index and the
+    /// state machine's result when its command applies, or with the
+    /// refusal — also when this node loses its leadership first, because
+    /// the entry may then be overwritten and what applies at its index is
+    /// somebody else's command.
+    Applied(Vec<Reply<Result<(LogIndex, Bytes), ProposeError>>>),
 }
 
 /// Everything a node thread can receive.
@@ -144,10 +155,10 @@ pub enum NodeInput {
     /// process exited. A failure hint for the engine (see
     /// [`Node::peer_closed`](escape_core::engine::Node::peer_closed)).
     PeerClosed(ServerId),
-    /// A client command.
+    /// A batch of client commands, proposed whole in one engine call.
     Propose {
-        /// Encoded state-machine command.
-        command: Bytes,
+        /// Encoded state-machine commands.
+        commands: Vec<Bytes>,
         /// Who gets the outcome, and when.
         reply: ProposeReply,
     },
@@ -314,8 +325,8 @@ pub fn node_loop(
                     // lint:allow(panic): fail-stop by design — a node that cannot persist must not serve
                     panic!("storage failed to sync: {error}");
                 }
-                NodeInput::Propose { command, reply } => {
-                    carry = thread.propose(command, reply, &inbox);
+                NodeInput::Propose { commands, reply } => {
+                    carry = thread.propose(commands, reply, &inbox);
                 }
                 NodeInput::Read { queries, reply } => {
                     carry = thread.read(queries, reply, &inbox);
@@ -331,9 +342,11 @@ pub fn node_loop(
     }
 }
 
-/// Cap on proposals drained into one engine batch: bounds both the batch
-/// latency (nothing waits behind more than this many queued commands) and
-/// the size of the single `AppendEntries` window a batch produces.
+/// Cap on the commands the drain merges into one engine batch: bounds
+/// both the batch latency (nothing waits behind more than this many
+/// queued commands) and the size of the single `AppendEntries` window a
+/// batch produces. An input is never split, so one larger than this is
+/// proposed whole, alone; its sender bounds it.
 pub const PROPOSE_BATCH_MAX: usize = 256;
 
 /// How many apply results the node loop keeps for late [`NodeInput::AwaitApplied`]
@@ -450,24 +463,27 @@ impl NodeThread {
         }
     }
 
-    /// Proposal-queue drain: grabs every proposal already waiting in the
-    /// inbox (bounded) so one engine batch — one WAL barrier, one fan-out
-    /// — covers them all. A non-proposal input ends the drain and comes
-    /// back to be handled next, preserving arrival order.
+    /// Proposal-queue drain: merges every proposal input already waiting
+    /// in the inbox (up to [`PROPOSE_BATCH_MAX`] commands) into one engine
+    /// batch — one WAL barrier, one fan-out. Inputs are taken whole: one
+    /// that would overflow the cap, or a non-proposal, ends the drain and
+    /// comes back to be handled next, preserving arrival order.
     fn propose(
         &mut self,
-        command: Bytes,
+        mut commands: Vec<Bytes>,
         reply: ProposeReply,
         inbox: &Receiver<NodeInput>,
     ) -> Option<NodeInput> {
         let mut carry = None;
-        let mut commands = vec![command];
-        let mut replies = vec![reply];
+        let mut replies = vec![(reply, commands.len())];
         while commands.len() < PROPOSE_BATCH_MAX {
             match inbox.try_recv() {
-                Ok(NodeInput::Propose { command, reply }) => {
-                    commands.push(command);
-                    replies.push(reply);
+                Ok(NodeInput::Propose {
+                    commands: more,
+                    reply,
+                }) if commands.len() + more.len() <= PROPOSE_BATCH_MAX => {
+                    replies.push((reply, more.len()));
+                    commands.extend(more);
                 }
                 Ok(other) => {
                     carry = Some(other);
@@ -481,23 +497,32 @@ impl NodeThread {
             Some(Ok((indexes, actions))) => {
                 // Register before absorbing: a single-server group applies
                 // the batch in these very actions.
-                for (reply, index) in replies.into_iter().zip(indexes) {
+                let mut indexes = indexes.into_iter();
+                for (reply, count) in replies {
+                    let mine: Vec<LogIndex> = indexes.by_ref().take(count).collect();
                     match reply {
-                        ProposeReply::Accepted(reply) => reply.answer(Ok(index)),
-                        ProposeReply::Applied(reply) => self
-                            .apply_waiters
-                            .entry(index)
-                            .or_default()
-                            .push(ApplyWaiter::Proposed(reply)),
+                        ProposeReply::Accepted(reply) => reply.answer(Ok(mine)),
+                        ProposeReply::Applied(replies) => {
+                            for (reply, index) in replies.into_iter().zip(mine) {
+                                self.apply_waiters
+                                    .entry(index)
+                                    .or_default()
+                                    .push(ApplyWaiter::Proposed(reply));
+                            }
+                        }
                     }
                 }
                 self.absorb(actions);
             }
             Some(Err(e)) => {
-                for reply in replies {
+                for (reply, _) in replies {
                     match reply {
                         ProposeReply::Accepted(reply) => reply.answer(Err(e)),
-                        ProposeReply::Applied(reply) => reply.answer(Err(e)),
+                        ProposeReply::Applied(replies) => {
+                            for reply in replies {
+                                reply.answer(Err(e));
+                            }
+                        }
                     }
                 }
             }
@@ -874,10 +899,10 @@ pub(crate) mod tests {
         let (tx, term) = (leader.group.inbox().clone(), leader.term);
         let (answer_tx, answers) = crossbeam::channel::unbounded();
         tx.send(NodeInput::Propose {
-            command: Bytes::from_static(b"A"),
-            reply: ProposeReply::Applied(Reply::new(move |outcome| {
+            commands: vec![Bytes::from_static(b"A")],
+            reply: ProposeReply::Applied(vec![Reply::new(move |outcome| {
                 let _ = answer_tx.send(outcome);
-            })),
+            })]),
         })
         .unwrap();
         let lost = leader.replicates(b"A");
@@ -932,6 +957,123 @@ pub(crate) mod tests {
         );
         assert!(answers.try_recv().is_err(), "one answer only");
         leader.stop();
+    }
+
+    /// A lone server on a node thread: it leads once its first election
+    /// deadline (10 ms) passes, and needs nobody's acknowledgement.
+    fn lone_leader() -> (GroupHandle, std::thread::JoinHandle<()>) {
+        use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
+        use escape_core::time::Duration;
+
+        let id = ServerId::new(1);
+        let node = Node::builder(id, vec![id])
+            .policy(Box::new(RaftPolicy::with_source(Box::new(
+                ScriptedTimeouts::new(vec![Duration::from_millis(10)]),
+            ))))
+            .state_machine(Box::new(Echo))
+            .build();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let group = GroupHandle::new(tx);
+        let thread = {
+            let group = group.clone();
+            let (sent, _) = crossbeam::channel::unbounded();
+            let outbound = Arc::new(RecordingOutbound(sent));
+            std::thread::spawn(move || node_loop(node, group, rx, outbound))
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while status_of(&group).role != Role::Leader {
+            assert!(std::time::Instant::now() < deadline, "never led");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        (group, thread)
+    }
+
+    fn status_of(group: &GroupHandle) -> NodeStatus {
+        let (reply, status) = Reply::channel();
+        group.inbox().send(NodeInput::Query { reply }).unwrap();
+        status
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .unwrap()
+    }
+
+    /// Queues `inputs` behind the node thread's back: it is kept on the
+    /// engine lock (inside a step, or inside the status query sent first)
+    /// until all of them wait in the inbox, so its drain meets them
+    /// together.
+    fn queue_together(group: &GroupHandle, inputs: Vec<NodeInput>) {
+        let held = group.engine.lock();
+        let (reply, _) = Reply::channel();
+        group.inbox().send(NodeInput::Query { reply }).unwrap();
+        for input in inputs {
+            group.inbox().send(input).unwrap();
+        }
+        drop(held);
+    }
+
+    /// A proposal input that wants each index at acceptance.
+    fn accepted(commands: usize) -> (NodeInput, Receiver<Result<Vec<LogIndex>, ProposeError>>) {
+        let (reply, indexes) = Reply::channel();
+        let input = NodeInput::Propose {
+            commands: (0..commands)
+                .map(|i| Bytes::from(format!("c{i}")))
+                .collect(),
+            reply: ProposeReply::Accepted(reply),
+        };
+        (input, indexes)
+    }
+
+    /// Three inputs queued in order — a batch, a single command, a status
+    /// query: the two proposals are merged into one engine call and the
+    /// query is carried over and answered after it. An input bigger than
+    /// `PROPOSE_BATCH_MAX` is never merged into or split: it is one engine
+    /// call of its own.
+    #[test]
+    fn queued_proposals_share_one_engine_call_and_inputs_stay_whole() {
+        let wait = std::time::Duration::from_secs(5);
+        let consecutive =
+            |indexes: &[LogIndex]| indexes.windows(2).all(|p| p[1].get() == p[0].get() + 1);
+        let (group, thread) = lone_leader();
+        let before = status_of(&group).metrics;
+
+        let (batch, batch_indexes) = accepted(3);
+        let (single, single_indexes) = accepted(1);
+        let (reply, carried) = Reply::channel();
+        queue_together(&group, vec![batch, single, NodeInput::Query { reply }]);
+        let batch_indexes = batch_indexes.recv_timeout(wait).unwrap().unwrap();
+        let single_indexes = single_indexes.recv_timeout(wait).unwrap().unwrap();
+        assert_eq!((batch_indexes.len(), single_indexes.len()), (3, 1));
+        assert!(consecutive(&[batch_indexes, single_indexes].concat()));
+        let merged = carried.recv_timeout(wait).unwrap().metrics;
+        assert_eq!(
+            (merged.propose_batches, merged.commands_proposed),
+            (before.propose_batches + 1, before.commands_proposed + 4),
+            "one engine call for both proposals, before the carried query"
+        );
+
+        let (single, single_indexes) = accepted(1);
+        let (big, big_indexes) = accepted(PROPOSE_BATCH_MAX + 1);
+        queue_together(&group, vec![single, big]);
+        assert_eq!(single_indexes.recv_timeout(wait).unwrap().unwrap().len(), 1);
+        let big_indexes = big_indexes.recv_timeout(wait).unwrap().unwrap();
+        assert_eq!(big_indexes.len(), PROPOSE_BATCH_MAX + 1);
+        assert!(consecutive(&big_indexes));
+        let after = status_of(&group).metrics;
+        assert_eq!(
+            (after.propose_batches, after.commands_proposed),
+            (
+                merged.propose_batches + 2,
+                merged.commands_proposed + PROPOSE_BATCH_MAX as u64 + 2
+            ),
+        );
+        let overflow = |m: &NodeMetrics| m.batch_size_histogram.last().copied();
+        assert_eq!(
+            overflow(&after),
+            overflow(&merged).map(|n| n + 1),
+            "the oversized input was proposed whole"
+        );
+
+        group.inbox().send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
     }
 
     /// The recent-results window holds the last `RESULT_WINDOW` applies:
@@ -1005,7 +1147,11 @@ pub(crate) mod tests {
         ))
         .unwrap();
         assert_eq!(awaited(&[newest]), [command(newest)], "the newest apply");
-        assert_eq!(awaited(&[1]), [Bytes::new()], "evicted by the one over the window");
+        assert_eq!(
+            awaited(&[1]),
+            [Bytes::new()],
+            "evicted by the one over the window"
+        );
 
         // The leader falls silent: the follower campaigns, then a leader
         // of its new term reaches it and it steps down.

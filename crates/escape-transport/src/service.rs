@@ -15,7 +15,8 @@
 //!   once is answered right there, on the group's engine
 //!   ([`GroupHandle::read`]), so a leased get never leaves the dispatcher;
 //!   the engine is taken by `try_lock` only, and every other operation
-//!   goes to the group's inbox. It never waits for an outcome, so a
+//!   goes to the group's inbox (a write as its own one-command
+//!   [`NodeInput::Propose`]). It never waits for an outcome, so a
 //!   wedged or leaderless shard delays only its own requests.
 //! * The **group thread** answers the rest: it invokes the reply where the
 //!   outcome is known — a read when its batch is ready, a write when its
@@ -190,10 +191,10 @@ impl ClientService {
                 command,
             } => self.submit(group, &key, |group| {
                 let input = NodeInput::Propose {
-                    command,
-                    reply: ProposeReply::Applied(respond(id, outbox, |(index, result)| {
+                    commands: vec![command],
+                    reply: ProposeReply::Applied(vec![respond(id, outbox, |(index, result)| {
                         ResponseBody::Written { index, result }
-                    })),
+                    })]),
                 };
                 // A refused send hands the input back, and dropping it
                 // answers `Unavailable`.
