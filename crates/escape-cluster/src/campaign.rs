@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use bytes::Bytes;
 
 use escape_core::config::Configuration;
+use escape_core::engine::Options;
 use escape_core::log::{Entry, Payload};
 use escape_core::rand::{Rng64, Xoshiro256};
 use escape_core::storage::{Barrier, RecoveredState, Storage};
@@ -577,11 +578,9 @@ impl StorageHarness for CampaignStorage {
 /// latency.
 ///
 /// `tcp_shape` swaps in what a TCP deployment of this workspace runs: three
-/// servers, and `ProtocolSpec::local_options`' leased reads (which arm the
-/// vote fence) and heartbeat-paced vote retry.
+/// servers and [`Options::local`]'s timings, whose leased reads arm the
+/// vote fence and whose vote retry is paced by the heartbeat.
 fn trial_config(seed: u64, loss: LossModel, tcp_shape: bool) -> ClusterConfig {
-    let heartbeat_interval = Duration::from_millis(50);
-    let defaults = escape_core::engine::Options::default();
     ClusterConfig {
         n: if tcp_shape { 3 } else { 5 },
         protocol: Protocol::Escape {
@@ -594,15 +593,13 @@ fn trial_config(seed: u64, loss: LossModel, tcp_shape: bool) -> ClusterConfig {
         },
         loss,
         seed,
-        options: escape_core::engine::Options {
-            heartbeat_interval,
-            lease_duration: tcp_shape.then(|| Duration::from_millis(100)),
-            vote_retry_interval: if tcp_shape {
-                Some(heartbeat_interval)
-            } else {
-                defaults.vote_retry_interval
-            },
-            ..defaults
+        options: if tcp_shape {
+            Options::local()
+        } else {
+            Options {
+                heartbeat_interval: Duration::from_millis(50),
+                ..Options::default()
+            }
         },
         check_safety: false,
     }
@@ -1091,13 +1088,14 @@ mod tests {
     /// the prepared candidate, detected one vote fence after the leader's
     /// last word instead of a full election timeout — under 20 % loss.
     ///
-    /// The hint moves both followers by the same 25 ms, so Eq. 1's 50 ms
-    /// gap `k` — one heartbeat, one vote retry — is all that orders them,
-    /// as it is without the hint: any campaign besides the prepared
-    /// candidate's needs a lost frame, and loses to its higher term.
+    /// The hint moves both followers by the same `baseTime` − fence, so
+    /// Eq. 1's 50 ms gap `k` — 2.5 heartbeats and vote retries — is all
+    /// that orders them, as it is without the hint: any campaign besides
+    /// the prepared candidate's needs a lost frame, and loses to its
+    /// higher term.
     #[test]
     fn an_exited_leader_is_replaced_one_fence_after_its_last_word() {
-        let fence = Duration::from_millis(125);
+        let fence = Options::local().vote_fence().expect("local timings lease");
         let k = Duration::from_millis(50);
         let mut single = 0;
         for seed in 1..=25 {
@@ -1188,9 +1186,9 @@ mod tests {
             );
             single += usize::from(alone);
         }
-        // Seeds 7, 9, 13, 16 and 23 lose such frames. The same test with
-        // the silent `crash` (no hint) counts 19 lone campaigns.
-        assert_eq!(single, 20);
+        // At the local timings no seed loses such frames. The same test
+        // with the silent `crash` (no hint) counts 23 lone campaigns.
+        assert_eq!(single, 25);
     }
 
     /// The committed seed corpus replays clean — every scenario/seed pair

@@ -219,7 +219,15 @@ pub struct Options {
     /// further via [`ElectionPolicy::lease_bound`]. The fence is also the
     /// floor of hinted detection: a follower told that its leader's
     /// process closed its connections ([`Node::peer_closed`]) campaigns no
-    /// sooner than one fence after it last heard that leader.
+    /// sooner than one fence after it last heard that leader, so on a
+    /// real network the lease, not the election timeout, sets how long a
+    /// killed leader's group has none ([`Options::vote_fence`]).
+    ///
+    /// Each quorum-acked heartbeat round extends the lease to its own
+    /// start plus `lease_duration`. With a lease of at least two
+    /// heartbeats it holds without a gap while every round's quorum ack
+    /// lands within one heartbeat of its send, and one lost round lapses
+    /// it only until the next round's ack. [`Options::local`] runs two.
     pub lease_duration: Option<Duration>,
 }
 
@@ -234,6 +242,48 @@ impl Default for Options {
             snapshot_threshold: None,
             lease_duration: None,
         }
+    }
+}
+
+impl Options {
+    /// The timings a loopback or LAN deployment runs, written down once:
+    /// 20 ms heartbeats, a lease of two heartbeats (so a 50 ms vote fence)
+    /// and a vote retry of one heartbeat. The TCP runtime
+    /// (`escape_transport::ProtocolSpec::local_options`), the simulator's
+    /// TCP-shaped campaign trials and the engine's hint and fence tests
+    /// all read them from here.
+    ///
+    /// The fence is the whole detection time of a hinted failover (a
+    /// leader whose process closed its connections), so the lease sets the
+    /// outage a client sees. The heartbeat is the knee of a measured sweep:
+    /// a shorter one costs more messages per write, and at 15 ms the
+    /// client's retry backoff already stretches the worst outage to nearly
+    /// twice the median. A lease of two heartbeats survives one lost round:
+    /// the lease lapses only until the next round's quorum ack lands. The
+    /// local election timeouts (`baseTime` 150 ms and `k` 50 ms, Raft
+    /// 150–300 ms) stay far above the fence and are not part of these
+    /// options.
+    ///
+    /// The engine's default retry (500 ms, sized for the paper's WAN
+    /// timeouts) is longer than every local election timeout, so a lost
+    /// `RequestVote` would always cost a whole new campaign before it
+    /// could fire; one heartbeat rescues it inside the campaign.
+    pub fn local() -> Options {
+        let heartbeat_interval = Duration::from_millis(20);
+        Options {
+            heartbeat_interval,
+            lease_duration: Some(heartbeat_interval * 2),
+            vote_retry_interval: Some(heartbeat_interval),
+            ..Options::default()
+        }
+    }
+
+    /// The vote fence these options arm: lease × 5/4 of silence a voter
+    /// waits before it grants a vote, or `None` without a lease. A
+    /// policy's [`ElectionPolicy::lease_bound`] may shorten the lease a
+    /// node actually holds, and the fence with it.
+    pub fn vote_fence(&self) -> Option<Duration> {
+        self.lease_duration.map(Node::lease_fence)
     }
 }
 

@@ -1820,22 +1820,98 @@ fn clock_drift_within_the_fence_margin_cannot_revive_a_lease() {
     );
 }
 
+// ---- the local lease across heartbeat rounds ----
+
+/// Fires `leader`'s heartbeat at its deadline and returns the round's
+/// start and what it sends, undelivered.
+fn leader_round(pump: &mut Pump, leader: u32) -> (Time, Vec<Action>) {
+    let id = ServerId::new(leader);
+    let (token, start) = pump.timers[&id][&TimerKind::Heartbeat];
+    pump.now = start;
+    (start, pump.node_mut(leader).handle_timer(token, start))
+}
+
+/// Delivers a round's frames, and the followers' acks, at `at`.
+fn deliver_round(pump: &mut Pump, leader: u32, sent: Vec<Action>, at: Time) {
+    pump.now = at;
+    pump.absorb(ServerId::new(leader), sent);
+    pump.settle();
+}
+
+/// What a lease of two heartbeats buys at the local timings: each round
+/// extends the lease to its own start plus the lease, so it holds without
+/// a gap while every round's quorum ack lands within one heartbeat of its
+/// send, and a lost round lapses it only until the next round's ack.
+#[test]
+fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
+    let local = Options::local();
+    let hb = local.heartbeat_interval;
+    let lease = local.lease_duration.expect("local timings lease");
+    assert!(lease >= hb * 2);
+    let leader = 3;
+    let mut pump = local_escape_cluster(3, true);
+    let queries = [Bytes::from_static(b"q")];
+
+    for round in 0..20u64 {
+        // Acks from a quarter of a heartbeat up to just under a whole one.
+        let delay = Duration::from_micros(hb.as_micros() * (round % 4 + 1) / 4 - 1);
+        let (start, sent) = leader_round(&mut pump, leader);
+        // Valid up to the instant this round's ack lands: no gap since
+        // the last extension.
+        assert!(
+            pump.node(leader).lease_valid(start + delay),
+            "round {round}"
+        );
+        deliver_round(&mut pump, leader, sent, start + delay);
+        assert_eq!(
+            pump.node(leader).lease_until,
+            start + lease,
+            "round {round}"
+        );
+    }
+
+    // One round lost: the lease runs out no sooner than the next round
+    // starts, and is back when that round's ack lands.
+    let (_, lost) = leader_round(&mut pump, leader);
+    pump.absorb(ServerId::new(leader), lost);
+    pump.inbox.clear();
+    let lapse = pump.node(leader).lease_until;
+    let just_before = lapse - Duration::from_micros(1);
+    assert!(pump
+        .node_mut(leader)
+        .lease_read(&queries, just_before)
+        .is_some());
+    let delay = hb / 2;
+    let (start, sent) = leader_round(&mut pump, leader);
+    let acked_at = start + delay;
+    assert!(lapse >= start);
+    assert!(acked_at - lapse <= delay);
+    // Inside the gap the leader refuses to answer on its lease.
+    assert!(!pump.node(leader).lease_valid(lapse));
+    declines_untouched(pump.node_mut(leader), lapse);
+    deliver_round(&mut pump, leader, sent, acked_at);
+    assert!(pump.node(leader).lease_valid(acked_at));
+    assert!(pump
+        .node_mut(leader)
+        .lease_read(&queries, acked_at)
+        .is_some());
+}
+
 // ---- the failure hint and the deferred fenced grant ----
 
-/// The local-timing knobs a TCP deployment runs (`ProtocolSpec::
-/// local_options` and `escape_local`): 50 ms heartbeats, a 100 ms lease
-/// (so a 125 ms vote fence) or none, `baseTime` 150 ms, `k` 50 ms.
+/// The local timings a TCP deployment runs ([`Options::local`], with its
+/// lease or without), under `escape_local`'s `baseTime` 150 ms and `k`
+/// 50 ms.
 fn local_escape_cluster(n: u32, leased: bool) -> Pump {
     let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
     let params = EscapeParams::builder(n as usize)
         .base_time_ms(150)
         .spacing_ms(50)
         .build();
+    let local = Options::local();
     let options = Options {
-        heartbeat_interval: Duration::from_millis(50),
-        lease_duration: leased.then(|| Duration::from_millis(100)),
-        vote_retry_interval: Some(Duration::from_millis(50)),
-        ..Options::default()
+        lease_duration: local.lease_duration.filter(|_| leased),
+        ..local
     };
     let nodes = ids
         .iter()
@@ -1854,6 +1930,11 @@ fn local_escape_cluster(n: u32, leased: bool) -> Pump {
         pump.fire(ServerId::new(n), TimerKind::Heartbeat);
     }
     pump
+}
+
+/// The vote fence of [`Options::local`].
+fn local_fence() -> Duration {
+    Options::local().vote_fence().expect("local timings lease")
 }
 
 /// An empty `AppendEntries` from `leader` at `term`.
@@ -2018,14 +2099,16 @@ fn hinted_followers_keep_their_eq1_spacing() {
         })
         .collect();
     // Priorities n and n−1: `baseTime` and `baseTime + k`, both moved
-    // 25 ms earlier — the prepared one to the fence, the gap still k.
-    assert_eq!(moved[0], contact + Duration::from_millis(125));
+    // `baseTime` − fence earlier — the prepared one to the fence, the gap
+    // still k.
+    let fence = local_fence();
+    assert_eq!(moved[0], contact + fence);
     assert_eq!(moved[1] - moved[0], Duration::from_millis(50));
 
     // The prepared follower campaigns first, alone, and wins.
     pump.crash(3);
     pump.fire(ServerId::new(followers[0]), TimerKind::Election);
-    assert_eq!(pump.now, contact + Duration::from_millis(125));
+    assert_eq!(pump.now, contact + fence);
     assert_eq!(pump.leader(), Some(ServerId::new(followers[0])));
     assert_eq!(pump.node(followers[1]).metrics().elections_started, 0);
 }
@@ -2132,11 +2215,7 @@ fn a_fenced_refusal_is_granted_exactly_once_at_the_lapse() {
     let refused = node.handle_message(candidate, solicit, contact + Duration::from_millis(1));
     assert_eq!(vote_replies(&refused), vec![(candidate, false)]);
     let (token, lapse) = fence_lapse(&refused);
-    assert_eq!(
-        lapse,
-        contact + Duration::from_millis(125),
-        "one fence after the contact"
-    );
+    assert_eq!(lapse, contact + local_fence(), "one fence after the contact");
     assert_eq!(node.voted_for(), None);
 
     let granted = node.handle_timer(token, lapse);

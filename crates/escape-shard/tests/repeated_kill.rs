@@ -37,23 +37,28 @@ const DOWNTIME: Duration = Duration::from_millis(300);
 /// survivor's vote fence refused the candidate: vote round trips on
 /// loopback, nowhere near a second 150 ms timeout.
 const ELECT_BOUND_MICROS: u64 = 50_000;
-/// Detection must come within the 125 ms vote fence of `local_options`
-/// (its 100 ms lease × 5/4) of the kill, plus 10 ms for scheduling: the
-/// hint, not the 150 ms `baseTime`, ends it. How far short of the bound it
-/// falls depends on where in the 50 ms heartbeat cycle the kill lands, so
-/// the hint itself is checked too. The first kill comes straight after the
-/// first election, before the new leader's PPF rearrangement need have
-/// reached its followers: their timers still run their longer boot-time
-/// periods, which the hint shortens by the same 25 ms but does not bring
-/// down to the fence. Only the later kills are held to either.
-const DETECT_BOUND_MICROS: u64 = 125_000 + 10_000;
+/// Detection must come within one vote fence of `local_options` (lease ×
+/// 5/4) of the kill, plus 10 ms for scheduling: the hint, not the 150 ms
+/// `baseTime`, ends it. How far short of the bound it falls depends on
+/// where in the heartbeat cycle the kill lands, so the hint itself is
+/// checked too. The first kill comes straight after the first election,
+/// before the new leader's PPF rearrangement need have reached its
+/// followers: their timers still run their longer boot-time periods, which
+/// the hint shortens by the same `baseTime` − fence but does not bring down
+/// to the fence. Only the later kills are held to either.
+fn detect_bound_micros() -> u64 {
+    let fence = ProtocolSpec::local_options()
+        .vote_fence()
+        .expect("local options lease");
+    fence.as_micros() + 10_000
+}
 /// Each kill after the first comes straight after the respawned server's
 /// catch-up, so the leader may have spoken to the respawned follower up to
 /// one heartbeat after its last heartbeat to the candidate. That
 /// follower's vote fence then still stands when the candidate's timer
 /// fires: it refuses the solicitation and grants it when its fence lapses.
 /// Leadership must follow that lapse this closely (scheduling), not wait
-/// for the in-campaign vote retry 50 ms after the campaign.
+/// for the in-campaign vote retry one heartbeat after the campaign.
 const GRANT_BOUND_MICROS: u64 = 10_000;
 
 /// Records into one server's log on the *test's* clock. Every incarnation
@@ -254,7 +259,7 @@ fn every_kill_of_the_sitting_leader_costs_one_campaign() {
                 timeline.render()
             );
             assert!(
-                timeline.detect_micros() <= DETECT_BOUND_MICROS,
+                timeline.detect_micros() <= detect_bound_micros(),
                 "kill #{round}: detection took {} us\n{}",
                 timeline.detect_micros(),
                 timeline.render()

@@ -109,26 +109,16 @@ impl ProtocolSpec {
         }
     }
 
-    /// Engine options matched to local timings: 50 ms heartbeats and a
-    /// 100 ms leader lease. The lease's vote fence is lease × 5/4 =
-    /// 125 ms of required silence — under the 150 ms floor every local
-    /// spec gives its shortest election timeout, so a legitimate failover
-    /// (a voter whose timer actually expired) is never delayed. The
-    /// engine additionally caps the lease at the policy's own bound.
-    ///
-    /// A candidate re-solicits the voters that have not answered once per
-    /// heartbeat interval: the engine's default retry (500 ms, sized for
-    /// the paper's WAN timeouts) is longer than every local election
-    /// timeout, so a lost `RequestVote` would always cost a whole new
-    /// campaign before the retry could fire.
+    /// Engine options matched to local timings: [`Options::local`], the
+    /// one definition of the local heartbeat, lease and vote retry. Its
+    /// vote fence (lease × 5/4) is the required silence before any vote,
+    /// under the 150 ms floor every local spec gives its shortest election
+    /// timeout, so a legitimate failover (a voter whose timer actually
+    /// expired) is never delayed; it is also all a hinted failover waits
+    /// (a leader whose process closed its connections). The engine
+    /// additionally caps the lease at the policy's own bound.
     pub fn local_options() -> Options {
-        let heartbeat_interval = Duration::from_millis(50);
-        Options {
-            heartbeat_interval,
-            lease_duration: Some(Duration::from_millis(100)),
-            vote_retry_interval: Some(heartbeat_interval),
-            ..Options::default()
-        }
+        Options::local()
     }
 }
 
@@ -146,7 +136,7 @@ mod tests {
         let opts = ProtocolSpec::local_options();
         let hb = opts.heartbeat_interval;
         let lease = opts.lease_duration.expect("local options enable leases");
-        let fence = Duration::from_micros(lease.as_micros() * 5 / 4);
+        let fence = opts.vote_fence().expect("a lease arms the fence");
         let retry = opts.vote_retry_interval.expect("local options retry votes");
         match ProtocolSpec::escape_local() {
             ProtocolSpec::Escape { base_time, .. } => {

@@ -70,8 +70,8 @@ fn get(nodes: &[Option<ShardedNode>], key: &str) -> Option<String> {
 
 fn main() {
     // Three replicas running ESCAPE with loopback-scaled timings
-    // (baseTime 150 ms, k 50 ms, heartbeats every 50 ms), each with a
-    // data directory of its own under a scratch root.
+    // (baseTime 150 ms, k 50 ms, and `Options::local`'s heartbeat and
+    // lease), each with a data directory of its own under a scratch root.
     let root = std::env::temp_dir().join(format!("escape-kv-failover-{}", std::process::id()));
     let (addrs, listeners) = loopback_listeners(3);
     let spawn = |i: usize| {
