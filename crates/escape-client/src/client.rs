@@ -260,8 +260,11 @@ impl Client {
                         self.leaders.lock().insert(group, leader);
                     }
                     _ => {
-                        // Leaderless (mid-failover): forget the hint and
-                        // back off before probing again.
+                        // Leaderless: the server held the request a whole
+                        // election timeout floor and no leader emerged (a
+                        // mid-failover server answers with the successor
+                        // instead). Forget the hint and back off before
+                        // probing again.
                         self.leaders.lock().remove(&group);
                         self.sleep_within(&mut backoff, deadline);
                     }

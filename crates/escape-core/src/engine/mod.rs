@@ -161,6 +161,11 @@ pub enum Action {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProposeError {
     /// Only leaders accept proposals; `hint` is the last known leader.
+    /// The engine refuses without a hint while it knows no leader (mid
+    /// election, or its leader's connections just closed); a node thread
+    /// holds such a refusal until a leader is known, so a refusal that
+    /// reaches a client without a hint means none emerged within one
+    /// timeout floor ([`Node::timeout_floor`]).
     NotLeader {
         /// Where to retry, if known.
         hint: Option<ServerId>,
@@ -695,9 +700,18 @@ impl Node {
         self.voted_for
     }
 
-    /// The last known leader (self, while leading).
+    /// The last known leader (self, while leading). A follower forgets it
+    /// when that leader's connections close ([`Node::peer_closed`]).
     pub fn leader_hint(&self) -> Option<ServerId> {
         self.leader_hint
+    }
+
+    /// The policy's shortest election timeout
+    /// ([`ElectionPolicy::timeout_floor`]): within it of losing its
+    /// leader, some server of the cluster campaigns. `None` when the
+    /// policy cannot know it.
+    pub fn timeout_floor(&self) -> Option<Duration> {
+        self.policy.timeout_floor()
     }
 
     /// The replicated log.
@@ -816,6 +830,11 @@ impl Node {
     /// (at once without leases). A leader that is in fact alive re-arms
     /// the timer with its next `AppendEntries`, as always.
     ///
+    /// The follower also stops naming `peer` as its leader: refusals
+    /// carry no hint until a leader is heard again (the closed one's next
+    /// `AppendEntries`, if it is in fact alive, or a successor's), so a
+    /// client is not sent back to a server that has just gone.
+    ///
     /// No safety argument rests on the hint: voters still enforce their
     /// own fence. A voter that heard the leader after the candidate did
     /// (by µs when a broadcast reached it later, by up to a heartbeat
@@ -827,6 +846,7 @@ impl Node {
         if self.role != Role::Follower || self.leader_hint != Some(peer) {
             return out;
         }
+        self.leader_hint = None;
         let (Some(floor), Some(contact)) = (self.policy.timeout_floor(), self.last_leader_contact)
         else {
             return out;

@@ -2076,11 +2076,49 @@ fn a_hint_never_moves_the_deadline_inside_the_fence_nor_later() {
     assert_eq!(election_deadline(&actions), Some(Time::from_millis(135)));
 
     // Armed at 10 + 100, before the fence lapses: the hint would move it
-    // later, so it does nothing.
+    // later, so it does nothing — beyond forgetting the closed leader.
     let mut node = floored_follower(100);
     let before = format!("{node:?}");
+    let forgotten = before.replace("leader_hint: Some(ServerId(1))", "leader_hint: None");
+    assert_ne!(forgotten, before, "the follower named server 1 its leader");
     assert!(node.peer_closed(leader, Time::from_millis(11)).is_empty());
+    assert_eq!(format!("{node:?}"), forgotten);
+}
+
+#[test]
+fn a_hinted_follower_names_no_leader_until_one_is_heard() {
+    let leader = ServerId::new(1);
+    let mut node = floored_follower(140);
+    node.peer_closed(leader, Time::from_millis(11));
+    assert_eq!(node.leader_hint(), None);
+    assert_eq!(
+        node.propose(Bytes::from_static(b"x"), Time::from_millis(12)).map(|_| ()),
+        Err(ProposeError::NotLeader { hint: None }),
+        "no redirect to the server that just closed"
+    );
+    assert_eq!(
+        node.read_batch(Vec::new(), Time::from_millis(12)).map(|_| ()),
+        Err(ProposeError::NotLeader { hint: None })
+    );
+
+    // The leader was alive after all: its next heartbeat names it again.
+    node.handle_message(leader, heartbeat(1, leader), Time::from_millis(20));
+    assert_eq!(node.leader_hint(), Some(leader));
+    assert_eq!(
+        node.propose(Bytes::from_static(b"x"), Time::from_millis(21)).map(|_| ()),
+        Err(ProposeError::NotLeader { hint: Some(leader) })
+    );
+}
+
+#[test]
+fn a_hint_from_a_peer_that_is_not_the_leader_leaves_the_node_as_it_was() {
+    let mut node = floored_follower(140);
+    let before = format!("{node:?}");
+    assert!(node
+        .peer_closed(ServerId::new(3), Time::from_millis(11))
+        .is_empty());
     assert_eq!(format!("{node:?}"), before);
+    assert_eq!(node.leader_hint(), Some(ServerId::new(1)));
 }
 
 #[test]

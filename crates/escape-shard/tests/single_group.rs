@@ -1,7 +1,8 @@
 //! The classic single-group node — a `ShardedNode` over a shard map of
 //! one — over real TCP: election and commit, what `kill` closes, recovery
 //! from the data directory, fencing of a wiped node, storage faults
-//! injected under the real stack, and shutting down after serving reads.
+//! injected under the real stack, shutting down after serving reads, and
+//! what a write to a survivor of a leader kill is told.
 
 mod common;
 
@@ -16,8 +17,9 @@ use bytes::{Bytes, BytesMut};
 
 use escape_core::message::{Message, RequestVoteReply};
 use escape_core::types::{ServerId, Term};
-use escape_shard::ShardSpawnOptions;
+use escape_shard::{ShardError, ShardSpawnOptions};
 use escape_transport::tcp::StorageHook;
+use escape_transport::ProtocolSpec;
 use escape_wire::{
     write_frame, ClientRequest, ClientResponse, Decode, Encode, Envelope, FrameReader, RequestBody,
     ResponseBody, CLIENT_HELLO,
@@ -272,5 +274,74 @@ fn a_node_that_served_client_reads_shuts_down_promptly() {
         "shutdown did not return within 2 s"
     );
     drop(client);
+    cluster.finish();
+}
+
+/// A write sent to each survivor the moment the leader's `kill` returns
+/// is told where the new leader is — or accepted, by a survivor already
+/// leading — and never sent back to the killed server, nor told that no
+/// leader is known: each survivor forgets a leader whose connections
+/// closed and holds the refusal until the successor is known. Each answer
+/// comes within the vote fence of `local_options` plus three heartbeats
+/// of the kill.
+#[test]
+fn a_write_to_a_survivor_of_a_leader_kill_is_sent_to_the_successor() {
+    let mut cluster = Cluster::start(None, ShardSpawnOptions::default());
+    let killed = cluster.wait_for_leader();
+    propose_and_apply(cluster.node(killed), b"before");
+    // Let heartbeats carry the leader's PPF assignment to its followers:
+    // their boot-time timers are longer than the fence the hint brings
+    // the prepared one down to.
+    std::thread::sleep(Duration::from_millis(300));
+    let options = ProtocolSpec::local_options();
+    let fence = options.vote_fence().expect("local options lease");
+    let bound =
+        Duration::from_micros(fence.as_micros() + 3 * options.heartbeat_interval.as_micros());
+
+    let killed_at = Instant::now();
+    cluster.kill(killed);
+    let survivors: Vec<usize> = (0..3).filter(|i| *i != killed).collect();
+    // The survivors' mesh readers see the closed sockets as `kill`
+    // returns, racing this thread to their inboxes. Give them up to
+    // 10 ms — no survivor can have campaigned within a fifth of the
+    // fence — so that the writes ask after the close, not before it.
+    let named_killed = |i: usize| {
+        let status = cluster.node(i).status(G).expect("status");
+        status.leader_hint == Some(ServerId::new(killed as u32 + 1))
+    };
+    let settle = Instant::now() + Duration::from_millis(10);
+    while Instant::now() < settle && survivors.iter().any(|&i| named_killed(i)) {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let answers: Vec<_> = std::thread::scope(|scope| {
+        let asks: Vec<_> = survivors
+            .iter()
+            .map(|&i| {
+                let node = cluster.node(i);
+                scope.spawn(move || {
+                    let answer = node.propose(b"", Bytes::from_static(b"after"));
+                    (i, answer, killed_at.elapsed())
+                })
+            })
+            .collect();
+        asks.into_iter().map(|ask| ask.join().unwrap()).collect()
+    });
+    let successor = ServerId::new(cluster.wait_for_leader() as u32 + 1);
+    assert_ne!(successor, ServerId::new(killed as u32 + 1));
+    for (i, answer, after) in answers {
+        match answer {
+            Ok(_) => assert_eq!(ServerId::new(i as u32 + 1), successor),
+            Err(ShardError::NotLeader { hint }) => assert_eq!(
+                hint,
+                Some(successor),
+                "survivor {i} named {hint:?}, not the successor"
+            ),
+            Err(other) => panic!("survivor {i}: {other:?}"),
+        }
+        assert!(
+            after <= bound,
+            "survivor {i} answered {after:?} after the kill (bound {bound:?})"
+        );
+    }
     cluster.finish();
 }

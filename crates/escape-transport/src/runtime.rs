@@ -23,6 +23,15 @@
 //! whole, merging whatever other proposals are already queued into the
 //! same engine call up to [`PROPOSE_BATCH_MAX`] commands: one WAL barrier
 //! and one `AppendEntries` fan-out for them all.
+//!
+//! A refusal that names no leader — the node is mid-election, or its
+//! leader's connections just closed — is held rather than answered: the
+//! thread answers it `NotLeader` with the leader as soon as the engine
+//! names one (this node too, once it wins), or without a hint after the
+//! policy's timeout floor ([`Node::timeout_floor`]) if none emerges. The
+//! client then goes straight to the new leader instead of backing off
+//! and probing. A held refusal stays a refusal: nothing it carried is
+//! proposed.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -34,7 +43,7 @@ use parking_lot::Mutex;
 use escape_core::engine::{Action, Node, ProposeError, TimerKind, TimerToken};
 use escape_core::message::Message;
 use escape_core::metrics::NodeMetrics;
-use escape_core::time::Time;
+use escape_core::time::{Duration, Time};
 use escape_core::types::{LogIndex, Role, ServerId, Term};
 
 use crate::clock::RuntimeClock;
@@ -266,6 +275,7 @@ pub fn node_loop(
 ) {
     let GroupHandle { engine, clock, .. } = group;
     let peers = node.peers().to_vec();
+    let hold_for = node.timeout_floor();
     *engine.lock() = Some(node);
     let mut thread = NodeThread {
         engine,
@@ -278,6 +288,8 @@ pub fn node_loop(
         recent_results: VecDeque::with_capacity(RESULT_WINDOW),
         drops_seen: BTreeMap::new(),
         election_backlog: None,
+        hold_for,
+        held: VecDeque::new(),
     };
     let actions = thread.step(|node, now| node.start(now));
     thread.absorb(actions.unwrap_or_default());
@@ -285,10 +297,12 @@ pub fn node_loop(
     loop {
         thread.poll_backpressure();
         thread.fire_due_timers(&inbox);
+        thread.release_held();
 
-        // Wait for the earliest timer or the next input, whichever first;
-        // an idle node just parks on the inbox.
-        let wait = match thread.timers.values().map(|(_, d)| *d).min() {
+        // Wait for the earliest timer, held refusal or the next input,
+        // whichever first; an idle node just parks on the inbox.
+        let due = thread.timers.values().map(|(_, d)| *d);
+        let wait = match due.chain(thread.held.front().map(|h| h.until)).min() {
             Some(deadline) => clock.until(deadline).unwrap_or(std::time::Duration::ZERO),
             None => std::time::Duration::from_millis(50),
         };
@@ -360,6 +374,15 @@ pub type ReadReply = Reply<Result<Vec<Bytes>, ProposeError>>;
 /// replies, each with its share of the batch's queries (in order).
 type ReadWaiters = HashMap<u64, Vec<(ReadReply, usize)>>;
 
+/// A refusal that named no leader, held until the engine names one.
+struct Held {
+    /// One timeout floor after the refusal: if no leader is known by
+    /// then, it is answered without a hint.
+    until: Time,
+    /// Answers the refusal with the leader it names.
+    refuse: Box<dyn FnOnce(Option<ServerId>)>,
+}
+
 /// Who is waiting for a log index to apply.
 enum ApplyWaiter {
     /// The proposal this node accepted at that index as leader: owed the
@@ -395,6 +418,12 @@ struct NodeThread {
     /// [`NodeThread::fire_due_timers`]): how many of the inputs that were
     /// queued when it came due are still to be handled.
     election_backlog: Option<usize>,
+    /// How long a refusal that names no leader is held: the policy's
+    /// timeout floor. `None` holds nothing.
+    hold_for: Option<Duration>,
+    /// Refusals held until a leader is known, oldest (and so soonest
+    /// due) first.
+    held: VecDeque<Held>,
 }
 
 impl NodeThread {
@@ -517,10 +546,10 @@ impl NodeThread {
             Some(Err(e)) => {
                 for (reply, _) in replies {
                     match reply {
-                        ProposeReply::Accepted(reply) => reply.answer(Err(e)),
+                        ProposeReply::Accepted(reply) => self.refuse(reply, e),
                         ProposeReply::Applied(replies) => {
                             for reply in replies {
-                                reply.answer(Err(e));
+                                self.refuse(reply, e);
                             }
                         }
                     }
@@ -567,12 +596,45 @@ impl NodeThread {
             }
             Some(Err(e)) => {
                 for (reply, _) in splits {
-                    reply.answer(Err(e));
+                    self.refuse(reply, e);
                 }
             }
             None => {}
         }
         carry
+    }
+
+    /// Answers `reply` with the refusal `error` — unless it names no
+    /// leader and the policy has a timeout floor, in which case it is
+    /// held for [`NodeThread::release_held`] to answer.
+    fn refuse<T: 'static>(&mut self, reply: Reply<Result<T, ProposeError>>, error: ProposeError) {
+        match (error, self.hold_for) {
+            (ProposeError::NotLeader { hint: None }, Some(floor)) => self.held.push_back(Held {
+                until: self.clock.now() + floor,
+                refuse: Box::new(move |hint| reply.answer(Err(ProposeError::NotLeader { hint }))),
+            }),
+            _ => reply.answer(Err(error)),
+        }
+    }
+
+    /// Answers the held refusals: every one with the leader once the
+    /// engine names one, otherwise those held a full timeout floor,
+    /// without a hint. Held refusals the thread ends with are dropped,
+    /// which answers them `None`.
+    fn release_held(&mut self) {
+        if self.held.is_empty() {
+            return;
+        }
+        let Some((leader, now)) = self.step(|node, now| (node.leader_hint(), now)) else {
+            return;
+        };
+        let due = match leader {
+            Some(_) => self.held.len(),
+            None => self.held.iter().take_while(|h| h.until <= now).count(),
+        };
+        for held in self.held.drain(..due) {
+            (held.refuse)(leader);
+        }
     }
 
     fn status(&self) -> Option<NodeStatus> {
@@ -647,7 +709,7 @@ impl NodeThread {
                 Action::ReadFailed { batch, error } => {
                     if let Some(splits) = self.read_waiters.remove(&batch) {
                         for (reply, _) in splits {
-                            reply.answer(Err(error));
+                            self.refuse(reply, error);
                         }
                     }
                 }
@@ -656,12 +718,16 @@ impl NodeThread {
                     // overwritten, and waiters are keyed by index alone:
                     // answering them at apply would acknowledge a write
                     // with another command's result. Proposals get the
-                    // refusal (the client retries: at-least-once);
+                    // refusal (the client retries: at-least-once), held
+                    // until the successor is known if none is yet;
                     // `AwaitApplied` waiters are dropped unanswered.
                     let hint = self.step(|node, _| node.leader_hint()).flatten();
-                    for waiter in self.apply_waiters.drain().flat_map(|(_, waiters)| waiters) {
+                    for waiter in std::mem::take(&mut self.apply_waiters)
+                        .into_values()
+                        .flatten()
+                    {
                         if let ApplyWaiter::Proposed(reply) = waiter {
-                            reply.answer(Err(ProposeError::NotLeader { hint }));
+                            self.refuse(reply, ProposeError::NotLeader { hint });
                         }
                     }
                 }
@@ -685,6 +751,8 @@ impl Drop for NodeThread {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use escape_core::message::AppendEntriesArgs;
+    use escape_core::policy::{ElectionPolicy, ScriptedTimeouts, TimeoutSource};
 
     /// An outbound whose next send, once armed, holds the node thread for
     /// `stall` — what a storage barrier on a stalled disk does to a
@@ -805,15 +873,28 @@ pub(crate) mod tests {
 
     impl ScriptedLeader {
         pub(crate) fn start() -> Self {
+            use escape_core::policy::RaftPolicy;
+
+            Self::start_with(Box::new(RaftPolicy::with_source(Box::new(
+                ScriptedTimeouts::new(vec![Duration::from_millis(30)]),
+            ))))
+        }
+
+        /// As [`ScriptedLeader::start`], but under a timeout floor of
+        /// `floor`; deposed, it waits a minute before it campaigns.
+        fn floored(floor: Duration) -> Self {
+            Self::start_with(Box::new(Floored::new(
+                vec![Duration::from_millis(30), Duration::from_secs(60)],
+                floor,
+            )))
+        }
+
+        fn start_with(policy: Box<dyn ElectionPolicy>) -> Self {
             use escape_core::message::RequestVoteReply;
-            use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
-            use escape_core::time::Duration;
 
             let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
             let node = Node::builder(ids[0], ids.clone())
-                .policy(Box::new(RaftPolicy::with_source(Box::new(
-                    ScriptedTimeouts::new(vec![Duration::from_millis(30)]),
-                ))))
+                .policy(policy)
                 .state_machine(Box::new(Echo))
                 .build();
             let (sent_tx, sent) = crossbeam::channel::unbounded();
@@ -959,20 +1040,58 @@ pub(crate) mod tests {
         leader.stop();
     }
 
-    /// A lone server on a node thread: it leads once its first election
-    /// deadline (10 ms) passes, and needs nobody's acknowledgement.
-    fn lone_leader() -> (GroupHandle, std::thread::JoinHandle<()>) {
-        use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
-        use escape_core::time::Duration;
+    /// Scripted election timeouts (the last one repeats) under a declared
+    /// timeout floor: how long the node thread holds a refusal that names
+    /// no leader.
+    #[derive(Debug)]
+    struct Floored {
+        timeouts: ScriptedTimeouts,
+        floor: Duration,
+    }
 
-        let id = ServerId::new(1);
-        let node = Node::builder(id, vec![id])
-            .policy(Box::new(RaftPolicy::with_source(Box::new(
-                ScriptedTimeouts::new(vec![Duration::from_millis(10)]),
-            ))))
-            .state_machine(Box::new(Echo))
-            .build();
+    impl Floored {
+        fn new(timeouts: Vec<Duration>, floor: Duration) -> Self {
+            Floored {
+                timeouts: ScriptedTimeouts::new(timeouts),
+                floor,
+            }
+        }
+    }
+
+    impl ElectionPolicy for Floored {
+        fn name(&self) -> &'static str {
+            "floored"
+        }
+
+        fn election_timeout(&mut self) -> Duration {
+            self.timeouts.next_timeout()
+        }
+
+        fn timeout_floor(&self) -> Option<Duration> {
+            Some(self.floor)
+        }
+    }
+
+    /// Server `id` of `ids` on a node thread under `policy`, started with
+    /// `early` already in its inbox — handled before any timer can fire,
+    /// while it has heard no leader.
+    fn spawn_with(
+        id: u32,
+        ids: &[u32],
+        policy: Box<dyn ElectionPolicy>,
+        early: Vec<NodeInput>,
+    ) -> (GroupHandle, std::thread::JoinHandle<()>) {
+        let node = Node::builder(
+            ServerId::new(id),
+            ids.iter().map(|&i| ServerId::new(i)).collect(),
+        )
+        .policy(policy)
+        .state_machine(Box::new(Echo))
+        .build();
         let (tx, rx) = crossbeam::channel::unbounded();
+        for input in early {
+            tx.send(input).unwrap();
+        }
         let group = GroupHandle::new(tx);
         let thread = {
             let group = group.clone();
@@ -980,6 +1099,213 @@ pub(crate) mod tests {
             let outbound = Arc::new(RecordingOutbound(sent));
             std::thread::spawn(move || node_loop(node, group, rx, outbound))
         };
+        (group, thread)
+    }
+
+    /// Server 2 of three, a minute from its first campaign, holding a
+    /// refusal that names no leader for `floor`.
+    fn unled_follower(
+        floor: Duration,
+        early: Vec<NodeInput>,
+    ) -> (GroupHandle, std::thread::JoinHandle<()>) {
+        let policy = Floored::new(vec![Duration::from_secs(60)], floor);
+        spawn_with(2, &[1, 2, 3], Box::new(policy), early)
+    }
+
+    /// The one outcome of a write (`None`: dropped unanswered).
+    type WriteOutcome = Option<Result<(LogIndex, Bytes), ProposeError>>;
+
+    /// A one-command proposal that wants its result, and where its one
+    /// outcome arrives.
+    fn write(command: &'static [u8]) -> (NodeInput, Receiver<WriteOutcome>) {
+        let (tx, outcome) = crossbeam::channel::unbounded();
+        let input = NodeInput::Propose {
+            commands: vec![Bytes::from_static(command)],
+            reply: ProposeReply::Applied(vec![Reply::new(move |o| {
+                let _ = tx.send(o);
+            })]),
+        };
+        (input, outcome)
+    }
+
+    /// The one outcome of a read (`None`: dropped unanswered).
+    type ReadOutcome = Option<Result<Vec<Bytes>, ProposeError>>;
+
+    /// A one-query read, and where its one outcome arrives.
+    fn read(query: &'static [u8]) -> (NodeInput, Receiver<ReadOutcome>) {
+        let (tx, outcome) = crossbeam::channel::unbounded();
+        let input = NodeInput::Read {
+            queries: vec![Bytes::from_static(query)],
+            reply: Reply::new(move |o| {
+                let _ = tx.send(o);
+            }),
+        };
+        (input, outcome)
+    }
+
+    /// An empty `AppendEntries` from `leader` at `term`.
+    fn heartbeat_from(leader: u32, term: Term) -> NodeInput {
+        NodeInput::Peer(
+            ServerId::new(leader),
+            Message::AppendEntries(AppendEntriesArgs {
+                term,
+                leader_id: ServerId::new(leader),
+                prev_log_index: LogIndex::ZERO,
+                prev_log_term: Term::ZERO,
+                entries: Vec::new(),
+                leader_commit: LogIndex::ZERO,
+                new_config: None,
+                seq: 1,
+            }),
+        )
+    }
+
+    fn refused<T>(hint: Option<u32>) -> Option<Result<T, ProposeError>> {
+        Some(Err(ProposeError::NotLeader {
+            hint: hint.map(ServerId::new),
+        }))
+    }
+
+    /// A follower that knows no leader holds a write and a read instead of
+    /// refusing them hint-less, and answers both with the leader whose
+    /// heartbeat reaches it — once each.
+    #[test]
+    fn a_leaderless_follower_holds_refusals_until_a_leader_is_heard() {
+        let wait = std::time::Duration::from_secs(5);
+        let (w, written) = write(b"w");
+        let (r, was_read) = read(b"r");
+        let (group, thread) = unled_follower(Duration::from_secs(60), vec![w, r]);
+        // Answered after both inputs: both have been refused by now.
+        assert_eq!(status_of(&group).leader_hint, None);
+        assert!(written.try_recv().is_err(), "the write is held");
+        assert!(was_read.try_recv().is_err(), "the read is held");
+
+        group.inbox().send(heartbeat_from(3, Term::new(1))).unwrap();
+        assert_eq!(written.recv_timeout(wait).unwrap(), refused(Some(3)));
+        assert_eq!(was_read.recv_timeout(wait).unwrap(), refused(Some(3)));
+        status_of(&group);
+        assert!(written.try_recv().is_err() && was_read.try_recv().is_err());
+
+        group.inbox().send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
+    }
+
+    /// With no leader heard, a held refusal is answered without a hint one
+    /// timeout floor after it was made, not before; a policy that declares
+    /// no floor holds nothing.
+    #[test]
+    fn a_held_refusal_is_answered_without_a_hint_at_the_floor() {
+        use escape_core::policy::RaftPolicy;
+
+        let floor = std::time::Duration::from_millis(100);
+        let sent = std::time::Instant::now();
+        let (w, written) = write(b"w");
+        let (group, thread) = unled_follower(Duration::from_millis(100), vec![w]);
+        let answer = written.recv_timeout(std::time::Duration::from_secs(5));
+        assert!(
+            sent.elapsed() >= floor,
+            "answered after {:?}",
+            sent.elapsed()
+        );
+        assert_eq!(answer.unwrap(), refused(None));
+        group.inbox().send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
+
+        let scripted =
+            RaftPolicy::with_source(Box::new(ScriptedTimeouts::new(vec![Duration::from_secs(
+                60,
+            )])));
+        let (w, written) = write(b"w");
+        let (group, thread) = spawn_with(2, &[1, 2, 3], Box::new(scripted), vec![w]);
+        status_of(&group);
+        assert_eq!(
+            written.try_recv().ok(),
+            Some(refused(None)),
+            "refused at once"
+        );
+        group.inbox().send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
+    }
+
+    /// A node that knows no leader and then wins the election itself
+    /// answers what it held with its own name.
+    #[test]
+    fn a_node_that_wins_names_itself_in_the_refusals_it_held() {
+        let (w, written) = write(b"w");
+        let policy = Floored::new(vec![Duration::from_millis(10)], Duration::from_secs(60));
+        let (group, thread) = spawn_with(1, &[1], Box::new(policy), vec![w]);
+        assert_eq!(
+            written
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap(),
+            refused(Some(1)),
+            "held, not proposed"
+        );
+        assert_eq!(status_of(&group).role, Role::Leader);
+        group.inbox().send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
+    }
+
+    /// A leader deposed by a candidate's higher term names nobody: the
+    /// write it accepted is refused, but the refusal waits for the
+    /// successor's first heartbeat and names it.
+    #[test]
+    fn a_deposed_leader_holds_its_refusals_until_the_successor_is_known() {
+        use escape_core::message::RequestVoteArgs;
+
+        let leader = ScriptedLeader::floored(Duration::from_secs(60));
+        let (w, written) = write(b"A");
+        leader.group.inbox().send(w).unwrap();
+        let index = leader.replicates(b"A");
+        let next = Term::new(leader.term.get() + 1);
+        let solicit = Message::RequestVote(RequestVoteArgs {
+            term: next,
+            candidate_id: ServerId::new(3),
+            last_log_index: index,
+            last_log_term: leader.term,
+            conf_clock: None,
+        });
+        let inbox = leader.group.inbox();
+        inbox
+            .send(NodeInput::Peer(ServerId::new(3), solicit))
+            .unwrap();
+        let deposed = status_of(&leader.group);
+        assert_eq!((deposed.role, deposed.leader_hint), (Role::Follower, None));
+        assert!(written.try_recv().is_err(), "the refusal is held");
+
+        inbox.send(heartbeat_from(3, next)).unwrap();
+        assert_eq!(
+            written
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap(),
+            refused(Some(3))
+        );
+        leader.stop();
+    }
+
+    /// A thread that stops with refusals held drops them: each is
+    /// answered `None`, once, and the thread ends at once.
+    #[test]
+    fn shutdown_drops_held_refusals_unanswered() {
+        let (w, written) = write(b"w");
+        let (r, was_read) = read(b"r");
+        let (group, thread) = unled_follower(Duration::from_secs(60), vec![w, r]);
+        status_of(&group);
+        group.inbox().send(NodeInput::Shutdown).unwrap();
+        thread.join().unwrap();
+        assert_eq!(written.try_iter().collect::<Vec<_>>(), [None]);
+        assert_eq!(was_read.try_iter().collect::<Vec<_>>(), [None]);
+    }
+
+    /// A lone server on a node thread: it leads once its first election
+    /// deadline (10 ms) passes, and needs nobody's acknowledgement.
+    fn lone_leader() -> (GroupHandle, std::thread::JoinHandle<()>) {
+        use escape_core::policy::RaftPolicy;
+
+        let policy = RaftPolicy::with_source(Box::new(ScriptedTimeouts::new(vec![
+            Duration::from_millis(10),
+        ])));
+        let (group, thread) = spawn_with(1, &[1], Box::new(policy), Vec::new());
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while status_of(&group).role != Role::Leader {
             assert!(std::time::Instant::now() < deadline, "never led");

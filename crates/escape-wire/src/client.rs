@@ -103,7 +103,10 @@ pub enum ResponseBody {
         /// The server's map version (monotone; newer wins).
         map_version: u64,
     },
-    /// The group's engine on this server is not its leader.
+    /// The group's engine on this server is not its leader. A server
+    /// that knows no leader holds the request until one is known, so a
+    /// `NotLeader` without a hint means none emerged within one election
+    /// timeout floor of the request.
     NotLeader {
         /// Where to retry, if the engine knows.
         hint: Option<ServerId>,
