@@ -95,15 +95,23 @@ pub enum FaultAtom {
     /// This many failovers in a row, each killing the leader the previous
     /// one elected: kill the leader, restart it once its successor leads,
     /// kill the successor [`REJOIN_TO_KILL`] after the rejoin. Runs on the
-    /// shape the TCP runtime has (3 servers, leased reads, 50 ms vote
-    /// retry), where the prepared candidate needs the vote of the server
-    /// that has only just come back, and holds every failover to one
-    /// campaign inside [`PhaseBounds::reflex_200ms`].
+    /// shape the TCP runtime has (3 servers, [`Options::local`]'s lease,
+    /// a vote retry of one heartbeat), where the prepared candidate needs
+    /// the vote of the server that has only just come back, and holds
+    /// every failover to one campaign inside
+    /// [`PhaseBounds::reflex_200ms`]. Odd-numbered kills land on a leader
+    /// that has served reads for 100 ms, so it holds a lease and its
+    /// followers the vote fence; even-numbered ones on a leader nobody
+    /// reads from, which holds neither.
     RepeatedKill(u32),
 }
 
 /// How long after a killed leader's rejoin its successor is killed.
 const REJOIN_TO_KILL: Duration = Duration::from_millis(200);
+
+/// How long a repeated-kill leader serves reads before an odd-numbered
+/// kill: a read every 10 ms, up to the kill.
+const READS_BEFORE_KILL: Duration = Duration::from_millis(100);
 
 impl fmt::Display for FaultAtom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -578,8 +586,9 @@ impl StorageHarness for CampaignStorage {
 /// latency.
 ///
 /// `tcp_shape` swaps in what a TCP deployment of this workspace runs: three
-/// servers and [`Options::local`]'s timings, whose leased reads arm the
-/// vote fence and whose vote retry is paced by the heartbeat.
+/// servers and [`Options::local`]'s timings, whose lease arms the vote
+/// fence while reads hold it and whose vote retry is paced by the
+/// heartbeat.
 fn trial_config(seed: u64, loss: LossModel, tcp_shape: bool) -> ClusterConfig {
     ClusterConfig {
         n: if tcp_shape { 3 } else { 5 },
@@ -626,6 +635,24 @@ fn propose_with_retry(cluster: &mut SimCluster, command: Bytes, retries: u32) ->
         }
     }
     None
+}
+
+/// Reads through whoever leads, every 10 ms for `span` and once more at
+/// its end. Returns how many reads the leader at the end answered on its
+/// lease alone.
+fn serve_reads(cluster: &mut SimCluster, span: Duration) -> u64 {
+    let until = cluster.now() + span;
+    loop {
+        // No leader (mid-failover) simply means no read this time.
+        let _ = cluster.read(vec![Bytes::from_static(b"campaign-read")]);
+        if cluster.now() >= until {
+            break;
+        }
+        cluster.run_for(Duration::from_millis(10));
+    }
+    cluster
+        .current_leader()
+        .map_or(0, |leader| cluster.node(leader).metrics().lease_reads)
 }
 
 /// Runs one deterministic trial of `plan` at `seed` and checks every
@@ -772,6 +799,14 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
             // successor, and the successor is the next to die.
             cluster.restart(previous);
             cluster.run_for(REJOIN_TO_KILL);
+        }
+        if repeated_kills.is_some()
+            && round % 2 == 1
+            && serve_reads(&mut cluster, READS_BEFORE_KILL) == 0
+        {
+            failures.push(format!(
+                "reads: kill #{round}: the leader answered no read on its lease"
+            ));
         }
         // Under loss the leadership can be mid-handover at this exact
         // instant; give the cluster (bounded) time to show a live leader
@@ -1083,10 +1118,118 @@ mod tests {
         scenario_plan(name).expect("known scenario")
     }
 
-    /// The TCP deployment's failover on the simulator: a leader whose
-    /// process exits (its peers see the connection close) is replaced by
-    /// the prepared candidate, detected one vote fence after the leader's
-    /// last word instead of a full election timeout — under 20 % loss.
+    /// What [`exit_a_settled_leader`] saw of one failover.
+    struct Exited {
+        detail: String,
+        winner: ServerId,
+        prepared: ServerId,
+        timeline: escape_obs::FailoverTimeline,
+        /// The prepared candidate campaigned, and nobody else did.
+        alone: bool,
+        /// A frame to a survivor was lost around the failover.
+        lost: bool,
+    }
+
+    /// The TCP deployment's failover on the simulator under 20 % loss: the
+    /// process of a leader whose latest PPF assignment reached both
+    /// followers exits (its peers see the connection close), at seed
+    /// `seed`. With `serving_reads`, a read reaches the leader every 10 ms
+    /// up to the exit, so it holds a lease and its followers a fence.
+    fn exit_a_settled_leader(seed: u64, serving_reads: bool) -> Exited {
+        let k = Duration::from_millis(50);
+        let mut cluster = SimCluster::new(trial_config(seed, LossModel::Bernoulli(0.2), true));
+        cluster.sim_mut().enable_tracing();
+        cluster.bootstrap(Duration::from_millis(500));
+        // Exit a leader whose latest PPF assignment reached both
+        // followers, so that one of them is *the* prepared candidate.
+        // (Under loss an assignment can reach one follower and not the
+        // other, and two followers may then hold priority n; that hazard
+        // does not need the hint — see ROADMAP item 6.)
+        let settled = |cluster: &SimCluster| {
+            let leader = cluster.current_leader()?;
+            let configs: Vec<_> = cluster
+                .ids()
+                .iter()
+                .filter_map(|id| cluster.node(*id).current_config())
+                .collect();
+            let clock = configs.first()?.conf_clock;
+            let mut priorities: Vec<_> = configs.iter().map(|c| c.priority).collect();
+            priorities.sort_unstable();
+            priorities.dedup();
+            (configs.iter().all(|c| c.conf_clock == clock) && priorities.len() == configs.len())
+                .then_some(leader)
+        };
+        let settle_by = cluster.now() + Duration::from_secs(10);
+        let mut reads = 0;
+        let leader = loop {
+            if serving_reads && cluster.read(vec![Bytes::from_static(b"q")]).is_ok() {
+                reads += 1;
+            }
+            match settled(&cluster) {
+                Some(leader) if !serving_reads || reads > 10 => break leader,
+                _ if cluster.now() < settle_by => cluster.run_for(Duration::from_millis(10)),
+                _ => panic!("seed {seed}: no settled PPF assignment within 10 s"),
+            }
+        };
+        let lease_reads = cluster.node(leader).metrics().lease_reads;
+        assert_eq!(
+            lease_reads > 0,
+            serving_reads,
+            "seed {seed}: the leader answers reads on its lease"
+        );
+        assert!(cluster
+            .read_answers()
+            .iter()
+            .all(|answer| answer.outcome.is_ok()));
+        let term = cluster.node(leader).current_term();
+        let prepared = cluster
+            .ids()
+            .into_iter()
+            .filter(|id| *id != leader)
+            .max_by_key(|id| cluster.node(*id).current_config().map(|c| c.priority))
+            .expect("two followers");
+        cluster.exit(leader);
+        let horizon = cluster.now() + Duration::from_secs(10);
+        let winner = cluster
+            .run_until_new_leader(term, horizon)
+            .unwrap_or_else(|| panic!("seed {seed}: no successor"));
+        cluster.run_for(Duration::from_millis(500));
+        let timeline = cluster
+            .failover_timeline_for(leader)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let detail = format!("seed {seed}\n{}", timeline.render());
+        let campaigns: Vec<(u64, u32)> =
+            escape_obs::merge_events(timeline.leader_killed_at, &cluster.event_streams())
+                .into_iter()
+                .filter(|&(at, _, e)| {
+                    at <= timeline.first_commit_at && matches!(e, Event::CampaignStarted { .. })
+                })
+                .map(|(at, node, _)| (at, node))
+                .collect();
+        // Anything but the prepared candidate's one campaign needs a frame
+        // to a survivor that the loss model ate: a heartbeat that would
+        // have ordered the followers, or a solicitation or vote between
+        // them.
+        let alone = campaigns.len() == 1 && campaigns[0].1 == prepared.get();
+        let lost = cluster.sim_mut().trace().events().iter().any(|e| {
+            matches!(e, TraceEvent::Dropped { at, to, cause: DropCause::Loss, .. }
+                if *to != leader
+                    && at.as_micros() + k.as_micros() * 2 >= timeline.leader_killed_at
+                    && at.as_micros() <= timeline.leader_elected_at)
+        });
+        Exited {
+            detail: format!("{detail}campaigns {campaigns:?}"),
+            winner,
+            prepared,
+            timeline,
+            alone,
+            lost,
+        }
+    }
+
+    /// A leader serving reads exits: the prepared candidate replaces it,
+    /// detected one vote fence after the leader's last leased round
+    /// instead of a full election timeout.
     ///
     /// The hint moves both followers by the same `baseTime` − fence, so
     /// Eq. 1's 50 ms gap `k` — 2.5 heartbeats and vote retries — is all
@@ -1097,98 +1240,56 @@ mod tests {
     fn an_exited_leader_is_replaced_one_fence_after_its_last_word() {
         let fence = Options::local().vote_fence().expect("local timings lease");
         let k = Duration::from_millis(50);
-        let mut single = 0;
+        let (mut single, mut fenced) = (0, 0);
         for seed in 1..=25 {
-            let mut cluster = SimCluster::new(trial_config(seed, LossModel::Bernoulli(0.2), true));
-            cluster.sim_mut().enable_tracing();
-            cluster.bootstrap(Duration::from_millis(500));
-            // Exit a leader whose latest PPF assignment reached both
-            // followers, so that one of them is *the* prepared candidate.
-            // (Under loss an assignment can reach one follower and not the
-            // other, and two followers may then hold priority n; that
-            // hazard does not need the hint — see ROADMAP item 6.)
-            let settled = |cluster: &SimCluster| {
-                let leader = cluster.current_leader()?;
-                let configs: Vec<_> = cluster
-                    .ids()
-                    .iter()
-                    .filter_map(|id| cluster.node(*id).current_config())
-                    .collect();
-                let clock = configs.first()?.conf_clock;
-                let mut priorities: Vec<_> = configs.iter().map(|c| c.priority).collect();
-                priorities.sort_unstable();
-                priorities.dedup();
-                (configs.iter().all(|c| c.conf_clock == clock) && priorities.len() == configs.len())
-                    .then_some(leader)
-            };
-            let settle_by = cluster.now() + Duration::from_secs(10);
-            let leader = loop {
-                match settled(&cluster) {
-                    Some(leader) => break leader,
-                    None if cluster.now() < settle_by => {
-                        cluster.run_for(Duration::from_millis(10));
-                    }
-                    None => panic!("seed {seed}: no settled PPF assignment within 10 s"),
-                }
-            };
-            let term = cluster.node(leader).current_term();
-            let prepared = cluster
-                .ids()
-                .into_iter()
-                .filter(|id| *id != leader)
-                .max_by_key(|id| cluster.node(*id).current_config().map(|c| c.priority))
-                .expect("two followers");
-            cluster.exit(leader);
-            let horizon = cluster.now() + Duration::from_secs(10);
-            let winner = cluster
-                .run_until_new_leader(term, horizon)
-                .unwrap_or_else(|| panic!("seed {seed}: no successor"));
-            cluster.run_for(Duration::from_millis(500));
-            let timeline = cluster
-                .failover_timeline_for(leader)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let detail = format!("seed {seed}\n{}", timeline.render());
-            assert_eq!(winner, prepared, "{detail}");
+            let run = exit_a_settled_leader(seed, true);
+            let detail = &run.detail;
+            assert_eq!(run.winner, run.prepared, "{detail}");
             // Hinted, unless lost heartbeats had already made the
             // candidate's timer due before the hint's one link latency
             // (≤ 5 ms) was over.
             assert!(
-                timeline.hinted.is_some() || timeline.detect_micros() <= 5_000,
+                run.timeline.hinted.is_some() || run.timeline.detect_micros() <= 5_000,
                 "{detail}"
             );
             assert!(
-                timeline.detect_micros() <= (fence + k).as_micros(),
+                run.timeline.detect_micros() <= (fence + k).as_micros(),
                 "{detail}"
             );
-
-            let campaigns: Vec<(u64, u32)> =
-                escape_obs::merge_events(timeline.leader_killed_at, &cluster.event_streams())
-                    .into_iter()
-                    .filter(|&(at, _, e)| {
-                        at <= timeline.first_commit_at && matches!(e, Event::CampaignStarted { .. })
-                    })
-                    .map(|(at, node, _)| (at, node))
-                    .collect();
-            // Anything but the prepared candidate's one campaign needs a
-            // frame to a survivor that the loss model ate: a heartbeat
-            // that would have ordered the followers, or a solicitation or
-            // vote between them.
-            let alone = campaigns.len() == 1 && campaigns[0].1 == prepared.get();
-            let lost = cluster.sim_mut().trace().events().iter().any(|e| {
-                matches!(e, TraceEvent::Dropped { at, to, cause: DropCause::Loss, .. }
-                    if *to != leader
-                        && at.as_micros() + k.as_micros() * 2 >= timeline.leader_killed_at
-                        && at.as_micros() <= timeline.leader_elected_at)
-            });
-            assert!(
-                alone || lost,
-                "{detail}: campaigns {campaigns:?} without a lost frame"
-            );
-            single += usize::from(alone);
+            assert!(run.alone || run.lost, "{detail}: without a lost frame");
+            single += usize::from(run.alone);
+            fenced += usize::from(run.timeline.detect_micros() > 5_000);
         }
         // At the local timings no seed loses such frames. The same test
         // with the silent `crash` (no hint) counts 23 lone campaigns.
         assert_eq!(single, 25);
+        // And the fence holds every successor back past the hint's one
+        // link latency: ≈ 31–35 ms after the exit, one fence after the
+        // last leased round, down to ≈ 11 ms when lost heartbeats had left
+        // the candidate's last leased round older.
+        assert_eq!(fenced, 25);
+    }
+
+    /// The write-only twin: a leader nobody reads from holds no lease, so
+    /// its followers hold no fence, and the prepared candidate campaigns
+    /// at the hint — one link latency (≤ 5 ms) after the exit — and wins
+    /// in one campaign unless a lost frame let the other follower's timer
+    /// fall due as well.
+    #[test]
+    fn an_exited_leader_without_reads_is_replaced_at_the_hint() {
+        let mut single = 0;
+        for seed in 1..=25 {
+            let run = exit_a_settled_leader(seed, false);
+            let detail = &run.detail;
+            assert_eq!(run.winner, run.prepared, "{detail}");
+            assert!(run.timeline.detect_micros() <= 5_000, "{detail}");
+            assert!(run.alone || run.lost, "{detail}: without a lost frame");
+            single += usize::from(run.alone);
+        }
+        // Seeds 5 and 12 lost heartbeats to the other follower, whose
+        // timer was then due at the hint as well: it campaigned too, and
+        // the prepared candidate's higher term won all the same.
+        assert_eq!(single, 23);
     }
 
     /// The committed seed corpus replays clean — every scenario/seed pair

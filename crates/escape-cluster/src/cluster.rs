@@ -244,6 +244,17 @@ impl ClusterConfig {
     }
 }
 
+/// How a read submitted through [`SimCluster::read`] ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadAnswer {
+    /// The leader that took the read.
+    pub node: ServerId,
+    /// Its batch id ([`Node::read_batch`]).
+    pub batch: u64,
+    /// One result per query, or why the leader could not answer.
+    pub outcome: Result<Vec<Bytes>, ProposeError>,
+}
+
 /// N consensus nodes + the simulated network + one event ring per node.
 #[derive(Debug)]
 pub struct SimCluster {
@@ -266,6 +277,8 @@ pub struct SimCluster {
     skew: ClockSkew,
     /// Durable storage, when the cluster runs a fault campaign.
     storage: Option<Box<dyn StorageHarness>>,
+    /// Every answer to a [`SimCluster::read`], in answer order.
+    read_answers: Vec<ReadAnswer>,
 }
 
 impl SimCluster {
@@ -321,6 +334,7 @@ impl SimCluster {
             config,
             skew: ClockSkew::none(),
             storage,
+            read_answers: Vec::new(),
         };
         for i in 0..cluster.nodes.len() {
             let actions = cluster.nodes[i].start(Time::ZERO);
@@ -580,6 +594,32 @@ impl SimCluster {
         Ok(index)
     }
 
+    /// Submits a linearizable read of `queries` to the current leader
+    /// ([`Node::read_batch`]) and returns the leader and the batch id. The
+    /// answer is recorded when the leader releases or fails the batch —
+    /// at once while its lease holds — in [`SimCluster::read_answers`].
+    /// A read is also read demand: the leader's rounds are leased, and
+    /// its followers fenced, for one lease from it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProposeError::NotLeader`] if no live leader exists.
+    pub fn read(&mut self, queries: Vec<Bytes>) -> Result<(ServerId, u64), ProposeError> {
+        let leader = self
+            .current_leader()
+            .ok_or(ProposeError::NotLeader { hint: None })?;
+        self.tick_storage();
+        let now = self.node_now(leader);
+        let (batch, actions) = self.nodes[leader.index()].read_batch(queries, now)?;
+        self.finish(leader, actions);
+        Ok((leader, batch))
+    }
+
+    /// The answers to [`SimCluster::read`]s so far, in answer order.
+    pub fn read_answers(&self) -> &[ReadAnswer] {
+        &self.read_answers
+    }
+
     // ---- the pump ----
 
     /// Processes events until virtual time reaches `deadline`.
@@ -741,10 +781,17 @@ impl SimCluster {
                     self.checker
                         .observe_commit(&self.nodes[id.index()], index);
                 }
-                Action::BecameFollower { .. }
-                | Action::Applied { .. }
-                | Action::ReadReady { .. }
-                | Action::ReadFailed { .. } => {}
+                Action::ReadReady { batch, results } => self.read_answers.push(ReadAnswer {
+                    node: id,
+                    batch,
+                    outcome: Ok(results),
+                }),
+                Action::ReadFailed { batch, error } => self.read_answers.push(ReadAnswer {
+                    node: id,
+                    batch,
+                    outcome: Err(error),
+                }),
+                Action::BecameFollower { .. } | Action::Applied { .. } => {}
             }
         }
         for (_, fanout) in broadcast {
@@ -787,6 +834,42 @@ mod tests {
             // that rearrangement-in-flight legitimately produces.
             check_safety: false,
         }
+    }
+
+    /// `SimCluster::read` on a leased cluster: the first read pays one
+    /// confirm round and restarts the lease, the next is answered at
+    /// once, and a leaderless cluster refuses.
+    #[test]
+    fn reads_are_answered_by_the_leader_and_recorded() {
+        let config = ClusterConfig {
+            options: escape_core::engine::Options::local(),
+            ..reflex_config(7)
+        };
+        let mut cluster = SimCluster::new(config);
+        let leader = cluster.bootstrap(Duration::from_millis(500));
+        let query = || vec![Bytes::from_static(b"q")];
+
+        let (node, first) = cluster.read(query()).expect("a leader");
+        assert_eq!(node, leader);
+        assert!(cluster.read_answers().is_empty(), "no lease held yet");
+        cluster.run_for(Duration::from_millis(20));
+        let (_, second) = cluster.read(query()).expect("a leader");
+        let answered: Vec<(u64, usize)> = cluster
+            .read_answers()
+            .iter()
+            .map(|a| (a.batch, a.outcome.as_ref().map_or(0, Vec::len)))
+            .collect();
+        assert_eq!(answered, vec![(first, 1), (second, 1)]);
+        let metrics = cluster.node(leader).metrics();
+        assert_eq!((metrics.quorum_reads, metrics.lease_reads), (1, 1));
+
+        for id in cluster.ids() {
+            cluster.crash(id);
+        }
+        assert_eq!(
+            cluster.read(query()),
+            Err(ProposeError::NotLeader { hint: None })
+        );
     }
 
     /// The tentpole's acceptance test: kill the leader, reconstruct the

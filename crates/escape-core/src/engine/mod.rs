@@ -56,7 +56,7 @@ use escape_obs::{Event, NullObserver, Observer};
 
 use crate::config::Configuration;
 use crate::log::Log;
-use crate::message::{Message, RequestVoteArgs};
+use crate::message::{AppendEntriesArgs, Message, RequestVoteArgs};
 use crate::metrics::NodeMetrics;
 use crate::policy::ElectionPolicy;
 use crate::statemachine::{NullStateMachine, StateMachine};
@@ -215,24 +215,33 @@ pub struct Options {
     /// Clock-bounded leader lease for local linearizable reads (`None`
     /// disables leasing; ReadIndex quorum rounds are still available).
     /// While the lease holds, [`Node::read_batch`] serves without any
-    /// network round. Enabling a lease also arms the *vote fence*: voters
-    /// refuse to elect a new leader within `lease_duration × 5/4` of last
-    /// hearing from the current one, so a deposed leader's lease provably
-    /// expires before its successor exists (≤ 25 % clock-rate drift
-    /// tolerated). Choose it well below the minimum election timeout —
-    /// the fence must not delay legitimate failovers; policies may cap it
-    /// further via [`ElectionPolicy::lease_bound`]. The fence is also the
-    /// floor of hinted detection: a follower told that its leader's
-    /// process closed its connections ([`Node::peer_closed`]) campaigns no
-    /// sooner than one fence after it last heard that leader, so on a
-    /// real network the lease, not the election timeout, sets how long a
-    /// killed leader's group has none ([`Options::vote_fence`]).
+    /// network round. A lease is held on demand: a leader marks a
+    /// heartbeat round *leased* ([`AppendEntriesArgs::lease`]) only while
+    /// a read reached it within the last `lease_duration`, and only
+    /// leased rounds extend the lease. A leased round also arms the *vote
+    /// fence*: voters refuse to elect a new leader within
+    /// `lease_duration × 5/4` of the last leased round they received, so
+    /// a deposed leader's lease provably expires before its successor
+    /// exists (≤ 25 % clock-rate drift tolerated). Choose it well below
+    /// the minimum election timeout — the fence must not delay
+    /// legitimate failovers; policies may cap it further via
+    /// [`ElectionPolicy::lease_bound`]. The fence is also the floor of
+    /// hinted detection: a follower told that its leader's process closed
+    /// its connections ([`Node::peer_closed`]) campaigns no sooner than
+    /// one fence after the last leased round it heard, so on a real
+    /// network the lease, not the election timeout, sets how long a
+    /// killed leader's group has none ([`Options::vote_fence`]) — but
+    /// only while reads hold a lease. A group nobody reads from holds
+    /// none, pays no fence, and its prepared follower campaigns at the
+    /// hint.
     ///
-    /// Each quorum-acked heartbeat round extends the lease to its own
-    /// start plus `lease_duration`. With a lease of at least two
-    /// heartbeats it holds without a gap while every round's quorum ack
-    /// lands within one heartbeat of its send, and one lost round lapses
-    /// it only until the next round's ack. [`Options::local`] runs two.
+    /// Each quorum-acked leased round extends the lease to its own start
+    /// plus `lease_duration`. With a lease of at least two heartbeats it
+    /// holds without a gap while reads keep coming and every round's
+    /// quorum ack lands within one heartbeat of its send, and one lost
+    /// round lapses it only until the next round's ack. The first read
+    /// after a read-free lease pays one ReadIndex round, and that round
+    /// restarts the lease. [`Options::local`] runs two heartbeats.
     pub lease_duration: Option<Duration>,
 }
 
@@ -258,9 +267,12 @@ impl Options {
     /// TCP-shaped campaign trials and the engine's hint and fence tests
     /// all read them from here.
     ///
-    /// The fence is the whole detection time of a hinted failover (a
-    /// leader whose process closed its connections), so the lease sets the
-    /// outage a client sees. The heartbeat is the knee of a measured sweep:
+    /// While reads hold a lease, the fence is the whole detection time of
+    /// a hinted failover (a leader whose process closed its connections),
+    /// so the lease sets the outage a client sees; a group that serves no
+    /// reads holds no lease and pays no fence (see
+    /// [`Options::lease_duration`]), and its hinted failover is detected
+    /// as soon as the connections close. The heartbeat is the knee of a measured sweep:
     /// a shorter one costs more messages per write, and at 15 ms the
     /// client's retry backoff already stretches the worst outage to nearly
     /// twice the median. A lease of two heartbeats survives one lost round:
@@ -283,8 +295,9 @@ impl Options {
         }
     }
 
-    /// The vote fence these options arm: lease × 5/4 of silence a voter
-    /// waits before it grants a vote, or `None` without a lease. A
+    /// The vote fence these options arm: lease × 5/4 after the last
+    /// leased round a voter waits before it grants a vote, or `None`
+    /// without a lease. A
     /// policy's [`ElectionPolicy::lease_bound`] may shorten the lease a
     /// node actually holds, and the fence with it.
     pub fn vote_fence(&self) -> Option<Duration> {
@@ -445,8 +458,11 @@ impl NodeBuilder {
             acked_above_confirmed: 0,
             round_starts: VecDeque::new(),
             lease_until: Time::ZERO,
+            last_read: None,
+            lease_since: 0,
             term_start_index: LogIndex::ZERO,
             last_leader_contact: None,
+            leased_contact: None,
             fenced_vote: None,
             election_deadline: Time::ZERO,
             election_epoch: 0,
@@ -598,21 +614,35 @@ pub struct Node {
     /// read quorum can `confirmed` have moved, so only then is it
     /// recomputed: O(1) amortised per ack.
     acked_above_confirmed: usize,
-    /// Issue times of broadcast rounds not yet quorum-confirmed, oldest
-    /// first; confirmation converts them into lease extensions.
+    /// Issue times of the current leased period's rounds not yet
+    /// quorum-confirmed, oldest first; confirmation converts them into
+    /// lease extensions.
     round_starts: VecDeque<(u64, Time)>,
     /// While `now < lease_until` the leader serves reads with no network
     /// round. Starts at zero on every leadership assumption and grows
     /// only from rounds *this* leadership quorum-acked — a fresh PPF
     /// promotee cannot inherit a lease.
     lease_until: Time,
+    /// When a read last reached this leader ([`Node::read_batch`], or
+    /// [`Node::lease_read`] whether or not it answered): rounds opened
+    /// within one lease of it are leased.
+    last_read: Option<Time>,
+    /// The first round of the current leased period, `0` while rounds go
+    /// out unleased. Only this period's rounds may extend the lease (they
+    /// alone are in `round_starts`): a peer's ack counts for every round
+    /// up to the one it echoes, and an ack of a later unleased round
+    /// proves no fence.
+    lease_since: u64,
     /// First index of this leadership term (the no-op's index). Reads wait
     /// until it commits: before that, `commit_index` may trail entries the
     /// predecessor committed (Raft §8), so it is not a safe read index.
     term_start_index: LogIndex,
     /// Last time a leader was heard (`AppendEntries` / `InstallSnapshot`),
-    /// across terms. The lease vote fence measures silence from here.
+    /// across terms: what [`Node::peer_closed`] measures from.
     last_leader_contact: Option<Time>,
+    /// Last time a leased `AppendEntries` arrived, across terms. The lease
+    /// vote fence runs from here.
+    leased_contact: Option<Time>,
     /// A solicitation refused only because of the vote fence, granted
     /// when the fence lapses if this node is still in its term and has
     /// not voted (the `FenceLapse` timer).
@@ -783,6 +813,7 @@ impl Node {
         self.pending_reads.clear(); // waiters died with the old process
         self.reset_read_state();
         self.last_leader_contact = None;
+        self.leased_contact = None;
         self.fenced_vote = None;
         self.commit_index = self.last_applied;
         self.policy.stepped_down();
@@ -822,13 +853,15 @@ impl Node {
     /// peer closes nothing, a live peer resetting its link can. A
     /// follower that last heard `peer` lead takes this as a failure hint
     /// and moves its election deadline earlier by the policy's timeout
-    /// floor minus the vote fence — never before its own last contact
-    /// plus the fence, and never later than the deadline already armed.
-    /// Every follower moves by the same amount, so PPF's priority order
-    /// and Eq. 1's spacing `k` hold: the prepared candidate still
-    /// campaigns first and alone, one fence after the leader's last word
-    /// (at once without leases). A leader that is in fact alive re-arms
-    /// the timer with its next `AppendEntries`, as always.
+    /// floor minus what was left of its vote fence at its last contact —
+    /// never before the fence lapses, and never later than the deadline
+    /// already armed. Every follower moves by the same amount, so PPF's
+    /// priority order and Eq. 1's spacing `k` hold: the prepared
+    /// candidate still campaigns first and alone, one fence after the
+    /// leader's last leased round, or at once when the leader held no
+    /// lease (no reads, or no leases configured). A leader that is in
+    /// fact alive re-arms the timer with its next `AppendEntries`, as
+    /// always.
     ///
     /// The follower also stops naming `peer` as its leader: refusals
     /// carry no hint until a leader is heard again (the closed one's next
@@ -851,13 +884,12 @@ impl Node {
         else {
             return out;
         };
-        let fence = self
-            .effective_lease()
-            .map_or(Duration::ZERO, Node::lease_fence);
+        let lapse = self.fence_lapse();
+        let fenced_for = lapse.map_or(Duration::ZERO, |lapse| lapse.saturating_since(contact));
         let deadline = self
             .election_deadline
-            .saturating_sub(floor.saturating_sub(fence))
-            .max(contact + fence)
+            .saturating_sub(floor.saturating_sub(fenced_for))
+            .max(lapse.unwrap_or(Time::ZERO))
             .max(now);
         if deadline >= self.election_deadline {
             return out;
@@ -1041,6 +1073,10 @@ impl Node {
     /// batch was accepted. If leadership is lost first, the batch fails
     /// as [`Action::ReadFailed`] and is never answered.
     ///
+    /// Every call on a leader is read demand: for one lease from `now` its
+    /// rounds are leased. A read after a read-free lease therefore finds
+    /// none held, and the confirm round it opens restarts the lease.
+    ///
     /// # Errors
     ///
     /// Returns [`ProposeError::NotLeader`] (with a leader hint when
@@ -1055,6 +1091,7 @@ impl Node {
                 hint: self.leader_hint,
             });
         }
+        self.last_read = Some(now);
         self.read_batch_seq += 1;
         let batch = self.read_batch_seq;
         if queries.is_empty() {
@@ -1093,12 +1130,17 @@ impl Node {
     /// applied. The counters move exactly as they do for a
     /// [`Node::read_batch`] the lease answers on the spot.
     ///
-    /// Otherwise it returns `None` and changes nothing; the caller falls
-    /// back to [`Node::read_batch`]. It produces no [`Action`] and arms no
+    /// Otherwise it returns `None`; the caller falls back to
+    /// [`Node::read_batch`]. Answered or not, a call on a leader records
+    /// read demand, as [`Node::read_batch`] does, and changes nothing
+    /// else when it declines. It produces no [`Action`] and arms no
     /// timer, so a thread that does not drive the node may call it.
     pub fn lease_read(&mut self, queries: &[Bytes], now: Time) -> Option<Vec<Bytes>> {
-        let answerable = self.role == Role::Leader
-            && self.lease_valid(now)
+        if self.role != Role::Leader {
+            return None;
+        }
+        self.last_read = Some(now);
+        let answerable = self.lease_valid(now)
             && self.pending_reads.is_empty()
             && self.last_applied >= self.read_index();
         if !answerable {
@@ -1162,16 +1204,17 @@ impl Node {
         Duration::from_micros(lease.as_micros().saturating_mul(5) / 4)
     }
 
-    /// When the lease vote fence lapses: one fence after the last leader
-    /// contact. `None` without leases or without a contact.
+    /// When the lease vote fence lapses: one fence after the last leased
+    /// `AppendEntries`. `None` without leases or without such a contact.
     pub(super) fn fence_lapse(&self) -> Option<Time> {
         let lease = self.effective_lease()?;
-        Some(self.last_leader_contact? + Node::lease_fence(lease))
+        Some(self.leased_contact? + Node::lease_fence(lease))
     }
 
     /// `true` while the lease vote fence forbids granting any vote:
-    /// leases are in force and a leader was heard too recently for every
-    /// lease it could hold to have expired.
+    /// leases are in force and a leased round was heard too recently for
+    /// every lease it could back to have expired. An unleased round backs
+    /// none, so it neither sets nor extends the fence.
     pub(super) fn vote_fenced(&self, now: Time) -> bool {
         self.fence_lapse().is_some_and(|lapse| now < lapse)
     }
@@ -1220,21 +1263,52 @@ impl Node {
         true
     }
 
-    /// Records a broadcast round's issue time (for lease extension on its
-    /// quorum ack) and advances whatever that makes ready.
-    pub(super) fn note_round(&mut self, round: u64, now: Time, out: &mut Vec<Action>) {
-        if self.effective_lease().is_some() {
+    /// Opens the next broadcast round at `now` and returns it. The round is
+    /// leased while a read reached this leader within the last lease: its
+    /// issue time is then kept for lease extension on its quorum ack.
+    /// Advances whatever that makes ready.
+    ///
+    /// Leasing switches off with the first unleased round, and the pending
+    /// issue times go: a quorum ack of a later round would confirm them,
+    /// and a peer that missed the leased round and acked only the unleased
+    /// one is not fenced. The lease already granted keeps the fences that
+    /// back it. Switching on opens a new period at the round.
+    pub(super) fn open_round(&mut self, now: Time, out: &mut Vec<Action>) -> u64 {
+        let round = self.next_broadcast_id();
+        if self.read_demand(now) {
+            if self.lease_since == 0 {
+                self.lease_since = round;
+            }
             if self.round_starts.len() >= ROUND_STARTS_MAX {
                 self.round_starts.pop_front();
             }
             self.round_starts.push_back((round, now));
+        } else {
+            self.lease_since = 0;
+            self.round_starts.clear();
         }
         self.advance_read_state(out);
+        round
     }
 
-    /// Re-derives the confirmed round, folds newly confirmed rounds into
-    /// the lease, and releases every read batch that became ready. Called
-    /// whenever acks or rounds move.
+    /// `true` while rounds opened at `now` are leased: leases are in force
+    /// and a read reached this leader within the last lease.
+    fn read_demand(&self, now: Time) -> bool {
+        match (self.effective_lease(), self.last_read) {
+            (Some(lease), Some(read)) => now < read + lease,
+            _ => false,
+        }
+    }
+
+    /// The `seq` every `AppendEntries` of the current round carries: the
+    /// round and its lease flag.
+    pub(super) fn round_stamp(&self) -> u64 {
+        AppendEntriesArgs::stamp(self.broadcast_seq, self.lease_since != 0)
+    }
+
+    /// Re-derives the confirmed round, folds newly confirmed rounds of the
+    /// current leased period into the lease, and releases every read batch
+    /// that became ready. Called whenever acks or rounds move.
     pub(super) fn advance_read_state(&mut self, out: &mut Vec<Action>) {
         if self.role != Role::Leader {
             return;
@@ -1246,6 +1320,9 @@ impl Node {
                     break;
                 }
                 self.round_starts.pop_front();
+                // Only the current leased period's rounds are kept: see
+                // `open_round`.
+                debug_assert!(self.lease_since != 0 && round >= self.lease_since);
                 let until = start + lease;
                 if until > self.lease_until {
                     self.lease_until = until;
@@ -1323,6 +1400,8 @@ impl Node {
         self.acked_above_confirmed = 0;
         self.round_starts.clear();
         self.lease_until = Time::ZERO;
+        self.last_read = None;
+        self.lease_since = 0;
     }
 
     // ---- shared internals ----

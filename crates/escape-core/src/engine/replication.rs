@@ -45,8 +45,7 @@ impl Node {
             // with the fresh clock; keep the durable copy current.
             self.persist_current_config();
         }
-        let broadcast = self.next_broadcast_id();
-        self.note_round(broadcast, now, out);
+        let broadcast = self.open_round(now, out);
         for slot in 0..self.peers.len() {
             let before = out.len();
             self.pump_peer(slot, Some(broadcast), now, out);
@@ -61,8 +60,7 @@ impl Node {
     /// PPF rearrangement (reads must not accelerate the patrol clock).
     /// Returns the round id whose quorum ack confirms the batch.
     pub(super) fn confirm_round(&mut self, now: Time, out: &mut Vec<Action>) -> u64 {
-        let broadcast = self.next_broadcast_id();
-        self.note_round(broadcast, now, out);
+        let broadcast = self.open_round(now, out);
         for slot in 0..self.peers.len() {
             self.send_heartbeat(slot, Some(broadcast), now, out);
         }
@@ -78,8 +76,7 @@ impl Node {
         if self.role != Role::Leader {
             return;
         }
-        let broadcast = self.next_broadcast_id();
-        self.note_round(broadcast, now, out);
+        let broadcast = self.open_round(now, out);
         for slot in 0..self.peers.len() {
             self.pump_peer(slot, Some(broadcast), now, out);
         }
@@ -138,7 +135,7 @@ impl Node {
                         entries,
                         leader_commit: self.commit_index,
                         new_config: self.policy.config_for(peer),
-                        seq: self.broadcast_seq,
+                        seq: self.round_stamp(),
                     };
                     self.send(peer, Message::AppendEntries(args), broadcast, out);
                     self.note_sent(slot, sent_through.next());
@@ -218,7 +215,7 @@ impl Node {
             entries: Vec::new(),
             leader_commit: self.commit_index,
             new_config: self.policy.config_for(peer),
-            seq: self.broadcast_seq,
+            seq: self.round_stamp(),
         };
         self.send(peer, Message::AppendEntries(args), broadcast, out);
     }
@@ -373,8 +370,11 @@ impl Node {
             return;
         }
 
-        // Leader contact: the lease vote fence measures silence from here.
+        // Leader contact; a leased round also restarts the vote fence.
         self.last_leader_contact = Some(now);
+        if args.lease() {
+            self.leased_contact = Some(now);
+        }
 
         // A current-term AppendEntries is proof of a legitimate leader: a
         // candidate in the same term concedes (Fig. 1's candidate →
@@ -473,7 +473,8 @@ impl Node {
 
         // ReadIndex input: any reply under our term acknowledges the
         // round it echoes, success or not.
-        if reply.seq > 0 && self.note_acked(slot, reply.seq) {
+        let round = reply.round();
+        if round > 0 && self.note_acked(slot, round) {
             self.advance_read_state(out);
         }
 

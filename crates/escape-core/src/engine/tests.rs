@@ -21,6 +21,8 @@ struct Pump {
     timers: BTreeMap<ServerId, BTreeMap<TimerKind, (TimerToken, Time)>>,
     now: Time,
     crashed: Vec<ServerId>,
+    /// `(node, batch)` of every read batch released, in order.
+    released: Vec<(ServerId, u64)>,
 }
 
 impl Pump {
@@ -31,6 +33,7 @@ impl Pump {
             timers: BTreeMap::new(),
             now: Time::ZERO,
             crashed: Vec::new(),
+            released: Vec::new(),
         };
         let ids: Vec<ServerId> = pump.nodes.keys().copied().collect();
         for id in ids {
@@ -51,6 +54,7 @@ impl Pump {
                         .or_default()
                         .insert(token.kind, (token, deadline));
                 }
+                Action::ReadReady { batch, .. } => self.released.push((from, batch)),
                 _ => {}
             }
         }
@@ -1369,6 +1373,16 @@ fn escape_lease_cluster(n: u32) -> Pump {
     Pump::new(nodes)
 }
 
+/// Fires `leader`'s heartbeat at its deadline with a read reaching the
+/// leader at that instant, so the round is leased, and settles.
+fn leased_heartbeat(pump: &mut Pump, leader: u32) {
+    let (_, deadline) = pump.timers[&ServerId::new(leader)][&TimerKind::Heartbeat];
+    pump.now = pump.now.max(deadline);
+    let now = pump.now;
+    pump.node_mut(leader).lease_read(&[], now);
+    pump.fire(ServerId::new(leader), TimerKind::Heartbeat);
+}
+
 /// `(batch, results)` of every `ReadReady` in `actions`.
 fn reads_ready(actions: &[Action]) -> Vec<(u64, Vec<Bytes>)> {
     actions
@@ -1536,7 +1550,7 @@ fn single_node_leader_confirms_reads_instantly() {
 fn lease_serves_reads_without_a_network_round() {
     let mut pump = lease_cluster(3);
     pump.fire(ServerId::new(1), TimerKind::Election);
-    pump.fire(ServerId::new(1), TimerKind::Heartbeat); // commit + apply the no-op
+    leased_heartbeat(&mut pump, 1); // commit + apply the no-op
     let now = pump.now;
     assert!(pump.node(1).lease_valid(now), "confirmed round must start the lease");
 
@@ -1586,21 +1600,30 @@ fn expired_lease_falls_back_to_a_quorum_round() {
 }
 
 /// A 3-node lease cluster whose leader (server 1) has committed its no-op
-/// and holds a fresh lease.
+/// and, serving reads, holds a fresh lease.
 fn leased_cluster() -> Pump {
     let mut pump = lease_cluster(3);
     pump.fire(ServerId::new(1), TimerKind::Election);
-    pump.fire(ServerId::new(1), TimerKind::Heartbeat);
+    leased_heartbeat(&mut pump, 1);
     assert!(pump.node(1).lease_valid(pump.now));
     pump
 }
 
 /// Asserts that `lease_read` declines on `node` at `now` and leaves every
-/// bit of its state — metrics included — as it was.
+/// bit of its state — metrics included — as it was, but for the read
+/// demand it records on a leader.
 fn declines_untouched(node: &mut Node, now: Time) {
     let before = format!("{node:?}");
+    let last_read = node.last_read;
     assert_eq!(node.lease_read(&[Bytes::from_static(b"q")], now), None);
-    assert_eq!(format!("{node:?}"), before, "a declined lease_read changes nothing");
+    let demand = if node.is_leader() { Some(now) } else { last_read };
+    assert_eq!(node.last_read, demand, "a read on a leader is demand");
+    node.last_read = last_read;
+    assert_eq!(
+        format!("{node:?}"),
+        before,
+        "a declined lease_read changes nothing else"
+    );
 }
 
 #[test]
@@ -1676,16 +1699,22 @@ fn lease_read_declines_until_the_read_index_has_applied() {
 
 #[test]
 fn lease_read_declines_before_the_terms_no_op_commits() {
-    // A log-mismatch refusal echoes the round: the lease starts, but the
-    // no-op is on no follower yet, so the read index is out of reach.
+    // A log-mismatch refusal echoes a leased round: the lease starts, but
+    // the no-op is on no follower yet, so the read index is out of reach.
     let (mut node, ids) = undelivered_leader(lease_options());
     let now = Time::from_millis(1000);
+    assert_eq!(node.lease_read(&[], now), None);
+    let heartbeat = TimerToken {
+        kind: TimerKind::Heartbeat,
+        epoch: node.heartbeat_epoch,
+    };
+    node.handle_timer(heartbeat, now);
     let refusal = Message::AppendEntriesReply(crate::message::AppendEntriesReply {
         term: node.current_term(),
         success: false,
         match_hint: LogIndex::ZERO,
         status: None,
-        seq: node.broadcast_seq,
+        seq: node.round_stamp(),
     });
     node.handle_message(ids[1], refusal, now);
     assert!(node.lease_valid(now));
@@ -1697,8 +1726,8 @@ fn lease_read_declines_before_the_terms_no_op_commits() {
 fn vote_fence_refuses_premature_votes_but_not_expired_timers() {
     let mut pump = lease_cluster(3);
     pump.fire(ServerId::new(1), TimerKind::Election);
-    pump.fire(ServerId::new(1), TimerKind::Heartbeat);
-    let contact = pump.now; // S2 heard the leader at this instant
+    leased_heartbeat(&mut pump, 1);
+    let contact = pump.now; // S2 heard the leased round at this instant
 
     let last = pump.node(3).log().last_position();
     let term = Term::new(pump.node(1).current_term().get() + 1);
@@ -1747,7 +1776,7 @@ fn ppf_handoff_never_lets_the_deposed_leader_answer_a_read() {
     let mut pump = escape_lease_cluster(5);
     pump.fire(ServerId::new(5), TimerKind::Election); // boot-best wins
     for _ in 0..3 {
-        pump.fire(ServerId::new(5), TimerKind::Heartbeat); // PPF assigns ranks
+        leased_heartbeat(&mut pump, 5); // PPF assigns ranks; reads hold a lease
     }
     let t_confirm = pump.now;
     assert!(pump.node(5).lease_valid(t_confirm), "leader holds a live lease");
@@ -1786,6 +1815,7 @@ fn ppf_handoff_never_lets_the_deposed_leader_answer_a_read() {
     assert!(pump.node(5).metrics().reads_failed >= 1);
 
     // The new leader, meanwhile, answers reads under its own fresh lease.
+    leased_heartbeat(&mut pump, prepared);
     let now = pump.now;
     let (batch, actions) = pump
         .node_mut(prepared)
@@ -1802,7 +1832,7 @@ fn clock_drift_within_the_fence_margin_cannot_revive_a_lease() {
     // earliest possible promotion even the laggard's lease has expired.
     let mut pump = escape_lease_cluster(5);
     pump.fire(ServerId::new(5), TimerKind::Election);
-    pump.fire(ServerId::new(5), TimerKind::Heartbeat);
+    leased_heartbeat(&mut pump, 5);
     let t_confirm = pump.now; // last round start = last lease extension
 
     // Sanity: just before the lease boundary the lease is still live.
@@ -1822,12 +1852,16 @@ fn clock_drift_within_the_fence_margin_cannot_revive_a_lease() {
 
 // ---- the local lease across heartbeat rounds ----
 
-/// Fires `leader`'s heartbeat at its deadline and returns the round's
-/// start and what it sends, undelivered.
-fn leader_round(pump: &mut Pump, leader: u32) -> (Time, Vec<Action>) {
+/// Fires `leader`'s heartbeat at its deadline — a read reaching it at that
+/// instant when `read` — and returns the round's start and what it sends,
+/// undelivered.
+fn leader_round(pump: &mut Pump, leader: u32, read: bool) -> (Time, Vec<Action>) {
     let id = ServerId::new(leader);
     let (token, start) = pump.timers[&id][&TimerKind::Heartbeat];
     pump.now = start;
+    if read {
+        pump.node_mut(leader).lease_read(&[], start);
+    }
     (start, pump.node_mut(leader).handle_timer(token, start))
 }
 
@@ -1838,10 +1872,11 @@ fn deliver_round(pump: &mut Pump, leader: u32, sent: Vec<Action>, at: Time) {
     pump.settle();
 }
 
-/// What a lease of two heartbeats buys at the local timings: each round
-/// extends the lease to its own start plus the lease, so it holds without
-/// a gap while every round's quorum ack lands within one heartbeat of its
-/// send, and a lost round lapses it only until the next round's ack.
+/// What a lease of two heartbeats buys at the local timings while reads
+/// keep coming: each round extends the lease to its own start plus the
+/// lease, so it holds without a gap while every round's quorum ack lands
+/// within one heartbeat of its send, and a lost round lapses it only
+/// until the next round's ack.
 #[test]
 fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
     let local = Options::local();
@@ -1849,13 +1884,13 @@ fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
     let lease = local.lease_duration.expect("local timings lease");
     assert!(lease >= hb * 2);
     let leader = 3;
-    let mut pump = local_escape_cluster(3, true);
+    let mut pump = local_escape_cluster(3, Lease::Serving);
     let queries = [Bytes::from_static(b"q")];
 
     for round in 0..20u64 {
         // Acks from a quarter of a heartbeat up to just under a whole one.
         let delay = Duration::from_micros(hb.as_micros() * (round % 4 + 1) / 4 - 1);
-        let (start, sent) = leader_round(&mut pump, leader);
+        let (start, sent) = leader_round(&mut pump, leader, true);
         // Valid up to the instant this round's ack lands: no gap since
         // the last extension.
         assert!(
@@ -1872,7 +1907,7 @@ fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
 
     // One round lost: the lease runs out no sooner than the next round
     // starts, and is back when that round's ack lands.
-    let (_, lost) = leader_round(&mut pump, leader);
+    let (_, lost) = leader_round(&mut pump, leader, true);
     pump.absorb(ServerId::new(leader), lost);
     pump.inbox.clear();
     let lapse = pump.node(leader).lease_until;
@@ -1882,7 +1917,7 @@ fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
         .lease_read(&queries, just_before)
         .is_some());
     let delay = hb / 2;
-    let (start, sent) = leader_round(&mut pump, leader);
+    let (start, sent) = leader_round(&mut pump, leader, true);
     let acked_at = start + delay;
     assert!(lapse >= start);
     assert!(acked_at - lapse <= delay);
@@ -1899,10 +1934,23 @@ fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
 
 // ---- the failure hint and the deferred fenced grant ----
 
-/// The local timings a TCP deployment runs ([`Options::local`], with its
-/// lease or without), under `escape_local`'s `baseTime` 150 ms and `k`
-/// 50 ms.
-fn local_escape_cluster(n: u32, leased: bool) -> Pump {
+/// How a local cluster's leader stands towards reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lease {
+    /// No lease configured.
+    Off,
+    /// [`Options::local`]'s lease, and no read ever reaches the leader:
+    /// it holds no lease and its followers no fence.
+    Idle,
+    /// [`Options::local`]'s lease, and a read reaches the leader at each
+    /// heartbeat: every round is leased.
+    Serving,
+}
+
+/// The local timings a TCP deployment runs ([`Options::local`], its lease
+/// configured or not), under `escape_local`'s `baseTime` 150 ms and `k`
+/// 50 ms. The leader's last heartbeat is the cluster's `now`.
+fn local_escape_cluster(n: u32, lease: Lease) -> Pump {
     let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
     let params = EscapeParams::builder(n as usize)
         .base_time_ms(150)
@@ -1910,7 +1958,7 @@ fn local_escape_cluster(n: u32, leased: bool) -> Pump {
         .build();
     let local = Options::local();
     let options = Options {
-        lease_duration: local.lease_duration.filter(|_| leased),
+        lease_duration: local.lease_duration.filter(|_| lease != Lease::Off),
         ..local
     };
     let nodes = ids
@@ -1927,7 +1975,11 @@ fn local_escape_cluster(n: u32, leased: bool) -> Pump {
     // followers their ranks.
     pump.fire(ServerId::new(n), TimerKind::Election);
     for _ in 0..3 {
-        pump.fire(ServerId::new(n), TimerKind::Heartbeat);
+        if lease == Lease::Serving {
+            leased_heartbeat(&mut pump, n);
+        } else {
+            pump.fire(ServerId::new(n), TimerKind::Heartbeat);
+        }
     }
     pump
 }
@@ -1937,8 +1989,14 @@ fn local_fence() -> Duration {
     Options::local().vote_fence().expect("local timings lease")
 }
 
-/// An empty `AppendEntries` from `leader` at `term`.
+/// An empty leased `AppendEntries` from `leader` at `term`.
 fn heartbeat(term: u64, leader: ServerId) -> Message {
+    heartbeat_leased(term, leader, true)
+}
+
+/// An empty `AppendEntries` of round 1 from `leader` at `term`, leased or
+/// not.
+fn heartbeat_leased(term: u64, leader: ServerId, lease: bool) -> Message {
     Message::AppendEntries(crate::message::AppendEntriesArgs {
         term: Term::new(term),
         leader_id: leader,
@@ -1947,7 +2005,7 @@ fn heartbeat(term: u64, leader: ServerId) -> Message {
         entries: Vec::new(),
         leader_commit: LogIndex::ZERO,
         new_config: None,
-        seq: 1,
+        seq: crate::message::AppendEntriesArgs::stamp(1, lease),
     })
 }
 
@@ -2123,37 +2181,40 @@ fn a_hint_from_a_peer_that_is_not_the_leader_leaves_the_node_as_it_was() {
 
 #[test]
 fn hinted_followers_keep_their_eq1_spacing() {
-    let mut pump = local_escape_cluster(3, true);
-    let contact = pump.now;
-    let leader = ServerId::new(3);
-    let followers = followers_by_priority(&pump, 3);
-    let moved: Vec<Time> = followers
-        .iter()
-        .map(|id| {
-            let actions = pump.node_mut(*id).peer_closed(leader, contact);
-            let deadline = election_deadline(&actions).expect("a hinted follower re-arms");
-            pump.absorb(ServerId::new(*id), actions);
-            deadline
-        })
-        .collect();
-    // Priorities n and n−1: `baseTime` and `baseTime + k`, both moved
-    // `baseTime` − fence earlier — the prepared one to the fence, the gap
-    // still k.
-    let fence = local_fence();
-    assert_eq!(moved[0], contact + fence);
-    assert_eq!(moved[1] - moved[0], Duration::from_millis(50));
+    // Under a leader serving reads the fence holds them back; under one
+    // that serves none there is no fence.
+    for (lease, fence) in [(Lease::Serving, local_fence()), (Lease::Idle, Duration::ZERO)] {
+        let mut pump = local_escape_cluster(3, lease);
+        let contact = pump.now;
+        let leader = ServerId::new(3);
+        let followers = followers_by_priority(&pump, 3);
+        let moved: Vec<Time> = followers
+            .iter()
+            .map(|id| {
+                let actions = pump.node_mut(*id).peer_closed(leader, contact);
+                let deadline = election_deadline(&actions).expect("a hinted follower re-arms");
+                pump.absorb(ServerId::new(*id), actions);
+                deadline
+            })
+            .collect();
+        // Priorities n and n−1: `baseTime` and `baseTime + k`, both moved
+        // `baseTime` − fence earlier — the prepared one to the fence, the
+        // gap still k.
+        assert_eq!(moved[0], contact + fence, "{lease:?}");
+        assert_eq!(moved[1] - moved[0], Duration::from_millis(50), "{lease:?}");
 
-    // The prepared follower campaigns first, alone, and wins.
-    pump.crash(3);
-    pump.fire(ServerId::new(followers[0]), TimerKind::Election);
-    assert_eq!(pump.now, contact + fence);
-    assert_eq!(pump.leader(), Some(ServerId::new(followers[0])));
-    assert_eq!(pump.node(followers[1]).metrics().elections_started, 0);
+        // The prepared follower campaigns first, alone, and wins.
+        pump.crash(3);
+        pump.fire(ServerId::new(followers[0]), TimerKind::Election);
+        assert_eq!(pump.now, contact + fence, "{lease:?}");
+        assert_eq!(pump.leader(), Some(ServerId::new(followers[0])), "{lease:?}");
+        assert_eq!(pump.node(followers[1]).metrics().elections_started, 0);
+    }
 }
 
 #[test]
 fn a_hint_is_ignored_unless_it_names_a_followers_leader() {
-    let mut pump = local_escape_cluster(3, true);
+    let mut pump = local_escape_cluster(3, Lease::Serving);
     let now = pump.now;
     let followers = followers_by_priority(&pump, 3);
     // Not the leader: a fellow follower's process closed.
@@ -2187,7 +2248,7 @@ fn a_hint_is_ignored_unless_it_names_a_followers_leader() {
 
 #[test]
 fn without_leases_the_prepared_follower_campaigns_at_the_hint() {
-    let mut pump = local_escape_cluster(3, false);
+    let mut pump = local_escape_cluster(3, Lease::Off);
     let contact = pump.now;
     let hinted_at = contact + Duration::from_millis(1);
     let followers = followers_by_priority(&pump, 3);
@@ -2204,11 +2265,11 @@ fn without_leases_the_prepared_follower_campaigns_at_the_hint() {
     );
 }
 
-/// A follower of the leased local cluster, the instant it last heard its
-/// leader, the prepared candidate, and that candidate's solicitation for
-/// the next term.
+/// A follower of the local cluster whose leader serves reads, the instant
+/// it last heard its leader, the prepared candidate, and that candidate's
+/// solicitation for the next term.
 fn fenced_voter() -> (Pump, u32, Time, ServerId, Message) {
-    let pump = local_escape_cluster(3, true);
+    let pump = local_escape_cluster(3, Lease::Serving);
     let contact = pump.now;
     let followers = followers_by_priority(&pump, 3);
     let (candidate, voter) = (followers[0], followers[1]);
@@ -2309,6 +2370,176 @@ fn a_deferred_grant_yields_to_a_higher_term_another_vote_or_a_stale_term() {
         a,
         Action::SetTimer { token, .. } if token.kind == TimerKind::FenceLapse
     )));
+}
+
+// ---- lease on demand ----
+
+/// Every `AppendEntries` in `actions`.
+fn appends(actions: &[Action]) -> Vec<&crate::message::AppendEntriesArgs> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                msg: Message::AppendEntries(args),
+                ..
+            } => Some(args),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Fires `leader`'s heartbeat at `at`, due or not, and returns what it
+/// sends, undelivered.
+fn heartbeat_at(pump: &mut Pump, leader: u32, at: Time) -> Vec<Action> {
+    pump.now = at;
+    let node = pump.node_mut(leader);
+    let token = TimerToken {
+        kind: TimerKind::Heartbeat,
+        epoch: node.heartbeat_epoch,
+    };
+    node.handle_timer(token, at)
+}
+
+/// Hands server `to` every message `actions` of server `from` send it, at
+/// `at`, and returns what `to` does in answer.
+fn hand_over(pump: &mut Pump, from: u32, to: u32, actions: &[Action], at: Time) -> Vec<Action> {
+    let mut answers = Vec::new();
+    for action in actions {
+        if let Action::Send { to: dest, msg, .. } = action {
+            if *dest == ServerId::new(to) {
+                answers.extend(pump.node_mut(to).handle_message(
+                    ServerId::new(from),
+                    msg.clone(),
+                    at,
+                ));
+            }
+        }
+    }
+    answers
+}
+
+#[test]
+fn a_leader_without_reads_lets_its_lease_lapse_and_one_round_restarts_it() {
+    let local = Options::local();
+    let hb = local.heartbeat_interval;
+    let lease = local.lease_duration.expect("local timings lease");
+    let leader = 3;
+    let mut pump = local_escape_cluster(3, Lease::Serving);
+    let last_read = pump.now;
+
+    // Rounds opened within one lease of the last read are leased; the
+    // ones after it are not, and extend nothing.
+    loop {
+        let (start, sent) = leader_round(&mut pump, leader, false);
+        let flags: Vec<bool> = appends(&sent).iter().map(|a| a.lease()).collect();
+        assert_eq!(flags.len(), 2, "one AppendEntries per follower");
+        let leased = start < last_read + lease;
+        assert!(flags.iter().all(|&f| f == leased), "{flags:?} at {start}");
+        deliver_round(&mut pump, leader, sent, start);
+        if start >= last_read + lease + hb {
+            break;
+        }
+    }
+    let now = pump.now;
+    assert_eq!(
+        pump.node(leader).lease_until,
+        last_read + hb + lease,
+        "the last leased round's extension"
+    );
+    assert!(!pump.node(leader).lease_valid(now));
+    declines_untouched(pump.node_mut(leader), now);
+
+    // The next read: one leased confirm round releases it and restarts
+    // the lease.
+    let quorum_reads = pump.node(leader).metrics().quorum_reads;
+    let queries = [Bytes::from_static(b"q")];
+    let (batch, actions) = pump
+        .node_mut(leader)
+        .read_batch(queries.to_vec(), now)
+        .unwrap();
+    assert!(reads_ready(&actions).is_empty());
+    let confirm = appends(&actions);
+    assert_eq!(confirm.len(), 2, "one round");
+    assert!(confirm.iter().all(|a| a.lease()));
+    deliver_round(&mut pump, leader, actions, now);
+    assert_eq!(pump.released, vec![(ServerId::new(leader), batch)]);
+    assert_eq!(pump.node(leader).metrics().quorum_reads, quorum_reads + 1);
+    assert_eq!(pump.node(leader).lease_until, now + lease);
+    assert!(pump.node_mut(leader).lease_read(&queries, now).is_some());
+}
+
+#[test]
+fn a_voter_stays_fenced_one_fence_after_a_leased_round_through_unleased_ones() {
+    let (mut pump, voter, contact, candidate, solicit) = fenced_voter();
+    let leader = ServerId::new(3);
+    let term = pump.node(voter).current_term().get();
+    let fence = local_fence();
+    let node = pump.node_mut(voter);
+    // The leader goes on without reads: unleased rounds up to the lapse.
+    let mut at = contact;
+    while at + Duration::from_millis(10) < contact + fence {
+        at += Duration::from_millis(10);
+        node.handle_message(leader, heartbeat_leased(term, leader, false), at);
+    }
+    assert_eq!(node.leased_contact, Some(contact));
+
+    // Still fenced a µs before one fence after the leased round…
+    let just_before = contact + fence - Duration::from_micros(1);
+    let refused = node.handle_message(candidate, solicit, just_before);
+    assert_eq!(vote_replies(&refused), vec![(candidate, false)]);
+    let (token, lapse) = fence_lapse(&refused);
+    assert_eq!(lapse, contact + fence, "unleased rounds extend no fence");
+    // …and free at that instant.
+    let granted = node.handle_timer(token, lapse);
+    assert_eq!(vote_replies(&granted), vec![(candidate, true)]);
+}
+
+/// Server 3 misses the leader's last leased round and acks only the
+/// unleased round after it, so it is fenced from an earlier leased round
+/// alone. Server 2's late ack of the leased round then makes a quorum
+/// (leader, 2, 3) echo it — but that quorum does not back a lease past
+/// server 3's fence, so the round must not extend the lease.
+#[test]
+fn an_ack_of_an_unleased_round_never_extends_an_earlier_leased_rounds_lease() {
+    let lease = lease_options().lease_duration.expect("lease options");
+    let ms = Duration::from_millis;
+    let mut pump = lease_cluster(5);
+    pump.fire(ServerId::new(1), TimerKind::Election);
+    // Servers 4 and 5 hear nothing more: the read quorum is 1, 2 and 3.
+    pump.crash(4);
+    pump.crash(5);
+    leased_heartbeat(&mut pump, 1);
+    let t0 = pump.now;
+    assert_eq!(pump.node(1).lease_until, t0 + lease);
+    assert_eq!(pump.node(3).fence_lapse(), Some(t0 + Node::lease_fence(lease)));
+
+    // A read, then the last round within one lease of it: leased, and
+    // only server 2 gets it; its ack is still on the way.
+    let read_at = t0 + ms(50);
+    pump.node_mut(1).lease_read(&[], read_at);
+    let leased = heartbeat_at(&mut pump, 1, read_at + lease - ms(1));
+    assert!(appends(&leased).iter().all(|a| a.lease()));
+    let round = appends(&leased)[0].round();
+    let ack_of_leased = hand_over(&mut pump, 1, 2, &leased, read_at + lease - ms(1));
+
+    // One lease after the read the next round is unleased; server 3
+    // hears it and acks at once.
+    let unleased = heartbeat_at(&mut pump, 1, read_at + lease);
+    assert!(appends(&unleased).iter().all(|a| !a.lease()));
+    let ack_of_unleased = hand_over(&mut pump, 1, 3, &unleased, read_at + lease);
+    hand_over(&mut pump, 3, 1, &ack_of_unleased, read_at + lease);
+    let late = read_at + lease + ms(1);
+    hand_over(&mut pump, 2, 1, &ack_of_leased, late);
+
+    let node = pump.node(1);
+    assert!(node.confirmed_round() >= round, "a quorum echoed the leased round");
+    assert_eq!(
+        node.lease_until,
+        t0 + lease,
+        "server 3 is fenced only until {:?}",
+        pump.node(3).fence_lapse()
+    );
+    assert!(!node.lease_valid(late));
 }
 
 // ---- the deferred leader barrier ----
@@ -2621,7 +2852,10 @@ fn oracle_step(node: &mut Node, (op, peer, value): (u8, u32, u64), now: Time) {
     } else {
         last
     });
-    let seq = (value >> 8) % (node.broadcast_seq + 2);
+    let seq = crate::message::AppendEntriesArgs::stamp(
+        (value >> 8) % (node.broadcast_seq + 2),
+        value & 0x80 != 0,
+    );
     let term = node.current_term();
     match (op, from) {
         (0 | 1, Some(from)) => {

@@ -35,11 +35,34 @@ pub struct AppendEntriesArgs {
     pub leader_commit: LogIndex,
     /// ESCAPE: newly assigned configuration for this follower (`newConfig`).
     pub new_config: Option<Configuration>,
-    /// Broadcast-round stamp for ReadIndex leadership confirmation: the
-    /// leader's monotone round counter at send time, echoed verbatim in
-    /// the reply. `0` means "no round information" (e.g. pre-upgrade
-    /// peers or refusal replies) and never confirms anything.
+    /// Broadcast-round stamp ([`AppendEntriesArgs::stamp`]): the leader's
+    /// monotone round counter at send time, shifted up one bit above the
+    /// round's lease flag, echoed verbatim in the reply. Round `0` means
+    /// "no round information" (e.g. refusal replies) and never confirms
+    /// anything.
     pub seq: u64,
+}
+
+impl AppendEntriesArgs {
+    /// The `seq` stamp of broadcast round `round`: the round number above
+    /// its lease flag, so ordering stamps orders rounds and every message
+    /// of a round carries that round's flag.
+    pub const fn stamp(round: u64, lease: bool) -> u64 {
+        (round << 1) | lease as u64
+    }
+
+    /// The broadcast round this message belongs to (`0`: none).
+    pub const fn round(&self) -> u64 {
+        self.seq >> 1
+    }
+
+    /// Whether the round backs a read lease: the leader served reads
+    /// within the last lease when it opened the round. A voter fences
+    /// itself from the last leased `AppendEntries` it received, and only
+    /// acks of leased rounds extend a lease.
+    pub const fn lease(&self) -> bool {
+        self.seq & 1 == 1
+    }
 }
 
 /// Follower-reported status piggybacked on `AppendEntries` replies
@@ -75,6 +98,13 @@ pub struct AppendEntriesReply {
     /// which is what lets the leader confirm leadership for queued reads
     /// without a dedicated RPC. `0` when the request carried no round.
     pub seq: u64,
+}
+
+impl AppendEntriesReply {
+    /// The broadcast round the reply acknowledges (`0`: none).
+    pub const fn round(&self) -> u64 {
+        self.seq >> 1
+    }
 }
 
 /// `InstallSnapshot` RPC arguments (Raft §7): ships the state-machine
@@ -278,6 +308,24 @@ mod tests {
             seq: 0,
         });
         assert_eq!(aer.term(), Term::new(9));
+    }
+
+    #[test]
+    fn a_stamp_orders_rounds_and_carries_the_lease_flag() {
+        let args = |seq| AppendEntriesArgs {
+            seq,
+            ..match heartbeat() {
+                Message::AppendEntries(a) => a,
+                _ => unreachable!(),
+            }
+        };
+        for round in [0, 1, 7, u64::MAX >> 1] {
+            for lease in [false, true] {
+                let stamped = args(AppendEntriesArgs::stamp(round, lease));
+                assert_eq!((stamped.round(), stamped.lease()), (round, lease));
+            }
+        }
+        assert!(AppendEntriesArgs::stamp(2, false) > AppendEntriesArgs::stamp(1, true));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct NodeMetrics {
     pub quorum_reads: u64,
     /// Queries failed unanswered because leadership changed first.
     pub reads_failed: u64,
-    /// Votes refused by the lease fence (leader heard too recently).
+    /// Votes refused by the lease fence (leased round heard too recently).
     pub votes_lease_fenced: u64,
     /// Times the transport's dropped-frame report clamped a follower's
     /// pipelining window back to 1.

@@ -48,15 +48,16 @@ pub enum Event {
     /// The transport saw the leader's process close its connection, and
     /// this follower moved its election deadline earlier: the failure
     /// hint that lets detection end one vote fence after the leader's
-    /// last word instead of a full election timeout.
+    /// last leased round (at once when it held no lease) instead of a
+    /// full election timeout.
     FailureHinted {
         /// The follower's current term.
         term: u64,
         /// How far the deadline moved, in microseconds.
         advance_micros: u64,
     },
-    /// A vote was refused by the lease fence (a leader was heard too
-    /// recently for its lease to have provably expired).
+    /// A vote was refused by the lease fence (a leased round was heard
+    /// too recently for the lease it backs to have provably expired).
     VoteFenced {
         /// The voter's current term.
         term: u64,

@@ -12,8 +12,9 @@
 //!
 //! The killed process's closed sockets are also what starts each
 //! failover: the survivors' mesh readers see EOF and hint their engines,
-//! so the prepared candidate campaigns one vote fence after the leader's
-//! last word, not a full election timeout after it.
+//! so the prepared candidate campaigns at once — the group serves no
+//! reads, so it holds no lease and no vote fence — not a full election
+//! timeout after the leader's last word.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -39,13 +40,13 @@ const DOWNTIME: Duration = Duration::from_millis(300);
 const ELECT_BOUND_MICROS: u64 = 50_000;
 /// Detection must come within one vote fence of `local_options` (lease ×
 /// 5/4) of the kill, plus 10 ms for scheduling: the hint, not the 150 ms
-/// `baseTime`, ends it. How far short of the bound it falls depends on
-/// where in the heartbeat cycle the kill lands, so the hint itself is
+/// `baseTime`, ends it. That bound holds for a group serving reads; this
+/// one serves none and is detected within a few ms, so the hint itself is
 /// checked too. The first kill comes straight after the first election,
 /// before the new leader's PPF rearrangement need have reached its
 /// followers: their timers still run their longer boot-time periods, which
-/// the hint shortens by the same `baseTime` − fence but does not bring down
-/// to the fence. Only the later kills are held to either.
+/// the hint shortens by `baseTime` less any fence but does not bring down
+/// to the hint. Only the later kills are held to either.
 fn detect_bound_micros() -> u64 {
     let fence = ProtocolSpec::local_options()
         .vote_fence()
@@ -54,9 +55,10 @@ fn detect_bound_micros() -> u64 {
 }
 /// Each kill after the first comes straight after the respawned server's
 /// catch-up, so the leader may have spoken to the respawned follower up to
-/// one heartbeat after its last heartbeat to the candidate. That
-/// follower's vote fence then still stands when the candidate's timer
-/// fires: it refuses the solicitation and grants it when its fence lapses.
+/// one heartbeat after its last heartbeat to the candidate. In a group
+/// serving reads, that follower's vote fence then still stands when the
+/// candidate's timer fires: it refuses the solicitation and grants it when
+/// its fence lapses.
 /// Leadership must follow that lapse this closely (scheduling), not wait
 /// for the in-campaign vote retry one heartbeat after the campaign.
 const GRANT_BOUND_MICROS: u64 = 10_000;

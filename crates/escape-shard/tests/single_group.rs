@@ -303,8 +303,9 @@ fn a_write_to_a_survivor_of_a_leader_kill_is_sent_to_the_successor() {
     let survivors: Vec<usize> = (0..3).filter(|i| *i != killed).collect();
     // The survivors' mesh readers see the closed sockets as `kill`
     // returns, racing this thread to their inboxes. Give them up to
-    // 10 ms — no survivor can have campaigned within a fifth of the
-    // fence — so that the writes ask after the close, not before it.
+    // 10 ms so that the writes ask after the close, not before it. The
+    // group serves no reads, so it holds no fence: the successor may
+    // already lead by then, and a survivor then names it.
     let named_killed = |i: usize| {
         let status = cluster.node(i).status(G).expect("status");
         status.leader_hint == Some(ServerId::new(killed as u32 + 1))

@@ -1536,10 +1536,11 @@ pub(crate) mod tests {
 
     /// A group on `inbox` whose engine — installed as if its node thread
     /// ran, though none does — is server 1 of three, elected, with its
-    /// no-op acknowledged by server 2 and a one-minute lease from now.
+    /// no-op acknowledged by server 2 and, a read having reached it, a
+    /// one-minute lease from now.
     pub(crate) fn leased_group(inbox: crossbeam::channel::Sender<NodeInput>) -> GroupHandle {
-        use escape_core::engine::Options;
-        use escape_core::message::{AppendEntriesReply, RequestVoteReply};
+        use escape_core::engine::{Options, TimerKind};
+        use escape_core::message::{AppendEntriesArgs, AppendEntriesReply, RequestVoteReply};
         use escape_core::policy::{RaftPolicy, ScriptedTimeouts};
         use escape_core::time::Duration;
 
@@ -1556,39 +1557,51 @@ pub(crate) mod tests {
             })
             .state_machine(Box::new(Tagged))
             .build();
-        let election = node
-            .start(now())
-            .into_iter()
-            .find_map(|action| match action {
-                Action::SetTimer { token, .. } => Some(token),
+        let timer = |actions: &[Action], kind| {
+            actions.iter().find_map(|action| match action {
+                Action::SetTimer { token, .. } if token.kind == kind => Some(*token),
                 _ => None,
-            });
+            })
+        };
+        let to_server_2 = |actions: Vec<Action>| -> AppendEntriesArgs {
+            actions
+                .into_iter()
+                .find_map(|action| match action {
+                    Action::Send {
+                        to,
+                        msg: Message::AppendEntries(args),
+                        ..
+                    } if to == ids[1] => Some(args),
+                    _ => None,
+                })
+                .unwrap()
+        };
+        let election = timer(&node.start(now()), TimerKind::Election);
         node.handle_timer(election.unwrap(), now());
         let term = node.current_term();
         let granted = Message::RequestVoteReply(RequestVoteReply {
             term,
             vote_granted: true,
         });
-        let no_op = node
-            .handle_message(ids[1], granted, now())
-            .into_iter()
-            .find_map(|action| match action {
-                Action::Send {
-                    to,
-                    msg: Message::AppendEntries(args),
-                    ..
-                } if to == ids[1] => Some(args),
-                _ => None,
+        let elected = node.handle_message(ids[1], granted, now());
+        let heartbeat = timer(&elected, TimerKind::Heartbeat).unwrap();
+        let no_op = to_server_2(elected);
+        let ack = |args: &AppendEntriesArgs| {
+            Message::AppendEntriesReply(AppendEntriesReply {
+                term,
+                success: true,
+                match_hint: no_op.entries.last().unwrap().index,
+                status: None,
+                seq: args.seq,
             })
-            .unwrap();
-        let acked = Message::AppendEntriesReply(AppendEntriesReply {
-            term,
-            success: true,
-            match_hint: no_op.entries.last().unwrap().index,
-            status: None,
-            seq: no_op.seq,
-        });
-        node.handle_message(ids[1], acked, now());
+        };
+        node.handle_message(ids[1], ack(&no_op), now());
+        // The read makes the next round a leased one, and its ack starts
+        // the lease.
+        assert!(node.lease_read(&[], now()).is_none());
+        let round = to_server_2(node.handle_timer(heartbeat, now()));
+        assert!(round.lease());
+        node.handle_message(ids[1], ack(&round), now());
         assert!(node.lease_valid(now()) && node.lease_read(&[], now()).is_some());
         *group.engine.lock() = Some(node);
         group

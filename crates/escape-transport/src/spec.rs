@@ -114,9 +114,11 @@ impl ProtocolSpec {
     /// vote fence (lease × 5/4) is the required silence before any vote,
     /// under the 150 ms floor every local spec gives its shortest election
     /// timeout, so a legitimate failover (a voter whose timer actually
-    /// expired) is never delayed; it is also all a hinted failover waits
-    /// (a leader whose process closed its connections). The engine
-    /// additionally caps the lease at the policy's own bound.
+    /// expired) is never delayed; while reads hold the lease it is also
+    /// all a hinted failover waits (a leader whose process closed its
+    /// connections), and a group nobody reads from holds no lease and
+    /// waits nothing. The engine additionally caps the lease at the
+    /// policy's own bound.
     pub fn local_options() -> Options {
         Options::local()
     }

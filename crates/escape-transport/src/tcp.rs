@@ -36,10 +36,11 @@
 //!   (see `Node::peer_closed`). A partition or an overloaded peer sends
 //!   no FIN, so neither hints. A live peer can: its link resets the
 //!   stream this reader serves when a write fails or its scan finds our
-//!   end gone (`PeerLink::mark_broken`). That hint is harmless: the
-//!   follower's deadline never moves before its last contact with the
-//!   leader plus the vote fence, and the leader's next `AppendEntries`
-//!   re-arms it;
+//!   end gone (`PeerLink::mark_broken`). That hint is cheap: the
+//!   follower's deadline never moves before its vote fence lapses, so
+//!   the next `AppendEntries` of a leader serving reads re-arms it
+//!   first; a leader nobody reads from leaves no fence, and the hint
+//!   costs one election, as it does without leases;
 //! * an outbound socket carries no inbound traffic, so anything readable
 //!   on it is the peer's FIN or RST: the flusher's scan peeks every
 //!   connected link and marks a dead one broken within one
@@ -554,17 +555,31 @@ impl TcpMesh {
             .is_some_and(|(_, link)| link.lock().stream.is_some())
     }
 
-    /// Stops the background flusher and drops every connection. Buffered
+    /// Stops the background flusher and closes every connection. Buffered
     /// frames for unreachable peers are discarded (network loss).
+    ///
+    /// Every link's socket is shut before the flusher is joined, which can
+    /// take up to one [`FLUSH_INTERVAL`]: the peers' readers see EOF at
+    /// once, and a stopping process's closed connections are the failure
+    /// hint a failover starts from. A socket the flusher connects in the
+    /// meantime is closed after the join.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
+        self.close_links();
         let handle = self.flusher.lock().take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
+        self.close_links();
+    }
+
+    /// Shuts and drops every link's socket and discards its queue.
+    fn close_links(&self) {
         for (_, link) in self.peers.values() {
             let mut link = link.lock();
-            link.stream = None;
+            if let Some(stream) = link.stream.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
             link.pending.clear();
             link.front_offset = 0;
             link.pending_bytes = 0;
@@ -1231,6 +1246,44 @@ mod tests {
         let dialled = accept_within(&listener, FLUSH_INTERVAL * 2 + SCHED_SLACK);
         assert!(dialled.is_some(), "no dial without a pending frame");
         mesh.stop();
+    }
+
+    /// A stopping mesh shuts its sockets before it joins its flusher, so
+    /// the peer reads EOF at once — the failure hint of a killed process —
+    /// and not after the flusher's current scan interval. Stopped just
+    /// after the flusher installed the link, a mesh that joined first
+    /// would keep the peer waiting most of a [`FLUSH_INTERVAL`]; the best
+    /// of three stops must see EOF within half of one.
+    #[test]
+    fn stop_closes_every_connection_before_joining_the_flusher() {
+        let peer = ServerId::new(2);
+        let mut fastest = Duration::MAX;
+        for _ in 0..3 {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addrs = HashMap::from([(peer, listener.local_addr().unwrap())]);
+            let mesh = TcpMesh::start(ServerId::new(1), &addrs);
+            let mut stream =
+                accept_within(&listener, FLUSH_INTERVAL * 2 + SCHED_SLACK).expect("a dial");
+            while !mesh.is_connected(peer) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stopping = crate::clock::monotonic_now();
+            let reader = std::thread::spawn(move || {
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let read = stream.read(&mut [0u8; 1]);
+                (read.ok(), crate::clock::monotonic_now())
+            });
+            mesh.stop();
+            let (read, eof_at) = reader.join().expect("reader");
+            assert_eq!(read, Some(0), "the peer reads EOF");
+            fastest = fastest.min(eof_at.saturating_duration_since(stopping));
+        }
+        assert!(
+            fastest < FLUSH_INTERVAL / 2,
+            "EOF {fastest:?} after stop began"
+        );
     }
 
     /// The lost-solicitation bug, at the link: the peer goes away while

@@ -281,6 +281,7 @@ impl Encode for AppendEntriesArgs {
         }
         self.leader_commit.encode(buf);
         put_option(buf, &self.new_config);
+        // The round stamp: the round number above the lease flag.
         put_uvarint(buf, self.seq);
     }
 }

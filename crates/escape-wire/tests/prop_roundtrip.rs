@@ -78,7 +78,8 @@ prop_compose! {
         entries in proptest::collection::vec(arb_entry(), 0..8),
         leader_commit in arb_index(),
         new_config in proptest::option::of(arb_config()),
-        seq in any::<u64>(),
+        seq in (0..u64::MAX >> 1, any::<bool>())
+            .prop_map(|(round, lease)| AppendEntriesArgs::stamp(round, lease)),
     ) -> AppendEntriesArgs {
         AppendEntriesArgs {
             term, leader_id, prev_log_index, prev_log_term,
