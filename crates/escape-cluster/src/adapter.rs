@@ -39,6 +39,7 @@ pub fn timer_slot(kind: TimerKind) -> usize {
         TimerKind::Heartbeat => 1,
         TimerKind::VoteRetry => 2,
         TimerKind::FenceLapse => 3,
+        TimerKind::LeaderKnown => 4,
     }
 }
 
@@ -80,6 +81,7 @@ pub fn decode_timer(raw: u64) -> TimerToken {
         1 => TimerKind::Heartbeat,
         2 => TimerKind::VoteRetry,
         3 => TimerKind::FenceLapse,
+        4 => TimerKind::LeaderKnown,
         other => unreachable!("unknown timer kind encoding {other}"),
     };
     TimerToken {
@@ -100,6 +102,7 @@ mod tests {
                 TimerKind::Heartbeat,
                 TimerKind::VoteRetry,
                 TimerKind::FenceLapse,
+                TimerKind::LeaderKnown,
             ] {
                 let t = TimerToken { kind, epoch };
                 assert_eq!(decode_timer(encode_timer(t)), t);
@@ -113,7 +116,11 @@ mod tests {
             assert_eq!(decode_barrier(encode_barrier(ticket)), Some(ticket));
             assert_eq!(decode_peer_closed(encode_barrier(ticket)), None);
         }
-        for kind in [TimerKind::VoteRetry, TimerKind::FenceLapse] {
+        for kind in [
+            TimerKind::VoteRetry,
+            TimerKind::FenceLapse,
+            TimerKind::LeaderKnown,
+        ] {
             let timer = encode_timer(TimerToken { kind, epoch: 9 });
             assert_eq!(decode_barrier(timer), None);
             assert_eq!(decode_peer_closed(timer), None);

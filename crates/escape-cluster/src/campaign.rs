@@ -1111,6 +1111,7 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::KnownLeader;
     use escape_obs::Event;
     use escape_simnet::trace::{DropCause, TraceEvent};
 
@@ -1128,6 +1129,10 @@ mod tests {
         alone: bool,
         /// A frame to a survivor was lost around the failover.
         lost: bool,
+        /// The leader that exited.
+        exited: ServerId,
+        /// Every `LeaderKnown` from the exit on.
+        known: Vec<KnownLeader>,
     }
 
     /// The TCP deployment's failover on the simulator under 20 % loss: the
@@ -1188,6 +1193,7 @@ mod tests {
             .filter(|id| *id != leader)
             .max_by_key(|id| cluster.node(*id).current_config().map(|c| c.priority))
             .expect("two followers");
+        let exit_at = cluster.now();
         cluster.exit(leader);
         let horizon = cluster.now() + Duration::from_secs(10);
         let winner = cluster
@@ -1217,6 +1223,12 @@ mod tests {
                     && at.as_micros() + k.as_micros() * 2 >= timeline.leader_killed_at
                     && at.as_micros() <= timeline.leader_elected_at)
         });
+        let known = cluster
+            .known_leaders()
+            .iter()
+            .filter(|known| known.at >= exit_at)
+            .copied()
+            .collect();
         Exited {
             detail: format!("{detail}campaigns {campaigns:?}"),
             winner,
@@ -1224,6 +1236,8 @@ mod tests {
             timeline,
             alone,
             lost,
+            exited: leader,
+            known,
         }
     }
 
@@ -1285,11 +1299,111 @@ mod tests {
             assert!(run.timeline.detect_micros() <= 5_000, "{detail}");
             assert!(run.alone || run.lost, "{detail}: without a lost frame");
             single += usize::from(run.alone);
+            // A survivor holding a refusal that names no leader answers it
+            // with the winner, well within the one floor it may wait.
+            for survivor in (1..=3).map(ServerId::new).filter(|id| *id != run.exited) {
+                let named: Vec<_> = run.known.iter().filter(|k| k.node == survivor).collect();
+                assert!(!named.is_empty(), "{detail}: {survivor} named nobody");
+                assert!(
+                    named.iter().all(|k| k.leader == Some(run.winner)),
+                    "{detail}: {survivor} named {named:?}"
+                );
+            }
         }
         // Seeds 5 and 12 lost heartbeats to the other follower, whose
         // timer was then due at the hint as well: it campaigned too, and
         // the prepared candidate's higher term won all the same.
         assert_eq!(single, 23);
+    }
+
+    /// A survivor that cannot win (its leader and the other follower
+    /// crashed) says it knows no leader exactly one floor — Eq. 1's
+    /// `baseTime` — after it lost its leader at its first campaign, and
+    /// again at each floor after that: a refusal it made is never held
+    /// longer than a floor.
+    #[test]
+    fn a_survivor_without_a_quorum_says_each_floor_that_it_knows_no_leader() {
+        let floor = Duration::from_millis(150);
+        for seed in 1..=5 {
+            let mut cluster = SimCluster::new(trial_config(seed, LossModel::None, true));
+            let leader = cluster.bootstrap(Duration::from_millis(500));
+            let others: Vec<ServerId> = cluster
+                .ids()
+                .into_iter()
+                .filter(|id| *id != leader)
+                .collect();
+            let (follower, survivor) = (others[0], others[1]);
+            let crashed_at = cluster.now();
+            cluster.crash(leader);
+            cluster.crash(follower);
+            cluster.run_for(Duration::from_secs(1));
+            let campaign = cluster
+                .node_events(survivor)
+                .into_iter()
+                .find(|e| {
+                    e.at_micros >= crashed_at.as_micros()
+                        && matches!(e.event, Event::CampaignStarted { .. })
+                })
+                .expect("the survivor campaigns");
+            let said: Vec<_> = cluster
+                .known_leaders()
+                .iter()
+                .filter(|k| k.node == survivor && k.at >= crashed_at)
+                .collect();
+            assert!(said.len() >= 2, "seed {seed}: {said:?}");
+            for (floors, known) in (1..).zip(&said) {
+                assert_eq!(known.leader, None, "seed {seed}");
+                assert_eq!(
+                    known.at.as_micros(),
+                    campaign.at_micros + floor.as_micros() * floors,
+                    "seed {seed}: floor {floors}"
+                );
+            }
+        }
+    }
+
+    /// Whether the TCP deployment's cluster elects a successor within
+    /// 10 s when its leader crashes half a second after bootstrap, under
+    /// 20 % loss — after 20 reads 10 ms apart with `reads`. Unlike
+    /// [`exit_a_settled_leader`], it does not wait for a settled PPF
+    /// assignment first.
+    fn crash_after_bootstrap_elects(seed: u64, reads: bool) -> bool {
+        let mut cluster = SimCluster::new(trial_config(seed, LossModel::Bernoulli(0.2), true));
+        cluster.bootstrap(Duration::from_millis(500));
+        if reads {
+            for _ in 0..20 {
+                let _ = cluster.read(vec![Bytes::from_static(b"q")]);
+                cluster.run_for(Duration::from_millis(10));
+            }
+        }
+        let leader = cluster.crash_leader();
+        let term = cluster.node(leader).current_term();
+        let horizon = cluster.now() + Duration::from_secs(10);
+        cluster.run_until_new_leader(term, horizon).is_some()
+    }
+
+    /// The reproducer of the PPF split: on these seeds the two survivors
+    /// hold one priority at different `confClock`s, time out together and
+    /// split the vote on every campaign, so no successor is ever elected.
+    #[test]
+    #[ignore = "ROADMAP item 2: two survivors with one PPF priority split the vote forever"]
+    fn survivors_of_a_crash_right_after_bootstrap_elect_a_successor() {
+        let probes = [
+            (0, true),
+            (46, true),
+            (340, true),
+            (788, true),
+            (979, true),
+            (100, false),
+        ];
+        let stalled: Vec<(u64, bool)> = probes
+            .into_iter()
+            .filter(|&(seed, reads)| !crash_after_bootstrap_elects(seed, reads))
+            .collect();
+        assert!(
+            stalled.is_empty(),
+            "no successor (seed, reads): {stalled:?}"
+        );
     }
 
     /// The committed seed corpus replays clean — every scenario/seed pair

@@ -255,6 +255,19 @@ pub struct ReadAnswer {
     pub outcome: Result<Vec<Bytes>, ProposeError>,
 }
 
+/// One [`Action::LeaderKnown`] a node emitted: when a host holding its
+/// refusals that named no leader would answer them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KnownLeader {
+    /// The global instant it was emitted.
+    pub at: Time,
+    /// The node that emitted it.
+    pub node: ServerId,
+    /// The leader it named, or `None` when one timeout floor passed with
+    /// none.
+    pub leader: Option<ServerId>,
+}
+
 /// N consensus nodes + the simulated network + one event ring per node.
 #[derive(Debug)]
 pub struct SimCluster {
@@ -279,6 +292,8 @@ pub struct SimCluster {
     storage: Option<Box<dyn StorageHarness>>,
     /// Every answer to a [`SimCluster::read`], in answer order.
     read_answers: Vec<ReadAnswer>,
+    /// Every [`Action::LeaderKnown`], in emission order.
+    known_leaders: Vec<KnownLeader>,
 }
 
 impl SimCluster {
@@ -335,6 +350,7 @@ impl SimCluster {
             skew: ClockSkew::none(),
             storage,
             read_answers: Vec::new(),
+            known_leaders: Vec::new(),
         };
         for i in 0..cluster.nodes.len() {
             let actions = cluster.nodes[i].start(Time::ZERO);
@@ -620,6 +636,11 @@ impl SimCluster {
         &self.read_answers
     }
 
+    /// Every [`Action::LeaderKnown`] so far, in emission order.
+    pub fn known_leaders(&self) -> &[KnownLeader] {
+        &self.known_leaders
+    }
+
     // ---- the pump ----
 
     /// Processes events until virtual time reaches `deadline`.
@@ -790,6 +811,11 @@ impl SimCluster {
                     node: id,
                     batch,
                     outcome: Err(error),
+                }),
+                Action::LeaderKnown(leader) => self.known_leaders.push(KnownLeader {
+                    at,
+                    node: id,
+                    leader,
                 }),
                 Action::BecameFollower { .. } | Action::Applied { .. } => {}
             }

@@ -47,7 +47,7 @@ pub mod scenario;
 pub mod stats;
 pub mod trial;
 
-pub use cluster::{ClusterConfig, Protocol, SimCluster};
+pub use cluster::{ClusterConfig, KnownLeader, Protocol, SimCluster};
 pub use observer::{measure_election, ElectionMeasurement};
 pub use stats::{Cdf, Summary};
 pub use trial::{run_leader_failure_trial, run_trials, TrialConfig, TrialOutcome};

@@ -43,7 +43,7 @@ impl Node {
         self.persist_hard_state();
         self.votes_granted.clear();
         self.votes_granted.insert(self.id);
-        self.leader_hint = None;
+        self.watch.forget(now, out);
 
         self.emit(
             now,
@@ -132,10 +132,11 @@ impl Node {
             // margin covering clock-rate drift. Quorum intersection turns
             // this local rule into the global handoff-safety guarantee
             // (see README, "Linearizable reads").
-            let fence_ok = !self.vote_fenced(now);
+            let fence_ok = !self.watch.vote_fenced(now);
             if !fence_ok {
                 self.metrics.votes_lease_fenced += 1;
                 let lapses_in = self
+                    .watch
                     .fence_lapse()
                     .map_or(0, |lapse| (lapse - now).as_micros());
                 self.emit(
@@ -146,7 +147,7 @@ impl Node {
                     },
                 );
                 if vote_free && candidate_ok {
-                    self.defer_fenced_vote(args, out);
+                    self.watch.defer_vote(args, out);
                 }
             }
             vote_free && candidate_ok && fence_ok
@@ -187,32 +188,17 @@ impl Node {
         self.arm_election_timer(now, out);
     }
 
-    /// Keeps a solicitation the fence alone refused, to be granted when
-    /// the fence lapses. The first candidate of a term keeps the slot; a
-    /// higher term's replaces it.
-    fn defer_fenced_vote(&mut self, args: RequestVoteArgs, out: &mut Vec<Action>) {
-        if self.fenced_vote.is_some_and(|held| held.term >= args.term) {
-            return;
-        }
-        let Some(lapse) = self.fence_lapse() else {
-            return;
-        };
-        self.fenced_vote = Some(args);
-        self.arm_fence_lapse_timer(lapse, out);
-    }
-
     /// The vote fence lapsed: grant the solicitation it refused, if this
     /// node is still in that term, has not voted, is unfenced (no leader
     /// spoke since) and still finds the candidate acceptable. The grant
     /// goes out as an unsolicited reply, which the candidate counts like
     /// any other.
     pub(super) fn on_fence_lapse(&mut self, now: Time, out: &mut Vec<Action>) {
-        let Some(args) = self.fenced_vote.take() else {
+        let Some(args) = self.watch.lapsed_vote(now) else {
             return;
         };
         if args.term != self.current_term
             || self.voted_for.is_some()
-            || self.vote_fenced(now)
             || !self.candidate_acceptable(&args)
         {
             return;
@@ -254,7 +240,7 @@ impl Node {
     pub(super) fn become_leader(&mut self, now: Time, out: &mut Vec<Action>) {
         debug_assert_ne!(self.role, Role::Leader, "double leadership assumption");
         self.role = Role::Leader;
-        self.leader_hint = Some(self.id);
+        self.watch.name(self.id, out);
         self.metrics.elections_won += 1;
         self.emit(
             now,

@@ -44,6 +44,7 @@
 //! ```
 
 mod election;
+mod liveness;
 mod replication;
 #[cfg(test)]
 mod tests;
@@ -53,10 +54,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use escape_obs::{Event, NullObserver, Observer};
+use liveness::{LeaderWatch, Lease};
 
 use crate::config::Configuration;
 use crate::log::Log;
-use crate::message::{AppendEntriesArgs, Message, RequestVoteArgs};
+use crate::message::Message;
 use crate::metrics::NodeMetrics;
 use crate::policy::ElectionPolicy;
 use crate::statemachine::{NullStateMachine, StateMachine};
@@ -79,6 +81,9 @@ pub enum TimerKind {
     /// refused only because of the fence may be granted now (see
     /// [`Node::peer_closed`]).
     FenceLapse,
+    /// One timeout floor passed with no leader named: see
+    /// [`Action::LeaderKnown`].
+    LeaderKnown,
 }
 
 /// An armed-timer handle. The runtime schedules the deadline and hands the
@@ -155,6 +160,12 @@ pub enum Action {
         /// Why — always a redirect today.
         error: ProposeError,
     },
+    /// When a host may answer the refusals it holds because they named no
+    /// leader: with `Some(leader)` the moment a node that named none hears
+    /// a leader or wins, with `None` each time one timeout floor passes
+    /// with none. While the node names no leader and its policy has a
+    /// floor ([`Node::awaits_leader`]), one follows within one floor.
+    LeaderKnown(Option<ServerId>),
 }
 
 /// Why a proposal was refused.
@@ -163,9 +174,9 @@ pub enum ProposeError {
     /// Only leaders accept proposals; `hint` is the last known leader.
     /// The engine refuses without a hint while it knows no leader (mid
     /// election, or its leader's connections just closed); a node thread
-    /// holds such a refusal until a leader is known, so a refusal that
-    /// reaches a client without a hint means none emerged within one
-    /// timeout floor ([`Node::timeout_floor`]).
+    /// holds such a refusal until the next [`Action::LeaderKnown`], so a
+    /// refusal that reaches a client without a hint means none emerged
+    /// within one timeout floor.
     NotLeader {
         /// Where to retry, if known.
         hint: Option<ServerId>,
@@ -216,8 +227,9 @@ pub struct Options {
     /// disables leasing; ReadIndex quorum rounds are still available).
     /// While the lease holds, [`Node::read_batch`] serves without any
     /// network round. A lease is held on demand: a leader marks a
-    /// heartbeat round *leased* ([`AppendEntriesArgs::lease`]) only while
-    /// a read reached it within the last `lease_duration`, and only
+    /// heartbeat round *leased*
+    /// ([`AppendEntriesArgs::lease`](crate::message::AppendEntriesArgs::lease))
+    /// only while a read reached it within the last `lease_duration`, and only
     /// leased rounds extend the lease. A leased round also arms the *vote
     /// fence*: voters refuse to elect a new leader within
     /// `lease_duration × 5/4` of the last leased round they received, so
@@ -426,6 +438,13 @@ impl NodeBuilder {
                 });
             }
         }
+        // The lease in force: the configured one capped by the policy's
+        // bound. A policy's floor, and so its bound, never changes.
+        let lease = match (self.options.lease_duration, policy.lease_bound()) {
+            (Some(lease), Some(bound)) => Some(lease.min(bound)),
+            (lease, _) => lease,
+        };
+        let watch = LeaderWatch::new(policy.timeout_floor(), lease);
 
         Node {
             id: self.id,
@@ -445,7 +464,7 @@ impl NodeBuilder {
             voted_for,
             log,
             role: Role::Follower,
-            leader_hint: None,
+            watch,
             commit_index,
             last_applied,
             latest_snapshot,
@@ -456,19 +475,12 @@ impl NodeBuilder {
             read_batch_seq: 0,
             confirmed: 0,
             acked_above_confirmed: 0,
-            round_starts: VecDeque::new(),
-            lease_until: Time::ZERO,
-            last_read: None,
-            lease_since: 0,
+            lease: Lease::new(lease),
             term_start_index: LogIndex::ZERO,
-            last_leader_contact: None,
-            leased_contact: None,
-            fenced_vote: None,
             election_deadline: Time::ZERO,
             election_epoch: 0,
             heartbeat_epoch: 0,
             vote_retry_epoch: 0,
-            fence_lapse_epoch: 0,
             broadcast_seq: 0,
             scratch: Vec::new(),
             metrics: NodeMetrics::new(),
@@ -531,11 +543,6 @@ struct Progress {
     acked: u64,
 }
 
-/// Cap on remembered-but-unconfirmed round issue times. Only reachable
-/// when quorum acks stop entirely (a partitioned leader); dropping the
-/// oldest merely forgoes a lease extension, which is the safe direction.
-const ROUND_STARTS_MAX: usize = 1024;
-
 /// The `n`-th largest of `values` (1-based), in one linear-time
 /// selection that reorders `values`; `None` unless `1 <= n <= len`.
 fn nth_largest(values: &mut [u64], n: usize) -> Option<u64> {
@@ -582,7 +589,9 @@ pub struct Node {
 
     // ---- volatile state ----
     role: Role,
-    leader_hint: Option<ServerId>,
+    /// The follower side of the failure detector: the leader named, its
+    /// contacts, the vote fence.
+    watch: LeaderWatch,
     commit_index: LogIndex,
     last_applied: LogIndex,
     votes_granted: BTreeSet<ServerId>,
@@ -614,39 +623,13 @@ pub struct Node {
     /// read quorum can `confirmed` have moved, so only then is it
     /// recomputed: O(1) amortised per ack.
     acked_above_confirmed: usize,
-    /// Issue times of the current leased period's rounds not yet
-    /// quorum-confirmed, oldest first; confirmation converts them into
-    /// lease extensions.
-    round_starts: VecDeque<(u64, Time)>,
-    /// While `now < lease_until` the leader serves reads with no network
-    /// round. Starts at zero on every leadership assumption and grows
-    /// only from rounds *this* leadership quorum-acked — a fresh PPF
-    /// promotee cannot inherit a lease.
-    lease_until: Time,
-    /// When a read last reached this leader ([`Node::read_batch`], or
-    /// [`Node::lease_read`] whether or not it answered): rounds opened
-    /// within one lease of it are leased.
-    last_read: Option<Time>,
-    /// The first round of the current leased period, `0` while rounds go
-    /// out unleased. Only this period's rounds may extend the lease (they
-    /// alone are in `round_starts`): a peer's ack counts for every round
-    /// up to the one it echoes, and an ack of a later unleased round
-    /// proves no fence.
-    lease_since: u64,
+    /// The leader side of the failure detector: read demand, leased
+    /// rounds, and the lease they hold.
+    lease: Lease,
     /// First index of this leadership term (the no-op's index). Reads wait
     /// until it commits: before that, `commit_index` may trail entries the
     /// predecessor committed (Raft §8), so it is not a safe read index.
     term_start_index: LogIndex,
-    /// Last time a leader was heard (`AppendEntries` / `InstallSnapshot`),
-    /// across terms: what [`Node::peer_closed`] measures from.
-    last_leader_contact: Option<Time>,
-    /// Last time a leased `AppendEntries` arrived, across terms. The lease
-    /// vote fence runs from here.
-    leased_contact: Option<Time>,
-    /// A solicitation refused only because of the vote fence, granted
-    /// when the fence lapses if this node is still in its term and has
-    /// not voted (the `FenceLapse` timer).
-    fenced_vote: Option<RequestVoteArgs>,
 
     // ---- snapshotting ----
     latest_snapshot: Option<SnapshotHandle>,
@@ -657,7 +640,6 @@ pub struct Node {
     election_epoch: u64,
     heartbeat_epoch: u64,
     vote_retry_epoch: u64,
-    fence_lapse_epoch: u64,
     broadcast_seq: u64,
 
     /// Reused buffer for the quorum selections.
@@ -733,15 +715,15 @@ impl Node {
     /// The last known leader (self, while leading). A follower forgets it
     /// when that leader's connections close ([`Node::peer_closed`]).
     pub fn leader_hint(&self) -> Option<ServerId> {
-        self.leader_hint
+        self.watch.hint()
     }
 
-    /// The policy's shortest election timeout
-    /// ([`ElectionPolicy::timeout_floor`]): within it of losing its
-    /// leader, some server of the cluster campaigns. `None` when the
-    /// policy cannot know it.
-    pub fn timeout_floor(&self) -> Option<Duration> {
-        self.policy.timeout_floor()
+    /// `true` while an [`Action::LeaderKnown`] is owed: this node names no
+    /// leader and its policy has a timeout floor
+    /// ([`ElectionPolicy::timeout_floor`]), so one follows within one
+    /// floor. A host holds the refusals that name no leader only then.
+    pub fn awaits_leader(&self) -> bool {
+        self.watch.awaiting()
     }
 
     /// The replicated log.
@@ -793,10 +775,12 @@ impl Node {
 
     // ---- lifecycle ----
 
-    /// Boots the node as a follower: arms the election timer.
+    /// Boots the node as a follower: arms the election timer, and, as it
+    /// names no leader yet, the [`Action::LeaderKnown`] timer.
     pub fn start(&mut self, now: Time) -> Vec<Action> {
         let mut out = Vec::new();
         self.arm_election_timer(now, &mut out);
+        self.watch.forget(now, &mut out);
         out
     }
 
@@ -807,21 +791,17 @@ impl Node {
     /// the leader's heartbeats.
     pub fn restart(&mut self, now: Time) -> Vec<Action> {
         self.role = Role::Follower;
-        self.leader_hint = None;
+        self.watch.restart();
         self.votes_granted.clear();
         self.propose_times.clear();
         self.pending_reads.clear(); // waiters died with the old process
         self.reset_read_state();
-        self.last_leader_contact = None;
-        self.leased_contact = None;
-        self.fenced_vote = None;
         self.commit_index = self.last_applied;
         self.policy.stepped_down();
         // Invalidate any pre-crash timers.
         self.election_epoch += 1;
         self.heartbeat_epoch += 1;
         self.vote_retry_epoch += 1;
-        self.fence_lapse_epoch += 1;
         self.start(now)
     }
 
@@ -866,7 +846,8 @@ impl Node {
     /// The follower also stops naming `peer` as its leader: refusals
     /// carry no hint until a leader is heard again (the closed one's next
     /// `AppendEntries`, if it is in fact alive, or a successor's), so a
-    /// client is not sent back to a server that has just gone.
+    /// client is not sent back to a server that has just gone; the next
+    /// [`Action::LeaderKnown`] says when.
     ///
     /// No safety argument rests on the hint: voters still enforce their
     /// own fence. A voter that heard the leader after the candidate did
@@ -876,24 +857,13 @@ impl Node {
     /// voted. Any other case is a no-op.
     pub fn peer_closed(&mut self, peer: ServerId, now: Time) -> Vec<Action> {
         let mut out = Vec::new();
-        if self.role != Role::Follower || self.leader_hint != Some(peer) {
+        if self.role != Role::Follower {
             return out;
         }
-        self.leader_hint = None;
-        let (Some(floor), Some(contact)) = (self.policy.timeout_floor(), self.last_leader_contact)
-        else {
+        let armed = self.election_deadline;
+        let Some(deadline) = self.watch.closed(peer, now, armed, &mut out) else {
             return out;
         };
-        let lapse = self.fence_lapse();
-        let fenced_for = lapse.map_or(Duration::ZERO, |lapse| lapse.saturating_since(contact));
-        let deadline = self
-            .election_deadline
-            .saturating_sub(floor.saturating_sub(fenced_for))
-            .max(lapse.unwrap_or(Time::ZERO))
-            .max(now);
-        if deadline >= self.election_deadline {
-            return out;
-        }
         let advance = self.election_deadline - deadline;
         self.set_election_deadline(deadline, &mut out);
         self.emit(
@@ -955,8 +925,11 @@ impl Node {
             TimerKind::VoteRetry if token.epoch == self.vote_retry_epoch => {
                 self.on_vote_retry_timeout(now, &mut out);
             }
-            TimerKind::FenceLapse if token.epoch == self.fence_lapse_epoch => {
+            TimerKind::FenceLapse if self.watch.owns(token) => {
                 self.on_fence_lapse(now, &mut out);
+            }
+            TimerKind::LeaderKnown if self.watch.owns(token) => {
+                self.watch.known_timer_fired(now, &mut out);
             }
             _ => {} // stale epoch: the timer was re-armed or cancelled
         }
@@ -1007,9 +980,7 @@ impl Node {
         now: Time,
     ) -> Result<(Vec<LogIndex>, Vec<Action>), ProposeError> {
         if self.role != Role::Leader {
-            return Err(ProposeError::NotLeader {
-                hint: self.leader_hint,
-            });
+            return Err(self.watch.refusal(now));
         }
         if commands.is_empty() {
             return Ok((Vec::new(), Vec::new()));
@@ -1087,11 +1058,9 @@ impl Node {
         now: Time,
     ) -> Result<(u64, Vec<Action>), ProposeError> {
         if self.role != Role::Leader {
-            return Err(ProposeError::NotLeader {
-                hint: self.leader_hint,
-            });
+            return Err(self.watch.refusal(now));
         }
-        self.last_read = Some(now);
+        self.lease.demand(now);
         self.read_batch_seq += 1;
         let batch = self.read_batch_seq;
         if queries.is_empty() {
@@ -1139,7 +1108,7 @@ impl Node {
         if self.role != Role::Leader {
             return None;
         }
-        self.last_read = Some(now);
+        self.lease.demand(now);
         let answerable = self.lease_valid(now)
             && self.pending_reads.is_empty()
             && self.last_applied >= self.read_index();
@@ -1182,41 +1151,16 @@ impl Node {
         results
     }
 
-    /// The lease length in force: the configured duration capped by the
-    /// policy's bound (`None` when leasing is disabled).
-    pub(super) fn effective_lease(&self) -> Option<Duration> {
-        let lease = self.options.lease_duration?;
-        Some(match self.policy.lease_bound() {
-            Some(bound) => lease.min(bound),
-            None => lease,
-        })
-    }
-
     /// `true` while this leader may serve reads on its lease alone.
     pub fn lease_valid(&self, now: Time) -> bool {
-        self.effective_lease().is_some() && now < self.lease_until
-    }
-
-    /// The silence a voter must observe before granting a vote while
-    /// leases are in force: lease × 5/4, the 25 % margin covering clock-
-    /// rate drift between the leaseholder and the voter.
-    pub(super) fn lease_fence(lease: Duration) -> Duration {
-        Duration::from_micros(lease.as_micros().saturating_mul(5) / 4)
+        self.lease.holds(now)
     }
 
     /// When the lease vote fence lapses: one fence after the last leased
     /// `AppendEntries`. `None` without leases or without such a contact.
+    #[cfg(test)]
     pub(super) fn fence_lapse(&self) -> Option<Time> {
-        let lease = self.effective_lease()?;
-        Some(self.leased_contact? + Node::lease_fence(lease))
-    }
-
-    /// `true` while the lease vote fence forbids granting any vote:
-    /// leases are in force and a leased round was heard too recently for
-    /// every lease it could back to have expired. An unleased round backs
-    /// none, so it neither sets nor extends the fence.
-    pub(super) fn vote_fenced(&self, now: Time) -> bool {
-        self.fence_lapse().is_some_and(|lapse| now < lapse)
+        self.watch.fence_lapse()
     }
 
     /// Peer acks (beyond self) needed for a read quorum.
@@ -1263,47 +1207,19 @@ impl Node {
         true
     }
 
-    /// Opens the next broadcast round at `now` and returns it. The round is
-    /// leased while a read reached this leader within the last lease: its
-    /// issue time is then kept for lease extension on its quorum ack.
-    /// Advances whatever that makes ready.
-    ///
-    /// Leasing switches off with the first unleased round, and the pending
-    /// issue times go: a quorum ack of a later round would confirm them,
-    /// and a peer that missed the leased round and acked only the unleased
-    /// one is not fenced. The lease already granted keeps the fences that
-    /// back it. Switching on opens a new period at the round.
+    /// Opens the next broadcast round at `now` ([`Lease::open`]) and
+    /// returns it. Advances whatever that makes ready.
     pub(super) fn open_round(&mut self, now: Time, out: &mut Vec<Action>) -> u64 {
         let round = self.next_broadcast_id();
-        if self.read_demand(now) {
-            if self.lease_since == 0 {
-                self.lease_since = round;
-            }
-            if self.round_starts.len() >= ROUND_STARTS_MAX {
-                self.round_starts.pop_front();
-            }
-            self.round_starts.push_back((round, now));
-        } else {
-            self.lease_since = 0;
-            self.round_starts.clear();
-        }
+        self.lease.open(round, now);
         self.advance_read_state(out);
         round
-    }
-
-    /// `true` while rounds opened at `now` are leased: leases are in force
-    /// and a read reached this leader within the last lease.
-    fn read_demand(&self, now: Time) -> bool {
-        match (self.effective_lease(), self.last_read) {
-            (Some(lease), Some(read)) => now < read + lease,
-            _ => false,
-        }
     }
 
     /// The `seq` every `AppendEntries` of the current round carries: the
     /// round and its lease flag.
     pub(super) fn round_stamp(&self) -> u64 {
-        AppendEntriesArgs::stamp(self.broadcast_seq, self.lease_since != 0)
+        self.lease.stamp(self.broadcast_seq)
     }
 
     /// Re-derives the confirmed round, folds newly confirmed rounds of the
@@ -1313,30 +1229,7 @@ impl Node {
         if self.role != Role::Leader {
             return;
         }
-        let confirmed = self.confirmed_round();
-        if let Some(lease) = self.effective_lease() {
-            while let Some(&(round, start)) = self.round_starts.front() {
-                if round > confirmed {
-                    break;
-                }
-                self.round_starts.pop_front();
-                // Only the current leased period's rounds are kept: see
-                // `open_round`.
-                debug_assert!(self.lease_since != 0 && round >= self.lease_since);
-                let until = start + lease;
-                if until > self.lease_until {
-                    self.lease_until = until;
-                    // Stamped with the round's issue time: the instant the
-                    // extension is measured from, deterministic in simnet.
-                    self.emit(
-                        start,
-                        Event::LeaseExtended {
-                            until_micros: until.as_micros(),
-                        },
-                    );
-                }
-            }
-        }
+        self.lease.fold(self.confirmed_round(), &*self.observer);
         self.release_ready_reads(out);
     }
 
@@ -1356,7 +1249,7 @@ impl Node {
                 out.push(Action::ReadFailed {
                     batch: stale.batch,
                     error: ProposeError::NotLeader {
-                        hint: self.leader_hint,
+                        hint: self.watch.hint(),
                     },
                 });
                 continue;
@@ -1384,7 +1277,7 @@ impl Node {
             out.push(Action::ReadFailed {
                 batch: stale.batch,
                 error: ProposeError::NotLeader {
-                    hint: self.leader_hint,
+                    hint: self.watch.hint(),
                 },
             });
         }
@@ -1398,10 +1291,7 @@ impl Node {
         }
         self.confirmed = 0;
         self.acked_above_confirmed = 0;
-        self.round_starts.clear();
-        self.lease_until = Time::ZERO;
-        self.last_read = None;
-        self.lease_since = 0;
+        self.lease.reset();
     }
 
     // ---- shared internals ----
@@ -1421,7 +1311,7 @@ impl Node {
     fn step_down(&mut self, now: Time, out: &mut Vec<Action>) {
         let was = self.role;
         self.role = Role::Follower;
-        self.leader_hint = None;
+        self.watch.forget(now, out);
         self.votes_granted.clear();
         self.propose_times.clear();
         // Queued reads were accepted under a leadership that just ended:
@@ -1462,18 +1352,6 @@ impl Node {
             token: TimerToken {
                 kind: TimerKind::Election,
                 epoch: self.election_epoch,
-            },
-            deadline,
-        });
-    }
-
-    /// Arms the fence-lapse timer for `deadline`.
-    fn arm_fence_lapse_timer(&mut self, deadline: Time, out: &mut Vec<Action>) {
-        self.fence_lapse_epoch += 1;
-        out.push(Action::SetTimer {
-            token: TimerToken {
-                kind: TimerKind::FenceLapse,
-                epoch: self.fence_lapse_epoch,
             },
             deadline,
         });

@@ -240,8 +240,7 @@ impl Node {
         if self.role != Role::Follower {
             self.step_down(now, out);
         }
-        self.leader_hint = Some(args.leader_id);
-        self.last_leader_contact = Some(now);
+        self.watch.heard(args.leader_id, false, now, out);
 
         // Only adopt snapshots that move us forward; retransmissions of
         // older ones just re-ack.
@@ -370,12 +369,6 @@ impl Node {
             return;
         }
 
-        // Leader contact; a leased round also restarts the vote fence.
-        self.last_leader_contact = Some(now);
-        if args.lease() {
-            self.leased_contact = Some(now);
-        }
-
         // A current-term AppendEntries is proof of a legitimate leader: a
         // candidate in the same term concedes (Fig. 1's candidate →
         // follower edge).
@@ -387,7 +380,8 @@ impl Node {
             );
             self.step_down(now, out);
         }
-        self.leader_hint = Some(args.leader_id);
+        // Leader contact; a leased round also restarts the vote fence.
+        self.watch.heard(args.leader_id, args.lease(), now, out);
 
         // ESCAPE: adopt a fresher configuration if the heartbeat carries
         // one.

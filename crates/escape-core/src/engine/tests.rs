@@ -1614,11 +1614,11 @@ fn leased_cluster() -> Pump {
 /// demand it records on a leader.
 fn declines_untouched(node: &mut Node, now: Time) {
     let before = format!("{node:?}");
-    let last_read = node.last_read;
+    let last_read = node.lease.last_read();
     assert_eq!(node.lease_read(&[Bytes::from_static(b"q")], now), None);
     let demand = if node.is_leader() { Some(now) } else { last_read };
-    assert_eq!(node.last_read, demand, "a read on a leader is demand");
-    node.last_read = last_read;
+    assert_eq!(node.lease.last_read(), demand, "a read on a leader is demand");
+    node.lease.set_last_read(last_read);
     assert_eq!(
         format!("{node:?}"),
         before,
@@ -1899,7 +1899,7 @@ fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
         );
         deliver_round(&mut pump, leader, sent, start + delay);
         assert_eq!(
-            pump.node(leader).lease_until,
+            pump.node(leader).lease.until(),
             start + lease,
             "round {round}"
         );
@@ -1910,7 +1910,7 @@ fn a_lease_of_two_heartbeats_holds_across_rounds_and_bridges_one_lost_round() {
     let (_, lost) = leader_round(&mut pump, leader, true);
     pump.absorb(ServerId::new(leader), lost);
     pump.inbox.clear();
-    let lapse = pump.node(leader).lease_until;
+    let lapse = pump.node(leader).lease.until();
     let just_before = lapse - Duration::from_micros(1);
     assert!(pump
         .node_mut(leader)
@@ -2134,13 +2134,22 @@ fn a_hint_never_moves_the_deadline_inside_the_fence_nor_later() {
     assert_eq!(election_deadline(&actions), Some(Time::from_millis(135)));
 
     // Armed at 10 + 100, before the fence lapses: the hint would move it
-    // later, so it does nothing — beyond forgetting the closed leader.
+    // later, so it does nothing — beyond forgetting the closed leader
+    // (which arms the wait for the next one, one 150 ms floor out).
     let mut node = floored_follower(100);
+    let mut forgotten = floored_follower(100);
+    let mut forgetting = Vec::new();
+    forgotten
+        .watch
+        .forget(Time::from_millis(11), &mut forgetting);
     let before = format!("{node:?}");
-    let forgotten = before.replace("leader_hint: Some(ServerId(1))", "leader_hint: None");
-    assert_ne!(forgotten, before, "the follower named server 1 its leader");
-    assert!(node.peer_closed(leader, Time::from_millis(11)).is_empty());
-    assert_eq!(format!("{node:?}"), forgotten);
+    assert_ne!(
+        format!("{forgotten:?}"),
+        before,
+        "the follower named server 1 its leader"
+    );
+    assert_eq!(node.peer_closed(leader, Time::from_millis(11)), forgetting);
+    assert_eq!(format!("{node:?}"), format!("{forgotten:?}"));
 }
 
 #[test]
@@ -2442,7 +2451,7 @@ fn a_leader_without_reads_lets_its_lease_lapse_and_one_round_restarts_it() {
     }
     let now = pump.now;
     assert_eq!(
-        pump.node(leader).lease_until,
+        pump.node(leader).lease.until(),
         last_read + hb + lease,
         "the last leased round's extension"
     );
@@ -2464,7 +2473,7 @@ fn a_leader_without_reads_lets_its_lease_lapse_and_one_round_restarts_it() {
     deliver_round(&mut pump, leader, actions, now);
     assert_eq!(pump.released, vec![(ServerId::new(leader), batch)]);
     assert_eq!(pump.node(leader).metrics().quorum_reads, quorum_reads + 1);
-    assert_eq!(pump.node(leader).lease_until, now + lease);
+    assert_eq!(pump.node(leader).lease.until(), now + lease);
     assert!(pump.node_mut(leader).lease_read(&queries, now).is_some());
 }
 
@@ -2481,7 +2490,7 @@ fn a_voter_stays_fenced_one_fence_after_a_leased_round_through_unleased_ones() {
         at += Duration::from_millis(10);
         node.handle_message(leader, heartbeat_leased(term, leader, false), at);
     }
-    assert_eq!(node.leased_contact, Some(contact));
+    assert_eq!(node.watch.leased_contact(), Some(contact));
 
     // Still fenced a µs before one fence after the leased round…
     let just_before = contact + fence - Duration::from_micros(1);
@@ -2510,7 +2519,7 @@ fn an_ack_of_an_unleased_round_never_extends_an_earlier_leased_rounds_lease() {
     pump.crash(5);
     leased_heartbeat(&mut pump, 1);
     let t0 = pump.now;
-    assert_eq!(pump.node(1).lease_until, t0 + lease);
+    assert_eq!(pump.node(1).lease.until(), t0 + lease);
     assert_eq!(pump.node(3).fence_lapse(), Some(t0 + Node::lease_fence(lease)));
 
     // A read, then the last round within one lease of it: leased, and
@@ -2534,7 +2543,7 @@ fn an_ack_of_an_unleased_round_never_extends_an_earlier_leased_rounds_lease() {
     let node = pump.node(1);
     assert!(node.confirmed_round() >= round, "a quorum echoed the leased round");
     assert_eq!(
-        node.lease_until,
+        node.lease.until(),
         t0 + lease,
         "server 3 is fenced only until {:?}",
         pump.node(3).fence_lapse()

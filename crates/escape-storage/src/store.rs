@@ -106,8 +106,8 @@ impl WalStorage {
         // the rotation cap — recovery just zeroed any debris after it,
         // so the next record cannot bury a tear. (Restarts used to always
         // open a fresh segment, growing the directory by one file per
-        // restart until the next snapshot.) An over-cap or `ESCWAL02`
-        // last segment gets a fresh one instead.
+        // restart until the next snapshot.) An over-cap last segment gets
+        // a fresh one instead.
         let wal = match recovery.newest {
             Some(newest) => match Wal::open_append(&dir, newest, options)? {
                 Some(wal) => wal,
@@ -530,6 +530,11 @@ mod tests {
     }
 
     #[test]
+    fn escwal02_segment_is_refused_and_kept() {
+        assert_foreign_segment_is_refused_and_kept(b"ESCWAL02", "store-escwal02");
+    }
+
+    #[test]
     fn newer_segment_version_is_refused_and_kept() {
         assert_foreign_segment_is_refused_and_kept(b"ESCWAL09", "store-escwal09");
     }
@@ -854,37 +859,5 @@ mod tests {
         let (_, state) = WalStorage::open_with(&dir, opts).unwrap();
         assert_eq!(state.log.last_index(), LogIndex::new(50));
         assert_eq!(prepared(&dir), 0, "the stray .prep must be deleted");
-    }
-
-    /// A data directory written in `ESCWAL02` (records to the end of the
-    /// file) still recovers; new records go to a fresh `ESCWAL03` segment
-    /// after it, and the old one is left as it was.
-    #[test]
-    fn escwal02_directory_recovers_and_continues_into_a_fresh_segment() {
-        use escape_wire::record::write_record;
-
-        let dir = scratch_dir("store-escwal02");
-        let mut content = b"ESCWAL02".to_vec();
-        for term in 1..=3 {
-            let record = WalRecord::HardState {
-                term: Term::new(term),
-                voted_for: Some(ServerId::new(2)),
-            };
-            let mut framed = bytes::BytesMut::new();
-            write_record(&mut framed, &record.to_bytes());
-            content.extend_from_slice(&framed);
-        }
-        let old = dir.join(format!("wal-{:016}.log", 1));
-        fs::write(&old, &content).unwrap();
-
-        assert_eq!(open_reporting(&dir), (Term::new(3), vec![]));
-        persist_terms(&dir, 4..=4);
-        let segments = wal::list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 2);
-        assert!(fs::read(&segments[1].1).unwrap().starts_with(wal::SEGMENT_MAGIC));
-        assert_eq!(fs::read(&old).unwrap(), content, "the ESCWAL02 segment is kept");
-        let (_, state) = WalStorage::open(&dir).unwrap();
-        assert_eq!(state.term, Term::new(4));
-        assert_eq!(state.voted_for, Some(ServerId::new(1)));
     }
 }

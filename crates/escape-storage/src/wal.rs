@@ -11,8 +11,7 @@
 //!
 //! Each record is `[u32 LE len][u32 LE CRC-32][payload]`
 //! ([`escape_wire::record`]), the CRC covering the length header as well
-//! as the payload; payloads are [`WalRecord`] encodings. The records are
-//! framed exactly as in `ESCWAL02`; what `03` adds is the zero tail.
+//! as the payload; payloads are [`WalRecord`] encodings.
 //!
 //! # The end marker
 //!
@@ -23,12 +22,9 @@
 //! there (or a record that fails its frame or CRC) is crash debris in the
 //! newest segment and mid-log corruption in any older one.
 //!
-//! `ESCWAL02` segments have no zero tail and read the same way; the
-//! newest one is never continued, an open starts a fresh `03` segment
-//! after it. A segment whose header names any other version (`ESCWAL`
-//! plus anything but `02`/`03`) is refused with
-//! [`io::ErrorKind::InvalidData`] and left on disk: it is data this build
-//! cannot read, not crash debris.
+//! A segment whose header names any other version (`ESCWAL` plus
+//! anything but `03`) is refused with [`io::ErrorKind::InvalidData`] and
+//! left on disk: it is data this build cannot read, not crash debris.
 //!
 //! # Why overwrite, not append
 //!
@@ -96,13 +92,9 @@ use escape_wire::record::{read_record, write_record_with, DEFAULT_MAX_RECORD};
 
 use crate::record::WalRecord;
 
-/// Magic bytes opening every WAL segment this build writes (name + format
-/// version 3: `ESCWAL02` records, then zeros).
+/// Magic bytes opening every WAL segment this build writes and reads
+/// (name + format version 3: records, then zeros).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"ESCWAL03";
-
-/// Magic of the previous format, whose segments end at the end of the
-/// file. Still read; never continued.
-const LEGACY_MAGIC: &[u8; 8] = b"ESCWAL02";
 
 const MAGIC_LEN: u64 = SEGMENT_MAGIC.len() as u64;
 
@@ -282,8 +274,6 @@ struct SegmentScan {
     /// Bytes from `end` through the last nonzero byte after it: crash
     /// debris, 0 for a clean segment.
     debris: u64,
-    /// An `ESCWAL03` segment, which may be continued.
-    current: bool,
     /// The file had no (complete) magic header at all.
     headerless: bool,
 }
@@ -295,18 +285,16 @@ struct SegmentScan {
 /// [`io::ErrorKind::InvalidData`] when the header names another WAL
 /// format version.
 fn scan_segment(path: &Path, raw: Vec<u8>) -> io::Result<SegmentScan> {
-    let current = match raw.get(..SEGMENT_MAGIC.len()) {
-        Some(magic) if magic == SEGMENT_MAGIC => true,
-        Some(magic) if magic == LEGACY_MAGIC => false,
+    match raw.get(..SEGMENT_MAGIC.len()) {
+        Some(magic) if magic == SEGMENT_MAGIC => {}
         Some(magic) if magic.starts_with(b"ESCWAL") => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "WAL segment {} has format {:?}; this build reads only {:?} and {:?}",
+                    "WAL segment {} has format {:?}; this build reads only {:?}",
                     path.display(),
                     String::from_utf8_lossy(magic),
                     String::from_utf8_lossy(SEGMENT_MAGIC),
-                    String::from_utf8_lossy(LEGACY_MAGIC),
                 ),
             ));
         }
@@ -315,11 +303,10 @@ fn scan_segment(path: &Path, raw: Vec<u8>) -> io::Result<SegmentScan> {
                 records: Vec::new(),
                 end: 0,
                 debris: nonzero_extent(&raw),
-                current: false,
                 headerless: true,
             })
         }
-    };
+    }
     let raw = Bytes::from(raw);
     let mut bytes = raw.slice(SEGMENT_MAGIC.len()..);
     let mut records = Vec::new();
@@ -340,7 +327,6 @@ fn scan_segment(path: &Path, raw: Vec<u8>) -> io::Result<SegmentScan> {
         records,
         end: end as u64,
         debris: raw.get(end..).map_or(0, nonzero_extent),
-        current,
         headerless: false,
     })
 }
@@ -412,9 +398,8 @@ pub fn recover(dir: &Path) -> io::Result<Vec<WalRecord>> {
 pub struct NewestSegment {
     /// Its sequence number.
     pub seq: u64,
-    /// The offset of its end marker if it is an `ESCWAL03` segment;
-    /// `None` for an `ESCWAL02` one, which is never continued.
-    pub end: Option<u64>,
+    /// The offset of its end marker.
+    pub end: u64,
 }
 
 /// What [`recover_reporting`] found.
@@ -470,10 +455,7 @@ pub fn recover_reporting(dir: &Path) -> io::Result<Recovery> {
             write_zeros(&file, scan.end, scan.end + scan.debris)?;
             file.sync_data()?;
         }
-        recovery.newest = Some(NewestSegment {
-            seq,
-            end: scan.current.then_some(scan.end),
-        });
+        recovery.newest = Some(NewestSegment { seq, end: scan.end });
     }
     Ok(recovery)
 }
@@ -566,9 +548,8 @@ impl Wal {
     /// [`recover_reporting`], which zeroed everything after that marker
     /// and so already read the file once.
     ///
-    /// Returns `Ok(None)` when the segment cannot be continued: an
-    /// `ESCWAL02` segment, or one whose records are at/over the rotation
-    /// cap. The caller falls back to [`Wal::create`]. The whole
+    /// Returns `Ok(None)` when the segment cannot be continued: its
+    /// records are at/over the rotation cap. The caller falls back to [`Wal::create`]. The whole
     /// appendability rule lives here so no caller can open a segment the
     /// rule would rotate.
     ///
@@ -580,9 +561,10 @@ impl Wal {
         newest: NewestSegment,
         options: WalOptions,
     ) -> io::Result<Option<Wal>> {
-        let Some(end) = newest.end.filter(|&end| end < options.segment_max_bytes) else {
+        let end = newest.end;
+        if end >= options.segment_max_bytes {
             return Ok(None);
-        };
+        }
         let file = OpenOptions::new()
             .write(true)
             .open(segment_path(dir, newest.seq))?;
@@ -942,8 +924,8 @@ pub(crate) mod tests {
         recover_reporting(dir).unwrap().newest.unwrap()
     }
 
-    /// The in-place append writes exactly the `ESCWAL02` record bytes the
-    /// copying encoder wrote, for every record kind, after the `03` magic
+    /// The in-place append writes exactly the record bytes the copying
+    /// encoder wrote, for every record kind, after the `03` magic
     /// and before the zero tail.
     #[test]
     fn append_is_byte_identical_to_the_copying_oracle() {
@@ -1125,7 +1107,7 @@ pub(crate) mod tests {
         }
         let first = NewestSegment {
             seq: 1,
-            end: Some(records_end(&segment_path(&dir, 1)).unwrap()),
+            end: records_end(&segment_path(&dir, 1)).unwrap(),
         };
         assert!(
             Wal::open_append(&dir, first, opts).unwrap().is_none(),
@@ -1271,7 +1253,7 @@ pub(crate) mod tests {
             }
             newest = Some(NewestSegment {
                 seq: wal.seq(),
-                end: Some(wal.written),
+                end: wal.written,
             });
         }
         assert!(list_segments(&dir).unwrap().len() >= 6, "too few rotations to tell");

@@ -25,10 +25,11 @@
 //! and one `AppendEntries` fan-out for them all.
 //!
 //! A refusal that names no leader — the node is mid-election, or its
-//! leader's connections just closed — is held rather than answered: the
-//! thread answers it `NotLeader` with the leader as soon as the engine
-//! names one (this node too, once it wins), or without a hint after the
-//! policy's timeout floor ([`Node::timeout_floor`]) if none emerges. The
+//! leader's connections just closed — is held rather than answered while
+//! the engine owes an [`Action::LeaderKnown`] ([`Node::awaits_leader`]):
+//! the engine times the hold, and the thread answers everything it holds
+//! `NotLeader` with the leader that action names (this node too, once it
+//! wins), or without a hint when one timeout floor passed with none. The
 //! client then goes straight to the new leader instead of backing off
 //! and probing. A held refusal stays a refusal: nothing it carried is
 //! proposed.
@@ -43,7 +44,7 @@ use parking_lot::Mutex;
 use escape_core::engine::{Action, Node, ProposeError, TimerKind, TimerToken};
 use escape_core::message::Message;
 use escape_core::metrics::NodeMetrics;
-use escape_core::time::{Duration, Time};
+use escape_core::time::Time;
 use escape_core::types::{LogIndex, Role, ServerId, Term};
 
 use crate::clock::RuntimeClock;
@@ -275,7 +276,6 @@ pub fn node_loop(
 ) {
     let GroupHandle { engine, clock, .. } = group;
     let peers = node.peers().to_vec();
-    let hold_for = node.timeout_floor();
     *engine.lock() = Some(node);
     let mut thread = NodeThread {
         engine,
@@ -288,21 +288,17 @@ pub fn node_loop(
         recent_results: VecDeque::with_capacity(RESULT_WINDOW),
         drops_seen: BTreeMap::new(),
         election_backlog: None,
-        hold_for,
-        held: VecDeque::new(),
+        held: Vec::new(),
     };
-    let actions = thread.step(|node, now| node.start(now));
-    thread.absorb(actions.unwrap_or_default());
+    thread.run(|node, now| node.start(now));
 
     loop {
         thread.poll_backpressure();
         thread.fire_due_timers(&inbox);
-        thread.release_held();
 
-        // Wait for the earliest timer, held refusal or the next input,
-        // whichever first; an idle node just parks on the inbox.
-        let due = thread.timers.values().map(|(_, d)| *d);
-        let wait = match due.chain(thread.held.front().map(|h| h.until)).min() {
+        // Wait for the earliest timer or the next input, whichever first;
+        // an idle node just parks on the inbox.
+        let wait = match thread.timers.values().map(|(_, d)| *d).min() {
             Some(deadline) => clock.until(deadline).unwrap_or(std::time::Duration::ZERO),
             None => std::time::Duration::from_millis(50),
         };
@@ -324,16 +320,11 @@ pub fn node_loop(
             match input {
                 NodeInput::Shutdown => return,
                 NodeInput::Peer(from, msg) => {
-                    let actions = thread.step(|node, now| node.handle_message(from, msg, now));
-                    thread.absorb(actions.unwrap_or_default());
+                    thread.run(|node, now| node.handle_message(from, msg, now));
                 }
-                NodeInput::PeerClosed(peer) => {
-                    let actions = thread.step(|node, now| node.peer_closed(peer, now));
-                    thread.absorb(actions.unwrap_or_default());
-                }
+                NodeInput::PeerClosed(peer) => thread.run(|node, now| node.peer_closed(peer, now)),
                 NodeInput::BarrierDone(Ok(ticket)) => {
-                    let actions = thread.step(|node, now| node.barrier_done(ticket, now));
-                    thread.absorb(actions.unwrap_or_default());
+                    thread.run(|node, now| node.barrier_done(ticket, now));
                 }
                 NodeInput::BarrierDone(Err(error)) => {
                     // lint:allow(panic): fail-stop by design — a node that cannot persist must not serve
@@ -374,14 +365,9 @@ pub type ReadReply = Reply<Result<Vec<Bytes>, ProposeError>>;
 /// replies, each with its share of the batch's queries (in order).
 type ReadWaiters = HashMap<u64, Vec<(ReadReply, usize)>>;
 
-/// A refusal that named no leader, held until the engine names one.
-struct Held {
-    /// One timeout floor after the refusal: if no leader is known by
-    /// then, it is answered without a hint.
-    until: Time,
-    /// Answers the refusal with the leader it names.
-    refuse: Box<dyn FnOnce(Option<ServerId>)>,
-}
+/// A refusal that named no leader, held until the next
+/// [`Action::LeaderKnown`]: answers it with the leader that names.
+type Held = Box<dyn FnOnce(Option<ServerId>)>;
 
 /// Who is waiting for a log index to apply.
 enum ApplyWaiter {
@@ -418,12 +404,8 @@ struct NodeThread {
     /// [`NodeThread::fire_due_timers`]): how many of the inputs that were
     /// queued when it came due are still to be handled.
     election_backlog: Option<usize>,
-    /// How long a refusal that names no leader is held: the policy's
-    /// timeout floor. `None` holds nothing.
-    hold_for: Option<Duration>,
-    /// Refusals held until a leader is known, oldest (and so soonest
-    /// due) first.
-    held: VecDeque<Held>,
+    /// Refusals held until the next [`Action::LeaderKnown`], oldest first.
+    held: Vec<Held>,
 }
 
 impl NodeThread {
@@ -433,6 +415,14 @@ impl NodeThread {
         let mut engine = self.engine.lock();
         let node = engine.as_mut()?;
         Some(call(node, self.clock.now()))
+    }
+
+    /// Runs one engine call and absorbs the actions it returns.
+    fn run(&mut self, call: impl FnOnce(&mut Node, Time) -> Vec<Action>) {
+        let stepped = self.step(|node, now| (call(node, now), node.awaits_leader()));
+        if let Some((actions, awaiting)) = stepped {
+            self.absorb(actions, awaiting);
+        }
     }
 
     /// Backpressure hookup: a peer whose outbound queue shed frames since
@@ -487,8 +477,7 @@ impl NodeThread {
                 continue;
             }
             self.timers.remove(&kind);
-            let actions = self.step(|node, now| node.handle_timer(token, now));
-            self.absorb(actions.unwrap_or_default());
+            self.run(|node, now| node.handle_timer(token, now));
         }
     }
 
@@ -522,8 +511,8 @@ impl NodeThread {
             }
         }
         // An engine already gone drops the replies unanswered.
-        match self.step(|node, now| node.propose_batch(commands, now)) {
-            Some(Ok((indexes, actions))) => {
+        match self.step(|node, now| (node.propose_batch(commands, now), node.awaits_leader())) {
+            Some((Ok((indexes, actions)), awaiting)) => {
                 // Register before absorbing: a single-server group applies
                 // the batch in these very actions.
                 let mut indexes = indexes.into_iter();
@@ -541,9 +530,9 @@ impl NodeThread {
                         }
                     }
                 }
-                self.absorb(actions);
+                self.absorb(actions, awaiting);
             }
-            Some(Err(e)) => {
+            Some((Err(e), awaiting)) => {
                 for (reply, _) in replies {
                     match reply {
                         ProposeReply::Accepted(reply) => self.refuse(reply, e),
@@ -554,6 +543,7 @@ impl NodeThread {
                         }
                     }
                 }
+                self.settle(awaiting);
             }
             None => {}
         }
@@ -587,53 +577,50 @@ impl NodeThread {
                 Err(_) => break,
             }
         }
-        match self.step(|node, now| node.read_batch(queries, now)) {
-            Some(Ok((batch, actions))) => {
+        match self.step(|node, now| (node.read_batch(queries, now), node.awaits_leader())) {
+            Some((Ok((batch, actions)), awaiting)) => {
                 // Register before absorbing: a lease-path batch is
                 // already ReadReady in `actions`.
                 self.read_waiters.insert(batch, splits);
-                self.absorb(actions);
+                self.absorb(actions, awaiting);
             }
-            Some(Err(e)) => {
+            Some((Err(e), awaiting)) => {
                 for (reply, _) in splits {
                     self.refuse(reply, e);
                 }
+                self.settle(awaiting);
             }
             None => {}
         }
         carry
     }
 
-    /// Answers `reply` with the refusal `error` — unless it names no
-    /// leader and the policy has a timeout floor, in which case it is
-    /// held for [`NodeThread::release_held`] to answer.
+    /// Answers `reply` with the refusal `error`, or holds it if it names
+    /// no leader: see [`NodeThread::settle`].
     fn refuse<T: 'static>(&mut self, reply: Reply<Result<T, ProposeError>>, error: ProposeError) {
-        match (error, self.hold_for) {
-            (ProposeError::NotLeader { hint: None }, Some(floor)) => self.held.push_back(Held {
-                until: self.clock.now() + floor,
-                refuse: Box::new(move |hint| reply.answer(Err(ProposeError::NotLeader { hint }))),
-            }),
+        match error {
+            ProposeError::NotLeader { hint: None } => self.held.push(Box::new(move |hint| {
+                reply.answer(Err(ProposeError::NotLeader { hint }))
+            })),
             _ => reply.answer(Err(error)),
         }
     }
 
-    /// Answers the held refusals: every one with the leader once the
-    /// engine names one, otherwise those held a full timeout floor,
-    /// without a hint. Held refusals the thread ends with are dropped,
-    /// which answers them `None`.
-    fn release_held(&mut self) {
-        if self.held.is_empty() {
-            return;
+    /// Ends an engine call: the refusals held stay held only if the engine
+    /// said an [`Action::LeaderKnown`] is owed (`awaiting`); otherwise
+    /// none will come, and they are answered without a hint. Held
+    /// refusals the thread ends with are dropped, which answers them
+    /// `None`.
+    fn settle(&mut self, awaiting: bool) {
+        if !awaiting {
+            self.answer_held(None);
         }
-        let Some((leader, now)) = self.step(|node, now| (node.leader_hint(), now)) else {
-            return;
-        };
-        let due = match leader {
-            Some(_) => self.held.len(),
-            None => self.held.iter().take_while(|h| h.until <= now).count(),
-        };
-        for held in self.held.drain(..due) {
-            (held.refuse)(leader);
+    }
+
+    /// Answers every held refusal with `leader`.
+    fn answer_held(&mut self, leader: Option<ServerId>) {
+        for refuse in self.held.drain(..) {
+            refuse(leader);
         }
     }
 
@@ -673,7 +660,9 @@ impl NodeThread {
         }
     }
 
-    fn absorb(&mut self, actions: Vec<Action>) {
+    /// Performs the actions of one engine call, which said whether an
+    /// [`Action::LeaderKnown`] is owed (`awaiting`).
+    fn absorb(&mut self, actions: Vec<Action>, awaiting: bool) {
         for action in actions {
             match action {
                 Action::Send { to, msg, .. } => self.outbound.send(to, msg),
@@ -719,21 +708,23 @@ impl NodeThread {
                     // answering them at apply would acknowledge a write
                     // with another command's result. Proposals get the
                     // refusal (the client retries: at-least-once), held
-                    // until the successor is known if none is yet;
-                    // `AwaitApplied` waiters are dropped unanswered.
-                    let hint = self.step(|node, _| node.leader_hint()).flatten();
+                    // until the successor is known: a step-down names no
+                    // leader. `AwaitApplied` waiters are dropped
+                    // unanswered.
                     for waiter in std::mem::take(&mut self.apply_waiters)
                         .into_values()
                         .flatten()
                     {
                         if let ApplyWaiter::Proposed(reply) = waiter {
-                            self.refuse(reply, ProposeError::NotLeader { hint });
+                            self.refuse(reply, ProposeError::NotLeader { hint: None });
                         }
                     }
                 }
+                Action::LeaderKnown(leader) => self.answer_held(leader),
                 Action::BecameLeader { .. } | Action::Committed { .. } => {}
             }
         }
+        self.settle(awaiting);
     }
 }
 
@@ -753,6 +744,7 @@ pub(crate) mod tests {
     use super::*;
     use escape_core::message::AppendEntriesArgs;
     use escape_core::policy::{ElectionPolicy, ScriptedTimeouts, TimeoutSource};
+    use escape_core::time::Duration;
 
     /// An outbound whose next send, once armed, holds the node thread for
     /// `stall` — what a storage barrier on a stalled disk does to a

@@ -8,7 +8,7 @@
 //! the zlib/PNG polynomial) over its length header **and** its payload,
 //! so a bit flip anywhere in the record — header included — fails the
 //! checksum directly, and readers treat a length or checksum violation
-//! as the end of usable log. This is the framing of `ESCWAL02` WAL
+//! as the end of usable log. This is the framing of `ESCWAL03` WAL
 //! segments.
 //!
 //! The checksum runs every WAL byte once on write and once on recovery,
