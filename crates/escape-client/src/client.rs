@@ -3,6 +3,13 @@
 //! a bounded retry loop absorbs redirects, leadership changes, and
 //! failovers — with jittered exponential backoff so a dead shard gets
 //! polite probing, not a retry storm.
+//!
+//! After a server fails an attempt (no answer, `Unavailable`, or a
+//! `NotLeader` naming no leader it can reach), the group's hint is dropped
+//! and the next attempt goes to the server after it in id order, never to
+//! the one that just failed. The backoff is slept only once a whole pass
+//! has failed — as many failures in a row as there are servers — so a
+//! dead leader costs one hop to a survivor, not a sleep.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -221,13 +228,15 @@ impl Client {
         let deadline = monotonic_now() + self.config.op_budget;
         let mut backoff = self.config.backoff_initial;
         let mut rotation = 0usize;
+        // Failures in the current pass (see `note_failure`).
+        let mut failed = 0usize;
         for _ in 0..self.config.max_attempts {
             let now = monotonic_now();
             if now >= deadline {
                 return Err(ClientError::BudgetExhausted);
             }
             let group = self.route(key);
-            let server = self.pick(group, &mut rotation);
+            let server = self.pick(group, rotation);
             let wait = deadline
                 .saturating_duration_since(now)
                 .min(self.config.request_timeout);
@@ -263,18 +272,19 @@ impl Client {
                         // Leaderless: the server held the request a whole
                         // election timeout floor and no leader emerged (a
                         // mid-failover server answers with the successor
-                        // instead). Forget the hint and back off before
-                        // probing again.
-                        self.leaders.lock().remove(&group);
-                        self.sleep_within(&mut backoff, deadline);
+                        // instead).
+                        if self.note_failure(group, server, &mut rotation, &mut failed) {
+                            self.sleep_within(&mut backoff, deadline);
+                        }
                     }
                 },
                 Some(ResponseBody::Map(_)) | Some(ResponseBody::Unavailable) | None => {
                     // Connection failure, timeout, or a server that can't
-                    // help. Drop the leader hint and back off — this is
-                    // the path that must not storm a dead shard.
-                    self.leaders.lock().remove(&group);
-                    self.sleep_within(&mut backoff, deadline);
+                    // help. Back off once the pass is over — this is the
+                    // path that must not storm a dead shard.
+                    if self.note_failure(group, server, &mut rotation, &mut failed) {
+                        self.sleep_within(&mut backoff, deadline);
+                    }
                 }
             }
         }
@@ -282,15 +292,31 @@ impl Client {
     }
 
     /// The server to try for `group`: its remembered leader if any,
-    /// otherwise the rotation cursor walks the server list so consecutive
-    /// leaderless attempts spread across the cluster.
-    fn pick(&self, group: GroupId, rotation: &mut usize) -> ServerId {
+    /// otherwise the one under the rotation cursor.
+    fn pick(&self, group: GroupId, rotation: usize) -> ServerId {
         if let Some(leader) = self.leaders.lock().get(&group) {
             return *leader;
         }
-        let server = self.servers[*rotation % self.servers.len()];
-        *rotation += 1;
-        server
+        self.servers[rotation % self.servers.len()]
+    }
+
+    /// `server` failed an attempt for `group`: forgets the group's leader,
+    /// moves the rotation cursor past `server`, and counts the failure
+    /// into the pass. Returns `true` when that ends the pass — every
+    /// server has failed once — and the backoff is due.
+    fn note_failure(
+        &self,
+        group: GroupId,
+        server: ServerId,
+        rotation: &mut usize,
+        failed: &mut usize,
+    ) -> bool {
+        self.leaders.lock().remove(&group);
+        if let Ok(at) = self.servers.binary_search(&server) {
+            *rotation = at + 1;
+        }
+        *failed = (*failed + 1) % self.servers.len();
+        *failed == 0
     }
 
     /// Fetches the shard map — from `prefer` if given, else from every
@@ -355,5 +381,138 @@ impl Client {
         for conn in self.conns.values() {
             conn.disconnect();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+    use std::thread;
+    use std::time::Instant;
+
+    use bytes::BytesMut;
+    use escape_wire::{
+        write_frame_with, ClientRequest, ClientResponse, Decode, Encode, FrameReader, CLIENT_HELLO,
+    };
+
+    /// `(server, arrival)` of every request the fake servers were sent.
+    type Arrivals = Arc<Mutex<Vec<(ServerId, Instant)>>>;
+
+    /// A server that answers every read at once: with `Unavailable`, or,
+    /// when `live`, with the query as the value. Each request is logged in
+    /// `arrivals`.
+    fn fake_server(id: ServerId, live: bool, arrivals: &Arrivals) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let arrivals = Arc::clone(arrivals);
+        thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { return };
+                let arrivals = Arc::clone(&arrivals);
+                thread::spawn(move || answer(stream, id, live, &arrivals));
+            }
+        });
+        addr
+    }
+
+    fn answer(mut stream: TcpStream, id: ServerId, live: bool, arrivals: &Arrivals) {
+        let mut frames = FrameReader::new();
+        let mut chunk = [0u8; 4096];
+        let mut hello = true;
+        loop {
+            let n = match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => n,
+            };
+            frames.extend(&chunk[..n]);
+            while let Ok(Some(mut frame)) = frames.next_frame() {
+                if std::mem::take(&mut hello) {
+                    assert_eq!(frame.as_ref(), CLIENT_HELLO);
+                    continue;
+                }
+                let ClientRequest { id: request, body } =
+                    ClientRequest::decode(&mut frame).unwrap();
+                arrivals.lock().push((id, Instant::now()));
+                let body = match body {
+                    RequestBody::Read { query, .. } if live => ResponseBody::Value(query),
+                    _ => ResponseBody::Unavailable,
+                };
+                let mut out = BytesMut::new();
+                write_frame_with(&mut out, |buf| {
+                    ClientResponse { id: request, body }.encode(buf)
+                });
+                if stream.write_all(&out).is_err() {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// A client of fake servers S1, S2, …, one per entry of `live`.
+    fn client_of(live: &[bool], config: ClientConfig) -> (Client, Arrivals) {
+        let arrivals = Arrivals::default();
+        let addrs = live
+            .iter()
+            .enumerate()
+            .map(|(i, &live)| {
+                let id = ServerId::from_index(i);
+                (id, fake_server(id, live, &arrivals))
+            })
+            .collect();
+        (
+            Client::with_map(&addrs, ShardMap::uniform(1), config),
+            arrivals,
+        )
+    }
+
+    #[test]
+    fn a_failed_server_hands_the_retry_to_the_next_one_without_sleeping() {
+        // S1 answers `Unavailable`, S2 leads. A backoff of 10 s would show.
+        let config = ClientConfig {
+            backoff_initial: Duration::from_secs(10),
+            backoff_max: Duration::from_secs(10),
+            op_budget: Duration::from_secs(60),
+            ..ClientConfig::default()
+        };
+        let (client, arrivals) = client_of(&[false, true], config);
+        let started = Instant::now();
+        let value = client.get(b"k", Bytes::from_static(b"q")).unwrap();
+        assert_eq!(value, Bytes::from_static(b"q"));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the client slept"
+        );
+        let servers: Vec<ServerId> = arrivals.lock().iter().map(|(id, _)| *id).collect();
+        assert_eq!(servers, vec![ServerId::new(1), ServerId::new(2)]);
+    }
+
+    #[test]
+    fn a_client_sleeps_once_per_pass_when_every_server_fails() {
+        let backoff = Duration::from_millis(400);
+        let config = ClientConfig {
+            backoff_initial: backoff,
+            backoff_max: backoff,
+            max_attempts: 6,
+            ..ClientConfig::default()
+        };
+        let (client, arrivals) = client_of(&[false, false], config);
+        assert_eq!(
+            client.get(b"k", Bytes::from_static(b"q")),
+            Err(ClientError::AttemptsExhausted)
+        );
+        let arrivals = arrivals.lock();
+        // Three passes of S1 then S2: the server that just failed is never
+        // tried again at once.
+        let servers: Vec<u32> = arrivals.iter().map(|(id, _)| id.get()).collect();
+        assert_eq!(servers, vec![1, 2, 1, 2, 1, 2]);
+        // A sleep (at least half the backoff) between passes, none within.
+        let gaps: Vec<bool> = arrivals
+            .windows(2)
+            .map(|w| w[1].1 - w[0].1 >= backoff / 2)
+            .collect();
+        assert_eq!(gaps, vec![false, true, false, true, false]);
     }
 }

@@ -898,6 +898,29 @@ mod tests {
         );
     }
 
+    /// SCA's prepared candidate of a fresh cluster campaigns at boot: S5
+    /// (priority 5) wins term 5 within one round trip of the paper's
+    /// network (≤ 2 × 200 ms), not after its `baseTime` of 1500 ms. Raft
+    /// has no prepared candidate and waits for its timers.
+    #[test]
+    fn a_fresh_cluster_elects_its_prepared_candidate_in_one_round_trip() {
+        let mut cluster =
+            SimCluster::new(ClusterConfig::paper_network(5, Protocol::escape_paper_default(), 3));
+        let leader = cluster.run_until_new_leader(Term::ZERO, Time::from_millis(1500));
+        assert_eq!(leader, Some(ServerId::new(5)));
+        assert_eq!(cluster.node(ServerId::new(5)).current_term(), Term::new(5));
+        assert!(cluster.now() <= Time::from_millis(400), "elected at {:?}", cluster.now());
+        let streams = cluster.event_streams();
+        let m = crate::observer::measure_election(&streams, Time::ZERO, Duration::from_secs(1))
+            .expect("an election");
+        assert_eq!((m.first_candidate_at, m.campaigns), (Time::ZERO, 1));
+
+        let mut raft =
+            SimCluster::new(ClusterConfig::paper_network(5, Protocol::raft_paper_default(), 3));
+        raft.run_until(Time::from_millis(400));
+        assert!(raft.ids().iter().all(|&id| raft.node(id).current_term() == Term::ZERO));
+    }
+
     /// The tentpole's acceptance test: kill the leader, reconstruct the
     /// failover from the per-node typed event streams alone, and check
     /// the paper's properties as numbers — the phases telescope to the

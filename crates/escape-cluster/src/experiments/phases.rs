@@ -8,9 +8,9 @@
 //! different term surfaces.
 //!
 //! Scenario construction is in [`crate::scenario`]; the measurement starts
-//! at boot, which is behaviourally identical to the instant after a leader
-//! crash (timers armed, no heartbeats) and makes the forced collisions
-//! exact.
+//! at the boot of servers with history, which is behaviourally identical
+//! to the instant after a leader crash (timers armed, no heartbeats) and
+//! makes the forced collisions exact.
 
 use escape_core::time::{Duration, Time};
 use escape_core::types::ServerId;

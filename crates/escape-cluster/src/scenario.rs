@@ -29,7 +29,7 @@ use std::sync::Arc;
 use escape_core::config::EscapeParams;
 use escape_core::policy::{ElectionPolicy, EscapePolicy, RaftPolicy, ScriptedTimeouts};
 use escape_core::time::Duration;
-use escape_core::types::ServerId;
+use escape_core::types::{ConfClock, ServerId};
 
 use crate::cluster::Protocol;
 
@@ -78,10 +78,13 @@ impl ElectionPolicy for WaveScriptPolicy {
 /// Builds the protocol for a Fig. 10 class (`competing_phases` = 0..=3) for
 /// the given base protocol name (`"raft"` or `"escape"`).
 ///
-/// Clusters built from these protocols are measured **from boot**: a fresh
-/// leaderless cluster (timers armed, no heartbeats yet) is behaviourally
-/// identical to the instant after a leader crash, and boot makes the wave
-/// collisions exact because every timer arms at `t = 0`.
+/// Clusters built from these protocols are measured **from boot**: a
+/// leaderless cluster whose servers have history (timers armed, no
+/// heartbeats yet) is behaviourally identical to the instant after a
+/// leader crash, and boot makes the wave collisions exact because every
+/// timer arms at `t = 0`. (A *fresh* ESCAPE cluster is not: its prepared
+/// candidate campaigns at once, so the ESCAPE servers here boot with
+/// configuration clock 1.)
 ///
 /// The designated `winner` (experiments use S2) breaks the tie after the
 /// forced waves.
@@ -103,20 +106,27 @@ pub fn competing_phases_protocol(
             })
         })),
         "escape" => {
-            if competing_phases == 0 {
-                // No contention: the paper's normal spacing.
-                Protocol::escape_paper_default()
-            } else {
-                // Maximal contention: k = 0 collapses every timeout onto
-                // baseTime; every wave is a full collision.
-                Protocol::Custom(Arc::new(|id: ServerId, n: usize, _seed| {
-                    let params = EscapeParams::builder(n)
-                        .base_time_ms(1500)
-                        .spacing_ms(0)
-                        .build();
-                    Box::new(EscapePolicy::new(id, params))
-                }))
-            }
+            // No contention (class 0): the paper's normal spacing. Maximal
+            // contention: k = 0 collapses every timeout onto baseTime;
+            // every wave is a full collision.
+            let spacing_ms = if competing_phases == 0 { 500 } else { 0 };
+            Protocol::Custom(Arc::new(move |id: ServerId, n: usize, _seed| {
+                let params = EscapeParams::builder(n)
+                    .base_time_ms(1500)
+                    .spacing_ms(spacing_ms)
+                    .build();
+                let mut policy = EscapePolicy::new(id, params);
+                // The followers of a crashed leader have history: here,
+                // their boot configurations as its patrol restamped them.
+                // A fresh node holding the prepared configuration would
+                // campaign from `Node::start` instead of detecting.
+                policy.restore_config(
+                    params
+                        .initial_configuration(id)
+                        .restamped(ConfClock::new(1)),
+                );
+                Box::new(policy)
+            }))
         }
         other => panic!("unknown protocol {other:?} for the Fig. 10 scenario"),
     }

@@ -238,21 +238,24 @@ mod tests {
     /// the simulator kept superseded timers out of its queue. Both were
     /// meant to leave the event stream untouched; any later change that
     /// reorders it — one extra RNG draw, one event popped in another
-    /// order — moves these numbers. Instants are in µs.
+    /// order — moves these numbers. The ESCAPE and Z-Raft rows were
+    /// re-recorded when the prepared candidate began campaigning at boot
+    /// (the first election no longer waits out `baseTime`); the Raft rows
+    /// are the original recording. Instants are in µs.
     #[test]
     fn sim_loss_trials_replay_their_recorded_outcomes() {
         use escape_simnet::loss::LossModel;
         let recorded = [
             (Protocol::escape_paper_default(), 1,
-             "sent 6668, crashed S2 at 7635239, candidate at 9319832, S7 leads term 150 at 9626841 after 1 campaigns"),
+             "sent 6668, crashed S2 at 6140480, candidate at 7825782, S7 leads term 150 at 8132791 after 1 campaigns"),
             (Protocol::escape_paper_default(), 5,
-             "sent 6893, crashed S13 at 8174344, candidate at 9768745, S41 leads term 198 at 10077919 after 1 campaigns"),
+             "sent 6875, crashed S13 at 6644506, candidate at 8272376, S41 leads term 198 at 8579748 after 1 campaigns"),
             (Protocol::raft_paper_default(), 1,
              "sent 7466, crashed S12 at 7684803, candidate at 9250266, S31 leads term 3 at 9594743 after 4 campaigns"),
             (Protocol::raft_paper_default(), 2,
              "sent 10174, crashed S6 at 9108081, candidate at 10656989, S49 leads term 5 at 11110210 after 9 campaigns"),
             (Protocol::zraft_paper_default(), 3,
-             "sent 6598, crashed S49 at 7840732, candidate at 9473958, S50 leads term 149 at 9788111 after 1 campaigns"),
+             "sent 6612, crashed S49 at 6351706, candidate at 7974893, S50 leads term 149 at 8302454 after 1 campaigns"),
         ];
         for (protocol, seed, expected) in recorded {
             let name = protocol.name();

@@ -21,8 +21,6 @@ impl Node {
             // A stale fire that raced leadership assumption.
             return;
         }
-        self.role = Role::Candidate;
-        self.metrics.elections_started += 1;
         // Detection instant, stamped with the term the silence was
         // observed under — the timeline splits detect from campaign here.
         self.emit(
@@ -31,6 +29,15 @@ impl Node {
                 term: self.current_term.get(),
             },
         );
+        self.campaign(now, out);
+    }
+
+    /// Becomes a candidate and solicits votes: the body of an election
+    /// timeout, and of [`Node::start`]'s boot campaign (which detected
+    /// nothing, so records no `ElectionTimeout`).
+    pub(super) fn campaign(&mut self, now: Time, out: &mut Vec<Action>) {
+        self.role = Role::Candidate;
+        self.metrics.elections_started += 1;
 
         // Eq. 2: advance the term by the policy's increment (1 for Raft,
         // the priority for Z-Raft/ESCAPE).

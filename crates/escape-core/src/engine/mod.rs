@@ -64,7 +64,7 @@ use crate::policy::ElectionPolicy;
 use crate::statemachine::{NullStateMachine, StateMachine};
 use crate::storage::{Barrier, NullStorage, RecoveredState, Storage};
 use crate::time::{Duration, Time};
-use crate::types::{quorum, LogIndex, Role, ServerId, Term};
+use crate::types::{quorum, ConfClock, LogIndex, Role, ServerId, Term};
 
 /// Which of the node's timers an event refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -777,11 +777,50 @@ impl Node {
 
     /// Boots the node as a follower: arms the election timer, and, as it
     /// names no leader yet, the [`Action::LeaderKnown`] timer.
+    ///
+    /// A node with no history (term 0, no vote, an empty log, no snapshot)
+    /// whose policy holds the prepared configuration — SCA's priority `n`,
+    /// whose Eq. 1 timeout is the floor — campaigns at once instead: the
+    /// cluster has never had a leader to suspect, so waiting out
+    /// `baseTime` would detect nothing, and §IV-A already names this
+    /// server the winner. A fresh cluster thus elects in one round trip.
+    /// The campaign records `CampaignStarted` but no `ElectionTimeout`, and
+    /// its term and vote are durable before the `RequestVote`s are
+    /// returned. Raft holds no configuration and never campaigns here; a
+    /// node with history (recovered from disk, or [`Node::restart`]ed)
+    /// waits for its timer.
     pub fn start(&mut self, now: Time) -> Vec<Action> {
+        let mut out = self.arm_follower(now);
+        if self.prepared_at_boot() {
+            self.campaign(now, &mut out);
+            self.sync_storage(now);
+        }
+        out
+    }
+
+    /// Arms what a booting follower waits on: the election timer, and the
+    /// [`Action::LeaderKnown`] timer, as it names no leader.
+    fn arm_follower(&mut self, now: Time) -> Vec<Action> {
         let mut out = Vec::new();
         self.arm_election_timer(now, &mut out);
         self.watch.forget(now, &mut out);
         out
+    }
+
+    /// `true` for a node with no history whose policy holds the prepared
+    /// configuration of a fresh cluster: clock 0 and the timeout floor.
+    fn prepared_at_boot(&self) -> bool {
+        let fresh = self.current_term == Term::ZERO
+            && self.voted_for.is_none()
+            && self.log.last_index() == LogIndex::ZERO
+            && self.latest_snapshot.is_none();
+        fresh
+            && match (self.policy.current_config(), self.policy.timeout_floor()) {
+                (Some(config), Some(floor)) => {
+                    config.conf_clock == ConfClock::ZERO && config.timer_period == floor
+                }
+                _ => false,
+            }
     }
 
     /// Recovers a crashed node: volatile state is reset, persistent state
@@ -802,7 +841,7 @@ impl Node {
         self.election_epoch += 1;
         self.heartbeat_epoch += 1;
         self.vote_retry_epoch += 1;
-        self.start(now)
+        self.arm_follower(now)
     }
 
     /// The transport reports it dropped outbound frames to `peer`

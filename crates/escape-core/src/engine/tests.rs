@@ -10,7 +10,7 @@ use super::*;
 use crate::config::EscapeParams;
 use crate::policy::{EscapePolicy, RaftPolicy, ScriptedTimeouts};
 use crate::time::{Duration, Time};
-use crate::types::{LogIndex, Role, ServerId, Term};
+use crate::types::{LogIndex, Priority, Role, ServerId, Term};
 
 /// A minimal deterministic pump: instant message delivery, timers fired by
 /// hand. Enough to unit-test protocol logic without the simulator crate
@@ -139,6 +139,41 @@ fn escape_cluster(n: u32) -> Pump {
     Pump::new(nodes)
 }
 
+/// An ESCAPE cluster whose nodes all have history, so none campaigns from
+/// [`Node::start`]: each recovers its SCA boot configuration restamped
+/// with clock 1 (as a patrol that kept the boot order would leave it),
+/// and nothing else — terms still start at 0.
+fn escape_cluster_with_history(n: u32) -> Pump {
+    let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
+    let params = EscapeParams::paper_defaults(n as usize);
+    let nodes = ids
+        .iter()
+        .map(|id| {
+            Node::builder(*id, ids.clone())
+                .policy(Box::new(EscapePolicy::new(*id, params)))
+                .recover(boot_config_history(*id, params))
+                .build()
+        })
+        .collect();
+    Pump::new(nodes)
+}
+
+/// The recovered state of a node whose only history is its boot
+/// configuration at clock 1.
+fn boot_config_history(id: ServerId, params: EscapeParams) -> RecoveredState {
+    RecoveredState {
+        term: Term::ZERO,
+        voted_for: None,
+        log: Log::new(),
+        config: Some(
+            params
+                .initial_configuration(id)
+                .restamped(crate::types::ConfClock::new(1)),
+        ),
+        snapshot: None,
+    }
+}
+
 #[test]
 fn first_timeout_elects_a_leader() {
     let mut pump = raft_cluster(3);
@@ -162,7 +197,8 @@ fn raft_term_advances_by_one_per_campaign() {
 
 #[test]
 fn escape_term_advances_by_priority() {
-    let mut pump = escape_cluster(5);
+    // With history, so S5 does not campaign at boot.
+    let mut pump = escape_cluster_with_history(5);
     // S4 boots with priority 4 (SCA): term jumps by 4.
     pump.fire(ServerId::new(4), TimerKind::Election);
     assert_eq!(pump.node(4).current_term(), Term::new(4));
@@ -299,7 +335,8 @@ fn split_vote_scenario_of_fig2() {
 fn escape_concurrent_campaigns_resolve_in_one_round() {
     // The Fig. 6 situation: multiple candidates fire simultaneously, but
     // priority-scaled term growth puts them on different term surfaces.
-    let mut pump = escape_cluster(5);
+    // With history, so S5 does not campaign at boot.
+    let mut pump = escape_cluster_with_history(5);
     // Fire S2 and S3 back-to-back without settling in between.
     let now = Time::from_millis(3_000);
     pump.now = now;
@@ -2051,10 +2088,12 @@ fn a_hint_moves_the_deadline_by_floor_minus_fence_and_emits_it() {
         .base_time_ms(150)
         .spacing_ms(50)
         .build();
+    // With history: boot priority 3 of 3 would campaign from `start`.
     let mut node = Node::builder(ids[2], ids.clone())
         .policy(Box::new(EscapePolicy::new(ids[2], params)))
         .options(lease_options())
         .observer(Arc::new(ring))
+        .recover(boot_config_history(ids[2], params))
         .build();
     node.start(Time::ZERO);
     let contact = Time::from_millis(10);
@@ -2950,4 +2989,309 @@ proptest::proptest! {
             }
         }
     }
+}
+
+// ---- the boot campaign ----
+
+/// What a [`RecordingStorage`] has seen of the hard state: the last
+/// record persisted, and the last one a `sync` made durable.
+#[derive(Debug, Default)]
+struct HardStateRecord {
+    persisted: Option<(Term, Option<ServerId>)>,
+    synced: Option<(Term, Option<ServerId>)>,
+}
+
+/// A storage that records the hard state, and what of it is durable.
+#[derive(Debug, Default)]
+struct RecordingStorage(Arc<std::sync::Mutex<HardStateRecord>>);
+
+impl Storage for RecordingStorage {
+    fn persist_hard_state(
+        &mut self,
+        term: Term,
+        voted_for: Option<ServerId>,
+    ) -> std::io::Result<()> {
+        self.0.lock().unwrap().persisted = Some((term, voted_for));
+        Ok(())
+    }
+    fn persist_entry(&mut self, _: &crate::log::Entry) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_appended(
+        &mut self,
+        _: LogIndex,
+        _: Term,
+        _: &[crate::log::Entry],
+    ) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_config(&mut self, _: crate::config::Configuration) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn persist_snapshot(
+        &mut self,
+        _: LogIndex,
+        _: Term,
+        _: &Bytes,
+        _: &[crate::log::Entry],
+    ) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        let mut record = self.0.lock().unwrap();
+        record.synced = record.persisted;
+        Ok(())
+    }
+}
+
+/// Starts server `id` of `n` under `policy`, recovered from `history`
+/// if given. Returns the node, its boot actions, what its storage saw and
+/// the events it recorded.
+fn boot(
+    id: u32,
+    n: u32,
+    policy: Box<dyn ElectionPolicy>,
+    history: Option<RecoveredState>,
+) -> (
+    Node,
+    Vec<Action>,
+    Arc<std::sync::Mutex<HardStateRecord>>,
+    Vec<Event>,
+) {
+    let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
+    let storage = RecordingStorage::default();
+    let record = Arc::clone(&storage.0);
+    let (log, ring) = escape_obs::RingObserver::with_default_capacity();
+    let mut builder = Node::builder(ServerId::new(id), ids)
+        .policy(policy)
+        .storage(Box::new(storage))
+        .observer(Arc::new(ring));
+    if let Some(history) = history {
+        builder = builder.recover(history);
+    }
+    let mut node = builder.build();
+    let actions = node.start(Time::ZERO);
+    let events = log.snapshot().iter().map(|t| t.event).collect();
+    (node, actions, record, events)
+}
+
+/// The peers `actions` solicit votes from, and in which term.
+fn solicitations(actions: &[Action]) -> Vec<(ServerId, Term)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: Message::RequestVote(args),
+                ..
+            } => Some((*to, args.term)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_fresh_prepared_candidate_campaigns_from_start_with_its_vote_durable() {
+    let params = EscapeParams::paper_defaults(5);
+    let s5 = ServerId::new(5);
+    let s2 = ServerId::new(2);
+    let cases: [(&str, ServerId, Box<dyn ElectionPolicy>, u64); 3] = [
+        ("escape S5", s5, Box::new(EscapePolicy::new(s5, params)), 5),
+        (
+            "escape S2 rotated to priority 5",
+            s2,
+            Box::new(EscapePolicy::new(s2, params).with_boot_priority(Priority::new(5))),
+            5,
+        ),
+        (
+            "zraft S5",
+            s5,
+            Box::new(crate::policy::ZRaftPolicy::new(s5, params)),
+            5,
+        ),
+    ];
+    for (name, id, policy, term) in cases {
+        let (node, actions, record, events) = boot(id.get(), 5, policy, None);
+        assert_eq!(node.role(), Role::Candidate, "{name}");
+        assert_eq!(node.current_term(), Term::new(term), "{name}");
+        assert_eq!(node.voted_for(), Some(id), "{name}");
+        assert_eq!(node.metrics().elections_started, 1, "{name}");
+        // The term and vote were durable before the actions came back.
+        assert_eq!(
+            record.lock().unwrap().synced,
+            Some((Term::new(term), Some(id))),
+            "{name}"
+        );
+        let asked = solicitations(&actions);
+        assert_eq!(asked.len(), 4, "{name}: {asked:?}");
+        assert!(
+            asked
+                .iter()
+                .all(|&(to, t)| to != id && t == Term::new(term)),
+            "{name}"
+        );
+        // Nothing timed out: a campaign, no detection.
+        assert!(events.contains(&Event::CampaignStarted { term }), "{name}");
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, Event::ElectionTimeout { .. })),
+            "{name}: {events:?}"
+        );
+    }
+}
+
+#[test]
+fn a_node_with_history_a_lower_priority_or_raft_waits_for_its_timer() {
+    let params = EscapeParams::paper_defaults(5);
+    let s5 = ServerId::new(5);
+    let escape = |id: u32| -> Box<dyn ElectionPolicy> {
+        Box::new(EscapePolicy::new(ServerId::new(id), params))
+    };
+    let mut logged = Log::new();
+    logged.append_new(Term::new(1), crate::log::Payload::Noop);
+    let histories = [
+        (
+            "a term",
+            RecoveredState {
+                term: Term::new(3),
+                ..boot_config_history(s5, params)
+            },
+        ),
+        (
+            "a vote",
+            RecoveredState {
+                term: Term::new(3),
+                voted_for: Some(ServerId::new(1)),
+                ..boot_config_history(s5, params)
+            },
+        ),
+        (
+            "a log",
+            RecoveredState {
+                log: logged,
+                ..boot_config_history(s5, params)
+            },
+        ),
+        ("a configuration clock", boot_config_history(s5, params)),
+    ];
+    // (name, server, policy, history)
+    type Case = (String, u32, Box<dyn ElectionPolicy>, Option<RecoveredState>);
+    let mut cases: Vec<Case> = vec![
+        ("escape S4 of 5".into(), 4, escape(4), None),
+        (
+            "escape S5 rotated to priority 1".into(),
+            5,
+            Box::new(EscapePolicy::new(s5, params).with_boot_priority(Priority::new(1))),
+            None,
+        ),
+        (
+            "zraft S4 of 5".into(),
+            4,
+            Box::new(crate::policy::ZRaftPolicy::new(ServerId::new(4), params)),
+            None,
+        ),
+    ];
+    for (what, history) in histories {
+        cases.push((
+            format!("escape S5 with {what}"),
+            5,
+            escape(5),
+            Some(history),
+        ));
+    }
+    for id in 1..=5 {
+        let raft =
+            RaftPolicy::randomized(Duration::from_millis(150), Duration::from_millis(300), 7);
+        cases.push((format!("raft S{id}"), id, Box::new(raft), None));
+    }
+    for (name, id, policy, history) in cases {
+        let term = history.as_ref().map_or(Term::ZERO, |h| h.term);
+        let (node, actions, record, events) = boot(id, 5, policy, history);
+        assert_eq!(node.role(), Role::Follower, "{name}");
+        assert_eq!(node.current_term(), term, "{name}");
+        assert_eq!(node.metrics().elections_started, 0, "{name}");
+        assert!(solicitations(&actions).is_empty(), "{name}");
+        assert!(
+            election_deadline(&actions).is_some(),
+            "{name}: the timer is armed"
+        );
+        assert_eq!(record.lock().unwrap().synced, None, "{name}");
+        assert!(events.is_empty(), "{name}: {events:?}");
+    }
+
+    // A restarted process waits for its timer even without history.
+    let ids: Vec<ServerId> = (1..=5).map(ServerId::new).collect();
+    let mut node = Node::builder(s5, ids).policy(escape(5)).build();
+    let actions = node.restart(Time::ZERO);
+    assert_eq!(node.role(), Role::Follower);
+    assert!(solicitations(&actions).is_empty());
+    assert!(election_deadline(&actions).is_some());
+}
+
+#[test]
+fn a_fresh_prepared_candidate_joining_a_later_term_follows_its_leader() {
+    // S1–S4 have history in term 5; S4 wins term 9 while S5 is down.
+    let n = 5;
+    let ids: Vec<ServerId> = (1..=n).map(ServerId::new).collect();
+    let params = EscapeParams::paper_defaults(n as usize);
+    let nodes = ids[..4]
+        .iter()
+        .map(|id| {
+            Node::builder(*id, ids.clone())
+                .policy(Box::new(EscapePolicy::new(*id, params)))
+                .recover(RecoveredState {
+                    term: Term::new(5),
+                    ..boot_config_history(*id, params)
+                })
+                .build()
+        })
+        .collect();
+    let mut pump = Pump::new(nodes);
+    pump.crash(5);
+    pump.fire(ServerId::new(4), TimerKind::Election);
+    assert_eq!(pump.leader(), Some(ServerId::new(4)));
+    let term = pump.node(4).current_term();
+    assert_eq!(term, Term::new(9));
+
+    // A fresh S5 boots into the group: it campaigns in term 5, which every
+    // voter refuses as stale, and it adopts the group's term.
+    pump.crashed.clear();
+    let s5 = ServerId::new(5);
+    let mut fresh = Node::builder(s5, ids.clone())
+        .policy(Box::new(EscapePolicy::new(s5, params)))
+        .build();
+    let now = pump.now;
+    let actions = fresh.start(now);
+    assert_eq!(
+        solicitations(&actions),
+        ids[..4]
+            .iter()
+            .map(|&to| (to, Term::new(5)))
+            .collect::<Vec<_>>()
+    );
+    pump.nodes.insert(s5, fresh);
+    pump.absorb(s5, actions);
+    pump.settle();
+    assert_eq!(
+        pump.leader(),
+        Some(ServerId::new(4)),
+        "the leader was not deposed"
+    );
+    assert_eq!(pump.node(4).current_term(), term);
+    for voter in 1..=3 {
+        assert_eq!(
+            pump.node(voter).voted_for(),
+            Some(ServerId::new(4)),
+            "S{voter}"
+        );
+    }
+    assert_eq!(pump.node(5).current_term(), term);
+    assert_eq!(pump.node(5).role(), Role::Follower);
+
+    // The leader's next round reaches it: it follows.
+    pump.fire(ServerId::new(4), TimerKind::Heartbeat);
+    assert_eq!(pump.node(5).leader_hint(), Some(ServerId::new(4)));
+    assert_eq!(pump.node(5).role(), Role::Follower);
+    assert_eq!(pump.leader(), Some(ServerId::new(4)));
 }

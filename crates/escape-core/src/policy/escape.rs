@@ -175,7 +175,11 @@ impl EscapePolicy {
     /// of stacking every group's leadership on the same server.
     ///
     /// Callers are responsible for keeping the assignment a permutation:
-    /// two servers sharing a boot priority would share a timeout.
+    /// two servers sharing a boot priority would share a timeout — and,
+    /// at priority `n`, both would campaign from
+    /// [`Node::start`](crate::engine::Node::start) when the cluster is
+    /// fresh, since the server holding priority `n` is the prepared
+    /// candidate that campaigns at boot instead of waiting out `baseTime`.
     #[must_use]
     pub fn with_boot_priority(mut self, priority: Priority) -> Self {
         self.config = self.params.configuration_for(priority, ConfClock::ZERO);

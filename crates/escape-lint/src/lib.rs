@@ -54,13 +54,14 @@ pub fn parse_lock_manifest(text: &str) -> Vec<String> {
 
 /// Runs every single-file rule over `file` and applies its waivers.
 /// (The cross-file wire rule is separate: [`rules::wire::check`]; the
-/// deferred-barrier rule sees only this file's functions here.)
+/// call-graph half of the write-before-send rule sees only this file's
+/// functions here.)
 pub fn check_file(file: &SourceFile, manifest: &[String]) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(rules::panic::check(file));
     findings.extend(rules::time::check(file));
     findings.extend(rules::wbs::check(file));
-    findings.extend(rules::wbs::check_deferred(std::slice::from_ref(file)));
+    findings.extend(rules::wbs::check_call_graph(std::slice::from_ref(file)));
     findings.extend(rules::locks::check(file, manifest));
     findings.extend(rules::unsafety::check(file));
     if file.path.ends_with("escape-obs/src/event.rs") {
@@ -137,11 +138,11 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
         )],
     };
 
-    // Likewise the deferred-barrier rule, which follows calls across the
-    // engine's files.
+    // Likewise the call-graph half of the write-before-send rule, which
+    // follows calls across the engine's files.
     let cross_file_findings: Vec<Finding> = wire_findings
         .into_iter()
-        .chain(rules::wbs::check_deferred(&files))
+        .chain(rules::wbs::check_call_graph(&files))
         .collect();
 
     for file in &files {

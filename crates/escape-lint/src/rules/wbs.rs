@@ -25,6 +25,13 @@
 //! engine file defines them. A promise it reaches *afterwards* (a commit
 //! compacting the log) is the blocking barrier's business again, so the
 //! function must still call `sync_storage` behind it.
+//!
+//! A fourth, over the same call graph, covers the engine's entry points:
+//! a `pub fn` hands its actions straight to the host, so one that reaches
+//! a promise helper must call `sync_storage` after that point — or a
+//! `RequestVote` could leave before the vote behind it is durable (a
+//! campaign from `Node::start`, say). A call to another entry point is
+//! that entry point's business: it is checked on its own.
 
 use std::collections::BTreeMap;
 
@@ -165,53 +172,67 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
     findings
 }
 
-/// Rule (c), over all of `files` that are engine sources at once, so a
-/// promise reached through a function of another engine file counts.
-pub fn check_deferred(files: &[SourceFile]) -> Vec<Finding> {
+/// Rules (c) and (d), over all of `files` that are engine sources at
+/// once, so a promise reached through a function of another engine file
+/// counts.
+pub fn check_call_graph(files: &[SourceFile]) -> Vec<Finding> {
     // Who calls whom, by name, across every engine file. (A name defined
     // twice has its callees merged, which can only over-report.)
     let mut graph: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    let mut entries: Vec<&str> = Vec::new();
     let mut functions = Vec::new();
     for file in files.iter().filter(|f| in_scope(f)) {
         for func in &file.functions {
             if func.body.is_none() || file.is_test_code(func.start) {
                 continue;
             }
+            let entry = is_pub(file, func);
+            if entry {
+                entries.push(func.name.as_str());
+            }
             let sites = call_sites(file, func);
             graph
                 .entry(func.name.as_str())
                 .or_default()
                 .extend(sites.iter().map(|site| site.callee));
-            functions.push((file, func, sites));
+            functions.push((file, func, sites, entry));
         }
     }
 
     let mut findings = Vec::new();
-    for (file, func, sites) in &functions {
-        let Some(request) = sites
-            .iter()
-            .find(|site| DEFERRED.contains(&site.callee))
-            .map(|site| site.offset)
-        else {
-            continue;
-        };
+    for (file, func, sites, entry) in &functions {
         let synced_after = |offset: usize| {
             sites
                 .iter()
                 .any(|site| site.callee == "sync_storage" && site.offset > offset)
         };
+        let request = sites
+            .iter()
+            .find(|site| DEFERRED.contains(&site.callee))
+            .map(|site| site.offset);
+        if request.is_none() && !entry {
+            continue;
+        }
         for site in sites {
             if !reaches_promise(site.callee, &graph, &mut Vec::new()) {
                 continue;
             }
-            let problem = if site.offset < request {
-                "before it requests the deferred barrier — only a leader's own tail \
-                 appends may ride it; promises need the blocking barrier"
-            } else if !synced_after(site.offset) {
-                "after requesting the deferred barrier, with no `sync_storage` behind \
-                 it — that record needs the blocking barrier"
-            } else {
-                continue;
+            let problem = match request {
+                // (d): an entry point, which requests no deferred barrier.
+                None if entries.contains(&site.callee) || synced_after(site.offset) => continue,
+                None => {
+                    "with no `sync_storage` behind it — an entry point's actions would \
+                     leave before the record is durable"
+                }
+                Some(request) if site.offset < request => {
+                    "before it requests the deferred barrier — only a leader's own tail \
+                     appends may ride it; promises need the blocking barrier"
+                }
+                Some(_) if !synced_after(site.offset) => {
+                    "after requesting the deferred barrier, with no `sync_storage` behind \
+                     it — that record needs the blocking barrier"
+                }
+                Some(_) => continue,
             };
             findings.push(Finding::new(
                 Rule::WriteBeforeSend,
@@ -225,6 +246,14 @@ pub fn check_deferred(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// `true` for a plain `pub fn` (not `pub(super)` or `pub(crate)`).
+fn is_pub(file: &SourceFile, func: &Function) -> bool {
+    file.tokens
+        .iter()
+        .position(|t| t.start == func.start)
+        .is_some_and(|at| at > 0 && text(file, at - 1) == "pub")
 }
 
 /// One call inside a function body.

@@ -122,7 +122,7 @@ fn wbs_rule_trips_on_a_promise_riding_the_deferred_barrier() {
         "escape-core",
         include_str!("fixtures/wbs_deferred_bad.rs"),
     );
-    let findings = rules::wbs::check_deferred(std::slice::from_ref(&file));
+    let findings = rules::wbs::check_call_graph(std::slice::from_ref(&file));
     assert_eq!(findings.len(), 3, "{findings:?}");
     assert!(findings.iter().all(|f| f.message.contains("deferred barrier")));
     assert!(findings.iter().any(|f| f.message.contains("`persist_hard_state` before")));
@@ -137,7 +137,7 @@ fn wbs_rule_passes_tail_appends_under_the_deferred_barrier() {
         "escape-core",
         include_str!("fixtures/wbs_deferred_good.rs"),
     );
-    assert!(rules::wbs::check_deferred(std::slice::from_ref(&file)).is_empty());
+    assert!(rules::wbs::check_call_graph(std::slice::from_ref(&file)).is_empty());
 }
 
 #[test]
@@ -155,13 +155,38 @@ fn wbs_rule_follows_a_promise_into_another_engine_file() {
         ),
     ];
     assert!(
-        rules::wbs::check_deferred(&files[..1]).is_empty(),
+        rules::wbs::check_call_graph(&files[..1]).is_empty(),
         "invisible from the requesting file alone"
     );
-    let findings = rules::wbs::check_deferred(&files);
+    let findings = rules::wbs::check_call_graph(&files);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(findings[0].path.ends_with("engine/mod.rs"));
     assert!(findings[0].message.contains("`flush_replication` before"));
+}
+
+#[test]
+fn wbs_rule_trips_on_an_entry_point_that_promises_without_a_sync() {
+    let file = parse(
+        "crates/escape-core/src/engine/fixture.rs",
+        "escape-core",
+        include_str!("fixtures/wbs_entry_bad.rs"),
+    );
+    let findings = rules::wbs::check_call_graph(std::slice::from_ref(&file));
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings.iter().all(|f| f.message.contains("an entry point's actions")));
+    let flagged = |what: &str| findings.iter().any(|f| f.message.contains(what));
+    assert!(flagged("`start` reaches a promise record through `campaign`"));
+    assert!(flagged("`handle` reaches a promise record through `persist_hard_state`"));
+}
+
+#[test]
+fn wbs_rule_passes_entry_points_that_sync_after_their_promises() {
+    let file = parse(
+        "crates/escape-core/src/engine/fixture.rs",
+        "escape-core",
+        include_str!("fixtures/wbs_entry_good.rs"),
+    );
+    assert!(rules::wbs::check_call_graph(std::slice::from_ref(&file)).is_empty());
 }
 
 // ---- lock-discipline ---------------------------------------------------

@@ -293,6 +293,69 @@ fn every_kill_of_the_sitting_leader_costs_one_campaign() {
     cluster.finish();
 }
 
+/// A fresh cluster elects at boot: each group's rotated top server (SCA
+/// priority n, whose timeout is the floor) campaigns as it is spawned and
+/// leads within half a floor, one campaign per group. A server respawned
+/// from its data directory has history and waits for its timer instead.
+#[test]
+fn a_fresh_cluster_elects_each_groups_top_server_at_boot() {
+    let mut cluster = Cluster::start("fresh-boot", 2);
+    let ProtocolSpec::Escape {
+        base_time: floor, ..
+    } = ProtocolSpec::escape_local()
+    else {
+        unreachable!("escape_local is an ESCAPE spec")
+    };
+    let n = cluster.addrs.len();
+    for group in cluster.map.groups() {
+        // Group g hands server s priority ((s−1+g) mod n)+1.
+        let top = ServerId::from_index((2 * n - 1 - group.index()) % n);
+        assert_eq!(cluster.wait_for_leader(group, None), top, "{group}");
+        let term = cluster.status(top, group).term.get();
+        let elected_at = cluster
+            .streams()
+            .iter()
+            .filter(|stream| stream.node == top.get())
+            .flat_map(|stream| &stream.events)
+            .find(|t| t.event == Event::LeaderElected { term })
+            .map(|t| t.at_micros)
+            .expect("the election is in the winner's log");
+        eprintln!("{group}: {top} leads term {term} {elected_at} us after the spawn");
+        assert!(
+            elected_at <= floor.as_micros() / 2,
+            "{group}: {top} led {elected_at} us after the spawn"
+        );
+        let campaigns: u64 = cluster
+            .nodes
+            .keys()
+            .map(|id| cluster.status(*id, group).metrics.elections_started)
+            .sum();
+        assert_eq!(campaigns, 1, "{group}: one campaign, by {top}");
+    }
+
+    // Group 0's leader, respawned from its directory, starts no campaign.
+    let victim = cluster.wait_for_leader(GroupId::ZERO, None);
+    cluster.kill(victim);
+    cluster.wait_for_leader(GroupId::ZERO, Some(victim));
+    let respawned_at = cluster.now_micros();
+    cluster.spawn(victim);
+    cluster.wait_for_catch_up(victim);
+    std::thread::sleep(floor.into());
+    assert_eq!(
+        cluster.elections_started_by(victim),
+        0,
+        "{victim} campaigned"
+    );
+    let campaigned = cluster.streams().iter().any(|stream| {
+        stream.node == victim.get()
+            && stream.events.iter().any(|t| {
+                t.at_micros >= respawned_at && matches!(t.event, Event::CampaignStarted { .. })
+            })
+    });
+    assert!(!campaigned, "{victim} campaigned after its respawn");
+    cluster.finish();
+}
+
 /// When the last vote fence that refused `term`'s candidate after `since`
 /// lapsed, on the test's clock; `None` if no fence refused it.
 fn fence_lapse(streams: &[NodeEvents], since: u64, term: u64) -> Option<u64> {
